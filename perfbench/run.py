@@ -20,7 +20,8 @@ Helpers:
         runs each workload --runs times on consecutive seeds and prints,
         per metric, the median, the quartiles and the spread
         (IQR / median) against the metric's bound; then reruns the first
-        seed and checks that the exact metrics read the same.
+        seed and checks that the exact metrics read the same.  Exits 1 when a
+        run fails, a spread exceeds its bound or an exact metric differs.
 """
 
 import argparse
@@ -35,7 +36,10 @@ ROOT = os.path.dirname(HERE)
 BUILD_DIR = os.path.join(ROOT, ".bench_build", "perfbench")
 TRACE_DIR = os.path.join(ROOT, ".bench_build", "traces")
 WORKLOADS = ("map_solve", "serve_mixed", "serve_skew")
-RUN_TIMEOUT_S = 170
+# A run takes its --seconds plus its set-ups, warm-up and oracle, which
+# take up to about 20 s on a 4-vCPU host; the rest of the margin is for a slow host.
+RUN_MARGIN_S = 90
+DEFAULT_SECONDS = 30.0  # BENCHMARK.json run_seconds
 # Metrics that must read identically on two runs of one seed, keyed by
 # (workload, trace): simulated time, counts, device memory and the error
 # of a deterministic solve do not depend on the host's speed.
@@ -76,11 +80,11 @@ def run_once(workload, seed, seconds, trace):
     cmd = [os.path.join(BUILD_DIR, "perfbench"), "--workload", workload,
            "--seed", str(seed), "--seconds", str(seconds),
            "--trace", str(trace), "--trace-dir", TRACE_DIR]
+    timeout = seconds + RUN_MARGIN_S
     try:
-        proc = subprocess.run(cmd, stdout=subprocess.PIPE, text=True,
-                              timeout=RUN_TIMEOUT_S)
+        proc = subprocess.run(cmd, stdout=subprocess.PIPE, text=True, timeout=timeout)
     except subprocess.TimeoutExpired:
-        log(f"perfbench: {workload} did not finish within {RUN_TIMEOUT_S} s")
+        log(f"perfbench: {workload} did not finish within {timeout} s")
         return 1, "", None
     result = None
     lines = proc.stdout.strip().splitlines()
@@ -130,7 +134,7 @@ def steadiness(args):
             flag = ""
             if bound is not None and spread > bound / 3:
                 flag = "  > bound/3"
-                if spread > bound and name != "setup_s":
+                if spread > bound:
                     flag = "  > bound"
                     bad += 1
             print(f"{name:34}{m['unit']:>9}{med:14.6g}{q1:14.6g}{q3:14.6g}"
@@ -162,7 +166,7 @@ def main():
                                  formatter_class=argparse.RawDescriptionHelpFormatter)
     ap.add_argument("--workload", choices=WORKLOADS)
     ap.add_argument("--seed", type=int, default=1)
-    ap.add_argument("--seconds", type=float, default=10.0)
+    ap.add_argument("--seconds", type=float, default=DEFAULT_SECONDS)
     ap.add_argument("--trace", type=int, choices=(0, 1), default=0)
     ap.add_argument("--self-test", action="store_true")
     ap.add_argument("--steadiness", action="store_true")

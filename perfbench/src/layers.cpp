@@ -120,6 +120,15 @@ double cpu_seconds() {
   return secs(ru.ru_utime) + secs(ru.ru_stime);
 }
 
+std::string setup_note(const std::vector<double>& setup_s) {
+  std::string note = "set-ups (s):";
+  for (const double s : setup_s) {
+    note += ' ';
+    note += std::to_string(s);
+  }
+  return note;
+}
+
 void write_spans(const RunConfig& cfg, const char* workload, const SpanLog& log,
                  RunResult& out) {
   if (!log.enabled() || cfg.trace_dir.empty()) return;

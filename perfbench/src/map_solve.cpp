@@ -125,10 +125,6 @@ inverse::CgResult traced_solve(Solver& s, const Problem& p, SpanLog& log,
   return cg;
 }
 
-double median_or_zero(const std::vector<double>& v) {
-  return v.empty() ? 0.0 : median(v).value;
-}
-
 bool same_bits(const std::vector<double>& a, const std::vector<double>& b) {
   return a.size() == b.size() && std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0;
 }
@@ -173,15 +169,19 @@ RunResult run_map_solve(const RunConfig& cfg) {
   std::vector<double> first;  // the run's first solution, which every solve must repeat
   std::int64_t op = 0;
   for (int seg = 0; seg < kSegments; ++seg) {
-    const std::int64_t setup0 = now_ns();
-    const auto s = set_up(p, precision::PrecisionConfig::parse("dssdd"));
-    setup_s.push_back(static_cast<double>(now_ns() - setup0) * 1e-9);
-    if (first.empty()) {
-      first = s->first;
-      mem_mb = static_cast<double>(s->dev->memory_used()) / 1e6;
-      cg_iterations = s->first_cg.iterations;
+    std::unique_ptr<Solver> s;
+    for (int k = 0; k < kSetupsPerSegment; ++k) {
+      s.reset();  // one set-up alive at a time
+      const std::int64_t setup0 = now_ns();
+      s = set_up(p, precision::PrecisionConfig::parse("dssdd"));
+      setup_s.push_back(static_cast<double>(now_ns() - setup0) * 1e-9);
+      if (first.empty()) {
+        first = s->first;
+        mem_mb = static_cast<double>(s->dev->memory_used()) / 1e6;
+        cg_iterations = s->first_cg.iterations;
+      }
+      if (!same_bits(s->first, first)) out.checks_passed = false;
     }
-    if (!same_bits(s->first, first)) out.checks_passed = false;
     const index_t n = s->hessian->parameter_size();
     std::vector<double> m(static_cast<std::size_t>(n));
 
@@ -239,8 +239,9 @@ RunResult run_map_solve(const RunConfig& cfg) {
                       std::to_string(kDims.n_d) + "x" + std::to_string(kDims.n_t) +
                       " dssdd: " + std::to_string(out.tally.attempted) +
                       " solves in " + std::to_string(window) + " s over " +
-                      std::to_string(kSegments) + " set-ups, " +
+                      std::to_string(kSegments) + " segments, " +
                       std::to_string(cg_iterations) + " CG iterations each");
+  out.notes.push_back(setup_note(setup_s));
   out.notes.push_back("latency p50 " + std::to_string(median(wall).value * 1e3) + " ms, p" +
                       std::to_string(tl.pct) + " " + std::to_string(tl.value * 1e3) + " ms of " +
                       std::to_string(tl.samples) + " solves (" +

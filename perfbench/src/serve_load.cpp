@@ -32,6 +32,9 @@ namespace {
 using namespace fftmv;
 using Dir = core::ApplyDirection;
 
+/// Warm-up rounds inside setup_s, and the most rounds a set-up may take
+/// before its memory reading counts as settled.
+constexpr int kSetupWarmRounds = 3;
 constexpr int kMaxWarmRounds = 8;
 /// Traced runs alternate untraced and traced slices of this length, so
 /// the tracing overhead is measured under the same machine conditions.
@@ -180,10 +183,15 @@ class Oracle {
   std::vector<double> rel_err_;
 };
 
-/// One set-up of the service: the scheduler and its tenants.
+/// One set-up of the service: the scheduler, its tenants and how far
+/// its warm-up has got.
 struct Service {
   std::unique_ptr<serve::AsyncScheduler> sched;
   std::vector<serve::TenantId> ids;
+  int warm_rounds = 0;
+  int warm_stable = 0;  ///< rounds in a row after which nothing grew
+  index_t warm_mem = -1;
+  std::size_t warm_plans = 0;
 };
 
 serve::Request make_request(const Service& s, const Oracle& oracle, const Req& q) {
@@ -194,11 +202,10 @@ serve::Request make_request(const Service& s, const Oracle& oracle, const Req& q
                         .qos = {}};
 }
 
-/// Submit two full batches of every batch key the traffic can form, in
-/// rounds, until device memory and the plan cache stop growing — so
-/// each lane has built its plans and grown its workspaces for every key
-/// before the window opens.  Warm-up outputs are checked too.
-void warm_up(Service& s, const WorkloadSpec& spec, const Oracle& oracle, RunResult& out) {
+/// One warm-up round: two full batches of every batch key the traffic
+/// can form, so each lane builds its plans and grows its workspaces for
+/// every key.  Warm-up outputs are checked too.
+void warm_round(Service& s, const WorkloadSpec& spec, const Oracle& oracle, RunResult& out) {
   const int b = s.sched->options().max_batch;
   // Same-shape tenants share a batch key; a sharded tenant keys alone.
   std::map<std::pair<core::ProblemDims, int>, std::vector<int>> keys;
@@ -207,42 +214,35 @@ void warm_up(Service& s, const WorkloadSpec& spec, const Oracle& oracle, RunResu
     keys[{ts.dims, ts.rank_group > 1 ? static_cast<int>(t) : -1}].push_back(
         static_cast<int>(t));
   }
-  index_t last_mem = -1;
-  std::size_t last_plans = 0;
-  int stable = 0;
-  int round = 0;
-  for (; round < kMaxWarmRounds && stable < 2; ++round) {
-    std::vector<std::pair<Req, std::future<serve::MatvecResult>>> inflight;
-    for (const auto& [key, members] : keys) {
-      for (const Dir d : spec.directions) {
-        for (int c = 0; c < static_cast<int>(spec.configs.size()); ++c) {
-          for (int i = 0; i < 2 * b; ++i) {
-            Req q;
-            q.tenant = members[static_cast<std::size_t>(i) % members.size()];
-            q.direction = d;
-            q.config = c;
-            q.input = i % spec.inputs_per_key;
-            inflight.emplace_back(q, s.sched->submit(make_request(s, oracle, q)));
-          }
+  std::vector<std::pair<Req, std::future<serve::MatvecResult>>> inflight;
+  for (const auto& [key, members] : keys) {
+    for (const Dir d : spec.directions) {
+      for (int c = 0; c < static_cast<int>(spec.configs.size()); ++c) {
+        for (int i = 0; i < 2 * b; ++i) {
+          Req q;
+          q.tenant = members[static_cast<std::size_t>(i) % members.size()];
+          q.direction = d;
+          q.config = c;
+          q.input = i % spec.inputs_per_key;
+          inflight.emplace_back(q, s.sched->submit(make_request(s, oracle, q)));
         }
       }
     }
-    for (auto& [q, f] : inflight) {
-      const serve::MatvecResult res = f.get();
-      if (!res.ok() || !oracle.matches(q, res.output)) out.checks_passed = false;
-    }
-    const index_t mem = s.sched->device().memory_used();
-    const std::size_t plans = s.sched->plan_cache().size();
-    stable = mem == last_mem && plans == last_plans ? stable + 1 : 0;
-    last_mem = mem;
-    last_plans = plans;
   }
-  if (stable < 2) {
-    out.notes.push_back("warm-up: device memory still growing after " +
-                        std::to_string(round) + " rounds");
+  for (auto& [q, f] : inflight) {
+    const serve::MatvecResult res = f.get();
+    if (!res.ok() || !oracle.matches(q, res.output)) out.checks_passed = false;
   }
+  const index_t mem = s.sched->device().memory_used();
+  const std::size_t plans = s.sched->plan_cache().size();
+  s.warm_stable = mem == s.warm_mem && plans == s.warm_plans ? s.warm_stable + 1 : 0;
+  s.warm_mem = mem;
+  s.warm_plans = plans;
+  ++s.warm_rounds;
 }
 
+/// The timed set-up: the scheduler, its tenants and a fixed number of
+/// warm-up rounds, so setup_s always times the same work.
 Service set_up(const WorkloadSpec& spec, const std::vector<std::vector<double>>& cols,
                const Oracle& oracle, RunResult& out) {
   Service s;
@@ -252,8 +252,20 @@ Service set_up(const WorkloadSpec& spec, const std::vector<std::vector<double>>&
     s.ids.push_back(
         s.sched->add_tenant(spec.tenants[t].dims, cols[t], spec.tenants[t].rank_group));
   }
-  warm_up(s, spec, oracle, out);
+  for (int i = 0; i < kSetupWarmRounds; ++i) warm_round(s, spec, oracle, out);
   return s;
+}
+
+/// Untimed rounds after set-up until device memory and the plan cache
+/// read the same after two rounds in a row.  Whether they still grow
+/// depends on which lane each warm-up batch happened to land on, so this
+/// work varies between set-ups and stays out of setup_s.
+void settle(Service& s, const WorkloadSpec& spec, const Oracle& oracle, RunResult& out) {
+  while (s.warm_stable < 2 && s.warm_rounds < kMaxWarmRounds) warm_round(s, spec, oracle, out);
+  if (s.warm_stable < 2) {
+    out.notes.push_back("warm-up: device memory still growing after " +
+                        std::to_string(s.warm_rounds) + " rounds");
+  }
 }
 
 bool traced_slice(bool tracing, double t) {
@@ -285,9 +297,33 @@ serve::MatvecResult get_result(std::future<serve::MatvecResult>& f) {
   }
 }
 
+struct Pending {
+  std::future<serve::MatvecResult> future;
+  std::size_t index;  ///< the request's slot in the outcomes
+};
+
+/// One pass over the outstanding futures: hands each ready one to `take`
+/// with the moment it was seen ready and drops it.  When none was ready,
+/// blocks on the oldest for at most kPollSlice, so a future that
+/// completes out of order is stamped at most that late.
+template <class Take>
+void harvest_ready(std::deque<Pending>& pending, Take&& take) {
+  bool any = false;
+  for (auto it = pending.begin(); it != pending.end();) {
+    if (it->future.wait_for(std::chrono::seconds(0)) == std::future_status::ready) {
+      const std::int64_t t = now_ns();
+      take(it->index, get_result(it->future), t);
+      it = pending.erase(it);
+      any = true;
+    } else {
+      ++it;
+    }
+  }
+  if (!any && !pending.empty()) pending.front().future.wait_for(kPollSlice);
+}
+
 /// Waits for open-loop futures on its own thread and stamps each with
-/// the moment it was seen ready: each pass sweeps every outstanding
-/// future, then blocks on the oldest for at most kPollSlice.
+/// the moment it was seen ready.
 class Collector {
  public:
   using Harvest = std::function<void(std::size_t, serve::MatvecResult, std::int64_t)>;
@@ -319,11 +355,6 @@ class Collector {
   std::int64_t harvested() const { return harvested_.load(std::memory_order_relaxed); }
 
  private:
-  struct Pending {
-    std::future<serve::MatvecResult> future;
-    std::size_t index;
-  };
-
   void loop() {
     std::deque<Pending> local;
     for (;;) {
@@ -334,19 +365,10 @@ class Collector {
         incoming_.clear();
         if (local.empty() && done_) return;
       }
-      bool any = false;
-      for (auto it = local.begin(); it != local.end();) {
-        if (it->future.wait_for(std::chrono::seconds(0)) == std::future_status::ready) {
-          const std::int64_t t = now_ns();
-          harvest_(it->index, get_result(it->future), t);
-          harvested_.fetch_add(1, std::memory_order_relaxed);
-          it = local.erase(it);
-          any = true;
-        } else {
-          ++it;
-        }
-      }
-      if (!any && !local.empty()) local.front().future.wait_for(kPollSlice);
+      harvest_ready(local, [&](std::size_t i, serve::MatvecResult res, std::int64_t t) {
+        harvest_(i, std::move(res), t);
+        harvested_.fetch_add(1, std::memory_order_relaxed);
+      });
     }
   }
 
@@ -411,10 +433,6 @@ void closed_loop(Service& s, const WorkloadSpec& spec, const Oracle& oracle,
                  std::vector<Outcome>& outcomes, std::int64_t& start,
                  std::int64_t& inflight_peak) {
   const Zipf zipf(spec.tenants.size(), kSkewZipf);
-  struct Pending {
-    std::future<serve::MatvecResult> future;
-    std::size_t index;
-  };
   std::deque<Pending> outstanding;
   start = now_ns();
   const std::int64_t stop = start + to_ns(seconds);
@@ -441,19 +459,9 @@ void closed_loop(Service& s, const WorkloadSpec& spec, const Oracle& oracle,
     } else if (outstanding.empty()) {
       return;
     }
-    bool any = false;
-    for (auto it = outstanding.begin(); it != outstanding.end();) {
-      if (it->future.wait_for(std::chrono::seconds(0)) == std::future_status::ready) {
-        const std::int64_t t = now_ns();
-        harvest(outcomes[it->index], static_cast<std::int64_t>(it->index),
-                get_result(it->future), t, oracle, log);
-        it = outstanding.erase(it);
-        any = true;
-      } else {
-        ++it;
-      }
-    }
-    if (!any && !outstanding.empty()) outstanding.front().future.wait_for(kPollSlice);
+    harvest_ready(outstanding, [&](std::size_t i, serve::MatvecResult res, std::int64_t t) {
+      harvest(outcomes[i], static_cast<std::int64_t>(i), std::move(res), t, oracle, log);
+    });
   }
 }
 
@@ -516,9 +524,14 @@ RunResult run_serve(const WorkloadSpec& spec, const RunConfig& cfg,
   double cpu = 0.0;
   int max_batch = 0;
   for (int seg = 0; seg < kSegments; ++seg) {
-    const std::int64_t setup0 = now_ns();
-    Service svc = set_up(spec, cols, oracle, out);
-    setup_s.push_back(static_cast<double>(now_ns() - setup0) * 1e-9);
+    Service svc;
+    for (int k = 0; k < kSetupsPerSegment; ++k) {
+      svc = Service{};  // one service alive at a time
+      const std::int64_t setup0 = now_ns();
+      svc = set_up(spec, cols, oracle, out);
+      setup_s.push_back(static_cast<double>(now_ns() - setup0) * 1e-9);
+    }
+    settle(svc, spec, oracle, out);
     if (seg == 0) max_batch = svc.sched->options().max_batch;
     // Which lane a warm-up batch lands on is a race, so now and then a
     // lane leaves warm-up without one of its workspaces; the largest of
@@ -594,8 +607,9 @@ RunResult run_serve(const WorkloadSpec& spec, const RunConfig& cfg,
   out.notes.push_back(std::string(spec.name) + ": " + std::to_string(out.tally.attempted) +
                       " requests over " + std::to_string(spec.tenants.size()) +
                       " tenants in " + std::to_string(window) + " s over " +
-                      std::to_string(kSegments) + " set-ups, max_batch " +
+                      std::to_string(kSegments) + " segments, max_batch " +
                       std::to_string(max_batch));
+  out.notes.push_back(setup_note(setup_s));
   out.notes.push_back("latency p50 " + std::to_string(median(latency).value * 1e3) + " ms, p" +
                       std::to_string(tl.pct) + " " + std::to_string(tl.value * 1e3) + " ms of " +
                       std::to_string(tl.samples) + " requests (" +
@@ -609,12 +623,6 @@ RunResult run_serve(const WorkloadSpec& spec, const RunConfig& cfg,
     return out;
   }
 
-  const auto median_or_zero = [](const std::vector<double>& v) {
-    return v.empty() ? 0.0 : median(v).value;
-  };
-  const auto tail_or_zero = [](const std::vector<double>& v) {
-    return v.empty() ? 0.0 : tail(v).value;
-  };
   const double untraced = median_or_zero(untraced_lat);
   r.set("e2e.latency_p50_ms", untraced * 1e3);
   r.set("e2e.latency_tail_ms", tl.value * 1e3);

@@ -45,6 +45,10 @@ inline Percentile median(std::vector<double> samples) {
   return percentile_sorted(samples, 50.0);
 }
 
+inline double median_or_zero(const std::vector<double>& samples) {
+  return samples.empty() ? 0.0 : median(samples).value;
+}
+
 /// Percentiles a tail may be read at, highest first.
 inline constexpr double kTailLadder[] = {99.0, 90.0, 75.0, 50.0};
 inline constexpr std::size_t kMinBeyond = 10;
@@ -58,6 +62,10 @@ inline Percentile tail(std::vector<double> samples) {
     if (p.beyond >= kMinBeyond) return p;
   }
   return percentile_sorted(samples, 100.0);
+}
+
+inline double tail_or_zero(const std::vector<double>& samples) {
+  return samples.empty() ? 0.0 : tail(samples).value;
 }
 
 /// The tail of a long run: tail() of each chunk of `chunk` consecutive

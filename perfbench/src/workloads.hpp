@@ -15,7 +15,7 @@ namespace perfbench {
 
 struct RunConfig {
   std::uint64_t seed = 1;
-  double seconds = 10.0;
+  double seconds = 30.0;  ///< BENCHMARK.json run_seconds
   bool trace = false;
   std::string trace_dir;  ///< where a traced run writes its spans
 };
@@ -52,12 +52,18 @@ inline constexpr std::size_t kTailChunk = 1000;
 /// A run measures its window in this many equal segments, each on a
 /// fresh set-up (threads, device, plans, warm-up), so one set-up's luck —
 /// where its threads land, what its allocations share — is one of
-/// several samples rather than the whole run.  setup_s is the median of
-/// the segments' set-up times.
+/// several samples rather than the whole run.
 inline constexpr int kSegments = 5;
+
+/// Each segment sets up this many times in a row, keeping the last, so
+/// setup_s is the median of kSegments * kSetupsPerSegment set-ups.
+inline constexpr int kSetupsPerSegment = 2;
 
 /// Process CPU seconds (user + system) consumed so far.
 double cpu_seconds();
+
+/// The run note listing each set-up's time.
+std::string setup_note(const std::vector<double>& setup_s);
 
 /// Write a traced run's spans to <trace_dir>/<workload>.json.
 void write_spans(const RunConfig& cfg, const char* workload, const SpanLog& log,
