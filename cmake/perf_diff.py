@@ -83,6 +83,13 @@ new in the current run are informational.  A gated bench whose
 baseline file is missing runs in report-only mode for that bench
 (first-run bootstrap).  --report-only never exits nonzero.
 
+After the gates, a report-only pass compares every table cell of the
+deterministic benches (DETERMINISTIC below: pure simulated-clock /
+cost-model output, identical on every run of the same code) against
+the baseline, prints how many cells differ and lists each one, so a
+PR shows whether any simulated-clock row moved.  It never affects the
+exit status.
+
 Usage:
   perf_diff.py --current DIR --baseline DIR [--threshold 0.15]
                [--report-only]
@@ -114,6 +121,18 @@ GATES = [
     ("serve_faults", "overload", "shed-best-effort", "SLO attainment", 0.35),
     ("serve_faults", "sdc", "sdc detection rate", "value", 0.35),
     ("serve_faults", "sdc", "verify overhead", "value", 0.35),
+]
+
+
+# Benches whose tables are deterministic cost-model output (the
+# host-clock ablation_dense_vs_fft / ablation_overlap columns and the
+# wall-clock serve benches are excluded).  CI runs the first nine in
+# full and the last three with --quick.
+DETERMINISTIC = [
+    "fig1_sbgemv", "fig2_breakdown", "fig3_mixed", "fig4_scaling",
+    "ablation_dispatch", "ablation_fp16", "ablation_fusion",
+    "ablation_partition", "pareto_sweep", "batch_sweep", "pipeline_sweep",
+    "serve_scaling",
 ]
 
 
@@ -152,6 +171,51 @@ def indexed_rows(artifact, table_match, column):
             if value is not None:
                 out[(name, row[0])] = value
     return out
+
+
+def cell_map(artifact):
+    """{(table index, row index, column index): (label, cell)}."""
+    out = {}
+    for t, table in enumerate(artifact.get("tables", [])):
+        headers = table.get("headers", [])
+        for r, row in enumerate(table.get("rows", [])):
+            for c, cell in enumerate(row):
+                header = headers[c] if c < len(headers) else f"#{c}"
+                label = "{}/{} [{}]".format(table.get("name", ""), row[0], header)
+                out[(t, r, c)] = (label, cell)
+    return out
+
+
+def changed_cells(baseline, current):
+    """[(label, baseline cell, current cell)] for every differing cell;
+    a cell present on one side only shows as "(absent)" on the other."""
+    base, cur = cell_map(baseline), cell_map(current)
+    changed = []
+    for key in sorted(set(base) | set(cur)):
+        b, c = base.get(key), cur.get(key)
+        if b is not None and c is not None and b[1] == c[1]:
+            continue
+        changed.append(((c or b)[0], b[1] if b else "(absent)",
+                        c[1] if c else "(absent)"))
+    return changed
+
+
+def report_deterministic_cells(current_dir, baseline_dir):
+    print("perf_diff: deterministic table cells vs baseline (report-only)")
+    total = 0
+    for bench in DETERMINISTIC:
+        current = load_artifact(current_dir, bench)
+        baseline = load_artifact(baseline_dir, bench)
+        if current is None or baseline is None:
+            side = "current" if current is None else "baseline"
+            print(f"  {bench}: no {side} artifact — skipped")
+            continue
+        changed = changed_cells(baseline, current)
+        total += len(changed)
+        print(f"  {bench}: {len(changed)} cell(s) differ")
+        for label, old, new in changed:
+            print(f"    {bench}/{label}: {old} -> {new}")
+    print(f"perf_diff: {total} deterministic cell(s) differ from the baseline")
 
 
 def provenance(artifact):
@@ -239,9 +303,10 @@ def main():
 
     print(f"perf_diff: {compared} metrics compared, "
           f"{len(regressions)} regression(s)")
+    for label, detail in regressions:
+        print(f"  FAIL {label}: {detail}")
+    report_deterministic_cells(args.current, args.baseline)
     if regressions:
-        for label, detail in regressions:
-            print(f"  FAIL {label}: {detail}")
         if args.report_only:
             print("perf_diff: report-only mode — not failing the build")
             return 0

@@ -299,24 +299,9 @@ void gemv_grouped_verify_block(const SbgemvGroupedArgs<T>& ga,
   }
 }
 
-/// Grouped kernel bodies: gridblock (bx, bz) walks the RHS groups in
-/// order and runs the matching multi-RHS body on each group's matrix,
-/// so per-(group, RHS) arithmetic — summation order included — is
-/// bit-identical to one sbgemv_multi call per group.
-template <class T>
-void gemv_n_reference_grouped_block(const SbgemvGroupedArgs<T>& ga, index_t bx,
-                                    index_t bz);
-template <class T>
-void gemv_t_reference_grouped_block(const SbgemvGroupedArgs<T>& ga, index_t bx,
-                                    index_t bz);
-template <class T>
-void gemv_t_optimized_grouped_block(const SbgemvGroupedArgs<T>& ga, index_t bx,
-                                    index_t bz);
-
 /// Multi-RHS reference non-transpose body: each 64-row chunk streams
 /// its matrix rows once; every RHS consumes a row before the next row
-/// is touched.  Per-(row, RHS) arithmetic matches the single-RHS
-/// kernel exactly.
+/// is touched.  Per-(row, RHS) arithmetic does not depend on nrhs.
 template <class T>
 void gemv_n_reference_multi_block(const SbgemvMultiArgs<T>& ma, index_t bx,
                                   index_t bz) {
@@ -359,8 +344,9 @@ void gemv_t_reference_multi_block(const SbgemvMultiArgs<T>& ma, index_t bx,
 
 /// Multi-RHS optimized transpose body: column-outer, RHS-inner, so a
 /// column tile is loaded once and reused by all nrhs vectors; each
-/// (column, RHS) pair runs the identical lane-strided accumulation
-/// and wavefront tree reduction of the single-RHS kernel.
+/// (column, RHS) pair runs the same 64-lane strided accumulation
+/// (coalesced loads) and shuffle-style wavefront tree reduction (6
+/// halving steps), whatever nrhs is.
 template <class T>
 void gemv_t_optimized_multi_block(const SbgemvMultiArgs<T>& ma, index_t bx,
                                   index_t bz) {
@@ -388,63 +374,6 @@ void gemv_t_optimized_multi_block(const SbgemvMultiArgs<T>& ma, index_t bx,
       y[j] = a.alpha * lanes[0] + (a.beta == T(0) ? T(0) : a.beta * y[j]);
     }
   }
-}
-
-template <class T>
-void gemv_n_reference_grouped_block(const SbgemvGroupedArgs<T>& ga, index_t bx,
-                                    index_t bz) {
-  index_t r0 = 0;
-  for (const auto& g : ga.groups) {
-    gemv_n_reference_multi_block(ga.group_slice(g.a, r0, g.nrhs), bx, bz);
-    r0 += g.nrhs;
-  }
-}
-
-template <class T>
-void gemv_t_reference_grouped_block(const SbgemvGroupedArgs<T>& ga, index_t bx,
-                                    index_t bz) {
-  index_t r0 = 0;
-  for (const auto& g : ga.groups) {
-    gemv_t_reference_multi_block(ga.group_slice(g.a, r0, g.nrhs), bx, bz);
-    r0 += g.nrhs;
-  }
-}
-
-template <class T>
-void gemv_t_optimized_grouped_block(const SbgemvGroupedArgs<T>& ga, index_t bx,
-                                    index_t bz) {
-  index_t r0 = 0;
-  for (const auto& g : ga.groups) {
-    gemv_t_optimized_multi_block(ga.group_slice(g.a, r0, g.nrhs), bx, bz);
-    r0 += g.nrhs;
-  }
-}
-
-// The single-RHS kernel bodies are the nrhs = 1 degenerate case of
-// the multi bodies above — one definition per kernel keeps the
-// summation order (and thus the bit-exactness contract between
-// sbgemv and sbgemv_multi) in exactly one place.
-
-/// Reference non-transpose kernel body for gridblock (bx, ., bz).
-template <class T>
-void gemv_n_reference_block(const SbgemvArgs<T>& a, index_t bx, index_t bz) {
-  gemv_n_reference_multi_block<T>({a, 1, 0, 0}, bx, bz);
-}
-
-/// Reference transpose kernel body: gridblock bx computes output
-/// element bx of batch entry bz as one sequential dot product.
-template <class T>
-void gemv_t_reference_block(const SbgemvArgs<T>& a, index_t bx, index_t bz) {
-  gemv_t_reference_multi_block<T>({a, 1, 0, 0}, bx, bz);
-}
-
-/// Optimized transpose kernel body: gridblock bx owns columns
-/// [bx*TILE, ...); each column's dot is computed with 64 striding
-/// lanes (coalesced loads) followed by a shuffle-style tree reduction
-/// (6 halving steps).
-template <class T>
-void gemv_t_optimized_block(const SbgemvArgs<T>& a, index_t bx, index_t bz) {
-  gemv_t_optimized_multi_block<T>({a, 1, 0, 0}, bx, bz);
 }
 
 }  // namespace fftmv::blas

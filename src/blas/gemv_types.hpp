@@ -87,11 +87,12 @@ inline bool multi_rhs_y_strides_alias(index_t stride_y, index_t rhs_stride_y,
   return batch > 1 && nrhs > 1 && !rhs_inner && !batch_inner;
 }
 
-/// Multi-RHS extension of the strided batched GEMV: every batch
-/// entry's matrix A_b is applied to `nrhs` right-hand sides,
+/// One matrix's multi-RHS slice of a grouped GEMV (the kernel bodies'
+/// per-group argument, see SbgemvGroupedArgs::group_slice): every
+/// batch entry's matrix A_b is applied to `nrhs` right-hand sides,
 ///   x_{b,r} = x + b*stride_x + r*rhs_stride_x,
 ///   y_{b,r} = y + b*stride_y + r*rhs_stride_y,
-/// with arithmetic per (b, r) identical to the single-RHS kernels
+/// with arithmetic per (b, r) identical to a single-RHS GEMV
 /// (bit-exact vs nrhs independent sbgemv calls).  The kernels load
 /// each matrix tile once and stream all nrhs vectors through it, so
 /// the dominant matrix traffic is paid once per batch entry instead
@@ -106,15 +107,15 @@ struct SbgemvMultiArgs {
 
   void validate(bool allow_null = false) const {
     base.validate(allow_null);
-    if (nrhs <= 0) throw std::invalid_argument("sbgemv_multi: nrhs must be >= 1");
+    if (nrhs <= 0) throw std::invalid_argument("sbgemv: nrhs must be >= 1");
     if (nrhs > 1) {
       if (rhs_stride_x < base.x_len() || rhs_stride_y < base.y_len()) {
-        throw std::invalid_argument("sbgemv_multi: RHS strides overlap the vectors");
+        throw std::invalid_argument("sbgemv: RHS strides overlap the vectors");
       }
       if (multi_rhs_y_strides_alias(base.stride_y, rhs_stride_y, base.y_len(),
                                     base.batch, nrhs)) {
         throw std::invalid_argument(
-            "sbgemv_multi: y strides alias across batch entries");
+            "sbgemv: y strides alias across batch entries");
       }
     }
   }
@@ -170,7 +171,7 @@ struct SbgemvVerify {
 /// The vector layout is exactly SbgemvMultiArgs with
 /// nrhs = total_nrhs() — RHS r of group g lives at global index
 /// (sum of earlier groups' nrhs) + r — and per-(batch, group, RHS)
-/// arithmetic is bit-identical to one sbgemv_multi call per group.
+/// arithmetic is bit-identical to one grouped call per group.
 /// base.a is ignored; each group's matrix is (re)read once per batch
 /// entry, so the modelled matrix traffic scales with the group count
 /// while vector traffic scales with the total RHS count.
@@ -188,9 +189,9 @@ struct SbgemvGroupedArgs {
   }
 
   /// The SbgemvMultiArgs equivalent of one group: matrix `a`, RHS
-  /// range [r0, r0 + nrhs).  The kernels and the single-group fast
-  /// path both run through this, which is what makes the grouped call
-  /// bit-identical to per-group sbgemv_multi calls.
+  /// range [r0, r0 + nrhs).  The kernels run every group through
+  /// this, which is what makes the grouped call bit-identical to one
+  /// call per group.
   SbgemvMultiArgs<T> group_slice(const T* a, index_t r0, index_t nrhs) const {
     SbgemvMultiArgs<T> ma{base, nrhs, rhs_stride_x, rhs_stride_y};
     ma.base.a = a;

@@ -1,6 +1,8 @@
 // Strided batched GEMV public API with host-side kernel dispatch.
 //
-// This is the library's rocBLAS-analogue entry point.  The dispatcher
+// This is the library's rocBLAS-analogue entry point: one launcher,
+// sbgemv_grouped, whose host dispatcher picks the kernel; sbgemv is
+// its one-group, one-RHS spelling.  The dispatcher
 // reproduces the integration path the paper describes (§3.1.1): the
 // optimized short-and-wide kernel was inserted into the rocBLAS host
 // dispatcher with transition points set from benchmark data, keeping
@@ -9,6 +11,7 @@
 
 #include <cstring>
 #include <string>
+#include <vector>
 
 #include "blas/gemv_kernels.hpp"
 #include "blas/gemv_types.hpp"
@@ -79,85 +82,26 @@ GemvKernelKind select_kernel(const SbgemvArgs<T>& args, GemvKernelPolicy policy)
   return GemvKernelKind::kReferenceT;
 }
 
-/// Execute the strided batched GEMV on the simulated device stream.
-/// Returns the simulated kernel timing (used by the benchmarks for
-/// achieved-bandwidth reporting, mirroring rocblas-bench).
-template <class T>
-device::KernelTiming sbgemv(device::Stream& stream, const SbgemvArgs<T>& args,
-                            GemvKernelPolicy policy = GemvKernelPolicy::kAuto) {
-  args.validate(/*allow_null=*/stream.device().phantom());
-  const GemvKernelKind kind = select_kernel(args, policy);
-  const auto geom = gemv_geometry(kind, args.m, args.n, args.batch);
-  const auto fp = gemv_footprint<T>(kind, args.m, args.n, args.batch);
-  switch (kind) {
-    case GemvKernelKind::kReferenceN:
-      return stream.launch(geom, fp, [args](index_t bx, index_t, index_t bz) {
-        gemv_n_reference_block(args, bx, bz);
-      });
-    case GemvKernelKind::kReferenceT:
-      return stream.launch(geom, fp, [args](index_t bx, index_t, index_t bz) {
-        gemv_t_reference_block(args, bx, bz);
-      });
-    case GemvKernelKind::kOptimizedT:
-      return stream.launch(geom, fp, [args](index_t bx, index_t, index_t bz) {
-        gemv_t_optimized_block(args, bx, bz);
-      });
-  }
-  return {};
-}
-
-/// Multi-RHS strided batched GEMV: apply each batch entry's matrix to
-/// `args.nrhs` right-hand sides in one launch.  Kernel selection
-/// reuses the single-RHS policies/transition points (the shape per
-/// dot product is unchanged); per-(batch, RHS) arithmetic is
-/// bit-identical to nrhs independent sbgemv() calls, while the
-/// modelled footprint pays the matrix traffic once per batch entry —
-/// the GEMM-style amortisation batched applies are built on.
-template <class T>
-device::KernelTiming sbgemv_multi(device::Stream& stream,
-                                  const SbgemvMultiArgs<T>& args,
-                                  GemvKernelPolicy policy = GemvKernelPolicy::kAuto) {
-  args.validate(/*allow_null=*/stream.device().phantom());
-  const SbgemvArgs<T>& base = args.base;
-  const GemvKernelKind kind = select_kernel(base, policy);
-  const auto geom = gemv_geometry(kind, base.m, base.n, base.batch);
-  const auto fp = gemv_multi_footprint<T>(kind, base.m, base.n, base.batch, args.nrhs);
-  switch (kind) {
-    case GemvKernelKind::kReferenceN:
-      return stream.launch(geom, fp, [args](index_t bx, index_t, index_t bz) {
-        gemv_n_reference_multi_block(args, bx, bz);
-      });
-    case GemvKernelKind::kReferenceT:
-      return stream.launch(geom, fp, [args](index_t bx, index_t, index_t bz) {
-        gemv_t_reference_multi_block(args, bx, bz);
-      });
-    case GemvKernelKind::kOptimizedT:
-      return stream.launch(geom, fp, [args](index_t bx, index_t, index_t bz) {
-        gemv_t_optimized_multi_block(args, bx, bz);
-      });
-  }
-  return {};
-}
-
-/// Grouped multi-operator multi-RHS batched GEMV: one launch applies
-/// several operators' matrices, each to its own contiguous RHS group
-/// (the cuBLAS grouped-batched interface idea — per-group matrix
-/// pointers cost little over strided access).  Kernel selection
-/// reuses the single-RHS policies (the per-dot-product shape is
-/// unchanged); per-(batch, group, RHS) arithmetic is bit-identical to
-/// one sbgemv_multi call per group, and a single group IS a
-/// sbgemv_multi call — the same-operator case stays on that fast path
-/// with an identical modelled footprint.
+/// Grouped multi-operator multi-RHS batched GEMV — the library's one
+/// GEMV launcher.  One launch applies several operators' matrices,
+/// each to its own contiguous RHS group (the cuBLAS grouped-batched
+/// interface idea — per-group matrix pointers cost little over
+/// strided access); a single group of one RHS is the plain strided
+/// batched GEMV (see sbgemv below).  Kernel selection uses the
+/// policies and transition points above (the per-dot-product shape
+/// does not depend on the RHS count); per-(batch, group, RHS)
+/// arithmetic is the same for every grouping of the RHS, and one
+/// group's modelled footprint is exactly gemv_multi_footprint's.
 ///
-/// This is also the library's SDC boundary.  An attached FaultPlan's
-/// buffer-write hook may silently flip a bit of the output after the
-/// main launch; `verify.enabled` arms the Huang-Abraham checksum
-/// defense (see SbgemvVerify): the main launch is augmented with the
-/// checksum dots (block bodies unchanged — verified outputs stay
-/// bit-identical), a second launch checks them against y, and a
-/// mismatch beyond the calibrated tolerance throws
-/// device::SilentCorruption.  Both extra costs are charged through
-/// the cost model.
+/// This is also the library's SDC boundary: every GEMV launch passes
+/// through it.  An attached FaultPlan's buffer-write hook may silently
+/// flip a bit of the output after the main launch; `verify.enabled`
+/// arms the Huang-Abraham checksum defense (see SbgemvVerify): the
+/// main launch is augmented with the checksum dots (block bodies
+/// unchanged — verified outputs stay bit-identical), a second launch
+/// checks them against y, and a mismatch beyond the calibrated
+/// tolerance throws device::SilentCorruption.  Both extra costs are
+/// charged through the cost model.
 template <class T>
 device::KernelTiming sbgemv_grouped(device::Stream& stream,
                                     const SbgemvGroupedArgs<T>& args,
@@ -187,55 +131,59 @@ device::KernelTiming sbgemv_grouped(device::Stream& stream,
       }
     }
   }
+  const SbgemvArgs<T>& base = args.base;
+  const GemvKernelKind kind = select_kernel(base, policy);
+  const auto geom = gemv_geometry(kind, base.m, base.n, base.batch);
+  auto fp = gemv_grouped_footprint<T>(kind, base.m, base.n, base.batch,
+                                      static_cast<index_t>(args.groups.size()),
+                                      args.total_nrhs());
+  if (verify.enabled) {
+    const auto extra = gemv_checksum_extra_footprint<T>(
+        base.x_len(), base.batch, static_cast<index_t>(args.groups.size()),
+        args.total_nrhs());
+    fp.bytes_read += extra.bytes_read;
+    fp.bytes_written += extra.bytes_written;
+    fp.flops += extra.flops;
+  }
+  // Each group's kernel arguments, sliced once per launch rather than
+  // once per gridblock (the stream runs the blocks before launch
+  // returns, so the body may borrow them).
+  std::vector<SbgemvMultiArgs<T>> slices;
+  slices.reserve(args.groups.size());
+  index_t r0 = 0;
+  for (const auto& g : args.groups) {
+    slices.push_back(args.group_slice(g.a, r0, g.nrhs));
+    r0 += g.nrhs;
+  }
+  // Gridblock (bx, bz) runs the kernel kind's multi-RHS body on each
+  // group in turn — so per-(group, RHS) arithmetic, summation order
+  // included, does not depend on how the RHS are grouped — then each
+  // batch entry's bx == 0 block computes the checksum dots.
+  const auto run = [&](auto multi_body) {
+    return stream.launch(geom, fp, [&](index_t bx, index_t, index_t bz) {
+      for (const auto& slice : slices) multi_body(slice, bx, bz);
+      if (verify.enabled && bx == 0) {
+        gemv_grouped_checksum_block(args, verify, bz);
+      }
+    });
+  };
   device::KernelTiming timing{};
-  if (!verify.enabled && args.groups.size() == 1) {
-    timing = sbgemv_multi(
-        stream, args.group_slice(args.groups[0].a, 0, args.groups[0].nrhs),
-        policy);
-  } else {
-    const SbgemvArgs<T>& base = args.base;
-    const GemvKernelKind kind = select_kernel(base, policy);
-    const auto geom = gemv_geometry(kind, base.m, base.n, base.batch);
-    auto fp = gemv_grouped_footprint<T>(
-        kind, base.m, base.n, base.batch,
-        static_cast<index_t>(args.groups.size()), args.total_nrhs());
-    if (verify.enabled) {
-      const auto extra = gemv_checksum_extra_footprint<T>(
-          base.x_len(), base.batch,
-          static_cast<index_t>(args.groups.size()), args.total_nrhs());
-      fp.bytes_read += extra.bytes_read;
-      fp.bytes_written += extra.bytes_written;
-      fp.flops += extra.flops;
-    }
-    // The augmented body runs the unchanged grouped block, then lets
-    // each batch entry's bx == 0 block compute the checksum dots.
-    const auto run = [&](auto block_fn) {
-      return stream.launch(geom, fp,
-                           [args, verify, block_fn](index_t bx, index_t,
-                                                    index_t bz) {
-                             block_fn(args, bx, bz);
-                             if (verify.enabled && bx == 0) {
-                               gemv_grouped_checksum_block(args, verify, bz);
-                             }
-                           });
-    };
-    switch (kind) {
-      case GemvKernelKind::kReferenceN:
-        timing = run([](const SbgemvGroupedArgs<T>& a, index_t bx, index_t bz) {
-          gemv_n_reference_grouped_block(a, bx, bz);
-        });
-        break;
-      case GemvKernelKind::kReferenceT:
-        timing = run([](const SbgemvGroupedArgs<T>& a, index_t bx, index_t bz) {
-          gemv_t_reference_grouped_block(a, bx, bz);
-        });
-        break;
-      case GemvKernelKind::kOptimizedT:
-        timing = run([](const SbgemvGroupedArgs<T>& a, index_t bx, index_t bz) {
-          gemv_t_optimized_grouped_block(a, bx, bz);
-        });
-        break;
-    }
+  switch (kind) {
+    case GemvKernelKind::kReferenceN:
+      timing = run([](const SbgemvMultiArgs<T>& a, index_t bx, index_t bz) {
+        gemv_n_reference_multi_block(a, bx, bz);
+      });
+      break;
+    case GemvKernelKind::kReferenceT:
+      timing = run([](const SbgemvMultiArgs<T>& a, index_t bx, index_t bz) {
+        gemv_t_reference_multi_block(a, bx, bz);
+      });
+      break;
+    case GemvKernelKind::kOptimizedT:
+      timing = run([](const SbgemvMultiArgs<T>& a, index_t bx, index_t bz) {
+        gemv_t_optimized_multi_block(a, bx, bz);
+      });
+      break;
   }
   // SDC injection site: an attached FaultPlan may corrupt the output
   // buffer after the (apparently successful) main launch.  Consulted
@@ -273,6 +221,20 @@ device::KernelTiming sbgemv_grouped(device::Stream& stream,
     }
   }
   return timing;
+}
+
+/// The plain strided batched GEMV (rocblas_Xgemv_strided_batched
+/// shape): one group of one RHS through sbgemv_grouped, so it shares
+/// the grouped launcher's kernel dispatch, modelled footprint and
+/// SDC site.  Returns the simulated kernel timing (used by the
+/// benchmarks for achieved-bandwidth reporting, mirroring
+/// rocblas-bench).
+template <class T>
+device::KernelTiming sbgemv(device::Stream& stream, const SbgemvArgs<T>& args,
+                            GemvKernelPolicy policy = GemvKernelPolicy::kAuto) {
+  const SbgemvGroup<T> group{args.a, 1};
+  return sbgemv_grouped(stream, SbgemvGroupedArgs<T>{args, 0, 0, {&group, 1}},
+                        policy);
 }
 
 /// Plain single-threaded host GEMV used as the correctness reference

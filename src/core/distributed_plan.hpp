@@ -30,15 +30,15 @@
 // would make partial sums meet in a real reduction and change
 // rounding — stays the job of the threaded/lockstep grid backends.
 //
-// One caveat the tests pin down implicitly: bit-identity also needs
-// the phase-3 GEMV kernel KIND to agree between the slice and the
-// full operator, since the reference and optimized transpose kernels
-// accumulate in different orders.  Forward always dispatches the
-// reference N kernel, and for the adjoint the reduction length (n_d,
-// the GEMV's m) is unchanged by the split, so under kAuto's
-// `m < n || m <= 1024` rule a flip needs n_d > 1024 — far outside
-// the serve envelope (the paper's N_d is 100).  Forcing
-// MatvecOptions::gemv_policy away from kAuto removes even that case.
+// Bit-identity also needs the phase-3 GEMV kernel KIND to agree
+// between the slice and the full operator, since the reference and
+// optimized transpose kernels accumulate in different orders.  The
+// rule: FftMatvecPlan resolves GemvKernelPolicy::kAuto from the
+// GLOBAL dims (LocalDims::global), never from its slice, so every
+// rank plan runs the kernel the unsliced operator would.  (Forward
+// always dispatches the reference N kernel; for the adjoint a
+// slice-local choice would flip once n_d > 1024 — tested at
+// n_d = 1025.)
 //
 // Comm fusion (the tentpole's amortization move, PR 3 applied to the
 // network): CommMode::kBatched charges ONE broadcast of all b inputs

@@ -103,289 +103,72 @@ void FftMatvecPlan::forward(const BlockToeplitzOperator& op,
                             std::span<const double> m, std::span<double> d,
                             const PrecisionConfig& config,
                             comm::RankComms* comms) {
-  apply(op, m, d, config, comms, /*adjoint=*/false);
+  apply_one(op, ApplyDirection::kForward, config, m, d, comms, nullptr);
 }
 
 void FftMatvecPlan::adjoint(const BlockToeplitzOperator& op,
                             std::span<const double> d, std::span<double> m,
                             const PrecisionConfig& config,
                             comm::RankComms* comms) {
-  apply(op, d, m, config, comms, /*adjoint=*/true);
+  apply_one(op, ApplyDirection::kAdjoint, config, d, m, comms, nullptr);
 }
 
 void FftMatvecPlan::forward_partial(const BlockToeplitzOperator& op,
                                     std::span<const double> m,
                                     const PartialSink& sink,
                                     const PrecisionConfig& config) {
-  apply(op, m, {}, config, nullptr, /*adjoint=*/false, &sink);
+  apply_one(op, ApplyDirection::kForward, config, m, {}, nullptr, &sink);
 }
 
 void FftMatvecPlan::adjoint_partial(const BlockToeplitzOperator& op,
                                     std::span<const double> d,
                                     const PartialSink& sink,
                                     const PrecisionConfig& config) {
-  apply(op, d, {}, config, nullptr, /*adjoint=*/true, &sink);
+  apply_one(op, ApplyDirection::kAdjoint, config, d, {}, nullptr, &sink);
 }
 
-void FftMatvecPlan::apply(const BlockToeplitzOperator& op,
-                          std::span<const double> in, std::span<double> out,
-                          const PrecisionConfig& config, comm::RankComms* comms,
-                          bool adjoint, const PartialSink* partial) {
-  const Precision p1 = config.phase(precision::kPhasePad);
-  const Precision p2 = config.phase(precision::kPhaseFft);
-  const Precision p3 = config.phase(precision::kPhaseSbgemv);
-  const Precision p4 = config.phase(precision::kPhaseIfft);
-  const Precision p5 = config.phase(precision::kPhaseUnpad);
-
-  const index_t nt = dims_.n_t();
-  const index_t L = dims_.padded_length();
-  const index_t nf = dims_.num_frequencies();
-  const index_t ns_in = adjoint ? dims_.n_d_local : dims_.n_m_local;
-  const index_t ns_out = adjoint ? dims_.n_m_local : dims_.n_d_local;
-
-  comm::GroupComm* bcast_group = nullptr;
-  comm::GroupComm* reduce_group = nullptr;
-  comm::MatvecCollectives coll;  // zero until a grid is attached
+void FftMatvecPlan::apply_one(const BlockToeplitzOperator& op,
+                              ApplyDirection direction,
+                              const PrecisionConfig& config,
+                              std::span<const double> in, std::span<double> out,
+                              comm::RankComms* comms, const PartialSink* partial) {
+  const bool adjoint = direction == ApplyDirection::kAdjoint;
+  RankEnds ends;
+  ends.partial = partial;
+  if (partial != nullptr &&
+      (config.phase(precision::kPhaseUnpad) == Precision::kDouble
+           ? partial->d == nullptr
+           : partial->f == nullptr)) {
+    throw std::invalid_argument(
+        "PartialSink pointer does not match the phase-5 precision");
+  }
   if (comms != nullptr) {
     if (dev_->phantom()) {
       throw std::logic_error("distributed apply is not supported on a phantom device");
     }
-    const index_t p_rows = comms->grid_col.size();
-    const index_t p_cols = comms->grid_row.size();
-    if (!adjoint) {
-      bcast_group = &comms->grid_col;
-      reduce_group = &comms->grid_row;
-    } else {
-      bcast_group = &comms->grid_row;
-      reduce_group = &comms->grid_col;
-    }
+    // Forward broadcasts the input down the grid column and reduces
+    // partial outputs along the grid row; the adjoint swaps the roles.
+    // A group of one rank needs neither collective.
+    comm::GroupComm& bcast = adjoint ? comms->grid_row : comms->grid_col;
+    comm::GroupComm& reduce = adjoint ? comms->grid_col : comms->grid_row;
+    if (bcast.size() > 1) ends.bcast = &bcast;
+    if (reduce.size() > 1) ends.reduce = &reduce;
     // Grid locality and the alpha-beta terms live in the cost model —
     // the single source of truth shared with the fig4/serve scaling
     // harnesses and the serving layer's sharded dispatch.
-    const comm::CommCostModel net(options_.network);
-    coll = net.matvec_collectives(
-        p_rows, p_cols, adjoint,
-        static_cast<double>(nt * ns_in) * static_cast<double>(scalar_width(p1)),
-        static_cast<double>(nt * ns_out) *
-            static_cast<double>(scalar_width(p5)));
+    const index_t ns_in = adjoint ? dims_.n_d_local : dims_.n_m_local;
+    const index_t ns_out = adjoint ? dims_.n_m_local : dims_.n_d_local;
+    ends.coll = comm::CommCostModel(options_.network).matvec_collectives(
+        comms->grid_col.size(), comms->grid_row.size(), adjoint,
+        static_cast<double>(dims_.n_t() * ns_in *
+                            scalar_width(config.phase(precision::kPhasePad))),
+        static_cast<double>(dims_.n_t() * ns_out *
+                            scalar_width(config.phase(precision::kPhaseUnpad))));
   }
-
-  if (!dev_->phantom()) {
-    const bool is_bcast_root = bcast_group == nullptr || bcast_group->rank() == 0;
-    if (is_bcast_root && static_cast<index_t>(in.size()) != nt * ns_in) {
-      throw std::invalid_argument("matvec: input span has wrong extent on root");
-    }
-  }
-
-  timings_ = PhaseTimings{};
-  rhs_timings_.clear();
-  ++executions_;
-  const bool fuse = options_.fuse_casts;
-
-  // ---- Phase 1: broadcast staging + fused transpose/pad/cast ----
-  double t0 = stream_->now();
-  const void* phase1_src = nullptr;  // typed via p1
-  dispatch1(p1, [&](auto tag1) {
-    using S1 = decltype(tag1);
-    const bool distributed = bcast_group != nullptr && bcast_group->size() > 1;
-    if constexpr (std::is_same_v<S1, double>) {
-      if (!distributed) {
-        phase1_src = in.data();
-        return;
-      }
-      double* bc = bcast_.get<double>(*dev_, nt * ns_in);
-      if (!in.empty()) stream_->copy(in.data(), bc, nt * ns_in);
-      bcast_group->broadcast(bc, nt * ns_in, 0);
-      phase1_src = bc;
-    } else {
-      float* bc = bcast_.get<float>(*dev_, nt * ns_in);
-      // Phantom devices still charge the staging-cast time.
-      if (!in.empty() || dev_->phantom()) {
-        precision::convert_array(*stream_, in.data(), bc, nt * ns_in);
-      }
-      if (distributed) bcast_group->broadcast(bc, nt * ns_in, 0);
-      phase1_src = bc;
-    }
-  });
-  if (bcast_group != nullptr && bcast_group->size() > 1) {
-    stream_->advance(coll.broadcast_s);
-    timings_.comm += coll.broadcast_s;
-  }
-
-  dispatch2(p1, p2, [&](auto tag1, auto tag2) {
-    using S1 = decltype(tag1);
-    using S2 = decltype(tag2);
-    const S1* src = static_cast<const S1*>(phase1_src);
-    S2* dst = padded_.get<S2>(*dev_, ns_in * L);
-    if (fuse || std::is_same_v<S1, S2>) {
-      precision::transpose_pad_cast<S2>(*stream_, src, dst, nt, ns_in, L);
-    } else {
-      S1* tmp = padded_.get<S1>(*dev_, ns_in * L);
-      precision::transpose_pad_cast<S1>(*stream_, src, tmp, nt, ns_in, L);
-      precision::convert_array(*stream_, tmp, dst, ns_in * L);
-    }
-  });
-  timings_.pad += stream_->now() - t0 - timings_.comm;
-
-  // ---- Phase 2: batched real FFT ----
-  t0 = stream_->now();
-  dispatch1(p2, [&](auto tag2) {
-    using S2 = decltype(tag2);
-    using C2 = std::complex<S2>;
-    auto& plan = [&]() -> fft::BatchedRealFft<S2>& {
-      if constexpr (std::is_same_v<S2, double>) {
-        auto& slot = adjoint ? fft_d_d_ : fft_m_d_;
-        if (!slot || slot->batch() != ns_in) slot.emplace(L, ns_in);
-        return *slot;
-      } else {
-        auto& slot = adjoint ? fft_d_f_ : fft_m_f_;
-        if (!slot || slot->batch() != ns_in) slot.emplace(L, ns_in);
-        return *slot;
-      }
-    }();
-    const S2* padded = padded_.get<S2>(*dev_, ns_in * L);
-    C2* spec = spec_.get<C2>(*dev_, ns_in * nf);
-    plan.forward_on(*stream_, padded, L, spec, nf);
-  });
-  timings_.fft += stream_->now() - t0;
-
-  // ---- Phase 3: reorder + SBGEMV + reorder (all charged to SBGEMV,
-  // matching the artifact's timing output) ----
-  t0 = stream_->now();
-  dispatch2(p2, p3, [&](auto tag2, auto tag3) {
-    using C2 = std::complex<decltype(tag2)>;
-    using C3 = std::complex<decltype(tag3)>;
-    const C2* spec = spec_.get<C2>(*dev_, ns_in * nf);
-    C3* spec_t = spec_t_.get<C3>(*dev_, nf * ns_in);
-    if (fuse || std::is_same_v<C2, C3>) {
-      precision::transpose_cast<C3>(*stream_, spec, spec_t, ns_in, nf);
-    } else {
-      C2* tmp = spec_t_.get<C2>(*dev_, nf * ns_in);
-      precision::transpose_cast<C2>(*stream_, spec, tmp, ns_in, nf);
-      precision::convert_array(*stream_, tmp, spec_t, nf * ns_in);
-    }
-  });
-  dispatch1(p3, [&](auto tag3) {
-    using C3 = std::complex<decltype(tag3)>;
-    blas::SbgemvArgs<C3> args;
-    args.op = adjoint ? blas::Op::C : blas::Op::N;
-    args.m = dims_.n_d_local;
-    args.n = dims_.n_m_local;
-    args.alpha = C3(1);
-    if constexpr (std::is_same_v<C3, cdouble>) {
-      args.a = op.spectrum_d();
-    } else {
-      args.a = op.spectrum_f(*stream_);
-    }
-    args.lda = dims_.n_d_local;
-    args.stride_a = dims_.n_d_local * dims_.n_m_local;
-    args.x = spec_t_.get<C3>(*dev_, nf * ns_in);
-    args.stride_x = ns_in;
-    args.beta = C3(0);
-    args.y = ospec_t_.get<C3>(*dev_, nf * ns_out);
-    args.stride_y = ns_out;
-    args.batch = nf;
-    blas::sbgemv(*stream_, args, options_.gemv_policy);
-  });
-  dispatch2(p3, p4, [&](auto tag3, auto tag4) {
-    using C3 = std::complex<decltype(tag3)>;
-    using C4 = std::complex<decltype(tag4)>;
-    const C3* ospec_t = ospec_t_.get<C3>(*dev_, nf * ns_out);
-    C4* ospec = ospec_.get<C4>(*dev_, ns_out * nf);
-    if (fuse || std::is_same_v<C3, C4>) {
-      precision::transpose_cast<C4>(*stream_, ospec_t, ospec, nf, ns_out);
-    } else {
-      C3* tmp = ospec_.get<C3>(*dev_, ns_out * nf);
-      precision::transpose_cast<C3>(*stream_, ospec_t, tmp, nf, ns_out);
-      precision::convert_array(*stream_, tmp, ospec, ns_out * nf);
-    }
-  });
-  timings_.sbgemv += stream_->now() - t0;
-
-  // ---- Phase 4: batched inverse real FFT ----
-  t0 = stream_->now();
-  dispatch1(p4, [&](auto tag4) {
-    using S4 = decltype(tag4);
-    using C4 = std::complex<S4>;
-    auto& plan = [&]() -> fft::BatchedRealFft<S4>& {
-      if constexpr (std::is_same_v<S4, double>) {
-        auto& slot = adjoint ? fft_m_d_ : fft_d_d_;
-        if (!slot || slot->batch() != ns_out) slot.emplace(L, ns_out);
-        return *slot;
-      } else {
-        auto& slot = adjoint ? fft_m_f_ : fft_d_f_;
-        if (!slot || slot->batch() != ns_out) slot.emplace(L, ns_out);
-        return *slot;
-      }
-    }();
-    const C4* ospec = ospec_.get<C4>(*dev_, ns_out * nf);
-    S4* opad = opad_.get<S4>(*dev_, ns_out * L);
-    plan.inverse_on(*stream_, ospec, nf, opad, L);
-  });
-  timings_.ifft += stream_->now() - t0;
-
-  // ---- Phase 5: fused unpad/transpose, reduction, final cast ----
-  t0 = stream_->now();
-  dispatch2(p4, p5, [&](auto tag4, auto tag5) {
-    using S4 = decltype(tag4);
-    using S5 = decltype(tag5);
-    const S4* opad = opad_.get<S4>(*dev_, ns_out * L);
-    S5* olocal = olocal_.get<S5>(*dev_, nt * ns_out);
-    if (fuse || std::is_same_v<S4, S5>) {
-      precision::unpad_transpose_cast<S5>(*stream_, opad, olocal, nt, ns_out, L);
-    } else {
-      S4* tmp = olocal_.get<S4>(*dev_, nt * ns_out);
-      precision::unpad_transpose_cast<S4>(*stream_, opad, tmp, nt, ns_out, L);
-      precision::convert_array(*stream_, tmp, olocal, nt * ns_out);
-    }
-  });
-
-  if (partial != nullptr) {
-    dispatch1(p5, [&](auto tag5) {
-      using S5 = decltype(tag5);
-      S5* dst;
-      if constexpr (std::is_same_v<S5, double>) {
-        dst = partial->d;
-      } else {
-        dst = partial->f;
-      }
-      if (dst == nullptr) {
-        throw std::invalid_argument(
-            "PartialSink pointer does not match the phase-5 precision");
-      }
-      stream_->copy(olocal_.get<S5>(*dev_, nt * ns_out), dst, nt * ns_out);
-    });
-    timings_.unpad += stream_->now() - t0;
-    timings_.makespan = timings_.total();  // serial: nothing overlapped
-    return;
-  }
-
-  double comm_before_reduce = timings_.comm;
-  const bool is_reduce_root = reduce_group == nullptr || reduce_group->rank() == 0;
-  dispatch1(p5, [&](auto tag5) {
-    using S5 = decltype(tag5);
-    S5* olocal = olocal_.get<S5>(*dev_, nt * ns_out);
-    const S5* result = olocal;
-    if (reduce_group != nullptr && reduce_group->size() > 1) {
-      S5* recv = oreduce_.get<S5>(*dev_, nt * ns_out);
-      reduce_group->reduce_sum(olocal, recv, nt * ns_out, 0);
-      stream_->advance(coll.reduce_s);
-      timings_.comm += coll.reduce_s;
-      result = recv;
-    }
-    if (is_reduce_root && (!out.empty() || dev_->phantom())) {
-      if (!dev_->phantom() && static_cast<index_t>(out.size()) != nt * ns_out) {
-        throw std::invalid_argument("matvec: output span has wrong extent on root");
-      }
-      if constexpr (std::is_same_v<S5, double>) {
-        stream_->copy(result, out.data(), nt * ns_out);
-      } else {
-        precision::convert_array(*stream_, result, out.data(), nt * ns_out);
-      }
-    }
-  });
-  timings_.unpad += stream_->now() - t0 - (timings_.comm - comm_before_reduce);
-  timings_.makespan = timings_.total();  // serial: nothing overlapped
+  const OperatorGroup group{&op, 1};
+  const ConstVectorView inputs[] = {in};
+  const VectorView outputs[] = {out};
+  execute({&group, 1}, direction, config, inputs, outputs, {}, ends);
 }
 
 void FftMatvecPlan::apply_batch(const BlockToeplitzOperator& op,
@@ -404,32 +187,46 @@ void FftMatvecPlan::apply_batch(std::span<const OperatorGroup> groups,
                                 std::span<const ConstVectorView> inputs,
                                 std::span<const VectorView> outputs,
                                 const BatchPipeline& pipeline) {
+  execute(groups, direction, config, inputs, outputs, pipeline, {});
+}
+
+void FftMatvecPlan::execute(std::span<const OperatorGroup> groups,
+                            ApplyDirection direction,
+                            const PrecisionConfig& config,
+                            std::span<const ConstVectorView> inputs,
+                            std::span<const VectorView> outputs,
+                            const BatchPipeline& pipeline, const RankEnds& ends) {
   const bool adjoint = direction == ApplyDirection::kAdjoint;
   const index_t b = static_cast<index_t>(inputs.size());
   if (b < 1) {
-    throw std::invalid_argument("apply_batch: need at least one right-hand side");
+    throw std::invalid_argument("matvec: need at least one right-hand side");
   }
   if (outputs.size() != inputs.size()) {
-    throw std::invalid_argument("apply_batch: inputs/outputs count mismatch");
+    throw std::invalid_argument("matvec: inputs/outputs count mismatch");
   }
   if (groups.empty()) {
-    throw std::invalid_argument("apply_batch: need at least one operator group");
+    throw std::invalid_argument("matvec: need at least one operator group");
   }
   index_t grouped_rhs = 0;
   for (const auto& g : groups) {
     if (g.op == nullptr || g.rhs_count < 1) {
       throw std::invalid_argument(
-          "apply_batch: every group needs an operator and >= 1 RHS");
+          "matvec: every group needs an operator and >= 1 RHS");
     }
-    if (!(g.op->dims() == dims_)) {
+    // Only what the plan's buffers depend on must match: a grid
+    // rank's operator may sit at other offsets than the rank the plan
+    // was built for (LockstepCluster drives one plan over every rank).
+    const LocalDims& d = g.op->dims();
+    if (d.global != dims_.global || d.n_m_local != dims_.n_m_local ||
+        d.n_d_local != dims_.n_d_local) {
       throw std::invalid_argument(
-          "apply_batch: group operator dims do not match the plan");
+          "matvec: group operator dims do not match the plan");
     }
     grouped_rhs += g.rhs_count;
   }
   if (grouped_rhs != b) {
     throw std::invalid_argument(
-        "apply_batch: group RHS counts do not sum to the input count");
+        "matvec: group RHS counts do not sum to the input count");
   }
 
   const Precision p1 = config.phase(precision::kPhasePad);
@@ -444,13 +241,19 @@ void FftMatvecPlan::apply_batch(std::span<const OperatorGroup> groups,
   const index_t ns_in = adjoint ? dims_.n_d_local : dims_.n_m_local;
   const index_t ns_out = adjoint ? dims_.n_m_local : dims_.n_d_local;
 
+  // On the threaded grid only the broadcast root holds the input and
+  // only the reduce root receives the output; a partial sink replaces
+  // the output spans altogether.
+  const bool holds_input = ends.bcast == nullptr || ends.bcast->rank() == 0;
+  const bool gets_output =
+      ends.partial == nullptr && (ends.reduce == nullptr || ends.reduce->rank() == 0);
   if (!dev_->phantom()) {
     for (index_t r = 0; r < b; ++r) {
-      if (static_cast<index_t>(inputs[r].size()) != nt * ns_in) {
-        throw std::invalid_argument("apply_batch: input span has wrong extent");
+      if (holds_input && static_cast<index_t>(inputs[r].size()) != nt * ns_in) {
+        throw std::invalid_argument("matvec: input span has wrong extent");
       }
-      if (static_cast<index_t>(outputs[r].size()) != nt * ns_out) {
-        throw std::invalid_argument("apply_batch: output span has wrong extent");
+      if (gets_output && static_cast<index_t>(outputs[r].size()) != nt * ns_out) {
+        throw std::invalid_argument("matvec: output span has wrong extent");
       }
     }
   }
@@ -463,7 +266,16 @@ void FftMatvecPlan::apply_batch(std::span<const OperatorGroup> groups,
   if (chunks > 1 && pipeline.aux != nullptr &&
       &pipeline.aux->device() != dev_) {
     throw std::invalid_argument(
-        "apply_batch: pipeline aux stream is bound to a different device");
+        "matvec: pipeline aux stream is bound to a different device");
+  }
+  // kAuto resolves from the GLOBAL shape, not this plan's slice, so a
+  // sharded rank plan runs the same transpose kernel — and the same
+  // summation order — as the full operator would.
+  blas::GemvKernelPolicy gemv_policy = options_.gemv_policy;
+  if (gemv_policy == blas::GemvKernelPolicy::kAuto) {
+    gemv_policy = blas::use_optimized_transpose(dims_.global.n_d, dims_.global.n_m)
+                      ? blas::GemvKernelPolicy::kOptimized
+                      : blas::GemvKernelPolicy::kReference;
   }
 
   timings_ = PhaseTimings{};
@@ -475,13 +287,15 @@ void FftMatvecPlan::apply_batch(std::span<const OperatorGroup> groups,
   // contiguous chunks (serial execution is the chunks == 1 degenerate
   // case running every stage on the plan's own stream).  Per chunk,
   // three stages:
-  //   stage 1 (stream A): per-RHS staging cast + fused transpose/pad
-  //     into the RHS-outer padded buffer, then ONE batched real FFT
-  //     over cb * ns_in sequences (runtime batch multiplier);
+  //   stage 1 (stream A): per-RHS staging cast (and a single-RHS
+  //     apply's grid broadcast) + fused transpose/pad into the
+  //     RHS-outer padded buffer, then ONE batched real FFT over
+  //     cb * ns_in sequences (runtime batch multiplier);
   //   stage 2 (stream B): Fourier reorder, grouped multi-RHS SBGEMV,
   //     reorder back — the dominant phase at paper scale;
   //   stage 3 (stream A): ONE batched inverse FFT + per-RHS fused
-  //     unpad/transpose into the caller's output views.
+  //     unpad/transpose into the caller's output views (after a
+  //     single-RHS apply's grid reduction, or into its partial sink).
   // Issue order software-pipelines the chunks — stage2(i) on B, then
   // stage1(i+1) on A, then stage3(i) on A — so chunk i's SBGEMV
   // overlaps chunk i+1's pad+FFT.  Cross-stream dependencies are
@@ -520,6 +334,20 @@ void FftMatvecPlan::apply_batch(std::span<const OperatorGroup> groups,
     }
   }
   const auto chunk_lo = [&](index_t i) { return (i * b) / chunks; };
+  // The lazily built FFT plan of one precision for the parameter side
+  // (n_m_local sequences) or the data side (n_d_local sequences).
+  const auto fft_plan = [&](auto tag, bool d_side) -> fft::BatchedRealFft<decltype(tag)>& {
+    auto& slot = [&]() -> std::optional<fft::BatchedRealFft<decltype(tag)>>& {
+      if constexpr (std::is_same_v<decltype(tag), double>) {
+        return d_side ? fft_d_d_ : fft_m_d_;
+      } else {
+        return d_side ? fft_d_f_ : fft_m_f_;
+      }
+    }();
+    const index_t ns = d_side ? dims_.n_d_local : dims_.n_m_local;
+    if (!slot || slot->batch() != ns) slot.emplace(L, ns);
+    return *slot;
+  };
   DualComplex* spec_set[2] = {&spec_, &spec_alt_};
   DualComplex* spec_t_set[2] = {&spec_t_, &spec_t_alt_};
   DualComplex* ospec_t_set[2] = {&ospec_t_, &ospec_t_alt_};
@@ -545,6 +373,7 @@ void FftMatvecPlan::apply_batch(std::span<const OperatorGroup> groups,
     const index_t lo = chunk_lo(i), hi = chunk_lo(i + 1);
     const index_t cb = hi - lo;
     const std::size_t par = static_cast<std::size_t>(i % 2);
+    const double comm0 = timings_.comm;
     double t0 = sa.now();
     dispatch2(p1, p2, [&](auto tag1, auto tag2) {
       using S1 = decltype(tag1);
@@ -552,13 +381,23 @@ void FftMatvecPlan::apply_batch(std::span<const OperatorGroup> groups,
       S2* dst_all = padded_.get<S2>(*dev_, cmax * ns_in * L);
       for (index_t r = lo; r < hi; ++r) {
         const double* in = inputs[r].data();
-        const S1* src;
-        if constexpr (std::is_same_v<S1, double>) {
-          src = in;
-        } else {
-          float* bc = bcast_.get<float>(*dev_, nt * ns_in);
-          if (in != nullptr || dev_->phantom()) {
-            precision::convert_array(sa, in, bc, nt * ns_in);
+        const S1* src = nullptr;
+        if constexpr (std::is_same_v<S1, double>) src = in;
+        if (!std::is_same_v<S1, double> || ends.bcast != nullptr) {
+          // Stage the RHS in the phase-1 precision (the staging cast,
+          // or the copy a grid broadcast fills on every rank).
+          S1* bc = bcast_.get<S1>(*dev_, nt * ns_in);
+          if (holds_input) {
+            if constexpr (std::is_same_v<S1, double>) {
+              sa.copy(in, bc, nt * ns_in);
+            } else {
+              precision::convert_array(sa, in, bc, nt * ns_in);
+            }
+          }
+          if (ends.bcast != nullptr) {
+            ends.bcast->broadcast(bc, nt * ns_in, 0);
+            sa.advance(ends.coll.broadcast_s);
+            timings_.comm += ends.coll.broadcast_s;
           }
           src = bc;
         }
@@ -573,22 +412,12 @@ void FftMatvecPlan::apply_batch(std::span<const OperatorGroup> groups,
       }
     });
     trace_phase(sa, "pad", i, cb, t0);
-    timings_.pad += sa.now() - t0;
+    timings_.pad += sa.now() - t0 - (timings_.comm - comm0);
     t0 = sa.now();
     dispatch1(p2, [&](auto tag2) {
       using S2 = decltype(tag2);
       using C2 = std::complex<S2>;
-      auto& plan = [&]() -> fft::BatchedRealFft<S2>& {
-        if constexpr (std::is_same_v<S2, double>) {
-          auto& slot = adjoint ? fft_d_d_ : fft_m_d_;
-          if (!slot || slot->batch() != ns_in) slot.emplace(L, ns_in);
-          return *slot;
-        } else {
-          auto& slot = adjoint ? fft_d_f_ : fft_m_f_;
-          if (!slot || slot->batch() != ns_in) slot.emplace(L, ns_in);
-          return *slot;
-        }
-      }();
+      auto& plan = fft_plan(tag2, /*d_side=*/adjoint);
       const S2* padded = padded_.get<S2>(*dev_, cmax * ns_in * L);
       C2* spec = spec_set[par]->get<C2>(*dev_, cmax * ns_in * nf);
       plan.forward_on(sa, padded, L, spec, nf, /*batch_multiplier=*/cb);
@@ -674,7 +503,7 @@ void FftMatvecPlan::apply_batch(std::span<const OperatorGroup> groups,
         vreq.scale_out = chk_scale_->data();
         vreq.tolerance = vtol.gemv;
       }
-      blas::sbgemv_grouped(*sb, args, options_.gemv_policy, vreq);
+      blas::sbgemv_grouped(*sb, args, gemv_policy, vreq);
     });
     gemv_seconds += sb->now() - gemv_t0;
     dispatch2(p3, p4, [&](auto tag3, auto tag4) {
@@ -704,17 +533,7 @@ void FftMatvecPlan::apply_batch(std::span<const OperatorGroup> groups,
     dispatch1(p4, [&](auto tag4) {
       using S4 = decltype(tag4);
       using C4 = std::complex<S4>;
-      auto& plan = [&]() -> fft::BatchedRealFft<S4>& {
-        if constexpr (std::is_same_v<S4, double>) {
-          auto& slot = adjoint ? fft_m_d_ : fft_d_d_;
-          if (!slot || slot->batch() != ns_out) slot.emplace(L, ns_out);
-          return *slot;
-        } else {
-          auto& slot = adjoint ? fft_m_f_ : fft_d_f_;
-          if (!slot || slot->batch() != ns_out) slot.emplace(L, ns_out);
-          return *slot;
-        }
-      }();
+      auto& plan = fft_plan(tag4, /*d_side=*/!adjoint);
       const C4* ospec = ospec_set[par]->get<C4>(*dev_, cmax * ns_out * nf);
       S4* opad = opad_.get<S4>(*dev_, cmax * ns_out * L);
       plan.inverse_on(sa, ospec, nf, opad, L, /*batch_multiplier=*/cb);
@@ -725,6 +544,7 @@ void FftMatvecPlan::apply_batch(std::span<const OperatorGroup> groups,
     });
     trace_phase(sa, "ifft", i, cb, t0);
     timings_.ifft += sa.now() - t0;
+    const double comm0 = timings_.comm;
     t0 = sa.now();
     for (index_t r = lo; r < hi; ++r) {
       dispatch2(p4, p5, [&](auto tag4, auto tag5) {
@@ -744,18 +564,37 @@ void FftMatvecPlan::apply_batch(std::span<const OperatorGroup> groups,
       dispatch1(p5, [&](auto tag5) {
         using S5 = decltype(tag5);
         S5* olocal = olocal_.get<S5>(*dev_, nt * ns_out);
-        double* out = outputs[r].data();
-        if (out != nullptr || dev_->phantom()) {
+        if (ends.partial != nullptr) {
+          // LockstepCluster reduces the phase-5 partials itself.
+          S5* sink;
           if constexpr (std::is_same_v<S5, double>) {
-            sa.copy(olocal, out, nt * ns_out);
+            sink = ends.partial->d;
           } else {
-            precision::convert_array(sa, olocal, out, nt * ns_out);
+            sink = ends.partial->f;
+          }
+          sa.copy(olocal, sink, nt * ns_out);
+          return;
+        }
+        const S5* result = olocal;
+        if (ends.reduce != nullptr) {
+          S5* recv = oreduce_.get<S5>(*dev_, nt * ns_out);
+          ends.reduce->reduce_sum(olocal, recv, nt * ns_out, 0);
+          sa.advance(ends.coll.reduce_s);
+          timings_.comm += ends.coll.reduce_s;
+          result = recv;
+        }
+        if (gets_output) {
+          double* out = outputs[r].data();
+          if constexpr (std::is_same_v<S5, double>) {
+            sa.copy(result, out, nt * ns_out);
+          } else {
+            precision::convert_array(sa, result, out, nt * ns_out);
           }
         }
       });
     }
     trace_phase(sa, "unpad", i, cb, t0);
-    timings_.unpad += sa.now() - t0;
+    timings_.unpad += sa.now() - t0 - (timings_.comm - comm0);
   };
 
   stage1(0);

@@ -22,13 +22,19 @@
 // read the producer's precision and write the consumer's, so traffic
 // runs at the lowest adjacent width.
 //
-// Batched applies (apply_batch) optionally execute phase-pipelined:
-// the RHS dimension splits into chunks software-pipelined over two
-// streams under the device layer's Event/Stream::wait ordering
-// contract (see BatchPipeline and device/stream.hpp), overlapping one
-// chunk's SBGEMV with its successor's pad+FFT.  Outputs are
-// bit-identical to the serial batch; PhaseTimings separates the
-// end-to-end makespan from the busy-time phase fields.
+// One executor runs every apply.  apply_batch drives it with b
+// right-hand sides; forward()/adjoint() and the *_partial variants
+// are b = 1 calls whose only extras sit at the executor's two caller-
+// facing points: the threaded grid's broadcast where the input is
+// staged and its reduction where the output is written, or
+// LockstepCluster's partial sink in place of that write.  Batches
+// optionally execute phase-pipelined: the RHS dimension splits into
+// chunks software-pipelined over two streams under the device layer's
+// Event/Stream::wait ordering contract (see BatchPipeline and
+// device/stream.hpp), overlapping one chunk's SBGEMV with its
+// successor's pad+FFT.  Outputs are bit-identical to the serial batch;
+// PhaseTimings separates the end-to-end makespan from the busy-time
+// phase fields.
 #pragma once
 
 #include <cstdint>
@@ -73,10 +79,8 @@ struct PhaseTimings {
 
   double compute_total() const { return pad + fft + sbgemv + ifft + unpad; }
   double total() const { return compute_total() + comm; }
-  /// End-to-end simulated duration: the recorded makespan, falling
-  /// back to the busy total for timings that predate pipelining
-  /// (zero-initialised accumulators).
-  double span() const { return makespan > 0.0 ? makespan : total(); }
+  /// End-to-end simulated duration (every apply records its makespan).
+  double span() const { return makespan; }
 
   PhaseTimings& operator+=(const PhaseTimings& o);
   PhaseTimings& operator*=(double s);
@@ -164,9 +168,11 @@ class FftMatvecPlan {
   const MatvecOptions& options() const { return options_; }
 
   /// d = F m.  `m` is the rank-local TOSI chunk (N_t x n_m_local,
-  /// significant on the grid-column root), `d` receives the local
-  /// TOSI result (N_t x n_d_local, valid on the grid-row root).
-  /// Single-rank when `comms == nullptr`.
+  /// read on the grid-column root only), `d` receives the local TOSI
+  /// result (N_t x n_d_local, written on the grid-row root only; other
+  /// ranks may pass empty spans).  Single-rank when `comms ==
+  /// nullptr`.  Runs apply_batch's executor at b = 1: outputs,
+  /// timings and stream clock equal a one-RHS apply_batch's.
   void forward(const BlockToeplitzOperator& op, std::span<const double> m,
                std::span<double> d, const precision::PrecisionConfig& config,
                comm::RankComms* comms = nullptr);
@@ -183,11 +189,12 @@ class FftMatvecPlan {
   /// phase 3 is a single multi-RHS strided batched GEMV that pays the
   /// operator's matrix traffic once per frequency block instead of
   /// once per request.  Results are bit-identical to b independent
-  /// forward()/adjoint() calls for every precision config; b == 1 is
-  /// the degenerate case.  last_timings() afterwards holds the totals
-  /// for the whole batch and last_batch_timings() the per-RHS shares.
-  /// `pipeline` requests chunked dual-stream execution (bit-identical
-  /// outputs, lower makespan — see BatchPipeline).
+  /// forward()/adjoint() calls for every precision config — those are
+  /// this same executor at b == 1.  last_timings() afterwards holds
+  /// the totals for the whole batch and last_batch_timings() the
+  /// per-RHS shares.  `pipeline` requests chunked dual-stream
+  /// execution (bit-identical outputs, lower makespan — see
+  /// BatchPipeline).
   void apply_batch(const BlockToeplitzOperator& op, ApplyDirection direction,
                    const precision::PrecisionConfig& config,
                    std::span<const ConstVectorView> inputs,
@@ -196,8 +203,8 @@ class FftMatvecPlan {
 
   /// One operator's contiguous slice of a grouped batch: `rhs_count`
   /// right-hand sides applied through `op`.  Every group's operator
-  /// must share this plan's LocalDims (same-shape requests from
-  /// different tenants).
+  /// must share this plan's global dims and local extents (same-shape
+  /// requests from different tenants); its offsets may differ.
   struct OperatorGroup {
     const BlockToeplitzOperator* op = nullptr;
     index_t rhs_count = 0;
@@ -248,8 +255,9 @@ class FftMatvecPlan {
   /// whole batch's totals).
   const PhaseTimings& last_timings() const { return timings_; }
 
-  /// Per-RHS attribution of the most recent apply_batch's totals
-  /// (size = the batch's RHS count; valid until the next apply).
+  /// Per-RHS attribution of the most recent apply's totals (size = the
+  /// batch's RHS count, 1 after a single-RHS apply; valid until the
+  /// next apply).
   /// Phases 1/2/4/5 split evenly — every RHS is the same shape — but
   /// the SBGEMV phase splits by modelled work: the GEMV launch's time
   /// is shared across groups in proportion to each group's share of
@@ -262,10 +270,11 @@ class FftMatvecPlan {
     return rhs_timings_;
   }
 
-  /// Pipeline executions so far: +1 per forward/adjoint/partial apply
-  /// and +1 per apply_batch REGARDLESS of its RHS count.  The serving
-  /// layer's tests hook this to assert a coalesced batch costs one
-  /// plan execution.
+  /// Executor runs so far: +1 per apply of any kind — a single-RHS
+  /// forward/adjoint/partial apply is a b = 1 run, and an apply_batch
+  /// counts once REGARDLESS of its RHS count.  The serving layer's
+  /// tests hook this to assert a coalesced batch costs one plan
+  /// execution.
   std::int64_t executions() const { return executions_; }
 
  private:
@@ -282,14 +291,33 @@ class FftMatvecPlan {
     T* get(device::Device& dev, index_t n);
   };
 
-  /// Shared implementation of forward/adjoint (`adjoint` flips the
-  /// sensor/parameter roles and uses the conjugate-transpose GEMV).
-  /// When `partial` is set, the pipeline stops after the local
-  /// unpad/transpose and deposits the phase-5 partial there.
-  void apply(const BlockToeplitzOperator& op, std::span<const double> in,
-             std::span<double> out, const precision::PrecisionConfig& config,
-             comm::RankComms* comms, bool adjoint,
-             const PartialSink* partial = nullptr);
+  /// What a single-RHS apply adds around the executor's two caller-
+  /// facing points (apply_batch never sets any of it): the threaded
+  /// grid's broadcast, run where stage 1 stages the input, and its
+  /// reduction, run where stage 3 writes the output — each charged
+  /// `coll`'s modelled seconds as comm — or LockstepCluster's sink,
+  /// which takes the unreduced phase-5 partial in place of the output.
+  struct RankEnds {
+    comm::GroupComm* bcast = nullptr;   ///< set iff the group spans > 1 rank
+    comm::GroupComm* reduce = nullptr;  ///< set iff the group spans > 1 rank
+    comm::MatvecCollectives coll;
+    const PartialSink* partial = nullptr;
+  };
+
+  /// forward/adjoint/*_partial: validate the grid or sink, then run
+  /// the executor at b = 1.
+  void apply_one(const BlockToeplitzOperator& op, ApplyDirection direction,
+                 const precision::PrecisionConfig& config,
+                 std::span<const double> in, std::span<double> out,
+                 comm::RankComms* comms, const PartialSink* partial);
+
+  /// The chunked five-phase executor behind every apply (see the
+  /// stage comment in matvec_plan.cpp).
+  void execute(std::span<const OperatorGroup> groups, ApplyDirection direction,
+               const precision::PrecisionConfig& config,
+               std::span<const ConstVectorView> inputs,
+               std::span<const VectorView> outputs,
+               const BatchPipeline& pipeline, const RankEnds& ends);
 
   device::Device* dev_;
   device::Stream* stream_;

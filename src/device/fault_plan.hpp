@@ -12,13 +12,15 @@
 //   * rank-group syncs — DistributedMatvecPlan::apply_batch consults
 //     on_group_sync() at its entry collective and throws
 //     comm::RankFailure when a rank of the group is down;
-//   * buffer writes    — blas::sbgemv_grouped consults
-//     on_buffer_write() after its main launch and, when the hook
-//     fires, flips an exponent bit of one element of the output
-//     DeviceVector.  The kernel "succeeds" and the result is silently
-//     wrong — detectable only by ABFT verification (VerifyMode).  The
-//     corrupted element is itself a deterministic draw, so detection
-//     and recompute replay bit-identically.
+//   * buffer writes    — blas::sbgemv_grouped, the launcher every
+//     GEMV goes through (single-RHS sbgemv calls and every matvec
+//     apply included), consults on_buffer_write() after its main
+//     launch and, when the hook fires, flips an exponent bit of one
+//     element of the output DeviceVector.  The kernel "succeeds" and
+//     the result is silently wrong — detectable only by ABFT
+//     verification (VerifyMode).  The corrupted element is itself a
+//     deterministic draw, so detection and recompute replay
+//     bit-identically.
 //
 // Faults come from two sources that compose: scripted windows over
 // each site's own monotonically increasing counter (exact, for tests)
@@ -80,8 +82,8 @@ struct FaultPlanOptions {
   double alloc_fault_rate = 0.0;
   /// Per-group-sync probability that a rank of the group goes down.
   double rank_fault_rate = 0.0;
-  /// Per-verified-buffer-write probability of a silent bit flip in a
-  /// kernel's output buffer (the SDC injection site).
+  /// Per-buffer-write probability of a silent bit flip in a GEMV
+  /// launch's output buffer (the SDC injection site).
   double buffer_fault_rate = 0.0;
   /// How many subsequent group syncs a sampled rank outage lasts
   /// before the rank heals (scripted outages carry their own window).

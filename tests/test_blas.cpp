@@ -171,8 +171,9 @@ TEST(Gemv, RealTransposeEqualsConjTranspose) {
 }
 
 // ----------------------------------------------------- multi-RHS GEMV
-/// sbgemv_multi must be bit-identical to nrhs independent sbgemv
-/// calls: same kernel bodies, same per-(batch, RHS) summation order.
+/// A one-group multi-RHS grouped call must be bit-identical to nrhs
+/// independent sbgemv calls: same kernel bodies, same per-(batch,
+/// RHS) summation order.
 template <class T>
 void check_multi_matches_independent(Op op, GemvKernelPolicy policy) {
   device::Device dev(device::make_mi300x());
@@ -186,28 +187,29 @@ void check_multi_matches_independent(Op op, GemvKernelPolicy policy) {
   auto y_multi = random_vec<T>(batch * nrhs * ylen, 41);
   auto y_indep = y_multi;
 
-  SbgemvMultiArgs<T> ma;
-  ma.base.op = op;
-  ma.base.m = m;
-  ma.base.n = n;
-  ma.base.a = a.data();
-  ma.base.lda = m;
-  ma.base.stride_a = m * n;
-  ma.base.x = x.data();
-  ma.base.stride_x = nrhs * xlen;
-  ma.base.y = y_multi.data();
-  ma.base.stride_y = nrhs * ylen;
-  ma.base.batch = batch;
+  SbgemvGroupedArgs<T> ga;
+  ga.base.op = op;
+  ga.base.m = m;
+  ga.base.n = n;
+  ga.base.a = a.data();
+  ga.base.lda = m;
+  ga.base.stride_a = m * n;
+  ga.base.x = x.data();
+  ga.base.stride_x = nrhs * xlen;
+  ga.base.y = y_multi.data();
+  ga.base.stride_y = nrhs * ylen;
+  ga.base.batch = batch;
   util::Rng rng(43);
-  ma.base.alpha = random_scalar<T>(rng);
-  ma.base.beta = random_scalar<T>(rng);
-  ma.nrhs = nrhs;
-  ma.rhs_stride_x = xlen;
-  ma.rhs_stride_y = ylen;
-  sbgemv_multi(stream, ma, policy);
+  ga.base.alpha = random_scalar<T>(rng);
+  ga.base.beta = random_scalar<T>(rng);
+  ga.rhs_stride_x = xlen;
+  ga.rhs_stride_y = ylen;
+  const SbgemvGroup<T> one[] = {{a.data(), nrhs}};
+  ga.groups = one;
+  sbgemv_grouped(stream, ga, policy);
 
   for (index_t r = 0; r < nrhs; ++r) {
-    SbgemvArgs<T> args = ma.base;
+    SbgemvArgs<T> args = ga.base;
     args.x = x.data() + r * xlen;
     args.y = y_indep.data() + r * ylen;
     sbgemv(stream, args, policy);
@@ -249,44 +251,46 @@ TEST(GemvMulti, AmortisesMatrixTrafficInTheModel) {
 }
 
 TEST(GemvMulti, ValidationErrors) {
+  // The multi-RHS layout rules, exercised through one-group grouped
+  // calls.
   device::Device dev(device::make_mi300x());
   device::Stream stream(dev);
   std::vector<double> a(64), x(64), y(64);
-  SbgemvMultiArgs<double> ma;
-  ma.base.op = Op::T;
-  ma.base.m = 4;
-  ma.base.n = 4;
-  ma.base.a = a.data();
-  ma.base.lda = 4;
-  ma.base.stride_a = 16;
-  ma.base.x = x.data();
-  ma.base.stride_x = 8;
-  ma.base.y = y.data();
-  ma.base.stride_y = 8;
-  ma.base.batch = 2;
-  ma.nrhs = 0;
-  EXPECT_THROW(sbgemv_multi(stream, ma), std::invalid_argument);
-  ma.nrhs = 2;
-  ma.rhs_stride_x = 2;  // < x_len
-  ma.rhs_stride_y = 4;
-  EXPECT_THROW(sbgemv_multi(stream, ma), std::invalid_argument);
+  SbgemvGroupedArgs<double> ga;
+  ga.base.op = Op::T;
+  ga.base.m = 4;
+  ga.base.n = 4;
+  ga.base.lda = 4;
+  ga.base.stride_a = 16;
+  ga.base.x = x.data();
+  ga.base.stride_x = 8;
+  ga.base.y = y.data();
+  ga.base.stride_y = 8;
+  ga.base.batch = 2;
+  SbgemvGroup<double> one[] = {{a.data(), 0}};
+  ga.groups = one;
+  EXPECT_THROW(sbgemv_grouped(stream, ga), std::invalid_argument);
+  one[0].nrhs = 2;
+  ga.rhs_stride_x = 2;  // < x_len
+  ga.rhs_stride_y = 4;
+  EXPECT_THROW(sbgemv_grouped(stream, ga), std::invalid_argument);
   // Cross-batch aliasing: batch entry 0's RHS 1 would share memory
   // with entry 1's RHS 0 (stride_y sized for a single RHS).
-  ma.rhs_stride_x = 4;
-  ma.rhs_stride_y = 4;
-  ma.base.stride_x = 4;
-  ma.base.stride_y = 4;
-  EXPECT_THROW(sbgemv_multi(stream, ma), std::invalid_argument);
+  ga.rhs_stride_x = 4;
+  ga.rhs_stride_y = 4;
+  ga.base.stride_x = 4;
+  ga.base.stride_y = 4;
+  EXPECT_THROW(sbgemv_grouped(stream, ga), std::invalid_argument);
   // Batch-inner layouts (rhs stride spans the whole batch) are legal.
-  ma.base.stride_y = 4;
-  ma.rhs_stride_y = 2 * 4;  // (batch-1)*stride_y + y_len
-  ma.base.stride_x = 4;
-  ma.rhs_stride_x = 2 * 4;
-  EXPECT_NO_THROW(sbgemv_multi(stream, ma));
+  ga.base.stride_y = 4;
+  ga.rhs_stride_y = 2 * 4;  // (batch-1)*stride_y + y_len
+  ga.base.stride_x = 4;
+  ga.rhs_stride_x = 2 * 4;
+  EXPECT_NO_THROW(sbgemv_grouped(stream, ga));
 }
 
 // --------------------------------------------------- grouped GEMV
-/// sbgemv_grouped must be bit-identical to one sbgemv_multi call per
+/// sbgemv_grouped must be bit-identical to one single-group call per
 /// group: same kernel bodies, same per-(batch, group, RHS) summation
 /// order.  Groups are ragged (3 + 1 + 2) and each carries its own
 /// matrix.
@@ -333,9 +337,12 @@ void check_grouped_matches_per_group_multi(Op op, GemvKernelPolicy policy) {
 
   index_t r0 = 0;
   for (std::size_t g = 0; g < group_sizes.size(); ++g) {
-    SbgemvMultiArgs<T> ma = ga.group_slice(mats[g].data(), r0, group_sizes[g]);
-    ma.base.y = y_per_group.data() + r0 * ylen;
-    sbgemv_multi(stream, ma, policy);
+    SbgemvGroupedArgs<T> single = ga;
+    single.base.x = x.data() + r0 * xlen;
+    single.base.y = y_per_group.data() + r0 * ylen;
+    const SbgemvGroup<T> one[] = {{mats[g].data(), group_sizes[g]}};
+    single.groups = one;
+    sbgemv_grouped(stream, single, policy);
     r0 += group_sizes[g];
   }
   EXPECT_EQ(y_grouped, y_per_group) << "op=" << op_name(op);
@@ -352,8 +359,9 @@ TEST(GemvGrouped, MatchesPerGroupMultiCallsAllKernels) {
 }
 
 TEST(GemvGrouped, SingleGroupIsExactlySbgemvMulti) {
-  // One group must take the sbgemv_multi fast path: identical result
-  // bits AND identical modelled kernel time.
+  // One group is the flat multi-RHS GEMV: results bit-identical to
+  // independent single-RHS calls AND the modelled kernel time of
+  // gemv_multi_footprint.
   device::Device dev(device::make_mi300x());
   device::Stream stream(dev);
   const index_t m = 32, n = 64, batch = 4, nrhs = 3;
@@ -362,35 +370,40 @@ TEST(GemvGrouped, SingleGroupIsExactlySbgemvMulti) {
   std::vector<cfloat> y_grouped(static_cast<std::size_t>(batch * nrhs * n));
   auto y_multi = y_grouped;
 
-  SbgemvMultiArgs<cfloat> ma;
-  ma.base.op = Op::C;
-  ma.base.m = m;
-  ma.base.n = n;
-  ma.base.a = a.data();
-  ma.base.lda = m;
-  ma.base.stride_a = m * n;
-  ma.base.x = x.data();
-  ma.base.stride_x = nrhs * m;
-  ma.base.y = y_multi.data();
-  ma.base.stride_y = nrhs * n;
-  ma.base.batch = batch;
-  ma.nrhs = nrhs;
-  ma.rhs_stride_x = m;
-  ma.rhs_stride_y = n;
-  const auto t_multi = sbgemv_multi(stream, ma);
-
   SbgemvGroupedArgs<cfloat> ga;
-  ga.base = ma.base;
+  ga.base.op = Op::C;
+  ga.base.m = m;
+  ga.base.n = n;
   ga.base.a = nullptr;  // ignored: the group carries the matrix
+  ga.base.lda = m;
+  ga.base.stride_a = m * n;
+  ga.base.x = x.data();
+  ga.base.stride_x = nrhs * m;
   ga.base.y = y_grouped.data();
+  ga.base.stride_y = nrhs * n;
+  ga.base.batch = batch;
   ga.rhs_stride_x = m;
   ga.rhs_stride_y = n;
   const SbgemvGroup<cfloat> one[] = {{a.data(), nrhs}};
   ga.groups = one;
   const auto t_grouped = sbgemv_grouped(stream, ga);
 
+  for (index_t r = 0; r < nrhs; ++r) {
+    SbgemvArgs<cfloat> args = ga.base;
+    args.a = a.data();
+    args.x = x.data() + r * m;
+    args.y = y_multi.data() + r * n;
+    sbgemv(stream, args);
+  }
+  const auto kind = select_kernel(ga.base, GemvKernelPolicy::kAuto);
+  const double t_multi =
+      dev.cost_model()
+          .kernel_time(gemv_geometry(kind, m, n, batch),
+                       gemv_multi_footprint<cfloat>(kind, m, n, batch, nrhs))
+          .seconds;
+
   EXPECT_EQ(y_grouped, y_multi);
-  EXPECT_DOUBLE_EQ(t_grouped.seconds, t_multi.seconds);
+  EXPECT_DOUBLE_EQ(t_grouped.seconds, t_multi);
 }
 
 TEST(GemvGrouped, GroupedLaunchBeatsPerGroupLaunchesInTheModel) {

@@ -66,14 +66,33 @@ std::vector<double> single_rank_adjoint(const GlobalProblem& p,
   return m;
 }
 
-/// Run the threaded distributed forward matvec on a p_r x p_c grid
-/// and assemble the global output.
-std::vector<double> threaded_forward(const GlobalProblem& p, index_t p_rows,
-                                     index_t p_cols, const PrecisionConfig& cfg) {
+/// One rank's view of a threaded-grid apply: its local shape, the
+/// plan's timings and the rank stream's clock advance over the apply.
+struct RankCharge {
+  LocalDims local;
+  PhaseTimings timings;
+  double elapsed = 0.0;
+};
+
+struct ThreadedRun {
+  std::vector<double> output;       ///< assembled global output
+  std::vector<RankCharge> charges;  ///< indexed by world rank
+};
+
+/// Run the threaded distributed matvec on a p_r x p_c grid and
+/// assemble the global output.  Forward broadcasts the parameter chunk
+/// down each grid column and reduces data partials along each grid
+/// row; the adjoint mirrors the roles (§2.4).  Only the broadcast
+/// roots hold an input and only the reduce roots receive an output.
+ThreadedRun threaded_apply(const GlobalProblem& p, index_t p_rows, index_t p_cols,
+                           const PrecisionConfig& cfg, bool adjoint) {
   const comm::ProcessGrid grid(p_rows, p_cols);
-  std::vector<double> d_global(
-      static_cast<std::size_t>(p.dims.n_t * p.dims.n_d), 0.0);
-  std::mutex out_mutex;
+  const index_t nt = p.dims.n_t;
+  const index_t width_out = adjoint ? p.dims.n_m : p.dims.n_d;
+  ThreadedRun run;
+  run.output.assign(static_cast<std::size_t>(nt * width_out), 0.0);
+  run.charges.resize(static_cast<std::size_t>(grid.size()));
+  std::mutex run_mutex;
 
   // Each rank thread owns its own device with inline execution so the
   // global thread pool is not re-entered concurrently.
@@ -86,68 +105,31 @@ std::vector<double> threaded_forward(const GlobalProblem& p, index_t p_rows,
     BlockToeplitzOperator op(dev, stream, local, col_slice);
     FftMatvecPlan plan(dev, stream, local);
 
-    // Column root holds the input chunk; other column ranks receive
-    // it through the broadcast.
-    std::vector<double> m_local;
-    if (comms.grid_col.rank() == 0) {
-      m_local = slice_tosi(p.m, p.dims.n_t, p.dims.n_m, local.m_offset,
-                           local.n_m_local);
+    const comm::GroupComm& bcast = adjoint ? comms.grid_row : comms.grid_col;
+    const comm::GroupComm& reduce = adjoint ? comms.grid_col : comms.grid_row;
+    const index_t out_offset = adjoint ? local.m_offset : local.d_offset;
+    const index_t out_count = adjoint ? local.n_m_local : local.n_d_local;
+    std::vector<double> in, out;
+    if (bcast.rank() == 0) {
+      in = adjoint ? slice_tosi(p.d, nt, p.dims.n_d, local.d_offset, local.n_d_local)
+                   : slice_tosi(p.m, nt, p.dims.n_m, local.m_offset, local.n_m_local);
     }
-    std::vector<double> d_local;
-    const bool is_row_root = comms.grid_row.rank() == 0;
-    if (is_row_root) {
-      d_local.resize(static_cast<std::size_t>(p.dims.n_t * local.n_d_local));
+    if (reduce.rank() == 0) out.resize(static_cast<std::size_t>(nt * out_count));
+    const double t0 = stream.now();
+    if (adjoint) {
+      plan.adjoint(op, in, out, cfg, &comms);
+    } else {
+      plan.forward(op, in, out, cfg, &comms);
     }
-    plan.forward(op, m_local, d_local, cfg, &comms);
 
-    if (is_row_root) {
-      std::lock_guard lock(out_mutex);
-      scatter_tosi(d_local, p.dims.n_t, p.dims.n_d, local.d_offset,
-                   local.n_d_local, d_global);
+    std::lock_guard lock(run_mutex);
+    run.charges[static_cast<std::size_t>(comms.world_rank)] = {
+        local, plan.last_timings(), stream.now() - t0};
+    if (reduce.rank() == 0) {
+      scatter_tosi(out, nt, width_out, out_offset, out_count, run.output);
     }
   });
-  return d_global;
-}
-
-/// Threaded distributed adjoint matvec: broadcast of the data chunk
-/// over the grid row, reduction of parameter partials down the grid
-/// column (the mirror roles of §2.4).
-std::vector<double> threaded_adjoint(const GlobalProblem& p, index_t p_rows,
-                                     index_t p_cols, const PrecisionConfig& cfg) {
-  const comm::ProcessGrid grid(p_rows, p_cols);
-  std::vector<double> m_global(
-      static_cast<std::size_t>(p.dims.n_t * p.dims.n_m), 0.0);
-  std::mutex out_mutex;
-
-  comm::run_on_grid(p_rows, p_cols, [&](comm::RankComms& comms) {
-    static util::ThreadPool inline_pool(1);
-    device::Device dev(device::make_mi300x(), &inline_pool);
-    device::Stream stream(dev);
-    const auto local = LocalDims::for_rank(p.dims, grid, comms.world_rank);
-    const auto col_slice = slice_first_block_col(p.dims, local, p.first_col);
-    BlockToeplitzOperator op(dev, stream, local, col_slice);
-    FftMatvecPlan plan(dev, stream, local);
-
-    // The adjoint broadcasts along grid rows: root is column 0.
-    std::vector<double> d_local;
-    if (comms.grid_row.rank() == 0) {
-      d_local = slice_tosi(p.d, p.dims.n_t, p.dims.n_d, local.d_offset,
-                           local.n_d_local);
-    }
-    std::vector<double> m_local;
-    const bool is_col_root = comms.grid_col.rank() == 0;
-    if (is_col_root) {
-      m_local.resize(static_cast<std::size_t>(p.dims.n_t * local.n_m_local));
-    }
-    plan.adjoint(op, d_local, m_local, cfg, &comms);
-
-    if (is_col_root) {
-      std::lock_guard lock(out_mutex);
-      scatter_tosi(m_local, p.dims.n_t, p.dims.n_m, local.m_offset,
-                   local.n_m_local, m_global);
-    }
-  });
-  return m_global;
+  return run;
 }
 
 // ---------------------------------------------------- threaded grids
@@ -158,7 +140,7 @@ TEST_P(GridShapes, ThreadedForwardMatchesSingleRankInDouble) {
   const auto [p_rows, p_cols] = GetParam();
   const auto p = make_global(24, 4, 16, 500);
   const auto expect = single_rank_forward(p, PrecisionConfig{});
-  const auto got = threaded_forward(p, p_rows, p_cols, PrecisionConfig{});
+  const auto got = threaded_apply(p, p_rows, p_cols, PrecisionConfig{}, false).output;
   // Double precision: only the reduction order differs.
   EXPECT_LT(blas::relative_l2_error(static_cast<index_t>(expect.size()),
                                     got.data(), expect.data()),
@@ -171,7 +153,7 @@ TEST_P(GridShapes, ThreadedForwardMixedPrecisionStaysAccurate) {
   const auto p = make_global(24, 4, 16, 600);
   const auto baseline = single_rank_forward(p, PrecisionConfig{});
   const auto got =
-      threaded_forward(p, p_rows, p_cols, PrecisionConfig::parse("dssdd"));
+      threaded_apply(p, p_rows, p_cols, PrecisionConfig::parse("dssdd"), false).output;
   EXPECT_LT(blas::relative_l2_error(static_cast<index_t>(baseline.size()),
                                     got.data(), baseline.data()),
             1e-5);
@@ -181,7 +163,7 @@ TEST_P(GridShapes, ThreadedAdjointMatchesSingleRank) {
   const auto [p_rows, p_cols] = GetParam();
   const auto p = make_global(24, 4, 16, 650);
   const auto expect = single_rank_adjoint(p, PrecisionConfig{});
-  const auto got = threaded_adjoint(p, p_rows, p_cols, PrecisionConfig{});
+  const auto got = threaded_apply(p, p_rows, p_cols, PrecisionConfig{}, true).output;
   EXPECT_LT(blas::relative_l2_error(static_cast<index_t>(expect.size()),
                                     got.data(), expect.data()),
             1e-13)
@@ -194,7 +176,7 @@ TEST_P(GridShapes, ThreadedAdjointMixedPrecisionStaysAccurate) {
   const auto baseline = single_rank_adjoint(p, PrecisionConfig{});
   // The paper's F* optimum: SBGEMV + IFFT (of m) in single.
   const auto got =
-      threaded_adjoint(p, p_rows, p_cols, PrecisionConfig::parse("ddssd"));
+      threaded_apply(p, p_rows, p_cols, PrecisionConfig::parse("ddssd"), true).output;
   EXPECT_LT(blas::relative_l2_error(static_cast<index_t>(baseline.size()),
                                     got.data(), baseline.data()),
             1e-5);
@@ -211,6 +193,41 @@ INSTANTIATE_TEST_SUITE_P(Shapes, GridShapes,
                                   std::to_string(info.param.second);
                          });
 
+TEST(ThreadedGrid, CommChargeMatchesCostModelAndStaysOutOfPadUnpad) {
+  // Each rank of a 2x2 grid pays exactly the cost model's broadcast +
+  // reduce for the config's phase-1 / phase-5 widths, and the phase
+  // fields plus comm partition the rank's clock advance — so pad and
+  // unpad exclude the collective time charged inside their windows.
+  const auto p = make_global(24, 4, 16, 1250);
+  const comm::CommCostModel net(comm::NetworkSpec::frontier());
+  for (const char* cfg_str : {"ddddd", "sssss"}) {
+    const auto cfg = PrecisionConfig::parse(cfg_str);
+    const double w1 = cfg.phase(precision::kPhasePad) == precision::Precision::kSingle ? 4 : 8;
+    const double w5 = cfg.phase(precision::kPhaseUnpad) == precision::Precision::kSingle ? 4 : 8;
+    for (const bool adjoint : {false, true}) {
+      const auto charges = threaded_apply(p, 2, 2, cfg, adjoint).charges;
+      for (std::size_t rank = 0; rank < charges.size(); ++rank) {
+        const auto& c = charges[rank];
+        const index_t ns_in = adjoint ? c.local.n_d_local : c.local.n_m_local;
+        const index_t ns_out = adjoint ? c.local.n_m_local : c.local.n_d_local;
+        const double nt = static_cast<double>(p.dims.n_t);
+        const auto coll = net.matvec_collectives(
+            2, 2, adjoint, nt * static_cast<double>(ns_in) * w1,
+            nt * static_cast<double>(ns_out) * w5);
+        const std::string what = std::string(cfg_str) + (adjoint ? " F*" : " F") +
+                                 " rank " + std::to_string(rank);
+        EXPECT_GT(coll.broadcast_s, 0.0) << what;
+        EXPECT_GT(coll.reduce_s, 0.0) << what;
+        EXPECT_DOUBLE_EQ(c.timings.comm, coll.broadcast_s + coll.reduce_s) << what;
+        EXPECT_GT(c.timings.pad, 0.0) << what;
+        EXPECT_GT(c.timings.unpad, 0.0) << what;
+        EXPECT_NEAR(c.timings.compute_total() + c.timings.comm, c.elapsed, 1e-12)
+            << what;
+      }
+    }
+  }
+}
+
 // ----------------------------------------------------- lockstep ==
 TEST(Lockstep, BitIdenticalToThreadedBackend) {
   const auto p = make_global(16, 4, 8, 700);
@@ -224,7 +241,7 @@ TEST(Lockstep, BitIdenticalToThreadedBackend) {
     std::vector<double> d_lockstep(
         static_cast<std::size_t>(p.dims.n_t * p.dims.n_d));
     cluster.forward(p.m, d_lockstep, cfg);
-    const auto d_threaded = threaded_forward(p, 2, 2, cfg);
+    const auto d_threaded = threaded_apply(p, 2, 2, cfg, false).output;
     EXPECT_EQ(d_lockstep, d_threaded) << cfg_str;
   }
 }
@@ -374,8 +391,11 @@ ShardedRun run_sharded(const GlobalProblem& p, index_t ranks,
   return run;
 }
 
+// The config travels as a std::string, not a const char*: gtest prints a
+// char pointer with its address, which would put a per-process value
+// into every registered test name.
 class ShardedApply
-    : public ::testing::TestWithParam<std::pair<index_t, const char*>> {};
+    : public ::testing::TestWithParam<std::pair<index_t, std::string>> {};
 
 TEST_P(ShardedApply, ForwardBitIdenticalToSingleRank) {
   const auto [ranks, cfg_str] = GetParam();
@@ -401,15 +421,15 @@ TEST_P(ShardedApply, AdjointBitIdenticalToSingleRank) {
 
 INSTANTIATE_TEST_SUITE_P(
     RanksAndConfigs, ShardedApply,
-    ::testing::Values(std::make_pair<index_t, const char*>(2, "ddddd"),
-                      std::make_pair<index_t, const char*>(2, "dssdd"),
-                      std::make_pair<index_t, const char*>(2, "sssss"),
-                      std::make_pair<index_t, const char*>(2, "dssds"),
+    ::testing::Values(std::make_pair<index_t, std::string>(2, "ddddd"),
+                      std::make_pair<index_t, std::string>(2, "dssdd"),
+                      std::make_pair<index_t, std::string>(2, "sssss"),
+                      std::make_pair<index_t, std::string>(2, "dssds"),
                       // 3 ranks over n_d = 4: ragged forward split
-                      std::make_pair<index_t, const char*>(3, "ddddd"),
-                      std::make_pair<index_t, const char*>(3, "sssss"),
-                      std::make_pair<index_t, const char*>(4, "ddddd"),
-                      std::make_pair<index_t, const char*>(4, "dssds")),
+                      std::make_pair<index_t, std::string>(3, "ddddd"),
+                      std::make_pair<index_t, std::string>(3, "sssss"),
+                      std::make_pair<index_t, std::string>(4, "ddddd"),
+                      std::make_pair<index_t, std::string>(4, "dssds")),
     [](const auto& info) {
       return std::string("r") + std::to_string(info.param.first) + "_" +
              info.param.second;
@@ -427,6 +447,20 @@ TEST(ShardedApplyDetail, RaggedBothDimensionsBitIdentical) {
                 run_sharded(p, 4, dir, cfg, 2).outputs)
           << cfg_str;
     }
+  }
+}
+
+TEST(ShardedApplyDetail, WideAdjointSlicesKeepTheGlobalKernelKind) {
+  // n_d = 1025 > 1024 with n_d < n_m: kAuto resolved from the full
+  // adjoint GEMV (m = 1025 < n = 1030) picks the optimized transpose
+  // kernel, while a 515-column slice on its own (m = 1025 > n = 515)
+  // would pick the reference kernel and sum in a different order.
+  const auto p = make_global(1030, 1025, 2, 2250);
+  for (const char* cfg_str : {"ddddd", "sssss"}) {
+    const auto cfg = PrecisionConfig::parse(cfg_str);
+    EXPECT_EQ(run_sharded(p, 1, ApplyDirection::kAdjoint, cfg, 1).outputs,
+              run_sharded(p, 2, ApplyDirection::kAdjoint, cfg, 1).outputs)
+        << cfg_str;
   }
 }
 

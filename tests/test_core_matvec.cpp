@@ -469,6 +469,90 @@ TEST_F(MatvecFixture, ApplyBatchSingleRhsDegeneratesToForward) {
   EXPECT_EQ(c.batched[0], c.independent[0]);
 }
 
+/// One side of the single-RHS vs b=1 apply_batch comparison: its own
+/// device, stream, operator and plan, so the two sides' stream clocks
+/// and device-memory high-waters can be compared directly.
+struct B1Rig {
+  device::Device dev;
+  device::Stream stream{dev};
+  BlockToeplitzOperator op;
+  FftMatvecPlan plan;
+  B1Rig(bool phantom, const LocalDims& local, const std::vector<double>& col,
+        const MatvecOptions& options)
+      : dev(device::make_mi300x(), &util::ThreadPool::global(), phantom),
+        op(dev, stream, local, col),
+        plan(dev, stream, local, options) {}
+};
+
+TEST(SingleRhsEquivalence, ForwardAdjointEqualB1ApplyBatch) {
+  // forward()/adjoint() and a b=1 apply_batch must agree on outputs,
+  // the stream clock, every PhaseTimings field and memory_used(), for
+  // all 32 configs x both directions x {fused casts, unfused casts,
+  // kReference policy}, on a backed shape and the paper-scale phantom.
+  struct Shape {
+    const char* name;
+    ProblemDims dims;
+    bool phantom;
+  };
+  const Shape shapes[] = {{"backed 40x6x24", {40, 6, 24}, false},
+                          {"phantom 5000x100x1000", {5000, 100, 1000}, true}};
+  MatvecOptions unfused;
+  unfused.fuse_casts = false;
+  MatvecOptions reference;
+  reference.gemv_policy = blas::GemvKernelPolicy::kReference;
+  const std::pair<const char*, MatvecOptions> variants[] = {
+      {"fused", MatvecOptions{}}, {"unfused", unfused}, {"kReference", reference}};
+
+  for (const auto& shape : shapes) {
+    const auto local = LocalDims::single_rank(shape.dims);
+    const auto col =
+        shape.phantom ? std::vector<double>{} : make_first_block_col(local, 61);
+    for (const auto& [variant, options] : variants) {
+      B1Rig single(shape.phantom, local, col, options);
+      B1Rig batch(shape.phantom, local, col, options);
+      for (const auto& cfg : PrecisionConfig::all_configs()) {
+        for (const bool adjoint : {false, true}) {
+          const std::string what = std::string(shape.name) + " " + variant + " " +
+                                   cfg.to_string() + (adjoint ? " F*" : " F");
+          const index_t nt = shape.dims.n_t;
+          const index_t in_len = nt * (adjoint ? shape.dims.n_d : shape.dims.n_m);
+          const index_t out_len = nt * (adjoint ? shape.dims.n_m : shape.dims.n_d);
+          const auto in = shape.phantom ? std::vector<double>{}
+                                        : make_input_vector(in_len, 62);
+          std::vector<double> out_single(
+              static_cast<std::size_t>(shape.phantom ? 0 : out_len));
+          auto out_batch = out_single;
+
+          if (adjoint) {
+            single.plan.adjoint(single.op, in, out_single, cfg);
+          } else {
+            single.plan.forward(single.op, in, out_single, cfg);
+          }
+          const ConstVectorView in_views[] = {in};
+          const VectorView out_views[] = {out_batch};
+          batch.plan.apply_batch(
+              batch.op, adjoint ? ApplyDirection::kAdjoint : ApplyDirection::kForward,
+              cfg, in_views, out_views);
+
+          EXPECT_EQ(out_single, out_batch) << what;
+          EXPECT_EQ(single.stream.now(), batch.stream.now()) << what;
+          EXPECT_EQ(single.dev.memory_used(), batch.dev.memory_used()) << what;
+          const PhaseTimings& ts = single.plan.last_timings();
+          const PhaseTimings& tb = batch.plan.last_timings();
+          EXPECT_EQ(ts.pad, tb.pad) << what;
+          EXPECT_EQ(ts.fft, tb.fft) << what;
+          EXPECT_EQ(ts.sbgemv, tb.sbgemv) << what;
+          EXPECT_EQ(ts.ifft, tb.ifft) << what;
+          EXPECT_EQ(ts.unpad, tb.unpad) << what;
+          EXPECT_EQ(ts.comm, tb.comm) << what;
+          EXPECT_EQ(ts.makespan, tb.makespan) << what;
+        }
+      }
+      EXPECT_EQ(single.plan.executions(), batch.plan.executions()) << variant;
+    }
+  }
+}
+
 TEST_F(MatvecFixture, ApplyBatchOddRhsCountsWork) {
   // Non-power-of-two b (a ragged final serving batch lands here).
   auto p = make_problem(20, 3, 12, 79);
