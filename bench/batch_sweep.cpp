@@ -290,8 +290,7 @@ int main(int argc, char** argv) {
       quick ? std::vector<index_t>{1, 2, 4, 8}
             : std::vector<index_t>{1, 2, 4, 8, 16, 32};
   const auto spec = device::make_mi300x();
-  // The shape serve::adaptive_max_batch resolves its knee on: this
-  // sweep IS the curve that adaptive cap follows.
+  // The serve shape the batching curve is published at.
   const core::ProblemDims measured_dims = serve::kBatchCurveShape;
 
   std::cout << "Multi-RHS batching curve — apply_batch (fused FFT+SBGEMV\n"

@@ -292,7 +292,7 @@ int main(int argc, char** argv) {
   for (int mode = 0; mode < 2; ++mode) {
     serve::ServeOptions sopts;
     sopts.num_streams = 1;
-    sopts.max_batch = 0;  // adaptive: the knee of the modelled curve
+    sopts.max_batch = 0;  // the scheduler's default cap
     // Generous linger: the whole trace must land inside the first
     // linger window even on a stalled CI runner, or partial batches
     // would erode the gated (and hard-checked) speedup.
@@ -336,7 +336,7 @@ int main(int argc, char** argv) {
                       util::Table::fmt(skew_mean_batch[1], 2),
                       util::Table::fmt(skew_speedup, 2) + "x"});
   skew_table.print(std::cout);
-  std::cout << "adaptive max_batch " << skew_max_batch
+  std::cout << "default max_batch " << skew_max_batch
             << ", outputs across modes "
             << (skew_identical ? "bit-identical" : "DIVERGED") << "\n";
   artifact.add("cross-tenant skew", skew_table);

@@ -16,14 +16,13 @@
 //                    inter-arrival gaps are exponential via util::Rng
 //   -streams S       scheduler worker lanes (one device stream each)
 //   -batch B         max requests coalesced per batch; 0 (default)
-//                    sizes it adaptively at the knee of the modelled
-//                    batching curve for the device
+//                    resolves to serve::kDefaultMaxBatch (16)
 //   -pipeline-chunks C  RHS chunks per pipelined apply_batch (batches
 //                    software-pipeline over each lane's stream pair);
 //                    0 (default) resolves per tenant shape from the
 //                    modelled phase ratio — the resolved values are
 //                    printed per shape and written to the artifact,
-//                    mirroring how -batch reports the adaptive knee —
+//                    as the header line reports the resolved -batch —
 //                    1 forces serial execution
 //   -linger-ms L     max time a request waits for batch companions
 //   -cache C         resident FftMatvecPlan budget (LRU)
@@ -183,8 +182,7 @@ int main(int argc, char** argv) {
 
     serve::ServeOptions opts;
     opts.num_streams = static_cast<int>(cli.get_int("streams", 2));
-    // 0 = adaptive: the scheduler resolves the knee of the modelled
-    // batching curve for the device; -batch N overrides it.
+    // 0 = the scheduler's default cap; -batch N overrides it.
     opts.max_batch = static_cast<int>(cli.get_int("batch", 0));
     // 0 = auto: pipeline chunk counts resolve per tenant shape from
     // the modelled phase ratio; -pipeline-chunks N overrides.
@@ -225,7 +223,7 @@ int main(int argc, char** argv) {
       std::cout << "fftmv_server: " << n_tenants << " tenants, " << n_requests
                 << " requests @ " << rps << " req/s (Poisson), " << opts.num_streams
                 << " streams, batch<=" << scheduler.options().max_batch
-                << (opts.max_batch == 0 ? " (adaptive)" : "") << ", pipeline "
+                << (opts.max_batch == 0 ? " (default)" : "") << ", pipeline "
                 << (opts.pipeline_chunks == 0
                         ? std::string("auto")
                         : std::to_string(opts.pipeline_chunks) + " chunks")
@@ -254,7 +252,7 @@ int main(int argc, char** argv) {
     // Resolved pipeline chunk counts per distinct tenant shape
     // (deterministic cost-model resolutions in auto mode): printed
     // and written to the artifact so the effective execution mode is
-    // attributable, mirroring the adaptive -batch report above.
+    // attributable, like the resolved -batch report above.
     util::Table pipeline_table({"shape (n_m x n_d x n_t)", "pipeline chunks"});
     {
       std::vector<std::string> seen;

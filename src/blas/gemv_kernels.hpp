@@ -29,6 +29,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <mutex>
 
 #include "blas/gemv_types.hpp"
 #include "device/stream.hpp"
@@ -200,35 +201,47 @@ device::KernelFootprint gemv_checksum_extra_footprint(index_t x_len,
   return fp;
 }
 
-/// Footprint of the checksum-verify launch: re-reads y plus the
-/// dot/scale outputs and reduces each (batch, RHS) column of y.
+/// Extra modelled cost of the checksum compare riding a kernel that
+/// already reads y (the FFT matvec's phase-3 output reorder): the
+/// dot/scale outputs are read and each (batch, RHS) column of y is
+/// reduced.  y itself is the host kernel's traffic, not counted here.
 template <class T>
-device::KernelFootprint gemv_verify_footprint(index_t y_len, index_t batch,
-                                              index_t total_nrhs) {
+device::KernelFootprint gemv_compare_extra_footprint(index_t y_len,
+                                                     index_t batch,
+                                                     index_t total_nrhs) {
   using acc_t = typename SbgemvVerify<T>::acc_t;
   const double b = static_cast<double>(batch);
-  const double yl = static_cast<double>(y_len);
   const double nr = static_cast<double>(total_nrhs);
   device::KernelFootprint fp;
-  fp.bytes_read = b * nr * (yl * static_cast<double>(sizeof(T)) +
-                            static_cast<double>(sizeof(acc_t) + sizeof(double)));
+  fp.bytes_read = b * nr * static_cast<double>(sizeof(acc_t) + sizeof(double));
   fp.bytes_written = 0.0;
-  fp.flops = (is_complex_v<T> ? 4.0 : 2.0) * b * nr * yl;
-  fp.fp64_path = true;
-  fp.vector_load_bytes = 16;
-  fp.coalescing_efficiency = 0.84;
+  fp.flops = (is_complex_v<T> ? 4.0 : 2.0) * b * nr * static_cast<double>(y_len);
   return fp;
 }
 
-/// First verification failure recorded by the verify launch (blocks
-/// of the simulated device run sequentially, so a plain struct shared
-/// through a pointer capture is race-free).
+/// Failing columns found by the checksum compare.  The compare runs
+/// on gridblocks that execute concurrently on the host pool, so
+/// records are serialised, and the column reported is the first in
+/// (batch entry, RHS) order however the blocks were scheduled.
 struct GemvVerifyFailure {
   int count = 0;
   index_t batch_entry = -1;
   index_t rhs = -1;
   double diff = 0.0;
   double bound = 0.0;
+
+  void record(index_t bz, index_t r, double d, double b) {
+    const std::lock_guard<std::mutex> lock(mu_);
+    if (count++ == 0 || bz < batch_entry || (bz == batch_entry && r < rhs)) {
+      batch_entry = bz;
+      rhs = r;
+      diff = d;
+      bound = b;
+    }
+  }
+
+ private:
+  std::mutex mu_;
 };
 
 /// Checksum-dot body, run once per batch entry bz by the augmented
@@ -262,10 +275,14 @@ void gemv_grouped_checksum_block(const SbgemvGroupedArgs<T>& ga,
   }
 }
 
-/// Verify body for batch entry bz: reduce each RHS column of y in
-/// double and compare against alpha times its checksum dot.  The
-/// acceptance scale sums every magnitude entering the comparison, so
-/// the relative tolerance composes with the data's dynamic range.
+/// Checksum compare for batch entry bz, run by the kernel that next
+/// reads y: reduce each RHS column of y in double and compare against
+/// alpha times its checksum dot.  The acceptance scale sums every
+/// magnitude entering the comparison, so the relative tolerance
+/// composes with the data's dynamic range.  A column passes only with
+/// a finite difference within the bound: a NaN fails every
+/// comparison, and an Inf in y inflates the bound to Inf along with
+/// the difference, so `diff > bound` alone would wave both through.
 template <class T>
 void gemv_grouped_verify_block(const SbgemvGroupedArgs<T>& ga,
                                const SbgemvVerify<T>& verify,
@@ -288,14 +305,7 @@ void gemv_grouped_verify_block(const SbgemvGroupedArgs<T>& ga,
                          std::abs(alpha) * verify.scale_out[bz + a.batch * r];
     const double diff = std::abs(sum - expect);
     const double bound = verify.tolerance * scale;
-    if (diff > bound) {
-      if (fail->count++ == 0) {
-        fail->batch_entry = bz;
-        fail->rhs = r;
-        fail->diff = diff;
-        fail->bound = bound;
-      }
-    }
+    if (!(std::isfinite(diff) && diff <= bound)) fail->record(bz, r, diff, bound);
   }
 }
 

@@ -143,9 +143,10 @@ struct SbgemvGroup {
 /// augmented to also compute, per (batch entry, RHS), the checksum
 /// dot `checksum . x` and a magnitude estimate `sum |checksum_j x_j|`
 /// — both accumulated in double and written to checksum_out /
-/// scale_out at index [b + batch * r] — and a second, cheap launch
-/// re-reads y and compares `sum_i y_i` against `alpha * dot` within
-/// `tolerance * scale`, throwing device::SilentCorruption on
+/// scale_out at index [b + batch * r].  The kernel that next reads y
+/// compares `sum_i y_i` against `alpha * dot` within
+/// `tolerance * scale` (gemv_grouped_verify_block), and
+/// throw_if_checksum_failed raises device::SilentCorruption on a
 /// mismatch.  Requires beta == 0 (a carried-in y has no checksum).
 /// The block bodies of the main launch are unchanged, so verified
 /// outputs are bit-identical to unverified ones.

@@ -96,12 +96,15 @@ GemvKernelKind select_kernel(const SbgemvArgs<T>& args, GemvKernelPolicy policy)
 /// This is also the library's SDC boundary: every GEMV launch passes
 /// through it.  An attached FaultPlan's buffer-write hook may silently
 /// flip a bit of the output after the main launch; `verify.enabled`
-/// arms the Huang-Abraham checksum defense (see SbgemvVerify): the
-/// main launch is augmented with the checksum dots (block bodies
-/// unchanged — verified outputs stay bit-identical), a second launch
-/// checks them against y, and a mismatch beyond the calibrated
-/// tolerance throws device::SilentCorruption.  Both extra costs are
-/// charged through the cost model.
+/// arms the Huang-Abraham checksum defense (see SbgemvVerify).  This
+/// call does the encoding half: the launch is augmented with the
+/// checksum dots (block bodies unchanged — verified outputs stay
+/// bit-identical), their cost charged through the cost model.  The
+/// compare is the CALLER's: the kernel that next reads y after this
+/// returns runs gemv_grouped_verify_block for every batch entry and
+/// then calls throw_if_checksum_failed, so the check costs no launch
+/// of its own (the FFT matvec's phase-3 output reorder carries it,
+/// see precision::transpose_cast).
 template <class T>
 device::KernelTiming sbgemv_grouped(device::Stream& stream,
                                     const SbgemvGroupedArgs<T>& args,
@@ -196,31 +199,21 @@ device::KernelTiming sbgemv_grouped(device::Stream& stream,
       }
     }
   }
-  if (verify.enabled) {
-    GemvVerifyFailure fail;
-    GemvVerifyFailure* fail_ptr = &fail;
-    const SbgemvArgs<T>& base = args.base;
-    const device::LaunchGeometry vgeom{.grid_x = 1,
-                                       .grid_y = 1,
-                                       .grid_z = base.batch,
-                                       .block_threads = 64};
-    const auto vfp =
-        gemv_verify_footprint<T>(base.y_len(), base.batch, args.total_nrhs());
-    stream.launch(vgeom, vfp, [args, verify, fail_ptr](index_t, index_t,
-                                                       index_t bz) {
-      gemv_grouped_verify_block(args, verify, fail_ptr, bz);
-    });
-    if (!phantom && fail.count > 0) {
-      throw device::SilentCorruption(
-          "sbgemv-checksum",
-          "batch entry " + std::to_string(fail.batch_entry) + ", rhs " +
-              std::to_string(fail.rhs) + ": |sum(y) - checksum| = " +
-              std::to_string(fail.diff) + " exceeds bound " +
-              std::to_string(fail.bound) + " (" +
-              std::to_string(fail.count) + " failing column(s))");
-    }
-  }
   return timing;
+}
+
+/// The end of a verified sbgemv_grouped call's compare: throws
+/// device::SilentCorruption (site "sbgemv-checksum") naming the first
+/// failing column when gemv_grouped_verify_block recorded any.
+inline void throw_if_checksum_failed(const GemvVerifyFailure& fail) {
+  if (fail.count == 0) return;
+  throw device::SilentCorruption(
+      "sbgemv-checksum",
+      "batch entry " + std::to_string(fail.batch_entry) + ", rhs " +
+          std::to_string(fail.rhs) + ": |sum(y) - checksum| = " +
+          std::to_string(fail.diff) + " exceeds bound " +
+          std::to_string(fail.bound) + " (" + std::to_string(fail.count) +
+          " failing column(s))");
 }
 
 /// The plain strided batched GEMV (rocblas_Xgemv_strided_batched

@@ -1,6 +1,8 @@
 #include "core/matvec_plan.hpp"
 
+#include <span>
 #include <stdexcept>
+#include <vector>
 
 #include "core/error_model.hpp"
 #include "precision/convert.hpp"
@@ -286,16 +288,25 @@ void FftMatvecPlan::execute(std::span<const OperatorGroup> groups,
   // ---- Chunked executor.  The batch's b RHS are split into `chunks`
   // contiguous chunks (serial execution is the chunks == 1 degenerate
   // case running every stage on the plan's own stream).  Per chunk,
-  // three stages:
-  //   stage 1 (stream A): per-RHS staging cast (and a single-RHS
-  //     apply's grid broadcast) + fused transpose/pad into the
-  //     RHS-outer padded buffer, then ONE batched real FFT over
-  //     cb * ns_in sequences (runtime batch multiplier);
+  // three stages, each issuing the same launches whatever the chunk's
+  // RHS count:
+  //   stage 1 (stream A): ONE transpose/pad launch that reads every
+  //     RHS's caller input directly, rounding double -> p1 -> p2
+  //     in-kernel, into the RHS-outer padded buffer, then ONE batched
+  //     real FFT over cb * ns_in sequences (runtime batch multiplier);
   //   stage 2 (stream B): Fourier reorder, grouped multi-RHS SBGEMV,
-  //     reorder back — the dominant phase at paper scale;
-  //   stage 3 (stream A): ONE batched inverse FFT + per-RHS fused
-  //     unpad/transpose into the caller's output views (after a
-  //     single-RHS apply's grid reduction, or into its partial sink).
+  //     reorder back (which carries a verified apply's checksum
+  //     compare) — the dominant phase at paper scale;
+  //   stage 3 (stream A): ONE batched inverse FFT, then ONE
+  //     unpad/transpose launch that writes every RHS's caller output
+  //     directly, rounding p4 -> p5 -> double in-kernel.
+  // A single-RHS apply's rank ends wrap the same launches: on the
+  // threaded grid, stage 1 pads the broadcast copy its root staged in
+  // p1, and stage 3 unpads the rank's partial for the reduction whose
+  // root then writes the sum out; a partial sink takes stage 3's
+  // output in place of the caller's vector.  The fusion ablation
+  // (fuse_casts = false) runs each precision change as a cast kernel
+  // of its own around a memory op in the producer's precision.
   // Issue order software-pipelines the chunks — stage2(i) on B, then
   // stage1(i+1) on A, then stage3(i) on A — so chunk i's SBGEMV
   // overlaps chunk i+1's pad+FFT.  Cross-stream dependencies are
@@ -378,38 +389,58 @@ void FftMatvecPlan::execute(std::span<const OperatorGroup> groups,
     dispatch2(p1, p2, [&](auto tag1, auto tag2) {
       using S1 = decltype(tag1);
       using S2 = decltype(tag2);
-      S2* dst_all = padded_.get<S2>(*dev_, cmax * ns_in * L);
-      for (index_t r = lo; r < hi; ++r) {
-        const double* in = inputs[r].data();
-        const S1* src = nullptr;
-        if constexpr (std::is_same_v<S1, double>) src = in;
-        if (!std::is_same_v<S1, double> || ends.bcast != nullptr) {
-          // Stage the RHS in the phase-1 precision (the staging cast,
-          // or the copy a grid broadcast fills on every rank).
-          S1* bc = bcast_.get<S1>(*dev_, nt * ns_in);
-          if (holds_input) {
-            if constexpr (std::is_same_v<S1, double>) {
-              sa.copy(in, bc, nt * ns_in);
-            } else {
-              precision::convert_array(sa, in, bc, nt * ns_in);
-            }
-          }
-          if (ends.bcast != nullptr) {
-            ends.bcast->broadcast(bc, nt * ns_in, 0);
-            sa.advance(ends.coll.broadcast_s);
-            timings_.comm += ends.coll.broadcast_s;
-          }
-          src = bc;
+      const index_t n = nt * ns_in;
+      S2* padded = padded_.get<S2>(*dev_, cmax * ns_in * L);
+      // Pad the chunk's sources in one launch, rounded through p1 on
+      // their way to p2.  The fusion ablation instead casts each
+      // source to p1, pads in p1, then casts the chunk to p2.
+      const auto pad = [&]<class Src>(std::span<const Src* const> srcs) {
+        if (fuse || (std::is_same_v<Src, S1> && std::is_same_v<S1, S2>)) {
+          precision::transpose_pad_cast<S1>(sa, srcs, padded, nt, ns_in, L);
+          return;
         }
-        S2* dst = dst_all + (r - lo) * ns_in * L;
-        if (fuse || std::is_same_v<S1, S2>) {
-          precision::transpose_pad_cast<S2>(sa, src, dst, nt, ns_in, L);
+        std::vector<const S1*> srcs1;
+        if constexpr (std::is_same_v<Src, S1>) {
+          srcs1.assign(srcs.begin(), srcs.end());
         } else {
-          S1* tmp = padded_.get<S1>(*dev_, ns_in * L);
-          precision::transpose_pad_cast<S1>(sa, src, tmp, nt, ns_in, L);
-          precision::convert_array(sa, tmp, dst, ns_in * L);
+          S1* staged = stage_.get<S1>(*dev_, cmax * n);
+          for (index_t k = 0; k < cb; ++k) {
+            precision::convert_array(sa, srcs[static_cast<std::size_t>(k)],
+                                     staged + k * n, n);
+            srcs1.push_back(staged + k * n);
+          }
+        }
+        const std::span<const S1* const> in1(srcs1);
+        if constexpr (std::is_same_v<S1, S2>) {
+          precision::transpose_pad_cast<S1>(sa, in1, padded, nt, ns_in, L);
+        } else {
+          S1* tmp = padded_.get<S1>(*dev_, cmax * ns_in * L);
+          precision::transpose_pad_cast<S1>(sa, in1, tmp, nt, ns_in, L);
+          precision::convert_array(sa, tmp, padded, cb * ns_in * L);
+        }
+      };
+      if (ends.bcast == nullptr) {
+        std::vector<const double*> srcs;
+        srcs.reserve(static_cast<std::size_t>(cb));
+        for (index_t r = lo; r < hi; ++r) srcs.push_back(inputs[r].data());
+        pad(std::span<const double* const>(srcs));
+        return;
+      }
+      // The threaded grid (b == 1): the root stages its input in p1
+      // and broadcasts it down the grid; every rank pads the copy.
+      S1* bc = stage_.get<S1>(*dev_, n);
+      if (holds_input) {
+        if constexpr (std::is_same_v<S1, double>) {
+          sa.copy(inputs[lo].data(), bc, n);
+        } else {
+          precision::convert_array(sa, inputs[lo].data(), bc, n);
         }
       }
+      ends.bcast->broadcast(bc, n, 0);
+      sa.advance(ends.coll.broadcast_s);
+      timings_.comm += ends.coll.broadcast_s;
+      const S1* const srcs[] = {bc};
+      pad(std::span<const S1* const>(srcs));
     });
     trace_phase(sa, "pad", i, cb, t0);
     timings_.pad += sa.now() - t0 - (timings_.comm - comm0);
@@ -450,9 +481,9 @@ void FftMatvecPlan::execute(std::span<const OperatorGroup> groups,
         precision::convert_array(*sb, tmp, spec_t, nf * cb * ns_in);
       }
     });
-    const double gemv_t0 = sb->now();
-    dispatch1(p3, [&](auto tag3) {
+    dispatch2(p3, p4, [&](auto tag3, auto tag4) {
       using C3 = std::complex<decltype(tag3)>;
+      using C4 = std::complex<decltype(tag4)>;
       // Per-group operator-spectrum base pointers, sliced to this
       // chunk's RHS range [lo, hi): nothing else in the pipeline is
       // operator-specific, so this is the only stage that
@@ -503,21 +534,37 @@ void FftMatvecPlan::execute(std::span<const OperatorGroup> groups,
         vreq.scale_out = chk_scale_->data();
         vreq.tolerance = vtol.gemv;
       }
+      const double gemv_t0 = sb->now();
       blas::sbgemv_grouped(*sb, args, gemv_policy, vreq);
-    });
-    gemv_seconds += sb->now() - gemv_t0;
-    dispatch2(p3, p4, [&](auto tag3, auto tag4) {
-      using C3 = std::complex<decltype(tag3)>;
-      using C4 = std::complex<decltype(tag4)>;
-      const C3* ospec_t = ospec_t_set[par]->get<C3>(*dev_, nf * cmax * ns_out);
+      gemv_seconds += sb->now() - gemv_t0;
+      // Reorder back.  This is the first kernel to read the GEMV
+      // output after its write-back (the SDC site), so a verified
+      // apply's checksum compare rides it: each row tile's first
+      // block checks its frequency blocks' (entry, RHS) columns.
+      blas::GemvVerifyFailure fail;
+      const auto reorder = [&](auto* dst) {
+        if (verify == VerifyMode::kOff) {
+          precision::transpose_cast(*sb, args.base.y, dst, nf, cb * ns_out);
+          return;
+        }
+        precision::transpose_cast(
+            *sb, args.base.y, dst, nf, cb * ns_out,
+            [&](index_t f0, index_t f1) {
+              for (index_t f = f0; f < f1; ++f) {
+                blas::gemv_grouped_verify_block(args, vreq, &fail, f);
+              }
+            },
+            blas::gemv_compare_extra_footprint<C3>(ns_out, nf, cb));
+      };
       C4* ospec = ospec_set[par]->get<C4>(*dev_, cmax * ns_out * nf);
       if (fuse || std::is_same_v<C3, C4>) {
-        precision::transpose_cast<C4>(*sb, ospec_t, ospec, nf, cb * ns_out);
+        reorder(ospec);
       } else {
         C3* tmp = ospec_set[par]->get<C3>(*dev_, cmax * ns_out * nf);
-        precision::transpose_cast<C3>(*sb, ospec_t, tmp, nf, cb * ns_out);
+        reorder(tmp);
         precision::convert_array(*sb, tmp, ospec, cb * ns_out * nf);
       }
+      blas::throw_if_checksum_failed(fail);
     });
     trace_phase(*sb, "sbgemv", i, cb, t0);
     timings_.sbgemv += sb->now() - t0;
@@ -546,53 +593,77 @@ void FftMatvecPlan::execute(std::span<const OperatorGroup> groups,
     timings_.ifft += sa.now() - t0;
     const double comm0 = timings_.comm;
     t0 = sa.now();
-    for (index_t r = lo; r < hi; ++r) {
-      dispatch2(p4, p5, [&](auto tag4, auto tag5) {
-        using S4 = decltype(tag4);
-        using S5 = decltype(tag5);
-        const S4* opad =
-            opad_.get<S4>(*dev_, cmax * ns_out * L) + (r - lo) * ns_out * L;
-        S5* olocal = olocal_.get<S5>(*dev_, nt * ns_out);
-        if (fuse || std::is_same_v<S4, S5>) {
-          precision::unpad_transpose_cast<S5>(sa, opad, olocal, nt, ns_out, L);
-        } else {
-          S4* tmp = olocal_.get<S4>(*dev_, nt * ns_out);
-          precision::unpad_transpose_cast<S4>(sa, opad, tmp, nt, ns_out, L);
-          precision::convert_array(sa, tmp, olocal, nt * ns_out);
-        }
-      });
-      dispatch1(p5, [&](auto tag5) {
-        using S5 = decltype(tag5);
-        S5* olocal = olocal_.get<S5>(*dev_, nt * ns_out);
-        if (ends.partial != nullptr) {
-          // LockstepCluster reduces the phase-5 partials itself.
-          S5* sink;
-          if constexpr (std::is_same_v<S5, double>) {
-            sink = ends.partial->d;
-          } else {
-            sink = ends.partial->f;
-          }
-          sa.copy(olocal, sink, nt * ns_out);
+    dispatch2(p4, p5, [&](auto tag4, auto tag5) {
+      using S4 = decltype(tag4);
+      using S5 = decltype(tag5);
+      const index_t n = nt * ns_out;
+      const S4* opad = opad_.get<S4>(*dev_, cmax * ns_out * L);
+      // Unpad the chunk in one launch straight into `dsts`, rounded
+      // through p5 on the way.  The fusion ablation instead unpads in
+      // p4 into a plan buffer, casts the chunk to p5, then each RHS to
+      // its destination.
+      const auto unpad = [&]<class Dst>(std::span<Dst* const> dsts) {
+        if (fuse || (std::is_same_v<S4, S5> && std::is_same_v<S5, Dst>)) {
+          precision::unpad_transpose_cast<S5>(sa, opad, dsts, nt, ns_out, L);
           return;
         }
-        const S5* result = olocal;
-        if (ends.reduce != nullptr) {
-          S5* recv = oreduce_.get<S5>(*dev_, nt * ns_out);
-          ends.reduce->reduce_sum(olocal, recv, nt * ns_out, 0);
-          sa.advance(ends.coll.reduce_s);
-          timings_.comm += ends.coll.reduce_s;
-          result = recv;
-        }
-        if (gets_output) {
-          double* out = outputs[r].data();
-          if constexpr (std::is_same_v<S5, double>) {
-            sa.copy(result, out, nt * ns_out);
-          } else {
-            precision::convert_array(sa, result, out, nt * ns_out);
+        // A grid partial in olocal_ is p5, and a p5 destination only
+        // gets here when p4 differs, so out4 never aliases it.
+        S4* out4 = olocal_.get<S4>(*dev_, cmax * n);
+        std::vector<S4*> dsts4;
+        for (index_t k = 0; k < cb; ++k) dsts4.push_back(out4 + k * n);
+        precision::unpad_transpose_cast<S4>(sa, opad, std::span<S4* const>(dsts4),
+                                            nt, ns_out, L);
+        const auto cast_out = [&](const auto* from) {
+          for (index_t k = 0; k < cb; ++k) {
+            precision::convert_array(sa, from + k * n,
+                                     dsts[static_cast<std::size_t>(k)], n);
           }
+        };
+        if constexpr (!std::is_same_v<S4, S5> && !std::is_same_v<S5, Dst>) {
+          S5* out5 = olocal_.get<S5>(*dev_, cmax * n);
+          precision::convert_array(sa, out4, out5, cb * n);
+          cast_out(out5);
+        } else {
+          cast_out(out4);
         }
-      });
-    }
+      };
+      if (ends.partial != nullptr) {
+        // LockstepCluster reduces the phase-5 partials itself.
+        S5* sink;
+        if constexpr (std::is_same_v<S5, double>) {
+          sink = ends.partial->d;
+        } else {
+          sink = ends.partial->f;
+        }
+        S5* const dsts[] = {sink};
+        unpad(std::span<S5* const>(dsts));
+        return;
+      }
+      if (ends.reduce == nullptr) {
+        std::vector<double*> dsts;
+        dsts.reserve(static_cast<std::size_t>(cb));
+        for (index_t r = lo; r < hi; ++r) dsts.push_back(outputs[r].data());
+        unpad(std::span<double* const>(dsts));
+        return;
+      }
+      // The threaded grid (b == 1): every rank unpads its partial, the
+      // grid row reduces them, and the root writes the sum out.
+      S5* part = olocal_.get<S5>(*dev_, n);
+      S5* const dsts[] = {part};
+      unpad(std::span<S5* const>(dsts));
+      S5* recv = oreduce_.get<S5>(*dev_, n);
+      ends.reduce->reduce_sum(part, recv, n, 0);
+      sa.advance(ends.coll.reduce_s);
+      timings_.comm += ends.coll.reduce_s;
+      if (gets_output) {
+        if constexpr (std::is_same_v<S5, double>) {
+          sa.copy(recv, outputs[lo].data(), n);
+        } else {
+          precision::convert_array(sa, recv, outputs[lo].data(), n);
+        }
+      }
+    });
     trace_phase(sa, "unpad", i, cb, t0);
     timings_.unpad += sa.now() - t0 - (timings_.comm - comm0);
   };

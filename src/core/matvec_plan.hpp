@@ -12,6 +12,10 @@
 //   4. batched inverse real FFT (n_d_local sequences),
 //   5. fused unpad + SOTI->TOSI transpose, tree reduction of partial
 //      outputs over the grid row, final cast to double.
+// On a single rank phases 1 and 5 touch the caller's vectors directly:
+// the pad reads each double input and the unpad writes each double
+// output, with the casts to and from the phase precisions inside the
+// same launch.
 // The adjoint (F*) matvec mirrors the pipeline with the conjugate-
 // transpose SBGEMV and broadcast/reduce roles swapped.
 //
@@ -183,18 +187,19 @@ class FftMatvecPlan {
                comm::RankComms* comms = nullptr);
 
   /// Execute b same-shape right-hand sides as ONE fused pipeline
-  /// (single-rank only): the phase-1/5 transposes loop over the RHS
-  /// dimension, the phase-2/4 real FFTs run the cached plan with a
-  /// runtime batch multiplier (b * n_s sequences in one launch), and
-  /// phase 3 is a single multi-RHS strided batched GEMV that pays the
-  /// operator's matrix traffic once per frequency block instead of
-  /// once per request.  Results are bit-identical to b independent
-  /// forward()/adjoint() calls for every precision config — those are
-  /// this same executor at b == 1.  last_timings() afterwards holds
-  /// the totals for the whole batch and last_batch_timings() the
-  /// per-RHS shares.  `pipeline` requests chunked dual-stream
-  /// execution (bit-identical outputs, lower makespan — see
-  /// BatchPipeline).
+  /// (single-rank only): the phase-1/5 transposes are one RHS-batched
+  /// launch each, reading and writing the caller's vectors directly,
+  /// the phase-2/4 real FFTs run the cached plan with a runtime batch
+  /// multiplier (b * n_s sequences in one launch), and phase 3 is a
+  /// single multi-RHS strided batched GEMV that pays the operator's
+  /// matrix traffic once per frequency block instead of once per
+  /// request — so a batch issues the same launches whatever b is.
+  /// Results are bit-identical to b independent forward()/adjoint()
+  /// calls for every precision config — those are this same executor
+  /// at b == 1.  last_timings() afterwards holds the totals for the
+  /// whole batch and last_batch_timings() the per-RHS shares.
+  /// `pipeline` requests chunked dual-stream execution (bit-identical
+  /// outputs, lower makespan — see BatchPipeline).
   void apply_batch(const BlockToeplitzOperator& op, ApplyDirection direction,
                    const precision::PrecisionConfig& config,
                    std::span<const ConstVectorView> inputs,
@@ -292,11 +297,12 @@ class FftMatvecPlan {
   };
 
   /// What a single-RHS apply adds around the executor's two caller-
-  /// facing points (apply_batch never sets any of it): the threaded
-  /// grid's broadcast, run where stage 1 stages the input, and its
-  /// reduction, run where stage 3 writes the output — each charged
+  /// facing launches (apply_batch never sets any of it): the threaded
+  /// grid's broadcast, whose copy stage 1's pad reads, and its
+  /// reduction of the partial stage 3's unpad writes — each charged
   /// `coll`'s modelled seconds as comm — or LockstepCluster's sink,
-  /// which takes the unreduced phase-5 partial in place of the output.
+  /// which the unpad writes the unreduced phase-5 partial into in
+  /// place of the output.
   struct RankEnds {
     comm::GroupComm* bcast = nullptr;   ///< set iff the group spans > 1 rank
     comm::GroupComm* reduce = nullptr;  ///< set iff the group spans > 1 rank
@@ -332,15 +338,19 @@ class FftMatvecPlan {
   std::optional<fft::BatchedRealFft<float>> fft_m_f_, fft_d_f_;
 
   // Pipeline buffers (shared between directions, max-size semantics).
-  DualReal bcast_;     ///< phase-1 staging of the broadcast input
+  // The pad reads and the unpad writes the caller's vectors directly,
+  // so a fused single-rank apply needs nothing outside the five phases.
   DualReal padded_;    ///< SOTI zero-padded real input (x L)
   DualComplex spec_;   ///< spectrum, space-outer (ns x n_f)
   DualComplex spec_t_; ///< spectrum, frequency-outer (n_f x ns)
   DualComplex ospec_t_;///< GEMV output spectrum, frequency-outer
   DualComplex ospec_;  ///< GEMV output spectrum, space-outer
   DualReal opad_;      ///< padded real output (x L)
-  DualReal olocal_;    ///< unpadded TOSI partial output
-  DualReal oreduce_;   ///< reduction receive buffer (group root)
+  // Staging, allocated only when used: the threaded grid's collective
+  // buffers and the fusion ablation's separate-cast intermediates.
+  DualReal stage_;     ///< input in p1: grid broadcast / ablation cast
+  DualReal olocal_;    ///< unpadded output: grid partial (p5) / ablation (p4)
+  DualReal oreduce_;   ///< grid: reduction receive buffer (group root)
 
   // Second spectrum workspace set for pipelined apply_batch: chunk i
   // uses set i % 2, so chunk i+1's FFT (stream A) writes while chunk

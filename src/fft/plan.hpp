@@ -15,6 +15,7 @@
 
 #include <cmath>
 #include <complex>
+#include <mutex>
 #include <string>
 
 #include "device/fault_plan.hpp"
@@ -94,7 +95,10 @@ class BatchedRealFft {
                                           index_t batch_multiplier,
                                           double tolerance,
                                           const char* site) const {
+    // Sequences run concurrently on the host pool: failures are
+    // recorded under a lock, keeping the lowest failing sequence.
     struct Failure {
+      std::mutex mu;
       int count = 0;
       index_t seq = -1;
       double diff = 0.0;
@@ -122,8 +126,12 @@ class BatchedRealFft {
           e_spec /= static_cast<double>(L);
           const double diff = std::abs(e_time - e_spec);
           const double bound = tolerance * (e_time + e_spec);
-          if (diff > bound) {
-            if (fail_ptr->count++ == 0) {
+          // Only a finite difference within the bound passes: a NaN
+          // fails every comparison, and an Inf energy inflates the
+          // bound along with the difference.
+          if (!(std::isfinite(diff) && diff <= bound)) {
+            const std::lock_guard<std::mutex> lock(fail_ptr->mu);
+            if (fail_ptr->count++ == 0 || bx < fail_ptr->seq) {
               fail_ptr->seq = bx;
               fail_ptr->diff = diff;
               fail_ptr->bound = bound;

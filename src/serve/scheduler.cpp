@@ -24,7 +24,7 @@ double seconds_between(clock::time_point a, clock::time_point b) {
 /// Validate and resolve the service configuration up front (throwing
 /// std::invalid_argument naming the bad field), so a misconfigured
 /// scheduler fails at construction instead of misbehaving under load.
-ServeOptions resolve_options(ServeOptions options, const device::DeviceSpec& spec) {
+ServeOptions resolve_options(ServeOptions options) {
   if (options.num_streams <= 0) {
     throw std::invalid_argument("ServeOptions: num_streams must be >= 1, got " +
                                 std::to_string(options.num_streams));
@@ -70,7 +70,7 @@ ServeOptions resolve_options(ServeOptions options, const device::DeviceSpec& spe
         "ServeOptions: retry_backoff_seconds must be >= 0, got " +
         std::to_string(options.retry_backoff_seconds));
   }
-  if (options.max_batch == 0) options.max_batch = adaptive_max_batch(spec);
+  if (options.max_batch == 0) options.max_batch = kDefaultMaxBatch;
   return options;
 }
 
@@ -170,27 +170,6 @@ int adaptive_pipeline_chunks(const device::DeviceSpec& spec,
   return best_s < serial_s * (1.0 - kMinGain) ? best_chunks : 1;
 }
 
-int adaptive_max_batch(const device::DeviceSpec& spec) {
-  // Probe the batching curve at the shape bench/batch_sweep measures
-  // it on.  Stop when doubling the batch buys < 7% per-RHS: on MI300X
-  // at the serve shape the marginal gains run 8.8% (8 -> 16) and 5.1%
-  // (16 -> 32), so this resolves to 16 — the measured curve's knee —
-  // with margin on both sides.
-  constexpr double kKneeGain = 0.07;
-  constexpr int kCeiling = 64;
-  PhantomProbe probe(spec, core::LocalDims::single_rank(kBatchCurveShape));
-  double prev_per_rhs = 0.0;
-  for (int b = 1;; b *= 2) {
-    const double per_rhs =
-        probe.timed_apply(b, core::ApplyDirection::kForward,
-                          precision::PrecisionConfig{}) /
-        static_cast<double>(b);
-    if (b > 1 && per_rhs > prev_per_rhs * (1.0 - kKneeGain)) return b / 2;
-    if (b >= kCeiling) return kCeiling;
-    prev_per_rhs = per_rhs;
-  }
-}
-
 int adaptive_rank_group(const device::DeviceSpec& spec,
                         const core::ProblemDims& dims, int max_rank_group,
                         const comm::NetworkSpec& network) {
@@ -235,7 +214,7 @@ int adaptive_rank_group(const device::DeviceSpec& spec,
 }
 
 AsyncScheduler::AsyncScheduler(const device::DeviceSpec& spec, ServeOptions options)
-    : options_(resolve_options(options, spec)),
+    : options_(resolve_options(options)),
       dev_(spec),
       setup_stream_(dev_),
       cache_(dev_, options_.plan_cache_capacity),

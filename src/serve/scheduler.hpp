@@ -106,11 +106,11 @@ struct ServeOptions {
   /// Worker lanes; each owns one device::Stream.
   int num_streams = 2;
   /// Maximum requests coalesced into one batch.  0 (the default)
-  /// resolves adaptively to the knee of the modelled batching curve
-  /// for the device (adaptive_max_batch): batch_sweep shows
-  /// diminishing per-RHS returns past b ~ 16 at serve shapes, so
-  /// batches beyond the knee only add linger-window latency.  The
-  /// resolved value is visible through options().max_batch.
+  /// resolves to kDefaultMaxBatch.  A batch issues the same launches
+  /// whatever its size, so the modelled per-RHS curve keeps falling
+  /// well past 16 and has no knee to stop at: the cap is what bounds
+  /// each lane's batch workspaces and warm-up rounds.  The resolved
+  /// value is visible through options().max_batch.
   int max_batch = 0;
   /// Maximum time a request may wait for batch companions.
   double linger_seconds = 500e-6;
@@ -185,20 +185,12 @@ struct ServeOptions {
   core::MatvecOptions matvec;
 };
 
-/// The shape serve::adaptive_max_batch probes its batching curve on —
-/// the same shape bench/batch_sweep measures, so the resolved knee is
-/// the knee of the published curve.  Retune them together.
-inline constexpr core::ProblemDims kBatchCurveShape{192, 12, 96};
+/// What ServeOptions::max_batch == 0 resolves to.
+inline constexpr int kDefaultMaxBatch = 16;
 
-/// The knee of the modelled batching curve on `spec`: the largest
-/// power-of-two batch size whose doubling still improved modelled
-/// per-RHS pipeline time by at least 7% (phantom dry runs of
-/// apply_batch at kBatchCurveShape, driven by the deterministic cost
-/// model; resolves to 16 on MI300X).  Used to resolve
-/// ServeOptions::max_batch == 0.  The probe is ~10 phantom pipeline
-/// evaluations — pure cost-model arithmetic, well under a
-/// millisecond — so it simply reruns per scheduler construction.
-int adaptive_max_batch(const device::DeviceSpec& spec);
+/// The serve-shape operator bench/batch_sweep measures its batching
+/// curve on (and pipeline_sweep / serve_scaling their backed sweeps).
+inline constexpr core::ProblemDims kBatchCurveShape{192, 12, 96};
 
 /// The chunk count pipelined apply_batch should use for `dims` at
 /// batch size `max_batch` on `spec`, for the given direction and

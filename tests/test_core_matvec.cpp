@@ -7,6 +7,8 @@
 
 #include <cmath>
 #include <memory>
+#include <string>
+#include <vector>
 
 #include "blas/vector_ops.hpp"
 #include "core/block_toeplitz.hpp"
@@ -14,6 +16,7 @@
 #include "core/matvec_plan.hpp"
 #include "core/synthetic.hpp"
 #include "device/device_spec.hpp"
+#include "device/fault_plan.hpp"
 
 namespace fftmv::core {
 namespace {
@@ -225,10 +228,17 @@ TEST_F(MatvecFixture, MantissaTrickMakesPadPhaseLossy) {
 }
 
 // ------------------------------------------------ options / fusion
+// The fusion ablation runs every precision change as a cast kernel of
+// its own, so it is an independent reference for the rounding chains
+// the fused kernels apply in-kernel (double -> p1 -> p2 in the pad,
+// p4 -> p5 -> double in the unpad, both reorders' casts): outputs must
+// be bit-identical in every config, direction and batch size, and
+// fusing must be strictly faster wherever the config changes precision.
 TEST_F(MatvecFixture, UnfusedCastsGiveSameNumbersSlower) {
   auto p = make_problem(32, 4, 16, 55);
   const auto local = LocalDims::single_rank(p.dims);
   BlockToeplitzOperator op(dev_, stream_, local, p.first_col);
+  op.spectrum_f(stream_);  // warm the lazy cast outside both plans' timings
 
   MatvecOptions fused_opt;
   MatvecOptions unfused_opt;
@@ -238,13 +248,101 @@ TEST_F(MatvecFixture, UnfusedCastsGiveSameNumbersSlower) {
   FftMatvecPlan fused(dev_, s1, local, fused_opt);
   FftMatvecPlan unfused(dev_, s2, local, unfused_opt);
 
-  const auto cfg = PrecisionConfig::parse("dssdd");
-  std::vector<double> a(static_cast<std::size_t>(16 * 4)), b(a.size());
-  fused.forward(op, p.m, a, cfg);
-  unfused.forward(op, p.m, b, cfg);
-  EXPECT_EQ(a, b);
-  EXPECT_LT(fused.last_timings().compute_total(),
-            unfused.last_timings().compute_total());
+  for (const index_t b : {1, 3}) {
+    for (const auto direction : {ApplyDirection::kForward, ApplyDirection::kAdjoint}) {
+      const bool forward = direction == ApplyDirection::kForward;
+      const index_t in_len = p.dims.n_t * (forward ? p.dims.n_m : p.dims.n_d);
+      const index_t out_len = p.dims.n_t * (forward ? p.dims.n_d : p.dims.n_m);
+      std::vector<std::vector<double>> ins;
+      std::vector<ConstVectorView> in_views;
+      for (index_t r = 0; r < b; ++r) {
+        ins.push_back(make_input_vector(in_len, 560 + static_cast<std::uint64_t>(r)));
+      }
+      for (const auto& in : ins) in_views.emplace_back(in);
+      // b == 1 goes through the single-RHS spellings.
+      const auto run = [&](FftMatvecPlan& plan, const PrecisionConfig& cfg,
+                           std::vector<std::vector<double>>& outs) {
+        outs.assign(static_cast<std::size_t>(b),
+                    std::vector<double>(static_cast<std::size_t>(out_len)));
+        if (b == 1) {
+          if (forward) {
+            plan.forward(op, ins[0], outs[0], cfg);
+          } else {
+            plan.adjoint(op, ins[0], outs[0], cfg);
+          }
+          return;
+        }
+        std::vector<VectorView> out_views;
+        for (auto& out : outs) out_views.emplace_back(out);
+        plan.apply_batch(op, direction, cfg, in_views, out_views);
+      };
+      for (const auto& cfg : PrecisionConfig::all_configs()) {
+        const std::string what = cfg.to_string() + (forward ? " F" : " F*") +
+                                 " b=" + std::to_string(b);
+        std::vector<std::vector<double>> a, c;
+        run(fused, cfg, a);
+        run(unfused, cfg, c);
+        EXPECT_EQ(a, c) << what;
+        if (cfg.all_double()) continue;
+        EXPECT_LT(fused.last_timings().compute_total(),
+                  unfused.last_timings().compute_total())
+            << what;
+      }
+    }
+  }
+}
+
+// One launch per stage per batch: a serial apply_batch's kernel
+// launches do not grow with its RHS count, and verification adds none
+// (the checksum compare rides the phase-3 output reorder).  Launches
+// are counted by a zero-rate FaultPlan, which sees every launch and
+// injects nothing.
+TEST_F(MatvecFixture, SerialBatchLaunchesDoNotGrowWithB) {
+  auto p = make_problem(32, 4, 16, 57);
+  const auto local = LocalDims::single_rank(p.dims);
+  BlockToeplitzOperator op(dev_, stream_, local, p.first_col);
+  FftMatvecPlan plan(dev_, stream_, local);
+  auto faults = std::make_shared<device::FaultPlan>();
+  dev_.set_fault_plan(faults);
+  const auto launches = [&](ApplyDirection direction, const PrecisionConfig& cfg,
+                            VerifyMode verify, index_t b) {
+    const bool forward = direction == ApplyDirection::kForward;
+    const index_t in_len = p.dims.n_t * (forward ? p.dims.n_m : p.dims.n_d);
+    const index_t out_len = p.dims.n_t * (forward ? p.dims.n_d : p.dims.n_m);
+    std::vector<std::vector<double>> ins, outs;
+    std::vector<ConstVectorView> in_views;
+    std::vector<VectorView> out_views;
+    for (index_t r = 0; r < b; ++r) {
+      ins.push_back(make_input_vector(in_len, 570 + static_cast<std::uint64_t>(r)));
+      outs.emplace_back(static_cast<std::size_t>(out_len));
+    }
+    for (index_t r = 0; r < b; ++r) {
+      in_views.emplace_back(ins[static_cast<std::size_t>(r)]);
+      out_views.emplace_back(outs[static_cast<std::size_t>(r)]);
+    }
+    BatchPipeline pipeline;
+    pipeline.verify = verify;
+    const auto before = faults->stats().kernel_launches;
+    plan.apply_batch(op, direction, cfg, in_views, out_views, pipeline);
+    return faults->stats().kernel_launches - before;
+  };
+  for (const auto direction : {ApplyDirection::kForward, ApplyDirection::kAdjoint}) {
+    for (const char* cfg_str : {"ddddd", "dssdd", "sdsds"}) {
+      const auto cfg = PrecisionConfig::parse(cfg_str);
+      // Warm the operator's lazy single-precision spectrum and checksum
+      // rows, which launch once on first use.
+      launches(direction, cfg, VerifyMode::kChecksum, 1);
+      const auto base = launches(direction, cfg, VerifyMode::kOff, 1);
+      for (const auto verify : {VerifyMode::kOff, VerifyMode::kChecksum}) {
+        for (const index_t b : {1, 5, 16}) {
+          EXPECT_EQ(launches(direction, cfg, verify, b), base)
+              << cfg_str << (direction == ApplyDirection::kForward ? " F" : " F*")
+              << " " << verify_mode_name(verify) << " b=" << b;
+        }
+      }
+    }
+  }
+  EXPECT_EQ(faults->stats().kernel_faults, 0u);
 }
 
 TEST_F(MatvecFixture, KernelPoliciesAgreeNumericallyForAdjoint) {

@@ -10,11 +10,14 @@
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <complex>
 #include <future>
+#include <limits>
 #include <optional>
 #include <set>
 #include <vector>
 
+#include "blas/sbgemv.hpp"
 #include "comm/fault.hpp"
 #include "core/block_toeplitz.hpp"
 #include "core/matvec_plan.hpp"
@@ -25,6 +28,7 @@
 #include "precision/precision.hpp"
 #include "serve/request_queue.hpp"
 #include "serve/scheduler.hpp"
+#include "util/rng.hpp"
 
 namespace fftmv::serve {
 namespace {
@@ -426,22 +430,112 @@ TEST(AbftParseval, EnergyInvariantCatchesSpectrumCorruption) {
   const index_t batch = 2;
   fft::BatchedRealFft<double> fft(length, batch);
   const auto time = core::make_input_vector(length * batch, 81);
-  std::vector<std::complex<double>> spec(
+  std::vector<std::complex<double>> clean(
       static_cast<std::size_t>(batch * fft.spectrum_size()));
-  fft.forward(time.data(), length, spec.data(), fft.spectrum_size());
+  fft.forward(time.data(), length, clean.data(), fft.spectrum_size());
   const double tol = 1e-10;  // far above double rounding, far below a flip
   EXPECT_NO_THROW(fft.verify_parseval_on(stream, time.data(), length,
-                                         spec.data(), fft.spectrum_size(),
+                                         clean.data(), fft.spectrum_size(),
                                          /*batch_multiplier=*/1, tol, "unit"));
   // Corrupt one bin of the SECOND sequence: the per-sequence energy
-  // balance breaks and the pass must name the site it guards.
-  spec[static_cast<std::size_t>(fft.spectrum_size()) + 3] *= 2.0;
-  try {
-    fft.verify_parseval_on(stream, time.data(), length, spec.data(),
-                           fft.spectrum_size(), 1, tol, "unit");
-    FAIL() << "corrupted spectrum passed the Parseval check";
-  } catch (const device::SilentCorruption& e) {
-    EXPECT_EQ(e.site(), "unit");
+  // balance breaks and the pass must name the site it guards.  An
+  // exponent flip can also leave a NaN or an Inf, which no comparison
+  // of energies may wave through.
+  const std::size_t bin = static_cast<std::size_t>(fft.spectrum_size()) + 3;
+  const std::complex<double> corruptions[] = {
+      clean[bin] * 2.0,
+      {std::numeric_limits<double>::quiet_NaN(), clean[bin].imag()},
+      {std::numeric_limits<double>::infinity(), clean[bin].imag()}};
+  for (const auto& bad : corruptions) {
+    auto spec = clean;
+    spec[bin] = bad;
+    try {
+      fft.verify_parseval_on(stream, time.data(), length, spec.data(),
+                             fft.spectrum_size(), 1, tol, "unit");
+      FAIL() << "corrupted spectrum (bin " << bad << ") passed the Parseval check";
+    } catch (const device::SilentCorruption& e) {
+      EXPECT_EQ(e.site(), "unit");
+    }
+  }
+}
+
+// The GEMV checksum compare on its own: a y element turned NaN or Inf
+// (what an exponent flip leaves of a component in [1, 2)) must fail
+// its column, however the magnitude-scaled bound comes out.
+TEST(AbftChecksum, CompareFlagsNanAndInfOutputs) {
+  device::Device dev(device::make_mi300x());
+  device::Stream stream(dev);
+  const index_t m = 3, n = 4, batch = 2, nrhs = 2;
+  util::Rng rng(91);
+  const auto random = [&](index_t count) {
+    std::vector<cdouble> v(static_cast<std::size_t>(count));
+    for (auto& z : v) z = {rng.uniform(-1.0, 1.0), rng.uniform(-1.0, 1.0)};
+    return v;
+  };
+  const auto a = random(batch * m * n);
+  const auto x = random(batch * nrhs * n);
+  std::vector<cdouble> y(static_cast<std::size_t>(batch * nrhs * m));
+  // Op N: column sums of each batch entry's matrix are the checksum row.
+  std::vector<cdouble> checksum(static_cast<std::size_t>(batch * n));
+  for (index_t bz = 0; bz < batch; ++bz) {
+    for (index_t j = 0; j < n; ++j) {
+      for (index_t i = 0; i < m; ++i) {
+        checksum[static_cast<std::size_t>(bz * n + j)] +=
+            a[static_cast<std::size_t>(bz * m * n + j * m + i)];
+      }
+    }
+  }
+  blas::SbgemvGroupedArgs<cdouble> args;
+  args.base.m = m;
+  args.base.n = n;
+  args.base.lda = m;
+  args.base.stride_a = m * n;
+  args.base.x = x.data();
+  args.base.stride_x = nrhs * n;
+  args.base.y = y.data();
+  args.base.stride_y = nrhs * m;
+  args.base.batch = batch;
+  args.rhs_stride_x = n;
+  args.rhs_stride_y = m;
+  const blas::SbgemvGroup<cdouble> group{a.data(), nrhs, checksum.data()};
+  args.groups = {&group, 1};
+  std::vector<cdouble> dots(static_cast<std::size_t>(batch * nrhs));
+  std::vector<double> scales(dots.size());
+  blas::SbgemvVerify<cdouble> verify;
+  verify.enabled = true;
+  verify.checksum_out = dots.data();
+  verify.scale_out = scales.data();
+  verify.tolerance = 1e-12;
+  blas::sbgemv_grouped(stream, args, blas::GemvKernelPolicy::kAuto, verify);
+  const auto compare = [&](blas::GemvVerifyFailure& fail) {
+    for (index_t bz = 0; bz < batch; ++bz) {
+      blas::gemv_grouped_verify_block(args, verify, &fail, bz);
+    }
+  };
+  {
+    blas::GemvVerifyFailure fail;
+    compare(fail);
+    EXPECT_EQ(fail.count, 0);
+    EXPECT_NO_THROW(blas::throw_if_checksum_failed(fail));
+  }
+  // Element 1 of batch entry 1, RHS 1.
+  const std::size_t idx = static_cast<std::size_t>(1 * nrhs * m + 1 * m + 1);
+  for (const double bad : {std::numeric_limits<double>::quiet_NaN(),
+                           std::numeric_limits<double>::infinity()}) {
+    const cdouble saved = y[idx];
+    y[idx] = {bad, saved.imag()};
+    blas::GemvVerifyFailure fail;
+    compare(fail);
+    EXPECT_EQ(fail.count, 1) << bad;
+    EXPECT_EQ(fail.batch_entry, 1) << bad;
+    EXPECT_EQ(fail.rhs, 1) << bad;
+    try {
+      blas::throw_if_checksum_failed(fail);
+      FAIL() << "a y holding " << bad << " passed the checksum compare";
+    } catch (const device::SilentCorruption& e) {
+      EXPECT_EQ(e.site(), "sbgemv-checksum");
+    }
+    y[idx] = saved;
   }
 }
 

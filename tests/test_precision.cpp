@@ -3,6 +3,9 @@
 // (pad, unpad, transpose) in every precision combination.
 #include <gtest/gtest.h>
 
+#include <span>
+#include <vector>
+
 #include "device/device.hpp"
 #include "device/stream.hpp"
 #include "precision/convert.hpp"
@@ -131,6 +134,52 @@ TEST_F(ConvertFixture, UnpadTransposeCastInvertsPad) {
   std::vector<double> back(static_cast<std::size_t>(nt * ns));
   unpad_transpose_cast<double>(stream_, padded.data(), back.data(), nt, ns, L);
   EXPECT_EQ(back, original);
+}
+
+// The RHS-batched forms, as the matvec drives them: one launch pads
+// (unpads) vectors held in separate allocations, and each value takes
+// the rounding of the cast precision P on its way between a double
+// source and a double destination.
+TEST_F(ConvertFixture, BatchedPadUnpadRoundThroughCastPrecision) {
+  const index_t nt = 5, ns = 11, L = 12, b = 3;  // ns > 8: two row blocks
+  util::Rng rng(5);
+  std::vector<std::vector<double>> src(static_cast<std::size_t>(b));
+  std::vector<const double*> srcs;
+  for (auto& v : src) {
+    v.resize(static_cast<std::size_t>(nt * ns));
+    util::fill_uniform_unrepresentable(rng, v.data(), nt * ns);
+    srcs.push_back(v.data());
+  }
+  const auto rounded = [&](index_t r, index_t i) {
+    return static_cast<double>(static_cast<float>(
+        src[static_cast<std::size_t>(r)][static_cast<std::size_t>(i)]));
+  };
+  std::vector<double> padded(static_cast<std::size_t>(b * ns * L), -1.0);
+  transpose_pad_cast<float>(stream_, std::span<const double* const>(srcs),
+                            padded.data(), nt, ns, L);
+  for (index_t r = 0; r < b; ++r) {
+    for (index_t s = 0; s < ns; ++s) {
+      for (index_t t = 0; t < L; ++t) {
+        EXPECT_EQ(padded[static_cast<std::size_t>((r * ns + s) * L + t)],
+                  t < nt ? rounded(r, t * ns + s) : 0.0);
+      }
+    }
+  }
+  std::vector<std::vector<double>> back(
+      static_cast<std::size_t>(b),
+      std::vector<double>(static_cast<std::size_t>(nt * ns), -1.0));
+  std::vector<double*> dsts;
+  for (auto& v : back) dsts.push_back(v.data());
+  unpad_transpose_cast<float>(stream_, padded.data(),
+                              std::span<double* const>(dsts), nt, ns, L);
+  for (index_t r = 0; r < b; ++r) {
+    for (index_t i = 0; i < nt * ns; ++i) {
+      const double got = back[static_cast<std::size_t>(r)][static_cast<std::size_t>(i)];
+      EXPECT_EQ(got, rounded(r, i));
+      // Lossy by construction: the rounding through P happened.
+      EXPECT_NE(got, src[static_cast<std::size_t>(r)][static_cast<std::size_t>(i)]);
+    }
+  }
 }
 
 TEST_F(ConvertFixture, PadRowsCastKeepsRowOrder) {

@@ -798,19 +798,19 @@ TEST(AsyncScheduler, ConfigsShareOneCachedPlan) {
   EXPECT_GE(sched.plan_cache().stats().hits, 1);
 }
 
-TEST(AsyncScheduler, AdaptiveMaxBatchResolvesAtTheCurveKnee) {
-  // max_batch == 0 resolves deterministically at the knee of the
-  // modelled batching curve (16 on MI300X: doubling past it buys
-  // < 7% per-RHS).
-  const int knee = adaptive_max_batch(device::make_mi300x());
-  EXPECT_EQ(knee, 16);
-  EXPECT_EQ(adaptive_max_batch(device::make_mi300x()), knee);  // deterministic
-  AsyncScheduler sched(device::make_mi300x());  // default opts: adaptive
-  EXPECT_EQ(sched.options().max_batch, knee);
-  ServeOptions fixed;
-  fixed.max_batch = 4;  // explicit override wins
-  AsyncScheduler sched_fixed(device::make_mi300x(), fixed);
-  EXPECT_EQ(sched_fixed.options().max_batch, 4);
+TEST(AsyncScheduler, DefaultMaxBatchResolvesToSixteen) {
+  // max_batch == 0 resolves to the fixed kDefaultMaxBatch on every
+  // device, and an explicit value wins.
+  EXPECT_EQ(kDefaultMaxBatch, 16);
+  for (const auto& spec : {device::make_mi250x_gcd(), device::make_mi300x(),
+                           device::make_mi355x()}) {
+    AsyncScheduler sched(spec);  // default options
+    EXPECT_EQ(sched.options().max_batch, 16) << spec.name;
+    ServeOptions fixed;
+    fixed.max_batch = 4;
+    AsyncScheduler sched_fixed(spec, fixed);
+    EXPECT_EQ(sched_fixed.options().max_batch, 4) << spec.name;
+  }
 }
 
 TEST(AsyncScheduler, PipelinedModeBitIdenticalToSerialAndResolvesChunks) {
