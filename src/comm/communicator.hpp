@@ -3,9 +3,11 @@
 // Substitute for NCCL/RCCL + MPI (DESIGN.md §1): each logical rank
 // runs on its own thread and the collectives move real data through
 // shared memory, so distributed-algorithm *numerics* (reduction
-// order, partition-dependent rounding) are exercised for real.
-// Simulated communication *time* is charged separately via
-// CommCostModel by the callers.
+// order, partition-dependent rounding) are exercised for real.  Its
+// user is the threaded grid reference of the distributed tests, which
+// wraps single-rank FftMatvecPlan applies in a broadcast and a
+// reduction and pins LockstepCluster bit for bit; it charges no
+// simulated time (CommCostModel prices collectives).
 //
 // Reductions combine rank contributions in a fixed pairwise-tree
 // order, matching the log2(p) tree depth assumed by the paper's

@@ -73,9 +73,9 @@ class CommCostModel {
 
   /// Collective cost of one matvec on a p_rows x p_cols grid — THE
   /// single source of truth for the grid's comm terms, shared by the
-  /// distributed FftMatvecPlan apply and the fig4/serve scaling
-  /// harnesses (duplicating the node-contiguity rules or the alpha-
-  /// beta constants in a caller is a bug).  Forward broadcasts the
+  /// partitioner (evaluate_partition) and the fig4 scaling harness
+  /// (duplicating the node-contiguity rules or the alpha-beta
+  /// constants in a caller is a bug).  Forward broadcasts the
   /// input over the grid column (p_rows ranks) and reduces partial
   /// outputs over the grid row (p_cols ranks); the adjoint mirrors
   /// the roles.  Node contiguity under the column-major rank

@@ -21,15 +21,12 @@ PartitionCost evaluate_partition(const PartitionProblem& prob, index_t p_rows,
   const double bytes_d = static_cast<double>(util::ceil_div(prob.n_d, p_rows)) *
                          static_cast<double>(prob.n_t) * sb;
 
-  const bool col_intra = p_rows <= net.spec().node_size;
-  // Grid rows stride across columns, so row collectives cross nodes
-  // as soon as the grid has more than one column per node.
-  const bool row_intra = p_cols <= 1;
-
-  cost.forward_comm_s = net.broadcast_time(p_rows, bytes_m, col_intra) +
-                        net.reduce_time(p_cols, bytes_d, row_intra);
-  cost.adjoint_comm_s = net.broadcast_time(p_cols, bytes_d, row_intra) +
-                        net.reduce_time(p_rows, bytes_m, col_intra);
+  // F broadcasts the parameter chunk and reduces the data chunk; F*
+  // broadcasts the data chunk and reduces the parameter chunk.
+  cost.forward_comm_s =
+      net.matvec_collectives(p_rows, p_cols, false, bytes_m, bytes_d).total();
+  cost.adjoint_comm_s =
+      net.matvec_collectives(p_rows, p_cols, true, bytes_d, bytes_m).total();
 
   // Every rank of a column computes the FFT of the same m_c chunk:
   // p_r > 1 multiplies that phase's memory traffic.  Model the padded

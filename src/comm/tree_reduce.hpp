@@ -2,8 +2,8 @@
 // lockstep cluster, so both reduction paths combine rank
 // contributions in the identical ((r0+r1)+(r2+r3))+... order — the
 // log2(p)-depth rounding behaviour assumed by the paper's error
-// analysis (§3.2.1) and required for bit-identical results between
-// the threaded and sequential distributed backends.
+// analysis (§3.2.1) and required for the sequential LockstepCluster
+// to match its threaded test reference bit for bit.
 #pragma once
 
 #include <vector>

@@ -28,7 +28,7 @@
 // input is not split) and each direction needs its own operator
 // slice, ~2x operator storage; the paper-style input split — which
 // would make partial sums meet in a real reduction and change
-// rounding — stays the job of the threaded/lockstep grid backends.
+// rounding — stays the job of LockstepCluster.
 //
 // Bit-identity also needs the phase-3 GEMV kernel KIND to agree
 // between the slice and the full operator, since the reference and

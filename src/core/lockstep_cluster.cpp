@@ -1,5 +1,6 @@
 #include "core/lockstep_cluster.hpp"
 
+#include <algorithm>
 #include <stdexcept>
 
 #include "comm/tree_reduce.hpp"
@@ -62,16 +63,11 @@ void LockstepCluster::run(std::span<const double> in, std::span<double> out,
                                     : local_dims_[0].n_d_local;
   const index_t partial_len = nt * out_local;
 
-  std::vector<std::vector<double>> partials_d;
-  std::vector<std::vector<float>> partials_f;
-  if (p5 == Precision::kDouble) {
-    partials_d.assign(static_cast<std::size_t>(p),
-                      std::vector<double>(static_cast<std::size_t>(partial_len)));
-  } else {
-    partials_f.assign(static_cast<std::size_t>(p),
-                      std::vector<float>(static_cast<std::size_t>(partial_len)));
-  }
-
+  // Each rank's plain apply writes its phase-5 partial, rounded
+  // through p5, as doubles.
+  std::vector<std::vector<double>> partials(
+      static_cast<std::size_t>(p),
+      std::vector<double>(static_cast<std::size_t>(partial_len)));
   std::vector<double> global_in(in.begin(), in.end());
   max_rank_compute_s_ = 0.0;
 
@@ -80,65 +76,56 @@ void LockstepCluster::run(std::span<const double> in, std::span<double> out,
     const index_t in_off = adjoint ? l.d_offset : l.m_offset;
     const index_t in_cnt = adjoint ? l.n_d_local : l.n_m_local;
     const auto in_slice = slice_tosi(global_in, nt, width_in, in_off, in_cnt);
-
-    FftMatvecPlan::PartialSink sink;
-    if (p5 == Precision::kDouble) {
-      sink.d = partials_d[static_cast<std::size_t>(rank)].data();
-    } else {
-      sink.f = partials_f[static_cast<std::size_t>(rank)].data();
-    }
+    const auto& op = *ops_[static_cast<std::size_t>(rank)];
+    auto& partial = partials[static_cast<std::size_t>(rank)];
     const double t0 = stream_->now();
     if (adjoint) {
-      plan_->adjoint_partial(*ops_[static_cast<std::size_t>(rank)], in_slice, sink,
-                             config);
+      plan_->adjoint(op, in_slice, partial, config);
     } else {
-      plan_->forward_partial(*ops_[static_cast<std::size_t>(rank)], in_slice, sink,
-                             config);
+      plan_->forward(op, in_slice, partial, config);
     }
     max_rank_compute_s_ = std::max(max_rank_compute_s_, stream_->now() - t0);
   }
 
-  // Phase-5 reduction: for the forward matvec partials combine across
-  // the grid row (the p_c column ranks of each row); the adjoint
-  // combines down each grid column.  Pairwise-tree order matches the
-  // threaded communicator exactly.
+  // Phase-5 reduction in the phase-5 precision (a partial rounded
+  // through single narrows to float exactly): for the forward matvec
+  // partials combine across the grid row (the p_c column ranks of each
+  // row); the adjoint combines down each grid column.  Pairwise-tree
+  // order matches the threaded communicator exactly.
   const index_t n_groups = adjoint ? grid_.cols() : grid_.rows();
   const index_t group_size = adjoint ? grid_.rows() : grid_.cols();
-  std::vector<double> reduced_d(static_cast<std::size_t>(partial_len));
-  std::vector<float> reduced_f;
-  if (p5 == Precision::kSingle) {
-    reduced_f.resize(static_cast<std::size_t>(partial_len));
-  }
+  std::vector<double> reduced(static_cast<std::size_t>(partial_len));
+  const auto reduce = [&](auto tag, const std::vector<index_t>& ranks) {
+    using T = decltype(tag);
+    std::vector<std::vector<T>> narrowed;
+    narrowed.reserve(ranks.size());
+    std::vector<const T*> members;
+    for (const index_t rank : ranks) {
+      const auto& partial = partials[static_cast<std::size_t>(rank)];
+      narrowed.emplace_back(partial.begin(), partial.end());
+      members.push_back(narrowed.back().data());
+    }
+    std::vector<T> sum(static_cast<std::size_t>(partial_len));
+    comm::tree_reduce(members, sum.data(), partial_len);
+    std::copy(sum.begin(), sum.end(), reduced.begin());
+  };
 
   for (index_t g = 0; g < n_groups; ++g) {
-    index_t out_off = 0;
-    if (p5 == Precision::kDouble) {
-      std::vector<const double*> members;
-      for (index_t k = 0; k < group_size; ++k) {
-        const index_t rank = adjoint ? grid_.rank_of(k, g) : grid_.rank_of(g, k);
-        members.push_back(partials_d[static_cast<std::size_t>(rank)].data());
-        const auto& l = local_dims_[static_cast<std::size_t>(rank)];
-        out_off = adjoint ? l.m_offset : l.d_offset;
-      }
-      comm::tree_reduce(members, reduced_d.data(), partial_len);
-    } else {
-      std::vector<const float*> members;
-      for (index_t k = 0; k < group_size; ++k) {
-        const index_t rank = adjoint ? grid_.rank_of(k, g) : grid_.rank_of(g, k);
-        members.push_back(partials_f[static_cast<std::size_t>(rank)].data());
-        const auto& l = local_dims_[static_cast<std::size_t>(rank)];
-        out_off = adjoint ? l.m_offset : l.d_offset;
-      }
-      comm::tree_reduce(members, reduced_f.data(), partial_len);
-      for (index_t i = 0; i < partial_len; ++i) {
-        reduced_d[static_cast<std::size_t>(i)] =
-            static_cast<double>(reduced_f[static_cast<std::size_t>(i)]);
-      }
+    std::vector<index_t> ranks;
+    for (index_t k = 0; k < group_size; ++k) {
+      ranks.push_back(adjoint ? grid_.rank_of(k, g) : grid_.rank_of(g, k));
     }
+    if (p5 == Precision::kDouble) {
+      reduce(double{}, ranks);
+    } else {
+      reduce(float{}, ranks);
+    }
+    const auto& l = local_dims_[static_cast<std::size_t>(ranks.front())];
+    const index_t out_off = adjoint ? l.m_offset : l.d_offset;
     for (index_t t = 0; t < nt; ++t) {
       for (index_t k = 0; k < out_local; ++k) {
         out[static_cast<std::size_t>(t * width_out + out_off + k)] =
-            reduced_d[static_cast<std::size_t>(t * out_local + k)];
+            reduced[static_cast<std::size_t>(t * out_local + k)];
       }
     }
   }

@@ -1,16 +1,18 @@
 // Sequential simulation of a multi-rank FFTMatvec run.
 //
-// The thread communicator (comm/communicator.hpp) runs real
-// concurrent ranks, but a thread per rank stops scaling long before
-// the paper's 4,096 GPUs.  LockstepCluster executes the same
-// distributed algorithm rank by rank on one device: each rank's
-// phases 1-4 run through the ordinary FftMatvecPlan, and the phase-5
-// reduction combines the partials in the identical pairwise-tree
-// order the threaded backend uses.  Numerics — in particular the
-// distribution-dependent rounding the paper's Figure 4 error series
-// measures (n_m = ceil(N_m/p_c) growth, log2(p) reduction depth) —
-// are therefore bit-identical to a real run at any rank count that
-// fits in memory.
+// A thread per rank stops scaling long before the paper's 4,096 GPUs.
+// LockstepCluster executes the distributed algorithm rank by rank on
+// one device: each rank's five phases are a plain FftMatvecPlan apply
+// of its slice, whose double output holds the rank's phase-5 partial
+// exactly (the unpad rounds through the phase-5 precision), and the
+// reduction combines those partials in the phase-5 precision in the
+// thread communicator's pairwise-tree order (comm/tree_reduce.hpp).
+// Numerics — in particular the distribution-dependent rounding the
+// paper's Figure 4 error series measures (n_m = ceil(N_m/p_c) growth,
+// log2(p) reduction depth) — are therefore bit-identical to a run on
+// rank threads (the threaded reference in
+// tests/test_core_distributed.cpp) at any rank count that fits in
+// memory.
 #pragma once
 
 #include <memory>

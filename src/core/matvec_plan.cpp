@@ -95,82 +95,22 @@ void dispatch1(Precision p, Fn&& fn) {
   }
 }
 
-index_t scalar_width(Precision p) {
-  return p == Precision::kSingle ? 4 : 8;
-}
-
 }  // namespace
 
 void FftMatvecPlan::forward(const BlockToeplitzOperator& op,
                             std::span<const double> m, std::span<double> d,
-                            const PrecisionConfig& config,
-                            comm::RankComms* comms) {
-  apply_one(op, ApplyDirection::kForward, config, m, d, comms, nullptr);
+                            const PrecisionConfig& config) {
+  const ConstVectorView inputs[] = {m};
+  const VectorView outputs[] = {d};
+  apply_batch(op, ApplyDirection::kForward, config, inputs, outputs);
 }
 
 void FftMatvecPlan::adjoint(const BlockToeplitzOperator& op,
                             std::span<const double> d, std::span<double> m,
-                            const PrecisionConfig& config,
-                            comm::RankComms* comms) {
-  apply_one(op, ApplyDirection::kAdjoint, config, d, m, comms, nullptr);
-}
-
-void FftMatvecPlan::forward_partial(const BlockToeplitzOperator& op,
-                                    std::span<const double> m,
-                                    const PartialSink& sink,
-                                    const PrecisionConfig& config) {
-  apply_one(op, ApplyDirection::kForward, config, m, {}, nullptr, &sink);
-}
-
-void FftMatvecPlan::adjoint_partial(const BlockToeplitzOperator& op,
-                                    std::span<const double> d,
-                                    const PartialSink& sink,
-                                    const PrecisionConfig& config) {
-  apply_one(op, ApplyDirection::kAdjoint, config, d, {}, nullptr, &sink);
-}
-
-void FftMatvecPlan::apply_one(const BlockToeplitzOperator& op,
-                              ApplyDirection direction,
-                              const PrecisionConfig& config,
-                              std::span<const double> in, std::span<double> out,
-                              comm::RankComms* comms, const PartialSink* partial) {
-  const bool adjoint = direction == ApplyDirection::kAdjoint;
-  RankEnds ends;
-  ends.partial = partial;
-  if (partial != nullptr &&
-      (config.phase(precision::kPhaseUnpad) == Precision::kDouble
-           ? partial->d == nullptr
-           : partial->f == nullptr)) {
-    throw std::invalid_argument(
-        "PartialSink pointer does not match the phase-5 precision");
-  }
-  if (comms != nullptr) {
-    if (dev_->phantom()) {
-      throw std::logic_error("distributed apply is not supported on a phantom device");
-    }
-    // Forward broadcasts the input down the grid column and reduces
-    // partial outputs along the grid row; the adjoint swaps the roles.
-    // A group of one rank needs neither collective.
-    comm::GroupComm& bcast = adjoint ? comms->grid_row : comms->grid_col;
-    comm::GroupComm& reduce = adjoint ? comms->grid_col : comms->grid_row;
-    if (bcast.size() > 1) ends.bcast = &bcast;
-    if (reduce.size() > 1) ends.reduce = &reduce;
-    // Grid locality and the alpha-beta terms live in the cost model —
-    // the single source of truth shared with the fig4/serve scaling
-    // harnesses and the serving layer's sharded dispatch.
-    const index_t ns_in = adjoint ? dims_.n_d_local : dims_.n_m_local;
-    const index_t ns_out = adjoint ? dims_.n_m_local : dims_.n_d_local;
-    ends.coll = comm::CommCostModel(options_.network).matvec_collectives(
-        comms->grid_col.size(), comms->grid_row.size(), adjoint,
-        static_cast<double>(dims_.n_t() * ns_in *
-                            scalar_width(config.phase(precision::kPhasePad))),
-        static_cast<double>(dims_.n_t() * ns_out *
-                            scalar_width(config.phase(precision::kPhaseUnpad))));
-  }
-  const OperatorGroup group{&op, 1};
-  const ConstVectorView inputs[] = {in};
-  const VectorView outputs[] = {out};
-  execute({&group, 1}, direction, config, inputs, outputs, {}, ends);
+                            const PrecisionConfig& config) {
+  const ConstVectorView inputs[] = {d};
+  const VectorView outputs[] = {m};
+  apply_batch(op, ApplyDirection::kAdjoint, config, inputs, outputs);
 }
 
 void FftMatvecPlan::apply_batch(const BlockToeplitzOperator& op,
@@ -189,15 +129,6 @@ void FftMatvecPlan::apply_batch(std::span<const OperatorGroup> groups,
                                 std::span<const ConstVectorView> inputs,
                                 std::span<const VectorView> outputs,
                                 const BatchPipeline& pipeline) {
-  execute(groups, direction, config, inputs, outputs, pipeline, {});
-}
-
-void FftMatvecPlan::execute(std::span<const OperatorGroup> groups,
-                            ApplyDirection direction,
-                            const PrecisionConfig& config,
-                            std::span<const ConstVectorView> inputs,
-                            std::span<const VectorView> outputs,
-                            const BatchPipeline& pipeline, const RankEnds& ends) {
   const bool adjoint = direction == ApplyDirection::kAdjoint;
   const index_t b = static_cast<index_t>(inputs.size());
   if (b < 1) {
@@ -243,18 +174,12 @@ void FftMatvecPlan::execute(std::span<const OperatorGroup> groups,
   const index_t ns_in = adjoint ? dims_.n_d_local : dims_.n_m_local;
   const index_t ns_out = adjoint ? dims_.n_m_local : dims_.n_d_local;
 
-  // On the threaded grid only the broadcast root holds the input and
-  // only the reduce root receives the output; a partial sink replaces
-  // the output spans altogether.
-  const bool holds_input = ends.bcast == nullptr || ends.bcast->rank() == 0;
-  const bool gets_output =
-      ends.partial == nullptr && (ends.reduce == nullptr || ends.reduce->rank() == 0);
   if (!dev_->phantom()) {
     for (index_t r = 0; r < b; ++r) {
-      if (holds_input && static_cast<index_t>(inputs[r].size()) != nt * ns_in) {
+      if (static_cast<index_t>(inputs[r].size()) != nt * ns_in) {
         throw std::invalid_argument("matvec: input span has wrong extent");
       }
-      if (gets_output && static_cast<index_t>(outputs[r].size()) != nt * ns_out) {
+      if (static_cast<index_t>(outputs[r].size()) != nt * ns_out) {
         throw std::invalid_argument("matvec: output span has wrong extent");
       }
     }
@@ -300,13 +225,9 @@ void FftMatvecPlan::execute(std::span<const OperatorGroup> groups,
   //   stage 3 (stream A): ONE batched inverse FFT, then ONE
   //     unpad/transpose launch that writes every RHS's caller output
   //     directly, rounding p4 -> p5 -> double in-kernel.
-  // A single-RHS apply's rank ends wrap the same launches: on the
-  // threaded grid, stage 1 pads the broadcast copy its root staged in
-  // p1, and stage 3 unpads the rank's partial for the reduction whose
-  // root then writes the sum out; a partial sink takes stage 3's
-  // output in place of the caller's vector.  The fusion ablation
-  // (fuse_casts = false) runs each precision change as a cast kernel
-  // of its own around a memory op in the producer's precision.
+  // The fusion ablation (fuse_casts = false) runs each precision
+  // change as a cast kernel of its own around a memory op in the
+  // producer's precision.
   // Issue order software-pipelines the chunks — stage2(i) on B, then
   // stage1(i+1) on A, then stage3(i) on A — so chunk i's SBGEMV
   // overlaps chunk i+1's pad+FFT.  Cross-stream dependencies are
@@ -384,66 +305,45 @@ void FftMatvecPlan::execute(std::span<const OperatorGroup> groups,
     const index_t lo = chunk_lo(i), hi = chunk_lo(i + 1);
     const index_t cb = hi - lo;
     const std::size_t par = static_cast<std::size_t>(i % 2);
-    const double comm0 = timings_.comm;
     double t0 = sa.now();
     dispatch2(p1, p2, [&](auto tag1, auto tag2) {
       using S1 = decltype(tag1);
       using S2 = decltype(tag2);
       const index_t n = nt * ns_in;
       S2* padded = padded_.get<S2>(*dev_, cmax * ns_in * L);
-      // Pad the chunk's sources in one launch, rounded through p1 on
-      // their way to p2.  The fusion ablation instead casts each
-      // source to p1, pads in p1, then casts the chunk to p2.
-      const auto pad = [&]<class Src>(std::span<const Src* const> srcs) {
-        if (fuse || (std::is_same_v<Src, S1> && std::is_same_v<S1, S2>)) {
-          precision::transpose_pad_cast<S1>(sa, srcs, padded, nt, ns_in, L);
-          return;
-        }
-        std::vector<const S1*> srcs1;
-        if constexpr (std::is_same_v<Src, S1>) {
-          srcs1.assign(srcs.begin(), srcs.end());
-        } else {
-          S1* staged = stage_.get<S1>(*dev_, cmax * n);
-          for (index_t k = 0; k < cb; ++k) {
-            precision::convert_array(sa, srcs[static_cast<std::size_t>(k)],
-                                     staged + k * n, n);
-            srcs1.push_back(staged + k * n);
-          }
-        }
-        const std::span<const S1* const> in1(srcs1);
-        if constexpr (std::is_same_v<S1, S2>) {
-          precision::transpose_pad_cast<S1>(sa, in1, padded, nt, ns_in, L);
-        } else {
-          S1* tmp = padded_.get<S1>(*dev_, cmax * ns_in * L);
-          precision::transpose_pad_cast<S1>(sa, in1, tmp, nt, ns_in, L);
-          precision::convert_array(sa, tmp, padded, cb * ns_in * L);
-        }
-      };
-      if (ends.bcast == nullptr) {
-        std::vector<const double*> srcs;
-        srcs.reserve(static_cast<std::size_t>(cb));
-        for (index_t r = lo; r < hi; ++r) srcs.push_back(inputs[r].data());
-        pad(std::span<const double* const>(srcs));
+      std::vector<const double*> srcs;
+      srcs.reserve(static_cast<std::size_t>(cb));
+      for (index_t r = lo; r < hi; ++r) srcs.push_back(inputs[r].data());
+      // Pad the chunk's inputs in one launch, rounded through p1 on
+      // their way to p2.  The fusion ablation instead casts each input
+      // to p1, pads in p1, then casts the chunk to p2.
+      if (fuse || (std::is_same_v<S1, double> && std::is_same_v<S2, double>)) {
+        precision::transpose_pad_cast<S1>(sa, std::span<const double* const>(srcs),
+                                          padded, nt, ns_in, L);
         return;
       }
-      // The threaded grid (b == 1): the root stages its input in p1
-      // and broadcasts it down the grid; every rank pads the copy.
-      S1* bc = stage_.get<S1>(*dev_, n);
-      if (holds_input) {
-        if constexpr (std::is_same_v<S1, double>) {
-          sa.copy(inputs[lo].data(), bc, n);
-        } else {
-          precision::convert_array(sa, inputs[lo].data(), bc, n);
+      std::vector<const S1*> srcs1;
+      if constexpr (std::is_same_v<S1, double>) {
+        srcs1 = srcs;
+      } else {
+        S1* staged = stage_.get<S1>(*dev_, cmax * n);
+        for (index_t k = 0; k < cb; ++k) {
+          precision::convert_array(sa, srcs[static_cast<std::size_t>(k)],
+                                   staged + k * n, n);
+          srcs1.push_back(staged + k * n);
         }
       }
-      ends.bcast->broadcast(bc, n, 0);
-      sa.advance(ends.coll.broadcast_s);
-      timings_.comm += ends.coll.broadcast_s;
-      const S1* const srcs[] = {bc};
-      pad(std::span<const S1* const>(srcs));
+      const std::span<const S1* const> in1(srcs1);
+      if constexpr (std::is_same_v<S1, S2>) {
+        precision::transpose_pad_cast<S1>(sa, in1, padded, nt, ns_in, L);
+      } else {
+        S1* tmp = padded_.get<S1>(*dev_, cmax * ns_in * L);
+        precision::transpose_pad_cast<S1>(sa, in1, tmp, nt, ns_in, L);
+        precision::convert_array(sa, tmp, padded, cb * ns_in * L);
+      }
     });
     trace_phase(sa, "pad", i, cb, t0);
-    timings_.pad += sa.now() - t0 - (timings_.comm - comm0);
+    timings_.pad += sa.now() - t0;
     t0 = sa.now();
     dispatch1(p2, [&](auto tag2) {
       using S2 = decltype(tag2);
@@ -591,81 +491,45 @@ void FftMatvecPlan::execute(std::span<const OperatorGroup> groups,
     });
     trace_phase(sa, "ifft", i, cb, t0);
     timings_.ifft += sa.now() - t0;
-    const double comm0 = timings_.comm;
     t0 = sa.now();
     dispatch2(p4, p5, [&](auto tag4, auto tag5) {
       using S4 = decltype(tag4);
       using S5 = decltype(tag5);
       const index_t n = nt * ns_out;
       const S4* opad = opad_.get<S4>(*dev_, cmax * ns_out * L);
-      // Unpad the chunk in one launch straight into `dsts`, rounded
-      // through p5 on the way.  The fusion ablation instead unpads in
-      // p4 into a plan buffer, casts the chunk to p5, then each RHS to
-      // its destination.
-      const auto unpad = [&]<class Dst>(std::span<Dst* const> dsts) {
-        if (fuse || (std::is_same_v<S4, S5> && std::is_same_v<S5, Dst>)) {
-          precision::unpad_transpose_cast<S5>(sa, opad, dsts, nt, ns_out, L);
-          return;
-        }
-        // A grid partial in olocal_ is p5, and a p5 destination only
-        // gets here when p4 differs, so out4 never aliases it.
-        S4* out4 = olocal_.get<S4>(*dev_, cmax * n);
-        std::vector<S4*> dsts4;
-        for (index_t k = 0; k < cb; ++k) dsts4.push_back(out4 + k * n);
-        precision::unpad_transpose_cast<S4>(sa, opad, std::span<S4* const>(dsts4),
+      std::vector<double*> dsts;
+      dsts.reserve(static_cast<std::size_t>(cb));
+      for (index_t r = lo; r < hi; ++r) dsts.push_back(outputs[r].data());
+      // Unpad the chunk in one launch straight into the outputs,
+      // rounded through p5 on the way.  The fusion ablation instead
+      // unpads in p4 into a plan buffer, casts the chunk to p5, then
+      // each RHS to its output.
+      if (fuse || (std::is_same_v<S4, double> && std::is_same_v<S5, double>)) {
+        precision::unpad_transpose_cast<S5>(sa, opad, std::span<double* const>(dsts),
                                             nt, ns_out, L);
-        const auto cast_out = [&](const auto* from) {
-          for (index_t k = 0; k < cb; ++k) {
-            precision::convert_array(sa, from + k * n,
-                                     dsts[static_cast<std::size_t>(k)], n);
-          }
-        };
-        if constexpr (!std::is_same_v<S4, S5> && !std::is_same_v<S5, Dst>) {
-          S5* out5 = olocal_.get<S5>(*dev_, cmax * n);
-          precision::convert_array(sa, out4, out5, cb * n);
-          cast_out(out5);
-        } else {
-          cast_out(out4);
+        return;
+      }
+      S4* out4 = olocal_.get<S4>(*dev_, cmax * n);
+      std::vector<S4*> dsts4;
+      for (index_t k = 0; k < cb; ++k) dsts4.push_back(out4 + k * n);
+      precision::unpad_transpose_cast<S4>(sa, opad, std::span<S4* const>(dsts4),
+                                          nt, ns_out, L);
+      const auto cast_out = [&](const auto* from) {
+        for (index_t k = 0; k < cb; ++k) {
+          precision::convert_array(sa, from + k * n,
+                                   dsts[static_cast<std::size_t>(k)], n);
         }
       };
-      if (ends.partial != nullptr) {
-        // LockstepCluster reduces the phase-5 partials itself.
-        S5* sink;
-        if constexpr (std::is_same_v<S5, double>) {
-          sink = ends.partial->d;
-        } else {
-          sink = ends.partial->f;
-        }
-        S5* const dsts[] = {sink};
-        unpad(std::span<S5* const>(dsts));
-        return;
-      }
-      if (ends.reduce == nullptr) {
-        std::vector<double*> dsts;
-        dsts.reserve(static_cast<std::size_t>(cb));
-        for (index_t r = lo; r < hi; ++r) dsts.push_back(outputs[r].data());
-        unpad(std::span<double* const>(dsts));
-        return;
-      }
-      // The threaded grid (b == 1): every rank unpads its partial, the
-      // grid row reduces them, and the root writes the sum out.
-      S5* part = olocal_.get<S5>(*dev_, n);
-      S5* const dsts[] = {part};
-      unpad(std::span<S5* const>(dsts));
-      S5* recv = oreduce_.get<S5>(*dev_, n);
-      ends.reduce->reduce_sum(part, recv, n, 0);
-      sa.advance(ends.coll.reduce_s);
-      timings_.comm += ends.coll.reduce_s;
-      if (gets_output) {
-        if constexpr (std::is_same_v<S5, double>) {
-          sa.copy(recv, outputs[lo].data(), n);
-        } else {
-          precision::convert_array(sa, recv, outputs[lo].data(), n);
-        }
+      if constexpr (!std::is_same_v<S4, S5> && !std::is_same_v<S5, double>) {
+        S5* out5 = olocal_.get<S5>(*dev_, cmax * n);
+        precision::convert_array(sa, out4, out5, cb * n);
+        cast_out(out5);
+      } else {
+        cast_out(out4);
       }
     });
     trace_phase(sa, "unpad", i, cb, t0);
-    timings_.unpad += sa.now() - t0 - (timings_.comm - comm0);
+    timings_.unpad += sa.now() - t0;
   };
 
   stage1(0);

@@ -1,23 +1,31 @@
-// The FFTMatvec execution plan: five-phase mixed-precision matvecs
-// with a block-triangular Toeplitz operator (paper §2.4, §3.2).
+// The FFTMatvec execution plan: one rank's five-phase mixed-precision
+// matvec with a block-triangular Toeplitz operator (paper §2.4, §3.2).
 //
-// Forward (F) matvec on rank (r, c) of a p_r x p_c grid:
-//   1. broadcast the local parameter chunk over the grid column in
-//      the phase-1 precision, then fused TOSI->SOTI transpose +
-//      zero-pad (+cast to the FFT precision),
+// Forward (F) matvec on the rank's local block (N_t x n_m_local in,
+// N_t x n_d_local out):
+//   1. fused TOSI->SOTI transpose + zero-pad (+cast to the FFT
+//      precision),
 //   2. batched real FFT (n_m_local sequences of length 2 N_t),
 //   3. Fourier-space reorder, strided batched GEMV over the N_t + 1
 //      frequency blocks, reorder back — the reorders are charged to
 //      the SBGEMV phase exactly as the artifact's timing output does,
 //   4. batched inverse real FFT (n_d_local sequences),
-//   5. fused unpad + SOTI->TOSI transpose, tree reduction of partial
-//      outputs over the grid row, final cast to double.
-// On a single rank phases 1 and 5 touch the caller's vectors directly:
-// the pad reads each double input and the unpad writes each double
-// output, with the casts to and from the phase precisions inside the
-// same launch.
+//   5. fused unpad + SOTI->TOSI transpose, cast back to double.
+// Phases 1 and 5 touch the caller's vectors directly: the pad reads
+// each double input and the unpad writes each double output, with the
+// casts to and from the phase precisions inside the same launch.
 // The adjoint (F*) matvec mirrors the pipeline with the conjugate-
-// transpose SBGEMV and broadcast/reduce roles swapped.
+// transpose SBGEMV.
+//
+// The plan is single-rank.  A distributed matvec is this apply
+// between a broadcast of the input over the grid column and a
+// pairwise-tree reduction of the partial outputs over the grid row
+// (the adjoint swaps the roles); the callers own those collectives.
+// Because the unpad rounds through the phase-5 precision, a rank's
+// double output already holds its phase-5 partial exactly:
+// LockstepCluster narrows it to float when phase 5 is single and
+// reduces it there, and DistributedMatvecPlan gathers disjoint output
+// slices.
 //
 // Precision semantics (§3.2): input/output are always double; each
 // phase computes in its configured precision; casts occur where the
@@ -26,19 +34,15 @@
 // read the producer's precision and write the consumer's, so traffic
 // runs at the lowest adjacent width.
 //
-// One executor runs every apply.  apply_batch drives it with b
-// right-hand sides; forward()/adjoint() and the *_partial variants
-// are b = 1 calls whose only extras sit at the executor's two caller-
-// facing points: the threaded grid's broadcast where the input is
-// staged and its reduction where the output is written, or
-// LockstepCluster's partial sink in place of that write.  Batches
-// optionally execute phase-pipelined: the RHS dimension splits into
-// chunks software-pipelined over two streams under the device layer's
-// Event/Stream::wait ordering contract (see BatchPipeline and
-// device/stream.hpp), overlapping one chunk's SBGEMV with its
-// successor's pad+FFT.  Outputs are bit-identical to the serial batch;
-// PhaseTimings separates the end-to-end makespan from the busy-time
-// phase fields.
+// One executor runs every apply: the grouped apply_batch, with b
+// right-hand sides; forward()/adjoint() are its one-RHS calls.
+// Batches optionally execute phase-pipelined: the RHS dimension
+// splits into chunks software-pipelined over two streams under the
+// device layer's Event/Stream::wait ordering contract (see
+// BatchPipeline and device/stream.hpp), overlapping one chunk's
+// SBGEMV with its successor's pad+FFT.  Outputs are bit-identical to
+// the serial batch; PhaseTimings separates the end-to-end makespan
+// from the busy-time phase fields.
 #pragma once
 
 #include <cstdint>
@@ -47,8 +51,6 @@
 #include <vector>
 
 #include "blas/sbgemv.hpp"
-#include "comm/communicator.hpp"
-#include "comm/cost_model.hpp"
 #include "core/block_toeplitz.hpp"
 #include "core/problem.hpp"
 #include "device/device_vector.hpp"
@@ -73,12 +75,12 @@ namespace fftmv::core {
 /// split both: phase fields sum to the batch's phase fields and
 /// makespan shares sum to the batch makespan.
 struct PhaseTimings {
-  double pad = 0.0;     ///< broadcast staging + transpose/pad (+cast)
+  double pad = 0.0;     ///< transpose/pad (+cast)
   double fft = 0.0;     ///< phase-2 batched FFT
   double sbgemv = 0.0;  ///< phase-3 GEMV incl. both Fourier reorders
   double ifft = 0.0;    ///< phase-4 batched IFFT
   double unpad = 0.0;   ///< unpad/transpose + final cast
-  double comm = 0.0;    ///< modelled broadcast + reduction time
+  double comm = 0.0;    ///< modelled collectives (DistributedMatvecPlan)
   double makespan = 0.0;  ///< end-to-end duration (== total() when serial)
 
   double compute_total() const { return pad + fft + sbgemv + ifft + unpad; }
@@ -155,9 +157,6 @@ struct MatvecOptions {
   /// When false, precision changes run as separate cast kernels after
   /// a same-precision memory op (the fusion ablation of §3.2).
   bool fuse_casts = true;
-  /// Network model used to charge communication time in distributed
-  /// applies.
-  comm::NetworkSpec network = comm::NetworkSpec::frontier();
 
   bool operator==(const MatvecOptions&) const = default;
 };
@@ -171,35 +170,30 @@ class FftMatvecPlan {
   device::Stream& stream() const { return *stream_; }
   const MatvecOptions& options() const { return options_; }
 
-  /// d = F m.  `m` is the rank-local TOSI chunk (N_t x n_m_local,
-  /// read on the grid-column root only), `d` receives the local TOSI
-  /// result (N_t x n_d_local, written on the grid-row root only; other
-  /// ranks may pass empty spans).  Single-rank when `comms ==
-  /// nullptr`.  Runs apply_batch's executor at b = 1: outputs,
-  /// timings and stream clock equal a one-RHS apply_batch's.
+  /// d = F m.  `m` is the local TOSI input (N_t x n_m_local), `d`
+  /// receives the local TOSI output (N_t x n_d_local).  A one-RHS
+  /// apply_batch call: outputs, timings and stream clock are its.
   void forward(const BlockToeplitzOperator& op, std::span<const double> m,
-               std::span<double> d, const precision::PrecisionConfig& config,
-               comm::RankComms* comms = nullptr);
+               std::span<double> d, const precision::PrecisionConfig& config);
 
   /// m = F* d; mirror conventions of forward().
   void adjoint(const BlockToeplitzOperator& op, std::span<const double> d,
-               std::span<double> m, const precision::PrecisionConfig& config,
-               comm::RankComms* comms = nullptr);
+               std::span<double> m, const precision::PrecisionConfig& config);
 
-  /// Execute b same-shape right-hand sides as ONE fused pipeline
-  /// (single-rank only): the phase-1/5 transposes are one RHS-batched
-  /// launch each, reading and writing the caller's vectors directly,
-  /// the phase-2/4 real FFTs run the cached plan with a runtime batch
-  /// multiplier (b * n_s sequences in one launch), and phase 3 is a
-  /// single multi-RHS strided batched GEMV that pays the operator's
-  /// matrix traffic once per frequency block instead of once per
-  /// request — so a batch issues the same launches whatever b is.
-  /// Results are bit-identical to b independent forward()/adjoint()
-  /// calls for every precision config — those are this same executor
-  /// at b == 1.  last_timings() afterwards holds the totals for the
-  /// whole batch and last_batch_timings() the per-RHS shares.
-  /// `pipeline` requests chunked dual-stream execution (bit-identical
-  /// outputs, lower makespan — see BatchPipeline).
+  /// Execute b same-shape right-hand sides as ONE fused pipeline: the
+  /// phase-1/5 transposes are one RHS-batched launch each, reading
+  /// and writing the caller's vectors directly, the phase-2/4 real
+  /// FFTs run the cached plan with a runtime batch multiplier (b * n_s
+  /// sequences in one launch), and phase 3 is a single multi-RHS
+  /// strided batched GEMV that pays the operator's matrix traffic once
+  /// per frequency block instead of once per request — so a batch
+  /// issues the same launches whatever b is.  Results are
+  /// bit-identical to b independent forward()/adjoint() calls for
+  /// every precision config — those are this same executor at b == 1.
+  /// last_timings() afterwards holds the totals for the whole batch
+  /// and last_batch_timings() the per-RHS shares.  `pipeline` requests
+  /// chunked dual-stream execution (bit-identical outputs, lower
+  /// makespan — see BatchPipeline).
   void apply_batch(const BlockToeplitzOperator& op, ApplyDirection direction,
                    const precision::PrecisionConfig& config,
                    std::span<const ConstVectorView> inputs,
@@ -215,10 +209,11 @@ class FftMatvecPlan {
     index_t rhs_count = 0;
   };
 
-  /// Grouped batched apply: b right-hand sides spanning several
-  /// same-shape operators run as ONE fused pipeline.  Phases 1/2/4/5
-  /// are operator-agnostic and execute exactly as in the single-
-  /// operator apply_batch; only phase 3 switches to the grouped
+  /// Grouped batched apply, the executor behind every apply (see the
+  /// stage comment in matvec_plan.cpp): b right-hand sides spanning
+  /// several same-shape operators run as ONE fused pipeline.  Phases
+  /// 1/2/4/5 are operator-agnostic and execute exactly as in the
+  /// single-operator apply_batch; only phase 3 switches to the grouped
   /// multi-operator SBGEMV (blas::sbgemv_grouped), whose per-group
   /// arithmetic — and, for a single group, modelled cost — is
   /// identical to the flat multi-RHS kernel.  Inputs/outputs are
@@ -234,27 +229,6 @@ class FftMatvecPlan {
                    std::span<const ConstVectorView> inputs,
                    std::span<const VectorView> outputs,
                    const BatchPipeline& pipeline = {});
-
-  /// Receives the un-reduced phase-5 partial output in the phase-5
-  /// precision (exactly one pointer must be set, matching the
-  /// config's phase-5 precision).  Used by the sequential
-  /// LockstepCluster, which performs the tree reduction itself.
-  struct PartialSink {
-    float* f = nullptr;
-    double* d = nullptr;
-  };
-
-  /// Run phases 1-4 plus the local unpad/transpose and deposit the
-  /// partial (n_t x n_d_local) into `sink`; no reduction, no final
-  /// cast.
-  void forward_partial(const BlockToeplitzOperator& op,
-                       std::span<const double> m, const PartialSink& sink,
-                       const precision::PrecisionConfig& config);
-
-  /// Adjoint analogue; partial extent is n_t x n_m_local.
-  void adjoint_partial(const BlockToeplitzOperator& op,
-                       std::span<const double> d, const PartialSink& sink,
-                       const precision::PrecisionConfig& config);
 
   /// Timings of the most recent apply (an apply_batch reports the
   /// whole batch's totals).
@@ -276,10 +250,9 @@ class FftMatvecPlan {
   }
 
   /// Executor runs so far: +1 per apply of any kind — a single-RHS
-  /// forward/adjoint/partial apply is a b = 1 run, and an apply_batch
-  /// counts once REGARDLESS of its RHS count.  The serving layer's
-  /// tests hook this to assert a coalesced batch costs one plan
-  /// execution.
+  /// forward/adjoint is a b = 1 run, and an apply_batch counts once
+  /// REGARDLESS of its RHS count.  The serving layer's tests hook
+  /// this to assert a coalesced batch costs one plan execution.
   std::int64_t executions() const { return executions_; }
 
  private:
@@ -296,35 +269,6 @@ class FftMatvecPlan {
     T* get(device::Device& dev, index_t n);
   };
 
-  /// What a single-RHS apply adds around the executor's two caller-
-  /// facing launches (apply_batch never sets any of it): the threaded
-  /// grid's broadcast, whose copy stage 1's pad reads, and its
-  /// reduction of the partial stage 3's unpad writes — each charged
-  /// `coll`'s modelled seconds as comm — or LockstepCluster's sink,
-  /// which the unpad writes the unreduced phase-5 partial into in
-  /// place of the output.
-  struct RankEnds {
-    comm::GroupComm* bcast = nullptr;   ///< set iff the group spans > 1 rank
-    comm::GroupComm* reduce = nullptr;  ///< set iff the group spans > 1 rank
-    comm::MatvecCollectives coll;
-    const PartialSink* partial = nullptr;
-  };
-
-  /// forward/adjoint/*_partial: validate the grid or sink, then run
-  /// the executor at b = 1.
-  void apply_one(const BlockToeplitzOperator& op, ApplyDirection direction,
-                 const precision::PrecisionConfig& config,
-                 std::span<const double> in, std::span<double> out,
-                 comm::RankComms* comms, const PartialSink* partial);
-
-  /// The chunked five-phase executor behind every apply (see the
-  /// stage comment in matvec_plan.cpp).
-  void execute(std::span<const OperatorGroup> groups, ApplyDirection direction,
-               const precision::PrecisionConfig& config,
-               std::span<const ConstVectorView> inputs,
-               std::span<const VectorView> outputs,
-               const BatchPipeline& pipeline, const RankEnds& ends);
-
   device::Device* dev_;
   device::Stream* stream_;
   LocalDims dims_;
@@ -339,18 +283,17 @@ class FftMatvecPlan {
 
   // Pipeline buffers (shared between directions, max-size semantics).
   // The pad reads and the unpad writes the caller's vectors directly,
-  // so a fused single-rank apply needs nothing outside the five phases.
+  // so a fused apply needs nothing outside the five phases.
   DualReal padded_;    ///< SOTI zero-padded real input (x L)
   DualComplex spec_;   ///< spectrum, space-outer (ns x n_f)
   DualComplex spec_t_; ///< spectrum, frequency-outer (n_f x ns)
   DualComplex ospec_t_;///< GEMV output spectrum, frequency-outer
   DualComplex ospec_;  ///< GEMV output spectrum, space-outer
   DualReal opad_;      ///< padded real output (x L)
-  // Staging, allocated only when used: the threaded grid's collective
-  // buffers and the fusion ablation's separate-cast intermediates.
-  DualReal stage_;     ///< input in p1: grid broadcast / ablation cast
-  DualReal olocal_;    ///< unpadded output: grid partial (p5) / ablation (p4)
-  DualReal oreduce_;   ///< grid: reduction receive buffer (group root)
+  // The fusion ablation's separate-cast intermediates, allocated only
+  // when used.
+  DualReal stage_;     ///< input cast to p1
+  DualReal olocal_;    ///< unpadded output in p4, then p5
 
   // Second spectrum workspace set for pipelined apply_batch: chunk i
   // uses set i % 2, so chunk i+1's FFT (stream A) writes while chunk

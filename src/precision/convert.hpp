@@ -70,8 +70,7 @@ inline device::LaunchGeometry grid1d(index_t n) {
 }  // namespace detail
 
 /// dst[i] = cast(src[i]).  The plain cast, used for the operator
-/// setup copy, the threaded grid's broadcast staging and output
-/// write, and the separate casts of the fusion ablation.
+/// setup copy and the separate casts of the fusion ablation.
 template <class D, class S>
 device::KernelTiming convert_array(device::Stream& stream, const S* src, D* dst,
                                    index_t n) {

@@ -38,8 +38,6 @@ std::size_t PlanKeyHash::operator()(const PlanKey& k) const noexcept {
   }
   hash_combine(h, static_cast<std::size_t>(k.options.gemv_policy));
   hash_combine(h, static_cast<std::size_t>(k.options.fuse_casts));
-  // NetworkSpec participates in equality but not the hash (it is
-  // uniform across a deployment); unequal specs simply collide.
   return h;
 }
 

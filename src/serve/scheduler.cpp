@@ -279,7 +279,7 @@ TenantId AsyncScheduler::add_tenant(const core::ProblemDims& dims,
     // whether sharding this shape pays at all, and how wide.
     rank_group = adaptive_rank_group(dev_.spec(), dims,
                                      options_.max_rank_group,
-                                     options_.matvec.network);
+                                     comm::NetworkSpec::frontier());
   }
   const auto local = core::LocalDims::single_rank(dims);
   // The expensive setup (batched FFT of the block column, fp32
@@ -557,7 +557,9 @@ StreamSession AsyncScheduler::open_stream(TenantId tenant,
         "AsyncScheduler::open_stream: qos.weight must be > 0, got " +
         std::to_string(qos.weight));
   }
-  core::LocalDims dims;
+  // Pin exactly the shapes dispatch acquires: the tenant's own dims,
+  // or each rank slice of a sharded tenant in this direction.
+  std::vector<PlanKey> pin_keys;
   {
     std::lock_guard lock(tenants_mutex_);
     const auto it = tenants_.find(tenant);
@@ -565,20 +567,26 @@ StreamSession AsyncScheduler::open_stream(TenantId tenant,
       throw std::invalid_argument("AsyncScheduler::open_stream: unknown tenant " +
                                   std::to_string(tenant));
     }
-    dims = it->second.dims;
+    const Tenant& t = it->second;
+    const index_t ranks = t.sharded ? t.sharded->ranks() : 1;
+    for (index_t rk = 0; rk < ranks; ++rk) {
+      pin_keys.push_back(PlanKey{t.sharded ? t.sharded->rank_dims(direction, rk) : t.dims,
+                                 options_.matvec, dev_.spec().name, /*lane=*/0});
+    }
   }
   // Capacity check BEFORE pinning: every pinned shape keeps one
   // resident plan per lane, and the cache must still hold that whole
   // pinned working set or eviction has nothing left to reclaim.
-  const PlanKey pin_key{dims, options_.matvec, dev_.spec().name, /*lane=*/0};
   {
     std::lock_guard lock(state_mutex_);
     if (!accepting_) {
       throw std::runtime_error(
           "AsyncScheduler::open_stream: scheduler is shut down");
     }
-    const std::size_t shapes =
-        cache_.pinned_shapes() + (cache_.pinned(pin_key) ? 0 : 1);
+    std::size_t shapes = cache_.pinned_shapes();
+    for (const PlanKey& key : pin_keys) {
+      if (!cache_.pinned(key)) ++shapes;
+    }
     if (shapes * lanes_.size() > options_.plan_cache_capacity) {
       throw std::invalid_argument(
           "AsyncScheduler::open_stream: pinning this session needs " +
@@ -588,10 +596,10 @@ StreamSession AsyncScheduler::open_stream(TenantId tenant,
           std::to_string(options_.plan_cache_capacity) +
           "; raise the capacity or close other sessions");
     }
-    cache_.pin(pin_key);
+    for (const PlanKey& key : pin_keys) cache_.pin(key);
     const SessionId id = next_session_++;
-    sessions_.emplace(id,
-                      SessionState{tenant, direction, config, qos, dims, 0});
+    sessions_.emplace(id, SessionState{tenant, direction, config, qos,
+                                       std::move(pin_keys), 0});
     return StreamSession(this, liveness_, id, tenant, direction, config, qos);
   }
 }
@@ -628,7 +636,7 @@ std::future<MatvecResult> AsyncScheduler::submit_stream(
 }
 
 void AsyncScheduler::close_session(SessionId session) {
-  core::LocalDims dims;
+  std::vector<PlanKey> pin_keys;
   {
     std::unique_lock lock(state_mutex_);
     const auto it = sessions_.find(session);
@@ -637,13 +645,13 @@ void AsyncScheduler::close_session(SessionId session) {
     // the pin is dropped (execute_batch notifies cv_drained_ after
     // every batch).
     cv_drained_.wait(lock, [&] { return it->second.outstanding == 0; });
-    dims = it->second.dims;
+    pin_keys = std::move(it->second.pin_keys);
     sessions_.erase(it);
   }
   // Drained first, so every record_request of this session has landed
   // before its reservoir is compacted to a final summary.
   metrics_.close_session(session);
-  cache_.unpin(PlanKey{dims, options_.matvec, dev_.spec().name, /*lane=*/0});
+  for (const PlanKey& key : pin_keys) cache_.unpin(key);
 }
 
 void AsyncScheduler::worker_loop(int lane) {
@@ -768,7 +776,7 @@ void AsyncScheduler::execute_batch(int lane, Batch& batch) {
                               config);
       if (!lane_state.dist) {
         lane_state.dist = std::make_unique<core::DistributedMatvecPlan>(
-            options_.matvec.network);
+            comm::NetworkSpec::frontier());
       }
       std::vector<std::shared_ptr<core::FftMatvecPlan>> rank_plans;
       std::vector<core::DistributedMatvecPlan::RankLane> rank_lanes;

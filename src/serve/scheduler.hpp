@@ -294,8 +294,10 @@ class AsyncScheduler {
   /// Open a streaming session: an ordered sequence of applies for one
   /// (tenant, direction, config) with per-request QoS applied to each
   /// submit (deadline_seconds is relative to each apply's submission).
-  /// Pins the tenant's plan shape in the PlanCache for the session
-  /// lifetime so cache pressure never cold-starts an active stream.
+  /// Pins the plan shapes its dispatch acquires — the tenant's dims,
+  /// or each rank slice of a sharded tenant — in the PlanCache for the
+  /// session lifetime so cache pressure never cold-starts an active
+  /// stream.
   /// Throws std::invalid_argument for an unknown tenant, a negative
   /// deadline, a non-positive weight, or when the pinned working set
   /// (distinct pinned shapes x num_streams lanes) would exceed
@@ -352,15 +354,16 @@ class AsyncScheduler {
     bool degraded = false;
   };
   /// Book-keeping for one open StreamSession (guarded by
-  /// state_mutex_).  `outstanding` counts accepted-but-unfulfilled
-  /// applies; close_session waits for it to reach zero before
-  /// unpinning the plan shape.
+  /// state_mutex_).  `pin_keys` are the plan shapes open_stream pinned
+  /// (one per rank slice of a sharded tenant); `outstanding` counts
+  /// accepted-but-unfulfilled applies, and close_session waits for it
+  /// to reach zero before unpinning those shapes.
   struct SessionState {
     TenantId tenant = 0;
     core::ApplyDirection direction = core::ApplyDirection::kForward;
     precision::PrecisionConfig config;
     StreamQoS qos;
-    core::LocalDims dims;
+    std::vector<PlanKey> pin_keys;
     std::int64_t outstanding = 0;
   };
   /// Each lane owns a stream PAIR: `stream` drives the serial phases
@@ -407,7 +410,7 @@ class AsyncScheduler {
   std::future<MatvecResult> submit_stream(SessionId session,
                                           std::vector<double> input);
   /// StreamSession::close body: drains the session's outstanding
-  /// applies, unpins its plan shape and retires the id.
+  /// applies, unpins its plan shapes and retires the id.
   void close_session(SessionId session);
 
   ServeOptions options_;

@@ -1,14 +1,14 @@
 // StreamSession: the streaming client handle of the matvec service.
 //
-// AsyncScheduler::open_stream pins the tenant's plan shape in the
-// PlanCache (so cache pressure from other tenants can never
-// cold-start the stream) and returns a move-only RAII handle.  Each
+// AsyncScheduler::open_stream pins the tenant's plan shapes (one per
+// rank slice of a sharded tenant) in the PlanCache (so cache pressure
+// from other tenants can never cold-start the stream) and returns a move-only RAII handle.  Each
 // submit() enqueues one apply carrying the session's direction,
 // precision config and StreamQoS: requests of one session share a
 // coalescing key and their absolute deadlines are non-decreasing, so
 // the EDF batcher dispatches them in submit order (observable through
 // MatvecResult::batch_seq).  close() — or destruction — drains the
-// session's outstanding applies, unpins the plan and retires the id;
+// session's outstanding applies, unpins the plans and retires the id;
 // it is idempotent, and a moved-from or default-constructed handle is
 // an inert empty shell.
 //
@@ -71,7 +71,7 @@ class StreamSession {
   /// AsyncScheduler::submit overloads.
   std::future<MatvecResult> submit(std::vector<double> input);
 
-  /// Drain this session's outstanding applies, unpin its plan shape
+  /// Drain this session's outstanding applies, unpin its plan shapes
   /// and retire the id.  Idempotent; also run by the destructor.
   void close();
 

@@ -5,6 +5,7 @@
 
 #include <atomic>
 #include <set>
+#include <utility>
 
 #include "comm/communicator.hpp"
 #include "comm/cost_model.hpp"
@@ -185,6 +186,37 @@ TEST(CommCost, SmallMessagesAreLatencyBound) {
   const double full = net.reduce_time(4096, 8e5, false);
   const double half = net.reduce_time(4096, 4e5, false);
   EXPECT_GT(half / full, 0.95);
+}
+
+TEST(CommCost, MatvecCollectivesFollowGridRoles) {
+  // Forward broadcasts over the grid column (p_rows contiguous ranks:
+  // intra-node iff p_rows <= node_size) and reduces over the grid row
+  // (p_cols ranks strided by p_rows: intra-node only on a single-row
+  // grid that fits a node); the adjoint swaps the two.  Distinct
+  // payloads show a swapped byte count.
+  const CommCostModel net(NetworkSpec::frontier());
+  const index_t node = net.spec().node_size;
+  const double bcast_bytes = 3.2e7;
+  const double reduce_bytes = 6.4e6;
+  for (const auto& [p_rows, p_cols] :
+       {std::pair<index_t, index_t>{1, 8}, {2, 4}, {8, 1}, {16, 1}}) {
+    const bool col_intra = p_rows <= node;
+    const bool row_intra = p_rows == 1 && p_cols <= node;
+    const auto fwd = net.matvec_collectives(p_rows, p_cols, false, bcast_bytes, reduce_bytes);
+    EXPECT_EQ(fwd.broadcast_s, net.broadcast_time(p_rows, bcast_bytes, col_intra));
+    EXPECT_EQ(fwd.reduce_s, net.reduce_time(p_cols, reduce_bytes, row_intra));
+    const auto adj = net.matvec_collectives(p_rows, p_cols, true, bcast_bytes, reduce_bytes);
+    EXPECT_EQ(adj.broadcast_s, net.broadcast_time(p_cols, bcast_bytes, row_intra));
+    EXPECT_EQ(adj.reduce_s, net.reduce_time(p_rows, reduce_bytes, col_intra));
+  }
+  // A 1x8 grid's row fits one node: cheaper than the inter-node tariff.
+  EXPECT_LT(net.matvec_collectives(1, 8, false, bcast_bytes, reduce_bytes).reduce_s,
+            net.reduce_time(8, reduce_bytes, false));
+  // 1-rank groups cost nothing.
+  EXPECT_EQ(net.matvec_collectives(1, 8, false, bcast_bytes, reduce_bytes).broadcast_s, 0.0);
+  EXPECT_EQ(net.matvec_collectives(8, 1, true, bcast_bytes, reduce_bytes).broadcast_s, 0.0);
+  EXPECT_EQ(net.matvec_collectives(1, 1, false, bcast_bytes, reduce_bytes).total(), 0.0);
+  EXPECT_EQ(net.matvec_collectives(1, 1, true, bcast_bytes, reduce_bytes).total(), 0.0);
 }
 
 TEST(CommCost, AllReduceCombinesBoth) {

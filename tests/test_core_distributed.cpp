@@ -1,4 +1,4 @@
-// Distributed matvec tests: the threaded multi-rank execution and the
+// Distributed matvec tests: a threaded grid reference and the
 // sequential lockstep cluster must both reproduce the single-rank
 // result, agree bit-for-bit with each other, and show the Figure-4
 // error behaviour (error growth with grid rows via n_m = N_m / p_c).
@@ -66,33 +66,39 @@ std::vector<double> single_rank_adjoint(const GlobalProblem& p,
   return m;
 }
 
-/// One rank's view of a threaded-grid apply: its local shape, the
-/// plan's timings and the rank stream's clock advance over the apply.
-struct RankCharge {
-  LocalDims local;
-  PhaseTimings timings;
-  double elapsed = 0.0;
-};
+/// Round every element through precision `p` (double(float(x)) for
+/// single): what a collective moving `p` scalars delivers.
+void round_through(std::vector<double>& v, precision::Precision p) {
+  if (p == precision::Precision::kDouble) return;
+  for (double& x : v) x = static_cast<double>(static_cast<float>(x));
+}
 
-struct ThreadedRun {
-  std::vector<double> output;       ///< assembled global output
-  std::vector<RankCharge> charges;  ///< indexed by world rank
-};
+/// Sum-reduce the ranks' partials to the group root in T, pairwise-
+/// tree order; the root gets the sum widened back to double.
+template <class T>
+void reduce_partials(comm::GroupComm& group, std::vector<double>& partial) {
+  const std::vector<T> send(partial.begin(), partial.end());
+  std::vector<T> recv(send.size());
+  group.reduce_sum(send.data(), recv.data(), static_cast<index_t>(send.size()), 0);
+  partial.assign(recv.begin(), recv.end());
+}
 
-/// Run the threaded distributed matvec on a p_r x p_c grid and
-/// assemble the global output.  Forward broadcasts the parameter chunk
-/// down each grid column and reduces data partials along each grid
-/// row; the adjoint mirrors the roles (§2.4).  Only the broadcast
-/// roots hold an input and only the reduce roots receive an output.
-ThreadedRun threaded_apply(const GlobalProblem& p, index_t p_rows, index_t p_cols,
-                           const PrecisionConfig& cfg, bool adjoint) {
+/// The threaded grid reference: a p_r x p_c grid of rank threads, each
+/// running a plain single-rank apply of its operator slice between the
+/// two collectives of the distributed matvec (§2.4), and the assembled
+/// global output.  Forward broadcasts the parameter chunk down each
+/// grid column in the phase-1 precision and reduces the data partials
+/// along each grid row in the phase-5 precision; the adjoint mirrors
+/// the roles.  Only the broadcast roots slice an input and only the
+/// reduce roots write output.
+std::vector<double> threaded_apply(const GlobalProblem& p, index_t p_rows,
+                                   index_t p_cols, const PrecisionConfig& cfg,
+                                   bool adjoint) {
   const comm::ProcessGrid grid(p_rows, p_cols);
   const index_t nt = p.dims.n_t;
   const index_t width_out = adjoint ? p.dims.n_m : p.dims.n_d;
-  ThreadedRun run;
-  run.output.assign(static_cast<std::size_t>(nt * width_out), 0.0);
-  run.charges.resize(static_cast<std::size_t>(grid.size()));
-  std::mutex run_mutex;
+  std::vector<double> output(static_cast<std::size_t>(nt * width_out), 0.0);
+  std::mutex output_mutex;
 
   // Each rank thread owns its own device with inline execution so the
   // global thread pool is not re-entered concurrently.
@@ -105,31 +111,35 @@ ThreadedRun threaded_apply(const GlobalProblem& p, index_t p_rows, index_t p_col
     BlockToeplitzOperator op(dev, stream, local, col_slice);
     FftMatvecPlan plan(dev, stream, local);
 
-    const comm::GroupComm& bcast = adjoint ? comms.grid_row : comms.grid_col;
-    const comm::GroupComm& reduce = adjoint ? comms.grid_col : comms.grid_row;
+    comm::GroupComm& bcast = adjoint ? comms.grid_row : comms.grid_col;
+    comm::GroupComm& reduce = adjoint ? comms.grid_col : comms.grid_row;
+    const index_t in_count = adjoint ? local.n_d_local : local.n_m_local;
     const index_t out_offset = adjoint ? local.m_offset : local.d_offset;
     const index_t out_count = adjoint ? local.n_m_local : local.n_d_local;
-    std::vector<double> in, out;
+    std::vector<double> in(static_cast<std::size_t>(nt * in_count));
     if (bcast.rank() == 0) {
       in = adjoint ? slice_tosi(p.d, nt, p.dims.n_d, local.d_offset, local.n_d_local)
                    : slice_tosi(p.m, nt, p.dims.n_m, local.m_offset, local.n_m_local);
+      round_through(in, cfg.phase(precision::kPhasePad));
     }
-    if (reduce.rank() == 0) out.resize(static_cast<std::size_t>(nt * out_count));
-    const double t0 = stream.now();
+    bcast.broadcast(in.data(), static_cast<index_t>(in.size()), 0);
+    std::vector<double> partial(static_cast<std::size_t>(nt * out_count));
     if (adjoint) {
-      plan.adjoint(op, in, out, cfg, &comms);
+      plan.adjoint(op, in, partial, cfg);
     } else {
-      plan.forward(op, in, out, cfg, &comms);
+      plan.forward(op, in, partial, cfg);
     }
-
-    std::lock_guard lock(run_mutex);
-    run.charges[static_cast<std::size_t>(comms.world_rank)] = {
-        local, plan.last_timings(), stream.now() - t0};
+    if (cfg.phase(precision::kPhaseUnpad) == precision::Precision::kDouble) {
+      reduce_partials<double>(reduce, partial);
+    } else {
+      reduce_partials<float>(reduce, partial);
+    }
     if (reduce.rank() == 0) {
-      scatter_tosi(out, nt, width_out, out_offset, out_count, run.output);
+      std::lock_guard lock(output_mutex);
+      scatter_tosi(partial, nt, width_out, out_offset, out_count, output);
     }
   });
-  return run;
+  return output;
 }
 
 // ---------------------------------------------------- threaded grids
@@ -140,7 +150,7 @@ TEST_P(GridShapes, ThreadedForwardMatchesSingleRankInDouble) {
   const auto [p_rows, p_cols] = GetParam();
   const auto p = make_global(24, 4, 16, 500);
   const auto expect = single_rank_forward(p, PrecisionConfig{});
-  const auto got = threaded_apply(p, p_rows, p_cols, PrecisionConfig{}, false).output;
+  const auto got = threaded_apply(p, p_rows, p_cols, PrecisionConfig{}, false);
   // Double precision: only the reduction order differs.
   EXPECT_LT(blas::relative_l2_error(static_cast<index_t>(expect.size()),
                                     got.data(), expect.data()),
@@ -153,7 +163,7 @@ TEST_P(GridShapes, ThreadedForwardMixedPrecisionStaysAccurate) {
   const auto p = make_global(24, 4, 16, 600);
   const auto baseline = single_rank_forward(p, PrecisionConfig{});
   const auto got =
-      threaded_apply(p, p_rows, p_cols, PrecisionConfig::parse("dssdd"), false).output;
+      threaded_apply(p, p_rows, p_cols, PrecisionConfig::parse("dssdd"), false);
   EXPECT_LT(blas::relative_l2_error(static_cast<index_t>(baseline.size()),
                                     got.data(), baseline.data()),
             1e-5);
@@ -163,7 +173,7 @@ TEST_P(GridShapes, ThreadedAdjointMatchesSingleRank) {
   const auto [p_rows, p_cols] = GetParam();
   const auto p = make_global(24, 4, 16, 650);
   const auto expect = single_rank_adjoint(p, PrecisionConfig{});
-  const auto got = threaded_apply(p, p_rows, p_cols, PrecisionConfig{}, true).output;
+  const auto got = threaded_apply(p, p_rows, p_cols, PrecisionConfig{}, true);
   EXPECT_LT(blas::relative_l2_error(static_cast<index_t>(expect.size()),
                                     got.data(), expect.data()),
             1e-13)
@@ -176,7 +186,7 @@ TEST_P(GridShapes, ThreadedAdjointMixedPrecisionStaysAccurate) {
   const auto baseline = single_rank_adjoint(p, PrecisionConfig{});
   // The paper's F* optimum: SBGEMV + IFFT (of m) in single.
   const auto got =
-      threaded_apply(p, p_rows, p_cols, PrecisionConfig::parse("ddssd"), true).output;
+      threaded_apply(p, p_rows, p_cols, PrecisionConfig::parse("ddssd"), true);
   EXPECT_LT(blas::relative_l2_error(static_cast<index_t>(baseline.size()),
                                     got.data(), baseline.data()),
             1e-5);
@@ -193,56 +203,27 @@ INSTANTIATE_TEST_SUITE_P(Shapes, GridShapes,
                                   std::to_string(info.param.second);
                          });
 
-TEST(ThreadedGrid, CommChargeMatchesCostModelAndStaysOutOfPadUnpad) {
-  // Each rank of a 2x2 grid pays exactly the cost model's broadcast +
-  // reduce for the config's phase-1 / phase-5 widths, and the phase
-  // fields plus comm partition the rank's clock advance — so pad and
-  // unpad exclude the collective time charged inside their windows.
-  const auto p = make_global(24, 4, 16, 1250);
-  const comm::CommCostModel net(comm::NetworkSpec::frontier());
-  for (const char* cfg_str : {"ddddd", "sssss"}) {
-    const auto cfg = PrecisionConfig::parse(cfg_str);
-    const double w1 = cfg.phase(precision::kPhasePad) == precision::Precision::kSingle ? 4 : 8;
-    const double w5 = cfg.phase(precision::kPhaseUnpad) == precision::Precision::kSingle ? 4 : 8;
-    for (const bool adjoint : {false, true}) {
-      const auto charges = threaded_apply(p, 2, 2, cfg, adjoint).charges;
-      for (std::size_t rank = 0; rank < charges.size(); ++rank) {
-        const auto& c = charges[rank];
-        const index_t ns_in = adjoint ? c.local.n_d_local : c.local.n_m_local;
-        const index_t ns_out = adjoint ? c.local.n_m_local : c.local.n_d_local;
-        const double nt = static_cast<double>(p.dims.n_t);
-        const auto coll = net.matvec_collectives(
-            2, 2, adjoint, nt * static_cast<double>(ns_in) * w1,
-            nt * static_cast<double>(ns_out) * w5);
-        const std::string what = std::string(cfg_str) + (adjoint ? " F*" : " F") +
-                                 " rank " + std::to_string(rank);
-        EXPECT_GT(coll.broadcast_s, 0.0) << what;
-        EXPECT_GT(coll.reduce_s, 0.0) << what;
-        EXPECT_DOUBLE_EQ(c.timings.comm, coll.broadcast_s + coll.reduce_s) << what;
-        EXPECT_GT(c.timings.pad, 0.0) << what;
-        EXPECT_GT(c.timings.unpad, 0.0) << what;
-        EXPECT_NEAR(c.timings.compute_total() + c.timings.comm, c.elapsed, 1e-12)
-            << what;
-      }
-    }
-  }
-}
-
 // ----------------------------------------------------- lockstep ==
 TEST(Lockstep, BitIdenticalToThreadedBackend) {
   const auto p = make_global(16, 4, 8, 700);
-  const comm::ProcessGrid grid(2, 2);
-  device::Device dev(device::make_mi300x());
-  device::Stream stream(dev);
-  LockstepCluster cluster(dev, stream, p.dims, grid, p.first_col);
-
-  for (const char* cfg_str : {"ddddd", "dssdd", "sssss", "dssds"}) {
-    const auto cfg = PrecisionConfig::parse(cfg_str);
-    std::vector<double> d_lockstep(
-        static_cast<std::size_t>(p.dims.n_t * p.dims.n_d));
-    cluster.forward(p.m, d_lockstep, cfg);
-    const auto d_threaded = threaded_apply(p, 2, 2, cfg, false).output;
-    EXPECT_EQ(d_lockstep, d_threaded) << cfg_str;
+  for (auto [pr, pc] : {std::pair<index_t, index_t>{2, 2}, {1, 4}, {4, 1}}) {
+    device::Device dev(device::make_mi300x());
+    device::Stream stream(dev);
+    LockstepCluster cluster(dev, stream, p.dims, comm::ProcessGrid(pr, pc),
+                            p.first_col);
+    for (const auto& cfg : PrecisionConfig::all_configs()) {
+      for (const bool adjoint : {false, true}) {
+        std::vector<double> lockstep(static_cast<std::size_t>(
+            p.dims.n_t * (adjoint ? p.dims.n_m : p.dims.n_d)));
+        if (adjoint) {
+          cluster.adjoint(p.d, lockstep, cfg);
+        } else {
+          cluster.forward(p.m, lockstep, cfg);
+        }
+        EXPECT_EQ(lockstep, threaded_apply(p, pr, pc, cfg, adjoint))
+            << pr << "x" << pc << " " << cfg.to_string() << (adjoint ? " F*" : " F");
+      }
+    }
   }
 }
 
@@ -278,7 +259,7 @@ TEST(Lockstep, AdjointMatchesSingleRankDouble) {
 }
 
 TEST(Lockstep, ManyRankSimulationStaysAccurate) {
-  // 32 simulated ranks — beyond what the threaded backend should be
+  // 32 simulated ranks — beyond what the threaded reference should be
   // asked to do, exactly the lockstep cluster's purpose.
   const auto p = make_global(64, 8, 16, 1000);
   device::Device dev(device::make_mi300x());

@@ -283,6 +283,16 @@ TEST_F(MatvecFixture, UnfusedCastsGiveSameNumbersSlower) {
         run(fused, cfg, a);
         run(unfused, cfg, c);
         EXPECT_EQ(a, c) << what;
+        // The unpad rounds through p5, so a single-precision phase 5
+        // leaves float-representable outputs: narrowing them is exact
+        // (LockstepCluster reduces its partials in float on this).
+        if (cfg.phase(precision::kPhaseUnpad) == precision::Precision::kSingle) {
+          for (const auto& out : a) {
+            for (const double y : out) {
+              ASSERT_EQ(y, static_cast<double>(static_cast<float>(y))) << what;
+            }
+          }
+        }
         if (cfg.all_double()) continue;
         EXPECT_LT(fused.last_timings().compute_total(),
                   unfused.last_timings().compute_total())
@@ -436,20 +446,6 @@ TEST(PhantomMatvec, PaperScaleDryRunMatchesReducedScaleStructure) {
   EXPECT_LT(t.compute_total(), 2e-2);
 }
 
-TEST(PhantomMatvec, DistributedApplyRejected) {
-  util::ThreadPool& pool = util::ThreadPool::global();
-  device::Device dev(device::make_mi300x(), &pool, /*phantom=*/true);
-  device::Stream stream(dev);
-  const ProblemDims dims{64, 4, 16};
-  const auto local = LocalDims::single_rank(dims);
-  BlockToeplitzOperator op(dev, stream, local, {});
-  FftMatvecPlan plan(dev, stream, local);
-  comm::RankComms comms;  // dummy
-  std::vector<double> empty;
-  EXPECT_THROW(plan.forward(op, {}, empty, PrecisionConfig{}, &comms),
-               std::logic_error);
-}
-
 // ------------------------------------------------------ validation
 TEST_F(MatvecFixture, WrongExtentsThrow) {
   auto p = make_problem(16, 2, 8, 4);
@@ -469,16 +465,6 @@ TEST_F(MatvecFixture, OperatorRejectsWrongColumnExtent) {
   const auto local = LocalDims::single_rank(dims);
   std::vector<double> wrong(10);
   EXPECT_THROW(BlockToeplitzOperator(dev_, stream_, local, wrong),
-               std::invalid_argument);
-}
-
-TEST_F(MatvecFixture, PartialSinkPrecisionMismatchThrows) {
-  auto p = make_problem(16, 2, 8, 4);
-  const auto local = LocalDims::single_rank(p.dims);
-  BlockToeplitzOperator op(dev_, stream_, local, p.first_col);
-  FftMatvecPlan plan(dev_, stream_, local);
-  FftMatvecPlan::PartialSink sink;  // no pointers set
-  EXPECT_THROW(plan.forward_partial(op, p.m, sink, PrecisionConfig{}),
                std::invalid_argument);
 }
 

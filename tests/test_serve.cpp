@@ -1633,6 +1633,64 @@ TEST(AsyncScheduler, ShardedBatchesPopulateRankPlansInSharedCache) {
   EXPECT_NE(rank1, nullptr);
 }
 
+TEST(AsyncScheduler, ShardedSessionPinsItsRankPlans) {
+  // A sharded tenant's dispatch acquires one plan per rank slice, so
+  // its session pins those shapes — not the tenant's full dims — and
+  // counts each one against the cache capacity.
+  ServeOptions opts;
+  opts.num_streams = 1;
+  opts.max_batch = 4;
+  opts.linger_seconds = 0.0;
+  opts.plan_cache_capacity = 3;
+  AsyncScheduler sched(device::make_mi300x(), opts);
+  const auto dims = small_dims();
+  const auto col =
+      core::make_first_block_col(core::LocalDims::single_rank(dims), 331);
+  const TenantId ts = sched.add_tenant(dims, col, /*rank_group=*/2);
+  const auto tb = register_tenant(sched, other_dims(), 332);
+  const auto tc = register_tenant(sched, core::ProblemDims{16, 2, 8}, 333);
+  const auto td = register_tenant(sched, core::ProblemDims{40, 5, 20}, 334);
+  const auto rank_key = [&](index_t r) {
+    return PlanKey{core::LocalDims::for_rank(dims, comm::ProcessGrid{2, 1}, r),
+                   sched.options().matvec, "MI300X", 0};
+  };
+
+  StreamSession session = sched.open_stream(
+      ts, core::ApplyDirection::kForward, precision::PrecisionConfig{});
+  EXPECT_TRUE(sched.plan_cache().pinned(rank_key(0)));
+  EXPECT_TRUE(sched.plan_cache().pinned(rank_key(1)));
+  session.submit(core::make_input_vector(dims.n_t * dims.n_m, 335))
+      .get();  // warms both rank plans
+
+  // Three other shapes churn through the one unpinned slot.
+  for (int round = 0; round < 3; ++round) {
+    for (const auto* t : {&tb, &tc, &td}) {
+      sched
+          .submit(t->tenant, core::ApplyDirection::kForward,
+                  precision::PrecisionConfig{},
+                  core::make_input_vector(t->dims.n_t * t->dims.n_m,
+                                          340 + round))
+          .get();
+    }
+  }
+  EXPECT_GT(sched.plan_cache().stats().evictions, 0);
+
+  const auto misses_before = sched.plan_cache().stats().misses;
+  session.submit(core::make_input_vector(dims.n_t * dims.n_m, 336)).get();
+  EXPECT_EQ(sched.plan_cache().stats().misses, misses_before);  // no cold start
+  session.close();
+  EXPECT_FALSE(sched.plan_cache().pinned(rank_key(0)));
+  EXPECT_FALSE(sched.plan_cache().pinned(rank_key(1)));
+
+  // One resident plan cannot hold both rank plans of the lane.
+  opts.plan_cache_capacity = 1;
+  AsyncScheduler tight(device::make_mi300x(), opts);
+  const TenantId tt = tight.add_tenant(dims, col, /*rank_group=*/2);
+  EXPECT_THROW(tight.open_stream(tt, core::ApplyDirection::kForward,
+                                 precision::PrecisionConfig{}),
+               std::invalid_argument);
+}
+
 TEST(AsyncScheduler, ShardedTenantStaysOutOfCrossTenantGroups) {
   // With cross-tenant batching ON, a sharded tenant must keep its own
   // batch key (placement is a property of the whole batch) while a
