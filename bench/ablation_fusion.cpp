@@ -1,8 +1,10 @@
 // Ablation (§3.2): cast fusion.  "At all possible points, the casting
 // kernels are fused with any nearby memory operations ... to reduce
 // kernel launch latencies."  Compares the mixed-precision matvec with
-// fused casts against a variant that runs every precision change as
-// a separate cast kernel, at paper scale on all three devices.
+// fused casts — the 5-launch pipeline, whose inverse FFT also absorbs
+// the output reorder and the unpad — against the unfused 7-launch
+// variant that runs every precision change as a separate cast kernel,
+// at paper scale on all three devices.
 #include <iostream>
 
 #include "bench_common.hpp"
@@ -40,8 +42,12 @@ int main(int argc, char** argv) {
   if (const auto path = artifact.write(); !path.empty()) {
     std::cout << "wrote artifact " << path << "\n";
   }
-  std::cout << "\nFusion saves one full pass over every casted buffer plus a\n"
-               "kernel launch per precision change; numerics are identical\n"
-               "(verified in tests/test_core_matvec.cpp).\n";
+  std::cout << "\nThe fused column is the 5-launch pipeline: its inverse FFT\n"
+               "reads the GEMV output in place and writes the outputs, so\n"
+               "the output reorder and the unpad cost no launch, even in\n"
+               "an all-double config.  Fusion saves one full pass over every\n"
+               "casted buffer plus a kernel launch per precision change;\n"
+               "numerics are identical (verified in\n"
+               "tests/test_core_matvec.cpp).\n";
   return 0;
 }

@@ -5,7 +5,10 @@
 //
 // Times come from paper-scale dry runs through the real pipeline on
 // phantom devices (DESIGN.md §1); a reduced-size backed run on the
-// same pipeline verifies numerics alongside.
+// same pipeline verifies numerics alongside.  The fused pipeline
+// folds phase 5 (unpad + cast) into the inverse FFT's sample stores,
+// so its time is charged to IFFT and the Unpad column reads 0; the
+// SBGEMV column carries the input Fourier reorder.
 #include <iostream>
 
 #include "bench_common.hpp"

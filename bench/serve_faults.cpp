@@ -474,8 +474,8 @@ int main(int argc, char** argv) {
     ok = false;
   }
   // Every injected corruption sits in a grouped-GEMV output that the
-  // very next launch, the phase-3 output reorder carrying the checksum
-  // compare, reads, so checksum mode must catch them
+  // very next launch, the inverse FFT carrying the checksum compare,
+  // reads, so checksum mode must catch them
   // all: detections / injected faults >= 0.99 (it is exactly 1.0 when
   // no detection is spurious).
   const double detection_rate =
@@ -502,7 +502,7 @@ int main(int argc, char** argv) {
   // core-level batch, verify off vs checksum, same plan and stream
   // (the simulated clock advance IS the modelled makespan).  The
   // checksum dots ride the main grouped launch and the compare rides
-  // the phase-3 output reorder, so verification adds traffic but no
+  // the phase-4 inverse FFT, so verification adds traffic but no
   // launch, and the ratio must stay within the 10% budget.
   double t_off = 0.0, t_on = 0.0;
   {

@@ -202,7 +202,7 @@ device::KernelFootprint gemv_checksum_extra_footprint(index_t x_len,
 }
 
 /// Extra modelled cost of the checksum compare riding a kernel that
-/// already reads y (the FFT matvec's phase-3 output reorder): the
+/// already reads y (the FFT matvec's phase-4 inverse FFT): the
 /// dot/scale outputs are read and each (batch, RHS) column of y is
 /// reduced.  y itself is the host kernel's traffic, not counted here.
 template <class T>

@@ -103,8 +103,8 @@ GemvKernelKind select_kernel(const SbgemvArgs<T>& args, GemvKernelPolicy policy)
 /// compare is the CALLER's: the kernel that next reads y after this
 /// returns runs gemv_grouped_verify_block for every batch entry and
 /// then calls throw_if_checksum_failed, so the check costs no launch
-/// of its own (the FFT matvec's phase-3 output reorder carries it,
-/// see precision::transpose_cast).
+/// of its own (the FFT matvec's phase-4 inverse FFT carries it, see
+/// fft::BatchedRealFft::inverse_fused_on).
 template <class T>
 device::KernelTiming sbgemv_grouped(device::Stream& stream,
                                     const SbgemvGroupedArgs<T>& args,

@@ -4,7 +4,7 @@
 // LockstepCluster executes the distributed algorithm rank by rank on
 // one device: each rank's five phases are a plain FftMatvecPlan apply
 // of its slice, whose double output holds the rank's phase-5 partial
-// exactly (the unpad rounds through the phase-5 precision), and the
+// exactly (phase 5 rounds through its precision), and the
 // reduction combines those partials in the phase-5 precision in the
 // thread communicator's pairwise-tree order (comm/tree_reduce.hpp).
 // Numerics — in particular the distribution-dependent rounding the

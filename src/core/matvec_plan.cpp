@@ -2,6 +2,7 @@
 
 #include <span>
 #include <stdexcept>
+#include <utility>
 #include <vector>
 
 #include "core/error_model.hpp"
@@ -214,20 +215,23 @@ void FftMatvecPlan::apply_batch(std::span<const OperatorGroup> groups,
   // contiguous chunks (serial execution is the chunks == 1 degenerate
   // case running every stage on the plan's own stream).  Per chunk,
   // three stages, each issuing the same launches whatever the chunk's
-  // RHS count:
+  // RHS count — five in all:
   //   stage 1 (stream A): ONE transpose/pad launch that reads every
   //     RHS's caller input directly, rounding double -> p1 -> p2
   //     in-kernel, into the RHS-outer padded buffer, then ONE batched
   //     real FFT over cb * ns_in sequences (runtime batch multiplier);
-  //   stage 2 (stream B): Fourier reorder, grouped multi-RHS SBGEMV,
-  //     reorder back (which carries a verified apply's checksum
-  //     compare) — the dominant phase at paper scale;
-  //   stage 3 (stream A): ONE batched inverse FFT, then ONE
-  //     unpad/transpose launch that writes every RHS's caller output
-  //     directly, rounding p4 -> p5 -> double in-kernel.
-  // The fusion ablation (fuse_casts = false) runs each precision
-  // change as a cast kernel of its own around a memory op in the
-  // producer's precision.
+  //   stage 2 (stream B): Fourier reorder, then the grouped multi-RHS
+  //     SBGEMV into the frequency-outer output spectrum — the
+  //     dominant phase at paper scale;
+  //   stage 3 (stream A): ONE batched inverse FFT that reads the GEMV
+  //     output where it lies and writes every RHS's caller output
+  //     directly, rounding p4 -> p5 -> double in-kernel; it carries a
+  //     verified apply's checksum compare (see inverse_fused).
+  // The fusion ablation (fuse_casts = false) is the unfused 7-launch
+  // pipeline: stage 2 reorders the GEMV output back (carrying the
+  // compare), stage 3 runs the inverse FFT into a padded buffer and
+  // a separate unpad, and each precision change is a cast kernel of
+  // its own around a memory op in the producer's precision.
   // Issue order software-pipelines the chunks — stage2(i) on B, then
   // stage1(i+1) on A, then stage3(i) on A — so chunk i's SBGEMV
   // overlaps chunk i+1's pad+FFT.  Cross-stream dependencies are
@@ -251,6 +255,10 @@ void FftMatvecPlan::apply_batch(std::span<const OperatorGroup> groups,
   }
   // ABFT verification state: per-config tolerances plus the shared
   // double-width checksum workspaces (sized for the largest chunk).
+  // Stage 2 writes chunk i's checksum dots on stream B and the fused
+  // stage 3 compares them on stream A, where stage 2(i+1) may already
+  // run, so a pipelined apply ping-pongs them on chunk parity like the
+  // spectra.
   const VerifyMode verify = pipeline.verify;
   VerifyTolerances vtol;
   if (verify != VerifyMode::kOff) {
@@ -258,8 +266,9 @@ void FftMatvecPlan::apply_batch(std::span<const OperatorGroup> groups,
   }
   const double t_begin = sa.now();
   const index_t cmax = (b + chunks - 1) / chunks;
+  const auto chk_offset = [&](index_t i) { return (i % 2) * nf * cmax; };
   if (verify != VerifyMode::kOff) {
-    const index_t chk_elems = nf * cmax;
+    const index_t chk_elems = nf * cmax * (chunks > 1 ? 2 : 1);
     if (!chk_ || chk_->size() < chk_elems) chk_.emplace(*dev_, chk_elems);
     if (!chk_scale_ || chk_scale_->size() < chk_elems) {
       chk_scale_.emplace(*dev_, chk_elems);
@@ -362,6 +371,63 @@ void FftMatvecPlan::apply_batch(std::span<const OperatorGroup> groups,
     ev_fft[static_cast<std::size_t>(i)].record(sa);
   };
 
+  // Chunk i's grouped-GEMV arguments in the phase-3 precision: the
+  // per-group operator-spectrum base pointers sliced to the chunk's
+  // RHS range [lo, hi) — nothing else in the pipeline is operator-
+  // specific, so this is the only thing that distinguishes a grouped
+  // (cross-tenant) batch from a flat one.  `gemv_groups` holds the
+  // groups the returned arguments point at.  The GEMV output y is
+  // frequency-outer: frequency f, chunk RHS r, entry s at
+  // f * cb * ns_out + r * ns_out + s.
+  const auto gemv_args = [&](auto tag3, index_t i, device::Stream& s, auto& gemv_groups) {
+    using C3 = std::complex<decltype(tag3)>;
+    const index_t lo = chunk_lo(i), hi = chunk_lo(i + 1);
+    const index_t cb = hi - lo;
+    const std::size_t par = static_cast<std::size_t>(i % 2);
+    gemv_groups.reserve(groups.size());
+    index_t g0 = 0;
+    for (const auto& g : groups) {
+      const index_t gs = std::max(lo, g0);
+      const index_t ge = std::min(hi, g0 + g.rhs_count);
+      g0 += g.rhs_count;
+      if (gs >= ge) continue;
+      const C3* spectrum;
+      const C3* checksum = nullptr;
+      if constexpr (std::is_same_v<C3, cdouble>) {
+        spectrum = g.op->spectrum_d();
+        if (verify != VerifyMode::kOff) checksum = g.op->checksum_d(s, adjoint);
+      } else {
+        spectrum = g.op->spectrum_f(s);
+        if (verify != VerifyMode::kOff) checksum = g.op->checksum_f(s, adjoint);
+      }
+      gemv_groups.push_back({spectrum, ge - gs, checksum});
+    }
+    blas::SbgemvGroupedArgs<C3> args;
+    args.base.op = adjoint ? blas::Op::C : blas::Op::N;
+    args.base.m = dims_.n_d_local;
+    args.base.n = dims_.n_m_local;
+    args.base.alpha = C3(1);
+    args.base.lda = dims_.n_d_local;
+    args.base.stride_a = dims_.n_d_local * dims_.n_m_local;
+    args.base.x = spec_t_set[par]->get<C3>(*dev_, nf * cmax * ns_in);
+    args.base.stride_x = cb * ns_in;
+    args.base.beta = C3(0);
+    args.base.y = ospec_t_set[par]->get<C3>(*dev_, nf * cmax * ns_out);
+    args.base.stride_y = cb * ns_out;
+    args.base.batch = nf;
+    args.rhs_stride_x = ns_in;
+    args.rhs_stride_y = ns_out;
+    args.groups = gemv_groups;
+    blas::SbgemvVerify<C3> vreq;
+    if (verify != VerifyMode::kOff) {
+      vreq.enabled = true;
+      vreq.checksum_out = chk_->data() + chk_offset(i);
+      vreq.scale_out = chk_scale_->data() + chk_offset(i);
+      vreq.tolerance = vtol.gemv;
+    }
+    return std::pair(args, vreq);
+  };
+
   const auto stage2 = [&](index_t i) {
     const index_t lo = chunk_lo(i), hi = chunk_lo(i + 1);
     const index_t cb = hi - lo;
@@ -384,63 +450,18 @@ void FftMatvecPlan::apply_batch(std::span<const OperatorGroup> groups,
     dispatch2(p3, p4, [&](auto tag3, auto tag4) {
       using C3 = std::complex<decltype(tag3)>;
       using C4 = std::complex<decltype(tag4)>;
-      // Per-group operator-spectrum base pointers, sliced to this
-      // chunk's RHS range [lo, hi): nothing else in the pipeline is
-      // operator-specific, so this is the only stage that
-      // distinguishes a grouped (cross-tenant) batch from a flat one.
       std::vector<blas::SbgemvGroup<C3>> gemv_groups;
-      gemv_groups.reserve(groups.size());
-      index_t g0 = 0;
-      for (const auto& g : groups) {
-        const index_t s = std::max(lo, g0);
-        const index_t e = std::min(hi, g0 + g.rhs_count);
-        g0 += g.rhs_count;
-        if (s >= e) continue;
-        const C3* spectrum;
-        const C3* checksum = nullptr;
-        if constexpr (std::is_same_v<C3, cdouble>) {
-          spectrum = g.op->spectrum_d();
-          if (verify != VerifyMode::kOff) {
-            checksum = g.op->checksum_d(*sb, adjoint);
-          }
-        } else {
-          spectrum = g.op->spectrum_f(*sb);
-          if (verify != VerifyMode::kOff) {
-            checksum = g.op->checksum_f(*sb, adjoint);
-          }
-        }
-        gemv_groups.push_back({spectrum, e - s, checksum});
-      }
-      blas::SbgemvGroupedArgs<C3> args;
-      args.base.op = adjoint ? blas::Op::C : blas::Op::N;
-      args.base.m = dims_.n_d_local;
-      args.base.n = dims_.n_m_local;
-      args.base.alpha = C3(1);
-      args.base.lda = dims_.n_d_local;
-      args.base.stride_a = dims_.n_d_local * dims_.n_m_local;
-      args.base.x = spec_t_set[par]->get<C3>(*dev_, nf * cmax * ns_in);
-      args.base.stride_x = cb * ns_in;
-      args.base.beta = C3(0);
-      args.base.y = ospec_t_set[par]->get<C3>(*dev_, nf * cmax * ns_out);
-      args.base.stride_y = cb * ns_out;
-      args.base.batch = nf;
-      args.rhs_stride_x = ns_in;
-      args.rhs_stride_y = ns_out;
-      args.groups = gemv_groups;
-      blas::SbgemvVerify<C3> vreq;
-      if (verify != VerifyMode::kOff) {
-        vreq.enabled = true;
-        vreq.checksum_out = chk_->data();
-        vreq.scale_out = chk_scale_->data();
-        vreq.tolerance = vtol.gemv;
-      }
+      const auto [args, vreq] = gemv_args(tag3, i, *sb, gemv_groups);
       const double gemv_t0 = sb->now();
       blas::sbgemv_grouped(*sb, args, gemv_policy, vreq);
       gemv_seconds += sb->now() - gemv_t0;
-      // Reorder back.  This is the first kernel to read the GEMV
-      // output after its write-back (the SDC site), so a verified
-      // apply's checksum compare rides it: each row tile's first
-      // block checks its frequency blocks' (entry, RHS) columns.
+      // The fused inverse FFT of stage 3 reads the GEMV output where
+      // it lies.  The fusion ablation reorders it back here instead;
+      // that reorder is then the first kernel to read the GEMV output
+      // after its write-back (the SDC site), so a verified apply's
+      // checksum compare rides it: each row tile's first block checks
+      // its frequency blocks' (entry, RHS) columns.
+      if (fuse) return;
       blas::GemvVerifyFailure fail;
       const auto reorder = [&](auto* dst) {
         if (verify == VerifyMode::kOff) {
@@ -457,7 +478,7 @@ void FftMatvecPlan::apply_batch(std::span<const OperatorGroup> groups,
             blas::gemv_compare_extra_footprint<C3>(ns_out, nf, cb));
       };
       C4* ospec = ospec_set[par]->get<C4>(*dev_, cmax * ns_out * nf);
-      if (fuse || std::is_same_v<C3, C4>) {
+      if (std::is_same_v<C3, C4>) {
         reorder(ospec);
       } else {
         C3* tmp = ospec_set[par]->get<C3>(*dev_, cmax * ns_out * nf);
@@ -471,12 +492,83 @@ void FftMatvecPlan::apply_batch(std::span<const OperatorGroup> groups,
     ev_gemv[static_cast<std::size_t>(i)].record(*sb);
   };
 
+  // Stage 3 of the fused pipeline: ONE batched inverse real FFT over
+  // the chunk's cb * ns_out sequences.  Sequence q = r * ns_out + s
+  // (chunk RHS r, entry s) loads bin f from the GEMV's frequency-outer
+  // output at f * cb * ns_out + q, in p3, cast to p4 in-register, and
+  // stores its first nt samples straight into output r at
+  // t * ns_out + s, rounded p4 -> p5 -> double; the padding tail is
+  // dropped.  The launch is the first kernel to read the GEMV output
+  // after its write-back, so it carries a verified apply's checksum
+  // compare — gridblock q checks frequencies [q nf / nq, (q+1) nf / nq),
+  // so each (frequency, RHS) column is checked once — and a paranoid
+  // apply's inverse Parseval check.
+  const auto inverse_fused = [&](index_t i, double* const* out) {
+    const index_t cb = chunk_lo(i + 1) - chunk_lo(i);
+    const index_t nq = cb * ns_out;
+    dispatch2(p3, p4, [&](auto tag3, auto tag4) {
+      dispatch1(p5, [&](auto tag5) {
+        using C3 = std::complex<decltype(tag3)>;
+        using S4 = decltype(tag4);
+        using C4 = std::complex<S4>;
+        using S5 = decltype(tag5);
+        auto& plan = fft_plan(tag4, /*d_side=*/!adjoint);
+        std::vector<blas::SbgemvGroup<C3>> gemv_groups;
+        const auto [args, vreq] = gemv_args(tag3, i, sa, gemv_groups);
+        const C3* y = args.base.y;
+        const auto load = [=](index_t q, index_t f) {
+          return precision::convert_scalar<C4>(y[f * nq + q]);
+        };
+        const auto store = [=](index_t q, index_t t, S4 v) {
+          if (t < nt) {
+            out[q / ns_out][t * ns_out + q % ns_out] =
+                static_cast<double>(static_cast<S5>(v));
+          }
+        };
+        blas::GemvVerifyFailure fail;
+        const auto compare = [&](index_t q) {
+          if (verify == VerifyMode::kOff) return;
+          for (index_t f = q * nf / nq; f < (q + 1) * nf / nq; ++f) {
+            blas::gemv_grouped_verify_block(args, vreq, &fail, f);
+          }
+        };
+        auto fp = plan.fused_footprint(cb, static_cast<double>(nf * sizeof(C3)),
+                                       static_cast<double>(nt * sizeof(double)));
+        if (verify != VerifyMode::kOff) {
+          const auto extra = blas::gemv_compare_extra_footprint<C3>(ns_out, nf, cb);
+          fp.bytes_read += extra.bytes_read;
+          fp.bytes_written += extra.bytes_written;
+          fp.flops += extra.flops;
+        }
+        fft::ParsevalFailure parseval_fail;
+        const fft::ParsevalCheck parseval{vtol.fft_inverse, &parseval_fail};
+        plan.inverse_fused_on(sa, cb, fp, load, store, compare,
+                              verify == VerifyMode::kParanoid ? &parseval : nullptr);
+        blas::throw_if_checksum_failed(fail);
+        parseval_fail.throw_if_any("fft-parseval-inverse");
+      });
+    });
+  };
+
   const auto stage3 = [&](index_t i) {
     const index_t lo = chunk_lo(i), hi = chunk_lo(i + 1);
     const index_t cb = hi - lo;
     const std::size_t par = static_cast<std::size_t>(i % 2);
     sa.wait(ev_gemv[static_cast<std::size_t>(i)]);
     double t0 = sa.now();
+    std::vector<double*> dsts;
+    dsts.reserve(static_cast<std::size_t>(cb));
+    for (index_t r = lo; r < hi; ++r) dsts.push_back(outputs[r].data());
+    if (fuse) {
+      inverse_fused(i, dsts.data());
+      trace_phase(sa, "ifft", i, cb, t0);
+      timings_.ifft += sa.now() - t0;
+      return;
+    }
+    // The fusion ablation: inverse FFT into the padded buffer, then
+    // unpad in p4 into a plan buffer, cast the chunk to p5, then each
+    // RHS to its output (an all-double chain unpads straight into the
+    // outputs).
     dispatch1(p4, [&](auto tag4) {
       using S4 = decltype(tag4);
       using C4 = std::complex<S4>;
@@ -497,14 +589,7 @@ void FftMatvecPlan::apply_batch(std::span<const OperatorGroup> groups,
       using S5 = decltype(tag5);
       const index_t n = nt * ns_out;
       const S4* opad = opad_.get<S4>(*dev_, cmax * ns_out * L);
-      std::vector<double*> dsts;
-      dsts.reserve(static_cast<std::size_t>(cb));
-      for (index_t r = lo; r < hi; ++r) dsts.push_back(outputs[r].data());
-      // Unpad the chunk in one launch straight into the outputs,
-      // rounded through p5 on the way.  The fusion ablation instead
-      // unpads in p4 into a plan buffer, casts the chunk to p5, then
-      // each RHS to its output.
-      if (fuse || (std::is_same_v<S4, double> && std::is_same_v<S5, double>)) {
+      if (std::is_same_v<S4, double> && std::is_same_v<S5, double>) {
         precision::unpad_transpose_cast<S5>(sa, opad, std::span<double* const>(dsts),
                                             nt, ns_out, L);
         return;
@@ -545,7 +630,7 @@ void FftMatvecPlan::apply_batch(std::span<const OperatorGroup> groups,
   timings_.makespan = sa.now() - t_begin;
 
   // ---- Per-RHS attribution (last_batch_timings).  Phases 1/2/4/5,
-  // the phase-3 reorders and the batch makespan do identical work per
+  // the phase-3 reorder(s) and the batch makespan do identical work per
   // RHS (one shape per batch) and split evenly (so the shares' phase
   // fields sum to the batch's busy phases and their makespans to the
   // batch makespan); the GEMV launch splits across groups in
@@ -564,7 +649,7 @@ void FftMatvecPlan::apply_batch(std::span<const OperatorGroup> groups,
     total_w += mat_w + static_cast<double>(g.rhs_count) * vec_w;
   }
   PhaseTimings even = timings_;
-  even.sbgemv = timings_.sbgemv - gemv_seconds;  // the two reorders
+  even.sbgemv = timings_.sbgemv - gemv_seconds;  // the reorder(s)
   even *= 1.0 / db;
   rhs_timings_.assign(static_cast<std::size_t>(b), even);
   std::size_t r0 = 0;

@@ -6,22 +6,29 @@
 //   1. fused TOSI->SOTI transpose + zero-pad (+cast to the FFT
 //      precision),
 //   2. batched real FFT (n_m_local sequences of length 2 N_t),
-//   3. Fourier-space reorder, strided batched GEMV over the N_t + 1
-//      frequency blocks, reorder back — the reorders are charged to
-//      the SBGEMV phase exactly as the artifact's timing output does,
-//   4. batched inverse real FFT (n_d_local sequences),
-//   5. fused unpad + SOTI->TOSI transpose, cast back to double.
-// Phases 1 and 5 touch the caller's vectors directly: the pad reads
-// each double input and the unpad writes each double output, with the
-// casts to and from the phase precisions inside the same launch.
-// The adjoint (F*) matvec mirrors the pipeline with the conjugate-
-// transpose SBGEMV.
+//   3. Fourier-space reorder to frequency-outer, then the strided
+//      batched GEMV over the N_t + 1 frequency blocks — the reorder is
+//      charged to the SBGEMV phase as the artifact's timing output
+//      does,
+//   4. batched inverse real FFT (n_d_local sequences) that loads its
+//      bins from the GEMV's frequency-outer output,
+//   5. unpad + SOTI->TOSI transpose, cast back to double — folded
+//      into phase 4's sample stores, so its time is charged to IFFT.
+// Five launches in all — pad, FFT, reorder, GEMV, inverse FFT.  The
+// pad reads each double input and the inverse FFT writes each double
+// output, with the casts to and from the phase precisions inside the
+// same launch.  The fusion ablation (fuse_casts = false)
+// keeps the unfused 7-launch pipeline — the GEMV output reordered back
+// to space-outer, the inverse FFT into a padded buffer, a separate
+// unpad, and every cast a kernel of its own — as the reference the
+// fused pipeline is bit-identical to.  The adjoint (F*) matvec
+// mirrors the pipeline with the conjugate-transpose SBGEMV.
 //
 // The plan is single-rank.  A distributed matvec is this apply
 // between a broadcast of the input over the grid column and a
 // pairwise-tree reduction of the partial outputs over the grid row
 // (the adjoint swaps the roles); the callers own those collectives.
-// Because the unpad rounds through the phase-5 precision, a rank's
+// Because phase 5 rounds through its precision, a rank's
 // double output already holds its phase-5 partial exactly:
 // LockstepCluster narrows it to float when phase 5 is single and
 // reduces it there, and DistributedMatvecPlan gathers disjoint output
@@ -31,8 +38,9 @@
 // phase computes in its configured precision; casts occur where the
 // working precision changes and are fused into the adjacent memory
 // operations (toggleable for the fusion ablation); the pure reorders
-// read the producer's precision and write the consumer's, so traffic
-// runs at the lowest adjacent width.
+// and the inverse FFT's bin loads read the producer's precision and
+// compute in the consumer's, so traffic runs at the lowest adjacent
+// width.
 //
 // One executor runs every apply: the grouped apply_batch, with b
 // right-hand sides; forward()/adjoint() are its one-RHS calls.
@@ -77,9 +85,15 @@ namespace fftmv::core {
 struct PhaseTimings {
   double pad = 0.0;     ///< transpose/pad (+cast)
   double fft = 0.0;     ///< phase-2 batched FFT
-  double sbgemv = 0.0;  ///< phase-3 GEMV incl. both Fourier reorders
-  double ifft = 0.0;    ///< phase-4 batched IFFT
-  double unpad = 0.0;   ///< unpad/transpose + final cast
+  /// Phase-3 GEMV incl. the input Fourier reorder (and, in the fusion
+  /// ablation, the output reorder too).
+  double sbgemv = 0.0;
+  /// Phase-4 batched IFFT; on the fused path it also writes the
+  /// outputs, so it carries phase 5.
+  double ifft = 0.0;
+  /// Unpad/transpose + final cast: the fusion ablation only, 0 on the
+  /// fused path.
+  double unpad = 0.0;
   double comm = 0.0;    ///< modelled collectives (DistributedMatvecPlan)
   double makespan = 0.0;  ///< end-to-end duration (== total() when serial)
 
@@ -108,6 +122,11 @@ enum class ApplyDirection : unsigned char { kForward, kAdjoint };
 /// Detection throws device::SilentCorruption; outputs of a verified
 /// apply are bit-identical to an unverified one (the checks only
 /// read), so a clean recompute after a detection is a full repair.
+/// A verified apply that throws may already have written some of its
+/// outputs: the detecting chunk's, whose inverse FFT carries the
+/// checks, and a pipelined apply's earlier chunks.  Callers must not
+/// read the outputs of a throwing apply (the serving layer fulfils a
+/// failed request with a fresh result that has no output).
 /// Tolerances come from core::verify_tolerances, calibrated per
 /// precision config so legitimate rounding never trips a check.
 enum class VerifyMode : unsigned char { kOff, kChecksum, kParanoid };
@@ -129,7 +148,7 @@ using ConstVectorView = std::span<const double>;
 /// Pipelined-execution request for apply_batch: split the batch's b
 /// right-hand sides into `chunks` contiguous chunks and software-
 /// pipeline them across two streams — chunk i's phase-3 grouped
-/// SBGEMV (plus both Fourier reorders) runs on the auxiliary stream
+/// SBGEMV (plus its Fourier reorder) runs on the auxiliary stream
 /// while chunk i+1's phase-1/2 pad+FFT runs on the plan's own stream,
 /// with phase-4/5 draining behind.  Cross-stream ordering uses the
 /// device layer's Event/Stream::wait contract; the spectrum
@@ -181,19 +200,21 @@ class FftMatvecPlan {
                std::span<double> m, const precision::PrecisionConfig& config);
 
   /// Execute b same-shape right-hand sides as ONE fused pipeline: the
-  /// phase-1/5 transposes are one RHS-batched launch each, reading
-  /// and writing the caller's vectors directly, the phase-2/4 real
-  /// FFTs run the cached plan with a runtime batch multiplier (b * n_s
-  /// sequences in one launch), and phase 3 is a single multi-RHS
-  /// strided batched GEMV that pays the operator's matrix traffic once
-  /// per frequency block instead of once per request — so a batch
-  /// issues the same launches whatever b is.  Results are
+  /// phase-1 pad is one RHS-batched launch reading the caller's
+  /// vectors directly, the phase-2/4 real FFTs run the cached plan
+  /// with a runtime batch multiplier (b * n_s sequences in one
+  /// launch), the inverse writing the caller's outputs directly, and
+  /// phase 3 is a single multi-RHS strided batched GEMV
+  /// that pays the operator's matrix traffic once per frequency block
+  /// instead of once per request — so a serial batch issues five
+  /// launches whatever b is.  Results are
   /// bit-identical to b independent forward()/adjoint() calls for
   /// every precision config — those are this same executor at b == 1.
   /// last_timings() afterwards holds the totals for the whole batch
   /// and last_batch_timings() the per-RHS shares.  `pipeline` requests
   /// chunked dual-stream execution (bit-identical outputs, lower
-  /// makespan — see BatchPipeline).
+  /// makespan — see BatchPipeline).  A verified apply that throws may
+  /// have written some outputs (see VerifyMode).
   void apply_batch(const BlockToeplitzOperator& op, ApplyDirection direction,
                    const precision::PrecisionConfig& config,
                    std::span<const ConstVectorView> inputs,
@@ -282,23 +303,23 @@ class FftMatvecPlan {
   std::optional<fft::BatchedRealFft<float>> fft_m_f_, fft_d_f_;
 
   // Pipeline buffers (shared between directions, max-size semantics).
-  // The pad reads and the unpad writes the caller's vectors directly,
-  // so a fused apply needs nothing outside the five phases.
+  // The pad reads and the inverse FFT writes the caller's vectors
+  // directly, so a fused apply needs nothing outside the five phases.
   DualReal padded_;    ///< SOTI zero-padded real input (x L)
   DualComplex spec_;   ///< spectrum, space-outer (ns x n_f)
   DualComplex spec_t_; ///< spectrum, frequency-outer (n_f x ns)
   DualComplex ospec_t_;///< GEMV output spectrum, frequency-outer
+  // The fusion ablation's buffers, allocated only when used.
   DualComplex ospec_;  ///< GEMV output spectrum, space-outer
   DualReal opad_;      ///< padded real output (x L)
-  // The fusion ablation's separate-cast intermediates, allocated only
-  // when used.
   DualReal stage_;     ///< input cast to p1
   DualReal olocal_;    ///< unpadded output in p4, then p5
 
   // Second spectrum workspace set for pipelined apply_batch: chunk i
   // uses set i % 2, so chunk i+1's FFT (stream A) writes while chunk
   // i's GEMV stage (stream B) still reads the other set.  Serial
-  // applies only ever touch set 0 (the members above).
+  // applies only ever touch set 0 (the members above).  ospec_alt_
+  // is the fusion ablation's.
   DualComplex spec_alt_, spec_t_alt_, ospec_t_alt_, ospec_alt_;
   /// Lazily-created second stream for pipelined applies when the
   /// caller does not supply one (BatchPipeline::aux == nullptr).
@@ -306,9 +327,10 @@ class FftMatvecPlan {
 
   // ABFT verify workspaces (double-width regardless of the precision
   // config — see blas::SbgemvVerify::acc_t): per (frequency block,
-  // RHS) checksum dots and magnitude estimates.  A single set
-  // suffices even when pipelined: launches execute synchronously at
-  // issue time, so stage 2 writes and consumes them within one call.
+  // RHS) checksum dots and magnitude estimates.  The GEMV writes them
+  // on the SBGEMV stage's stream and the fused inverse FFT compares
+  // them on the plan's own, so a pipelined apply holds two halves,
+  // chunk i using half i % 2, like the spectrum sets.
   std::optional<device::device_vector<cdouble>> chk_;
   std::optional<device::device_vector<double>> chk_scale_;
 };

@@ -11,6 +11,11 @@
 // sequences in one launch.  Multi-RHS pipeline applies use this to
 // grow the phase-2/4 batch from n_s to b * n_s without re-planning
 // (twiddle tables and geometry depend only on the length).
+//
+// The inverse also runs fused (inverse_fused_on): the launch reads its
+// bins and writes its samples through caller callbacks, so the memory
+// operations on either side of the transform ride it instead of
+// costing launches of their own.
 #pragma once
 
 #include <cmath>
@@ -24,6 +29,48 @@
 #include "util/math.hpp"
 
 namespace fftmv::fft {
+
+/// Failing sequences of a Parseval energy check.  Sequences run
+/// concurrently on the host pool, so records are serialised, and the
+/// sequence reported is the lowest failing one however the blocks
+/// were scheduled.
+class ParsevalFailure {
+ public:
+  void record(index_t seq, double diff, double bound) {
+    const std::lock_guard<std::mutex> lock(mu_);
+    if (count_++ == 0 || seq < seq_) {
+      seq_ = seq;
+      diff_ = diff;
+      bound_ = bound;
+    }
+  }
+
+  /// Throws device::SilentCorruption tagged with `site` when any
+  /// sequence failed.
+  void throw_if_any(const char* site) const {
+    if (count_ == 0) return;
+    throw device::SilentCorruption(
+        site, "sequence " + std::to_string(seq_) +
+                  ": |energy(time) - energy(spectrum)| = " +
+                  std::to_string(diff_) + " exceeds bound " +
+                  std::to_string(bound_) + " (" + std::to_string(count_) +
+                  " failing sequence(s))");
+  }
+
+ private:
+  std::mutex mu_;
+  int count_ = 0;
+  index_t seq_ = -1;
+  double diff_ = 0.0;
+  double bound_ = 0.0;
+};
+
+/// A Parseval energy check riding BatchedRealFft::inverse_fused_on
+/// (see verify_parseval_on for the invariant).
+struct ParsevalCheck {
+  double tolerance = 0.0;
+  ParsevalFailure* failure = nullptr;  ///< receives failing sequences
+};
 
 template <class Real>
 class BatchedRealFft {
@@ -79,6 +126,44 @@ class BatchedRealFft {
     });
   }
 
+  /// Fused inverse execution: the transform of inverse_on, one
+  /// gridblock per sequence, with its I/O through callbacks.
+  /// Gridblock q reads bin k as load(q, k) and hands sample j to
+  /// store(q, j, v) in increasing j (see RealFftEngine::inverse), then
+  /// runs after(q), work that rides the launch.  `fp` is the launch's
+  /// footprint: fused_footprint() plus whatever after() adds.  With
+  /// `parseval`, each sequence also checks its energy balance — time
+  /// energy summed from the samples as they are produced, spectrum
+  /// energy from the bins as loaded — recording failures for the
+  /// caller to throw, so it can order this check against after()'s.
+  template <class Load, class Store, class After>
+  device::KernelTiming inverse_fused_on(device::Stream& stream,
+                                        index_t batch_multiplier,
+                                        device::KernelFootprint fp, Load load,
+                                        Store store, After after,
+                                        const ParsevalCheck* parseval = nullptr) const {
+    if (parseval != nullptr) fp.flops += parseval_flops(batch_multiplier);
+    const ParsevalCheck check = parseval != nullptr ? *parseval : ParsevalCheck{};
+    return stream.launch(geometry(batch_multiplier), fp,
+                         [=, this](index_t q, index_t, index_t) {
+      const auto bin = [&](index_t k) { return load(q, k); };
+      double e_time = 0.0;
+      engine_.inverse(bin,
+                      [&](index_t j, Real v) {
+                        if (check.failure != nullptr) {
+                          const double d = static_cast<double>(v);
+                          e_time += d * d;
+                        }
+                        store(q, j, v);
+                      },
+                      FftScratch<Real>::local());
+      if (check.failure != nullptr) {
+        check_energy(q, e_time, bin, check.tolerance, *check.failure);
+      }
+      after(q);
+    });
+  }
+
   /// ABFT energy check over a time/spectrum pair (Parseval's theorem
   /// for the unnormalised forward transform): for each sequence b,
   ///   sum_n time[n]^2  ==  (1/L) * (|X_0|^2 + |X_{L/2}|^2
@@ -95,19 +180,9 @@ class BatchedRealFft {
                                           index_t batch_multiplier,
                                           double tolerance,
                                           const char* site) const {
-    // Sequences run concurrently on the host pool: failures are
-    // recorded under a lock, keeping the lowest failing sequence.
-    struct Failure {
-      std::mutex mu;
-      int count = 0;
-      index_t seq = -1;
-      double diff = 0.0;
-      double bound = 0.0;
-    };
-    Failure fail;
-    Failure* fail_ptr = &fail;
+    ParsevalFailure fail;
+    ParsevalFailure* fail_ptr = &fail;
     const index_t L = engine_.length();
-    const index_t half = L / 2;
     const auto timing = stream.launch(
         geometry(batch_multiplier), parseval_footprint(batch_multiplier),
         [=, this](index_t bx, index_t, index_t) {
@@ -118,34 +193,10 @@ class BatchedRealFft {
             const double v = static_cast<double>(t[n]);
             e_time += v * v;
           }
-          double e_spec = std::norm(std::complex<double>(s[0]));
-          if (L % 2 == 0) e_spec += std::norm(std::complex<double>(s[half]));
-          for (index_t k = 1; k < (L + 1) / 2; ++k) {
-            e_spec += 2.0 * std::norm(std::complex<double>(s[k]));
-          }
-          e_spec /= static_cast<double>(L);
-          const double diff = std::abs(e_time - e_spec);
-          const double bound = tolerance * (e_time + e_spec);
-          // Only a finite difference within the bound passes: a NaN
-          // fails every comparison, and an Inf energy inflates the
-          // bound along with the difference.
-          if (!(std::isfinite(diff) && diff <= bound)) {
-            const std::lock_guard<std::mutex> lock(fail_ptr->mu);
-            if (fail_ptr->count++ == 0 || bx < fail_ptr->seq) {
-              fail_ptr->seq = bx;
-              fail_ptr->diff = diff;
-              fail_ptr->bound = bound;
-            }
-          }
+          check_energy(bx, e_time, [s](index_t k) { return s[k]; }, tolerance,
+                       *fail_ptr);
         });
-    if (!stream.device().phantom() && fail.count > 0) {
-      throw device::SilentCorruption(
-          site, "sequence " + std::to_string(fail.seq) +
-                    ": |energy(time) - energy(spectrum)| = " +
-                    std::to_string(fail.diff) + " exceeds bound " +
-                    std::to_string(fail.bound) + " (" +
-                    std::to_string(fail.count) + " failing sequence(s))");
-    }
+    if (!stream.device().phantom()) fail.throw_if_any(site);
     return timing;
   }
 
@@ -177,6 +228,27 @@ class BatchedRealFft {
     return fp;
   }
 
+  /// Footprint of inverse_fused_on before its after() work: the
+  /// plan's own passes over the working set, with the first pass's
+  /// read and the last pass's write replaced by what the callbacks
+  /// move, `load_bytes` and `store_bytes` per sequence.  Those
+  /// accesses are strided within a sequence but contiguous across
+  /// neighbouring sequences (the batch-contiguous layout cuFFT/rocFFT
+  /// plans accept: element stride = batch, distance = 1), so a
+  /// wavefront's neighbouring sequences coalesce and the launch is
+  /// charged at the plan's own coalescing efficiency.
+  device::KernelFootprint fused_footprint(index_t batch_multiplier,
+                                          double load_bytes,
+                                          double store_bytes) const {
+    device::KernelFootprint fp = footprint(batch_multiplier);
+    const double eb = static_cast<double>(effective_batch(batch_multiplier));
+    const double pass = eb * static_cast<double>(engine_.length()) *
+                        static_cast<double>(sizeof(Real));
+    fp.bytes_read += eb * load_bytes - pass;
+    fp.bytes_written += eb * store_bytes - pass;
+    return fp;
+  }
+
   /// Footprint of the Parseval pass: one read of the time and
   /// spectrum working sets, a handful of flops per element.
   device::KernelFootprint parseval_footprint(index_t batch_multiplier) const {
@@ -187,7 +259,7 @@ class BatchedRealFft {
     fp.bytes_read = eb * (L * static_cast<double>(sizeof(Real)) +
                           bins * static_cast<double>(sizeof(C)));
     fp.bytes_written = 0.0;
-    fp.flops = eb * (2.0 * L + 4.0 * bins);
+    fp.flops = parseval_flops(batch_multiplier);
     fp.fp64_path = true;
     fp.vector_load_bytes = 16;
     fp.coalescing_efficiency = 0.9;
@@ -202,6 +274,35 @@ class BatchedRealFft {
       throw std::invalid_argument("BatchedRealFft: batch multiplier must be >= 1");
     }
     return batch_ * multiplier;
+  }
+
+  /// The Parseval check's arithmetic: two energies per element.
+  double parseval_flops(index_t batch_multiplier) const {
+    const double eb = static_cast<double>(effective_batch(batch_multiplier));
+    return eb * (2.0 * static_cast<double>(engine_.length()) +
+                 4.0 * static_cast<double>(engine_.spectrum_size()));
+  }
+
+  /// One sequence's Parseval compare, shared by verify_parseval_on and
+  /// the fused inverse: `e_time` is the sequence's time energy, and
+  /// the spectrum energy is summed in double from the bins read as
+  /// bin(k).  A failure is recorded in `fail` under `seq`.
+  template <class Bin>
+  void check_energy(index_t seq, double e_time, const Bin& bin, double tolerance,
+                    ParsevalFailure& fail) const {
+    const index_t L = engine_.length();
+    double e_spec = std::norm(std::complex<double>(bin(0)));
+    if (L % 2 == 0) e_spec += std::norm(std::complex<double>(bin(L / 2)));
+    for (index_t k = 1; k < (L + 1) / 2; ++k) {
+      e_spec += 2.0 * std::norm(std::complex<double>(bin(k)));
+    }
+    e_spec /= static_cast<double>(L);
+    const double diff = std::abs(e_time - e_spec);
+    const double bound = tolerance * (e_time + e_spec);
+    // Only a finite difference within the bound passes: a NaN fails
+    // every comparison, and an Inf energy inflates the bound along
+    // with the difference.
+    if (!(std::isfinite(diff) && diff <= bound)) fail.record(seq, diff, bound);
   }
 
   RealFftEngine<Real> engine_;

@@ -12,10 +12,16 @@
 // scaling so that inverse(forward(x)) == x up to rounding, matching
 // the IFFT operator norm 1/sqrt(L) used in the paper's error
 // analysis (§3.2.1).
+//
+// The inverse also takes its I/O through callbacks, the shape of
+// cuFFT/rocFFT load and store callbacks: the bins are read and the
+// samples handed on wherever and in whatever precision the caller
+// keeps them, with the transform's arithmetic unchanged.
 #pragma once
 
 #include <cmath>
 #include <complex>
+#include <concepts>
 #include <stdexcept>
 
 #include "fft/complex_engine.hpp"
@@ -61,10 +67,20 @@ class RealFftEngine {
   /// Exact inverse of `forward` including the 1/L scaling.  `in`
   /// holds L/2+1 bins of a conjugate-symmetric spectrum.
   void inverse(const C* in, Real* out, FftScratch<Real>& scratch) const {
+    inverse([in](index_t k) { return in[k]; },
+            [out](index_t j, Real v) { out[j] = v; }, scratch);
+  }
+
+  /// The same inverse with callback I/O: bin k (k in [0, L/2]) is
+  /// read as load(k), which returns C, and sample j is handed to
+  /// store(j, v) exactly once, in increasing j.
+  template <class Load, class Store>
+    requires std::invocable<Load&, index_t> && std::invocable<Store&, index_t, Real>
+  void inverse(Load&& load, Store&& store, FftScratch<Real>& scratch) const {
     if (packed_) {
-      inverse_packed(in, out, scratch);
+      inverse_packed(load, store, scratch);
     } else {
-      inverse_direct(in, out, scratch);
+      inverse_direct(load, store, scratch);
     }
   }
 
@@ -91,14 +107,15 @@ class RealFftEngine {
     }
   }
 
-  void inverse_packed(const C* in, Real* out, FftScratch<Real>& scratch) const {
+  template <class Load, class Store>
+  void inverse_packed(Load& load, Store& store, FftScratch<Real>& scratch) const {
     const index_t n = L_ / 2;
     scratch.ensure_packed(n);
     C* z = scratch.packed.data();
     const Real half = Real(0.5);
     for (index_t k = 0; k < n; ++k) {
-      const C xk = in[k];
-      const C xnk = std::conj(in[n - k]);
+      const C xk = load(k);
+      const C xnk = std::conj(load(n - k));
       const C even = (xk + xnk) * half;
       // O[k] = conj(w^k) (X[k] - conj(X[n-k])) / 2.
       const C odd = std::conj(unpack_tw_[static_cast<std::size_t>(k)]) *
@@ -108,8 +125,8 @@ class RealFftEngine {
     engine_.transform(z, z, 1, scratch);
     const Real inv_n = Real(1) / static_cast<Real>(n);
     for (index_t k = 0; k < n; ++k) {
-      out[2 * k] = z[k].real() * inv_n;
-      out[2 * k + 1] = z[k].imag() * inv_n;
+      store(2 * k, z[k].real() * inv_n);
+      store(2 * k + 1, z[k].imag() * inv_n);
     }
   }
 
@@ -121,14 +138,15 @@ class RealFftEngine {
     for (index_t k = 0; k <= L_ / 2; ++k) out[k] = z[k];
   }
 
-  void inverse_direct(const C* in, Real* out, FftScratch<Real>& scratch) const {
+  template <class Load, class Store>
+  void inverse_direct(Load& load, Store& store, FftScratch<Real>& scratch) const {
     scratch.ensure_packed(L_);
     C* z = scratch.packed.data();
-    for (index_t k = 0; k <= L_ / 2; ++k) z[k] = in[k];
-    for (index_t k = L_ / 2 + 1; k < L_; ++k) z[k] = std::conj(in[L_ - k]);
+    for (index_t k = 0; k <= L_ / 2; ++k) z[k] = load(k);
+    for (index_t k = L_ / 2 + 1; k < L_; ++k) z[k] = std::conj(load(L_ - k));
     engine_.transform(z, z, 1, scratch);
     const Real inv_L = Real(1) / static_cast<Real>(L_);
-    for (index_t j = 0; j < L_; ++j) out[j] = z[j].real() * inv_L;
+    for (index_t j = 0; j < L_; ++j) store(j, z[j].real() * inv_L);
   }
 
   index_t L_;

@@ -15,7 +15,9 @@
 // caller's double vector and the pipeline is rounded through the
 // adjacent phase's precision P inside the kernel, so neither a
 // staging cast nor an output copy is launched per RHS: a batch pays
-// one launch per stage whatever its size.
+// one launch per stage whatever its size.  The fused matvec folds the
+// unpad into its inverse FFT's sample stores, so the batched unpad
+// now serves only the fusion ablation.
 #pragma once
 
 #include <algorithm>
@@ -220,9 +222,10 @@ device::KernelTiming unpad_transpose_cast(device::Stream& stream, const S* src,
 /// its bx == 0 gridblock, over the tile's source rows [r0, r1): work
 /// that must see the rows as this kernel reads them rides the launch
 /// instead of costing its own.  `check_fp` is that work's extra
-/// traffic and flops.  The phase-3 output reorder, the first kernel
-/// to read the GEMV's output after its write-back, carries the ABFT
-/// checksum compare this way (see blas::sbgemv_grouped).
+/// traffic and flops.  In the fusion ablation the phase-3 output
+/// reorder, the first kernel to read the GEMV's output after its
+/// write-back, carries the ABFT checksum compare this way (see
+/// blas::sbgemv_grouped).
 template <class D, class S, class RowCheck = std::nullptr_t>
 device::KernelTiming transpose_cast(device::Stream& stream, const S* src, D* dst,
                                     index_t rows, index_t cols,

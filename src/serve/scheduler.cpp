@@ -739,10 +739,13 @@ void AsyncScheduler::execute_batch(int lane, Batch& batch) {
   // (plan creation may itself fault — an injected DeviceOutOfMemory
   // caches nothing, so the retry rebuilds cleanly), run ONE fused
   // apply_batch and attribute the per-request timing shares.  Throws
-  // on failure; a failed attempt leaves no partial numerics visible
-  // (StreamFault fires before any writes) and a successful re-attempt
-  // rewrites results[lo..hi) completely, so retried dispatches stay
-  // bit-identical to a fault-free run.
+  // on failure.  A failed attempt may leave partial outputs in
+  // results[lo..hi) (a verified apply writes the detecting chunk's
+  // outputs before it throws; a StreamFault fires before any writes),
+  // but none is visible: a successful re-attempt rewrites the range
+  // completely, so retried dispatches stay bit-identical to a
+  // fault-free run, and a request that finally fails is fulfilled
+  // with a fresh MatvecResult that has no output.
   const auto run_attempt = [&](std::size_t lo, std::size_t hi) {
     const std::size_t n = hi - lo;
     std::vector<core::ConstVectorView> inputs(n);

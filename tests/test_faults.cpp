@@ -361,6 +361,72 @@ TEST(AbftChecksum, DetectsInjectedCorruptionThenRecomputesBitIdentically) {
   EXPECT_EQ(out, clean);
 }
 
+// Detection through the pipelined, grouped executor: a 5-RHS batch
+// over two operators (groups of 2 and 3) in 1-3 chunks, with each of
+// its GEMV launches corrupted in turn.  The checksum compare that rides
+// the first kernel to read the GEMV output must catch every one, in
+// both directions and across the precision lattice, and the recompute
+// must be bit-identical to the clean verified run.
+TEST(AbftChecksum, PipelinedGroupedDetectionRecomputesBitIdentically) {
+  device::Device dev(device::make_mi300x());
+  device::Stream stream(dev);
+  const auto local = core::LocalDims::single_rank(small_dims());
+  core::BlockToeplitzOperator op_a(dev, stream, local,
+                                   core::make_first_block_col(local, 17));
+  core::BlockToeplitzOperator op_b(dev, stream, local,
+                                   core::make_first_block_col(local, 18));
+  const core::FftMatvecPlan::OperatorGroup groups[] = {{&op_a, 2}, {&op_b, 3}};
+  core::FftMatvecPlan plan(dev, stream, local);
+  const index_t b = 5;
+  for (const auto direction :
+       {core::ApplyDirection::kForward, core::ApplyDirection::kAdjoint}) {
+    const bool forward = direction == core::ApplyDirection::kForward;
+    const index_t in_len = local.n_t() * (forward ? local.n_m_local : local.n_d_local);
+    const auto out_len = static_cast<std::size_t>(
+        local.n_t() * (forward ? local.n_d_local : local.n_m_local));
+    std::vector<std::vector<double>> ins;
+    std::vector<core::ConstVectorView> in_views;
+    for (index_t r = 0; r < b; ++r) {
+      ins.push_back(core::make_input_vector(in_len, 20 + static_cast<std::uint64_t>(r)));
+    }
+    for (const auto& in : ins) in_views.emplace_back(in);
+    const auto apply = [&](const precision::PrecisionConfig& cfg,
+                           const core::BatchPipeline& pipeline,
+                           std::vector<std::vector<double>>& outs) {
+      outs.assign(static_cast<std::size_t>(b), std::vector<double>(out_len));
+      std::vector<core::VectorView> out_views;
+      for (auto& out : outs) out_views.emplace_back(out);
+      plan.apply_batch(groups, direction, cfg, in_views, out_views, pipeline);
+    };
+    for (const char* cfg_str : {"ddddd", "dssdd", "sdsds", "sssss"}) {
+      const auto cfg = precision::PrecisionConfig::parse(cfg_str);
+      for (const index_t chunks : {1, 2, 3}) {
+        core::BatchPipeline pipeline;
+        pipeline.chunks = chunks;
+        pipeline.verify = core::VerifyMode::kChecksum;
+        dev.set_fault_plan(nullptr);
+        std::vector<std::vector<double>> clean, out;
+        apply(cfg, pipeline, clean);
+        for (index_t launch = 0; launch < chunks; ++launch) {
+          const std::string what = std::string(cfg_str) + (forward ? " F" : " F*") +
+                                   " chunks=" + std::to_string(chunks) +
+                                   " corrupted GEMV " + std::to_string(launch);
+          auto faults = std::make_shared<FaultPlan>();
+          const auto window = static_cast<std::uint64_t>(launch);
+          faults->fail_buffer_writes(window, window + 1);
+          dev.set_fault_plan(faults);
+          EXPECT_THROW(apply(cfg, pipeline, out), device::SilentCorruption) << what;
+          EXPECT_EQ(faults->stats().buffer_faults, 1u) << what;
+          // The window passed: the recompute is clean and bit-identical.
+          apply(cfg, pipeline, out);
+          EXPECT_EQ(out, clean) << what;
+        }
+      }
+    }
+  }
+  dev.set_fault_plan(nullptr);
+}
+
 TEST(AbftChecksum, VerifyOffLeavesInjectedCorruptionSilent) {
   device::Device dev(device::make_mi300x());
   device::Stream stream(dev);
