@@ -109,8 +109,9 @@ CasePoint run_case(device::Device& dev, const core::ProblemDims& dims,
   }
 
   core::DistributedMatvecPlan dist(comm::NetworkSpec::frontier());
-  dist.apply_batch(op, core::ApplyDirection::kForward, config, in_views,
-                   out_views, lanes, mode);
+  const core::DistributedMatvecPlan::OperatorGroup group{&op, b};
+  dist.apply_batch({&group, 1}, core::ApplyDirection::kForward, config,
+                   in_views, out_views, lanes, mode);
   p.makespan = dist.last_timings().span();
   p.comm = dist.last_timings().comm;
   p.compute = dist.last_timings().compute_total();

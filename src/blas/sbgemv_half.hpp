@@ -12,7 +12,6 @@
 #pragma once
 
 #include <algorithm>
-#include <span>
 
 #include "blas/gemv_kernels.hpp"
 #include "device/stream.hpp"
@@ -44,14 +43,6 @@ struct SbgemvHalfArgs {
   index_t rhs_stride_y = 0;
 };
 
-/// One operator group of a grouped half-storage GEMV (mirrors
-/// SbgemvGroup): `nrhs` contiguous right-hand sides sharing one
-/// matrix base pointer.
-struct SbgemvHalfGroup {
-  const precision::half* a = nullptr;
-  index_t nrhs = 0;
-};
-
 namespace detail {
 
 inline void sbgemv_half_validate(const SbgemvHalfArgs& args, bool allow_null) {
@@ -78,10 +69,7 @@ inline void sbgemv_half_validate(const SbgemvHalfArgs& args, bool allow_null) {
   }
 }
 
-/// Kernel body of gridblock (bx, ., bz): the single definition both
-/// the flat and the grouped entry points run, keeping the summation
-/// order — and thus the grouped-vs-independent bit-exactness
-/// contract — in one place.
+/// Kernel body of gridblock (bx, ., bz).
 inline void sbgemv_half_block(const SbgemvHalfArgs& a, index_t bx, index_t bz) {
   const precision::half* A = a.a + bz * a.stride_a;
   const index_t col_begin = bx * kOptTileCols;
@@ -110,18 +98,15 @@ inline void sbgemv_half_block(const SbgemvHalfArgs& a, index_t bx, index_t bz) {
 }
 
 /// Footprint: half the bytes of the float kernel; compute stays on
-/// the fp32 path (tensor-style accumulate).  Each of the `num_groups`
-/// matrices is read once per batch entry; only vector traffic and
-/// flops scale with the total RHS count.
-inline device::KernelFootprint sbgemv_half_footprint(const SbgemvHalfArgs& args,
-                                                     index_t num_groups,
-                                                     index_t total_nrhs) {
+/// the fp32 path (tensor-style accumulate).  The matrix is read once
+/// per batch entry; only vector traffic and flops scale with the RHS
+/// count.
+inline device::KernelFootprint sbgemv_half_footprint(const SbgemvHalfArgs& args) {
   device::KernelFootprint fp;
   const double b = static_cast<double>(args.batch);
-  const double g = static_cast<double>(num_groups);
-  const double r = static_cast<double>(total_nrhs);
+  const double r = static_cast<double>(args.nrhs);
   fp.bytes_read =
-      b * (g * static_cast<double>(args.m) * static_cast<double>(args.n) +
+      b * (static_cast<double>(args.m) * static_cast<double>(args.n) +
            r * static_cast<double>(args.m)) *
       sizeof(precision::half);
   fp.bytes_written = b * r * static_cast<double>(args.n) * sizeof(precision::half);
@@ -140,57 +125,10 @@ inline device::KernelTiming sbgemv_half_optimized(device::Stream& stream,
   detail::sbgemv_half_validate(args, stream.device().phantom());
   const auto geom =
       gemv_geometry(GemvKernelKind::kOptimizedT, args.m, args.n, args.batch);
-  const auto fp = detail::sbgemv_half_footprint(args, 1, args.nrhs);
+  const auto fp = detail::sbgemv_half_footprint(args);
   const SbgemvHalfArgs a = args;
   return stream.launch(geom, fp, [a](index_t bx, index_t, index_t bz) {
     detail::sbgemv_half_block(a, bx, bz);
-  });
-}
-
-/// Grouped half-storage GEMV (mirrors sbgemv_grouped): `args.a` and
-/// `args.nrhs` are ignored — each group supplies its own matrix and
-/// RHS count, with RHS groups laid out contiguously exactly as in the
-/// flat multi-RHS call with nrhs = sum of group counts.  A single
-/// group is dispatched as the flat kernel (same launch, same
-/// footprint).
-inline device::KernelTiming sbgemv_half_grouped(
-    device::Stream& stream, const SbgemvHalfArgs& args,
-    std::span<const SbgemvHalfGroup> groups) {
-  if (groups.empty()) {
-    throw std::invalid_argument("sbgemv_half_grouped: need at least one group");
-  }
-  const bool allow_null = stream.device().phantom();
-  index_t total_nrhs = 0;
-  for (const auto& g : groups) {
-    if (g.nrhs <= 0) {
-      throw std::invalid_argument("sbgemv_half_grouped: group nrhs must be >= 1");
-    }
-    if (!allow_null && g.a == nullptr) {
-      throw std::invalid_argument("sbgemv_half_grouped: null group matrix");
-    }
-    total_nrhs += g.nrhs;
-  }
-  SbgemvHalfArgs flat = args;
-  flat.a = groups.front().a;
-  flat.nrhs = total_nrhs;
-  detail::sbgemv_half_validate(flat, allow_null);
-  if (groups.size() == 1) return sbgemv_half_optimized(stream, flat);
-
-  const auto geom =
-      gemv_geometry(GemvKernelKind::kOptimizedT, args.m, args.n, args.batch);
-  const auto fp = detail::sbgemv_half_footprint(
-      args, static_cast<index_t>(groups.size()), total_nrhs);
-  return stream.launch(geom, fp, [flat, groups](index_t bx, index_t, index_t bz) {
-    SbgemvHalfArgs slice = flat;
-    index_t r0 = 0;
-    for (const auto& g : groups) {
-      slice.a = g.a;
-      slice.nrhs = g.nrhs;
-      slice.x = flat.x + r0 * flat.rhs_stride_x;
-      slice.y = flat.y + r0 * flat.rhs_stride_y;
-      detail::sbgemv_half_block(slice, bx, bz);
-      r0 += g.nrhs;
-    }
   });
 }
 

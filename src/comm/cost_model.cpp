@@ -38,12 +38,6 @@ double CommCostModel::reduce_time(index_t q, double bytes,
   return collective_time(q, bytes, within_node, 1.15);
 }
 
-double CommCostModel::allreduce_time(index_t q, double bytes,
-                                     bool within_node) const {
-  return reduce_time(q, bytes, within_node) +
-         broadcast_time(q, bytes, within_node) - spec_.alpha_call_s;
-}
-
 MatvecCollectives CommCostModel::matvec_collectives(index_t p_rows,
                                                     index_t p_cols,
                                                     bool adjoint,

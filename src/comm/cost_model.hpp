@@ -68,9 +68,6 @@ class CommCostModel {
   /// (arithmetic on arrival).
   double reduce_time(index_t q, double bytes, bool within_node) const;
 
-  /// Reduce followed by broadcast (the model's allreduce).
-  double allreduce_time(index_t q, double bytes, bool within_node) const;
-
   /// Collective cost of one matvec on a p_rows x p_cols grid — THE
   /// single source of truth for the grid's comm terms, shared by the
   /// partitioner (evaluate_partition) and the fig4 scaling harness

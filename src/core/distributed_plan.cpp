@@ -15,6 +15,19 @@ double view_width(const precision::PrecisionConfig& config, int phase) {
   return config.phase(phase) == precision::Precision::kSingle ? 4.0 : 8.0;
 }
 
+/// Rank r's operator groups: the rank-r slice of every group's
+/// operator, with the group's RHS count.
+std::vector<FftMatvecPlan::OperatorGroup> rank_groups(
+    std::span<const DistributedMatvecPlan::OperatorGroup> groups,
+    ApplyDirection direction, index_t rank) {
+  std::vector<FftMatvecPlan::OperatorGroup> slices;
+  slices.reserve(groups.size());
+  for (const auto& g : groups) {
+    slices.push_back({&g.op->rank_op(direction, rank), g.rhs_count});
+  }
+  return slices;
+}
+
 }  // namespace
 
 ShardedOperator::ShardedOperator(device::Device& dev, device::Stream& stream,
@@ -98,8 +111,8 @@ void ShardedOperator::warm_checksums(device::Stream& stream) {
   }
 }
 
-index_t DistributedMatvecPlan::validate_batch(
-    const ShardedOperator& op, ApplyDirection direction,
+const ShardedOperator& DistributedMatvecPlan::validate_batch(
+    std::span<const OperatorGroup> groups, ApplyDirection direction,
     std::span<const ConstVectorView> inputs,
     std::span<const VectorView> outputs,
     std::span<const RankLane> lanes) const {
@@ -111,7 +124,22 @@ index_t DistributedMatvecPlan::validate_batch(
     throw std::invalid_argument(
         "DistributedMatvecPlan: inputs/outputs count mismatch");
   }
-  const index_t ranks = op.ranks();
+  if (groups.empty()) {
+    throw std::invalid_argument(
+        "DistributedMatvecPlan: need at least one operator group");
+  }
+  // The rank slices follow from (ranks, global dims) alone, so groups
+  // sharing both share every slice shape; each rank plan then checks
+  // its own operators against its dims.
+  for (const auto& g : groups) {
+    if (g.op == nullptr || g.op->ranks() != groups.front().op->ranks() ||
+        g.op->dims() != groups.front().op->dims()) {
+      throw std::invalid_argument(
+          "DistributedMatvecPlan: operator groups must share one placement");
+    }
+  }
+  const ShardedOperator& placement = *groups.front().op;
+  const index_t ranks = placement.ranks();
   if (static_cast<index_t>(lanes.size()) != ranks) {
     throw std::invalid_argument(
         "DistributedMatvecPlan: need one RankLane per shard rank");
@@ -120,30 +148,32 @@ index_t DistributedMatvecPlan::validate_batch(
     if (lanes[r].plan == nullptr) {
       throw std::invalid_argument("DistributedMatvecPlan: null rank plan");
     }
-    if (!(lanes[r].plan->dims() == op.rank_dims(direction, r))) {
+    if (!(lanes[r].plan->dims() == placement.rank_dims(direction, r))) {
       throw std::invalid_argument(
           "DistributedMatvecPlan: rank plan dims do not match the shard");
     }
   }
-  return ranks;
+  return placement;
 }
 
 void DistributedMatvecPlan::apply_batch(
-    const ShardedOperator& op, ApplyDirection direction,
+    std::span<const OperatorGroup> groups, ApplyDirection direction,
     const precision::PrecisionConfig& config,
     std::span<const ConstVectorView> inputs,
     std::span<const VectorView> outputs,
     std::span<const RankLane> lanes, CommMode mode, index_t pipeline_chunks,
     VerifyMode verify) {
   const index_t b = static_cast<index_t>(inputs.size());
-  const index_t ranks = validate_batch(op, direction, inputs, outputs, lanes);
+  const ShardedOperator& placement =
+      validate_batch(groups, direction, inputs, outputs, lanes);
+  const index_t ranks = placement.ranks();
 
   if (ranks == 1) {
-    // Degenerate placement: byte-for-byte the single-rank fused batch,
-    // zero communication charged.
+    // Degenerate placement: byte-for-byte the single-rank grouped
+    // batch, zero communication charged.
     FftMatvecPlan& plan = *lanes[0].plan;
-    plan.apply_batch(op.rank_op(direction, 0), direction, config, inputs,
-                     outputs,
+    plan.apply_batch(rank_groups(groups, direction, 0), direction, config,
+                     inputs, outputs,
                      BatchPipeline{pipeline_chunks, lanes[0].aux, verify});
     timings_ = plan.last_timings();
     rhs_timings_ = plan.last_batch_timings();
@@ -151,7 +181,7 @@ void DistributedMatvecPlan::apply_batch(
   }
 
   const bool adjoint = direction == ApplyDirection::kAdjoint;
-  const ProblemDims& dims = op.dims();
+  const ProblemDims& dims = placement.dims();
   const index_t nt = dims.n_t;
   const index_t ns_in = adjoint ? dims.n_d : dims.n_m;
   const index_t ns_out = adjoint ? dims.n_m : dims.n_d;
@@ -209,7 +239,7 @@ void DistributedMatvecPlan::apply_batch(
   const double t_start = sync_group();
   for (const auto& lane : lanes) lane.plan->stream().advance(coll.broadcast_s);
 
-  run_rank_slices(op, direction, config, inputs, lanes, pipeline_chunks,
+  run_rank_slices(groups, direction, config, inputs, lanes, pipeline_chunks,
                   verify, phantom);
 
   sync_group();
@@ -219,7 +249,7 @@ void DistributedMatvecPlan::apply_batch(
   // Assemble: per-rank output slices have disjoint support, so the
   // gather is plain copies into the caller's vectors (already billed
   // above at the reduce tariff).
-  assemble_outputs(op, direction, outputs, phantom);
+  assemble_outputs(placement, direction, outputs, phantom);
 
   // Group accounting: phase fields stay the ranks' summed busy time
   // (serial-equivalent), comm is the collective bill charged once, and
@@ -235,24 +265,14 @@ void DistributedMatvecPlan::apply_batch(
 }
 
 void DistributedMatvecPlan::apply_batch_degraded(
-    const ShardedOperator& op, ApplyDirection direction,
+    std::span<const OperatorGroup> groups, ApplyDirection direction,
     const precision::PrecisionConfig& config,
     std::span<const ConstVectorView> inputs,
     std::span<const VectorView> outputs, std::span<const RankLane> lanes,
     index_t pipeline_chunks, VerifyMode verify) {
   const index_t b = static_cast<index_t>(inputs.size());
-  const index_t ranks = validate_batch(op, direction, inputs, outputs, lanes);
-
-  if (ranks == 1) {
-    FftMatvecPlan& plan = *lanes[0].plan;
-    plan.apply_batch(op.rank_op(direction, 0), direction, config, inputs,
-                     outputs,
-                     BatchPipeline{pipeline_chunks, lanes[0].aux, verify});
-    timings_ = plan.last_timings();
-    rhs_timings_ = plan.last_batch_timings();
-    return;
-  }
-
+  const ShardedOperator& placement =
+      validate_batch(groups, direction, inputs, outputs, lanes);
   const bool phantom = lanes[0].plan->stream().device().phantom();
 
   // Survivor-local window: with all lanes bound to one stream (pair)
@@ -268,10 +288,10 @@ void DistributedMatvecPlan::apply_batch_degraded(
   };
 
   const double t_start = group_now();
-  run_rank_slices(op, direction, config, inputs, lanes, pipeline_chunks,
+  run_rank_slices(groups, direction, config, inputs, lanes, pipeline_chunks,
                   verify, phantom);
   const double t_end = group_now();
-  assemble_outputs(op, direction, outputs, phantom);
+  assemble_outputs(placement, direction, outputs, phantom);
 
   timings_.comm = 0.0;
   timings_.makespan = t_end - t_start;
@@ -283,14 +303,15 @@ void DistributedMatvecPlan::apply_batch_degraded(
 }
 
 void DistributedMatvecPlan::run_rank_slices(
-    const ShardedOperator& op, ApplyDirection direction,
+    std::span<const OperatorGroup> groups, ApplyDirection direction,
     const precision::PrecisionConfig& config,
     std::span<const ConstVectorView> inputs, std::span<const RankLane> lanes,
     index_t pipeline_chunks, VerifyMode verify, bool phantom) {
+  const ShardedOperator& placement = *groups.front().op;
   const index_t b = static_cast<index_t>(inputs.size());
-  const index_t ranks = op.ranks();
+  const index_t ranks = placement.ranks();
   const bool adjoint = direction == ApplyDirection::kAdjoint;
-  const index_t nt = op.dims().n_t;
+  const index_t nt = placement.dims().n_t;
 
   timings_ = PhaseTimings{};
   rhs_timings_.assign(static_cast<std::size_t>(b), PhaseTimings{});
@@ -300,7 +321,7 @@ void DistributedMatvecPlan::run_rank_slices(
 
   std::vector<VectorView> rank_outputs(static_cast<std::size_t>(b));
   for (index_t r = 0; r < ranks; ++r) {
-    const LocalDims& local = op.rank_dims(direction, r);
+    const LocalDims& local = placement.rank_dims(direction, r);
     const index_t out_elems =
         nt * (adjoint ? local.n_m_local : local.n_d_local);
     if (!phantom) {
@@ -317,8 +338,8 @@ void DistributedMatvecPlan::run_rank_slices(
     }
 
     FftMatvecPlan& plan = *lanes[r].plan;
-    plan.apply_batch(op.rank_op(direction, r), direction, config, inputs,
-                     rank_outputs,
+    plan.apply_batch(rank_groups(groups, direction, r), direction, config,
+                     inputs, rank_outputs,
                      BatchPipeline{pipeline_chunks, lanes[r].aux, verify});
     timings_ += plan.last_timings();
     const auto& shares = plan.last_batch_timings();
@@ -330,19 +351,19 @@ void DistributedMatvecPlan::run_rank_slices(
 }
 
 void DistributedMatvecPlan::assemble_outputs(
-    const ShardedOperator& op, ApplyDirection direction,
+    const ShardedOperator& placement, ApplyDirection direction,
     std::span<const VectorView> outputs, bool phantom) const {
   if (phantom) return;
   const index_t b = static_cast<index_t>(outputs.size());
-  const index_t ranks = op.ranks();
+  const index_t ranks = placement.ranks();
   const bool adjoint = direction == ApplyDirection::kAdjoint;
-  const ProblemDims& dims = op.dims();
+  const ProblemDims& dims = placement.dims();
   const index_t nt = dims.n_t;
   const index_t ns_out = adjoint ? dims.n_m : dims.n_d;
   for (index_t i = 0; i < b; ++i) {
     double* out = outputs[static_cast<std::size_t>(i)].data();
     for (index_t r = 0; r < ranks; ++r) {
-      const LocalDims& local = op.rank_dims(direction, r);
+      const LocalDims& local = placement.rank_dims(direction, r);
       const index_t offset = adjoint ? local.m_offset : local.d_offset;
       const index_t count = adjoint ? local.n_m_local : local.n_d_local;
       const index_t out_elems = nt * count;

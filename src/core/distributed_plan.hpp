@@ -46,6 +46,14 @@
 // charges b of each (the ablation bench/serve_scaling gates against).
 // Compute is identical in both modes — the ablation isolates the
 // alpha amortization of the collectives.
+//
+// A batch may span several operators of one placement (same rank
+// count, same global dims), mirroring FftMatvecPlan's operator
+// groups: rank r runs ONE grouped apply_batch over the rank-r slice
+// of every group's operator.  The serving layer places every tenant
+// this way — an unsharded tenant is a 1-rank placement, whose
+// apply_batch is exactly the single-rank grouped apply — so a
+// cross-tenant batch and a sharded batch take the same dispatch path.
 #pragma once
 
 #include <memory>
@@ -125,35 +133,49 @@ class ShardedOperator {
 /// DistributedMatvecPlan instance can serve any tenant of any shape.
 class DistributedMatvecPlan {
  public:
-  /// Rank r's borrowed resources: a plan whose dims equal
-  /// op.rank_dims(direction, r), driving its own stream (the plan's
-  /// construction stream); `aux` optionally carries the PR 5 chunked
-  /// dual-stream pipeline for the rank's slice.
+  /// Rank r's borrowed resources: a plan whose dims equal the
+  /// placement's rank_dims(direction, r), driving its own stream (the
+  /// plan's construction stream); `aux` optionally carries the
+  /// chunked dual-stream pipeline for the rank's slice.
   struct RankLane {
     FftMatvecPlan* plan = nullptr;
     device::Stream* aux = nullptr;
   };
 
+  /// One operator's contiguous slice of a grouped batch (mirrors
+  /// FftMatvecPlan::OperatorGroup): `rhs_count` right-hand sides
+  /// applied through `op`.  Every group's operator must share one
+  /// placement — the same ranks() and the same global dims — so the
+  /// rank slices, and the rank plans that run them, are common to all
+  /// groups.
+  struct OperatorGroup {
+    const ShardedOperator* op = nullptr;
+    index_t rhs_count = 0;
+  };
+
   explicit DistributedMatvecPlan(comm::NetworkSpec network)
       : network_(network) {}
 
-  /// Apply b right-hand sides through the sharded operator.  With
-  /// op.ranks() == 1 this short-circuits to the existing single-rank
+  /// Apply b right-hand sides through the grouped operators, ordered
+  /// group by group as in FftMatvecPlan's grouped apply_batch.  With a
+  /// 1-rank placement this short-circuits to the single-rank grouped
   /// apply_batch — zero communication charged, byte-for-byte the
   /// non-distributed path.  Otherwise: every rank stream first syncs
   /// to the group's latest clock (collectives are bulk-synchronous),
   /// the input broadcast is charged on all rank streams (fused across
-  /// the batch in kBatched mode), each rank runs ONE fused
-  /// FftMatvecPlan::apply_batch over its slice, the streams sync
+  /// the batch in kBatched mode), each rank runs ONE fused grouped
+  /// FftMatvecPlan::apply_batch over its slices, the streams sync
   /// again and the output gather is charged, and the disjoint slices
   /// are copied into the caller's outputs.  Outputs are bit-identical
   /// to the single-rank apply_batch (and therefore to b independent
   /// applies) for every precision config, both directions, ragged
   /// partitions included, in both comm modes and any chunk count.
-  /// Throws comm::RankFailure — before any compute or communication
-  /// is charged — when the device's FaultPlan reports a rank of the
-  /// group down at the entry collective sync.
-  void apply_batch(const ShardedOperator& op, ApplyDirection direction,
+  /// Throws std::invalid_argument when the groups do not share one
+  /// placement, and comm::RankFailure — before any compute or
+  /// communication is charged — when the device's FaultPlan reports a
+  /// rank of the group down at the entry collective sync.
+  void apply_batch(std::span<const OperatorGroup> groups,
+                   ApplyDirection direction,
                    const precision::PrecisionConfig& config,
                    std::span<const ConstVectorView> inputs,
                    std::span<const VectorView> outputs,
@@ -171,8 +193,9 @@ class DistributedMatvecPlan {
   /// slice outputs have disjoint support and each slice's compute is
   /// unchanged; only the modelled time differs (slower: no overlap,
   /// but no collectives).  Never consults the FaultPlan's rank hook,
-  /// so it completes while the group outage lasts.
-  void apply_batch_degraded(const ShardedOperator& op,
+  /// so it completes while the group outage lasts.  Only a multi-rank
+  /// placement can lose a rank, so this path has no 1-rank shortcut.
+  void apply_batch_degraded(std::span<const OperatorGroup> groups,
                             ApplyDirection direction,
                             const precision::PrecisionConfig& config,
                             std::span<const ConstVectorView> inputs,
@@ -195,14 +218,18 @@ class DistributedMatvecPlan {
   }
 
  private:
-  /// Shared argument validation; returns op.ranks().
-  index_t validate_batch(const ShardedOperator& op, ApplyDirection direction,
-                         std::span<const ConstVectorView> inputs,
-                         std::span<const VectorView> outputs,
-                         std::span<const RankLane> lanes) const;
-  /// Run every rank's slice apply into stage_, accumulating timings_
-  /// and rhs_timings_ (comm/makespan left for the caller to fill).
-  void run_rank_slices(const ShardedOperator& op, ApplyDirection direction,
+  /// Shared argument validation; returns the groups' common
+  /// placement (the first group's operator).
+  const ShardedOperator& validate_batch(
+      std::span<const OperatorGroup> groups, ApplyDirection direction,
+      std::span<const ConstVectorView> inputs,
+      std::span<const VectorView> outputs,
+      std::span<const RankLane> lanes) const;
+  /// Run every rank's grouped slice apply into stage_, accumulating
+  /// timings_ and rhs_timings_ (comm/makespan left for the caller to
+  /// fill).
+  void run_rank_slices(std::span<const OperatorGroup> groups,
+                       ApplyDirection direction,
                        const precision::PrecisionConfig& config,
                        std::span<const ConstVectorView> inputs,
                        std::span<const RankLane> lanes,
@@ -210,7 +237,8 @@ class DistributedMatvecPlan {
                        bool phantom);
   /// Copy the disjoint per-rank slices from stage_ into the caller's
   /// output vectors.
-  void assemble_outputs(const ShardedOperator& op, ApplyDirection direction,
+  void assemble_outputs(const ShardedOperator& placement,
+                        ApplyDirection direction,
                         std::span<const VectorView> outputs,
                         bool phantom) const;
 

@@ -22,12 +22,11 @@ bool edf_before(const PendingRequest& a, const PendingRequest& b) {
 
 }  // namespace
 
-RequestQueue::RequestQueue(int max_batch, double linger_seconds, int max_groups,
+RequestQueue::RequestQueue(int max_batch, double linger_seconds,
                            bool deadline_aware, int max_queue_depth,
                            OverloadPolicy policy)
     : max_batch_(max_batch),
       linger_seconds_(linger_seconds),
-      max_groups_(max_groups),
       deadline_aware_(deadline_aware),
       max_queue_depth_(max_queue_depth),
       policy_(policy) {
@@ -36,9 +35,6 @@ RequestQueue::RequestQueue(int max_batch, double linger_seconds, int max_groups,
   }
   if (linger_seconds_ < 0.0) {
     throw std::invalid_argument("RequestQueue: linger must be >= 0");
-  }
-  if (max_groups_ < 0) {
-    throw std::invalid_argument("RequestQueue: max_groups must be >= 0");
   }
   if (max_queue_depth_ < 0) {
     throw std::invalid_argument("RequestQueue: max_queue_depth must be >= 0");
@@ -56,9 +52,6 @@ std::optional<PendingRequest> RequestQueue::shed_newest_best_effort() {
   for (auto it = queues_.begin(); it != queues_.end(); ++it) {
     for (auto rit = it->second.q.begin(); rit != it->second.q.end(); ++rit) {
       if (rit->has_deadline()) continue;
-      // Dispatched-and-retrying work keeps its admission: displacing
-      // it would discard device time already spent on the request.
-      if (rit->retrying) continue;
       if (victim_key == queues_.end() || rit->seq > victim->seq) {
         victim_key = it;
         victim = rit;
@@ -236,19 +229,13 @@ std::optional<Batch> RequestQueue::pop_batch() {
       for (const auto& req : kq.q) oldest = std::min(oldest, req.enqueued);
       deadline_cut = kq.q.front().deadline < oldest + linger;
     }
-    // Group-aware admission: take in service order, stopping before
-    // the request that would introduce distinct tenant max_groups_ + 1
-    // (the first request is always taken, so pops make progress).
+    // Take in service order, counting distinct tenants for the trace.
     std::vector<TenantId> taken_tenants;
     double batch_weight = 1.0;
     while (batch.requests.size() < cap) {
       const TenantId tenant = kq.q.front().tenant;
       if (std::find(taken_tenants.begin(), taken_tenants.end(), tenant) ==
           taken_tenants.end()) {
-        if (max_groups_ > 0 &&
-            static_cast<int>(taken_tenants.size()) >= max_groups_) {
-          break;
-        }
         taken_tenants.push_back(tenant);
       }
       batch_weight = std::max(batch_weight, kq.q.front().weight);

@@ -40,15 +40,10 @@
 // within a key, round-robin across keys) and exists for the
 // bench/serve_slo baseline ablation.
 //
-// Group-aware admission: `max_groups` (0 = unlimited) caps the number
-// of DISTINCT tenants a popped batch may span.  Each tenant group in
-// the fused grouped SBGEMV re-pays the operator's per-frequency
-// matrix traffic, so a batch of b singleton tenants costs b matrix
-// reads — under many-tiny-tenant skew the cap keeps the grouped
-// GEMV's matrix traffic bounded.  The take loop stops (in service
-// order) at the first request that would introduce group
-// max_groups + 1; leftovers stay queued, keep their linger deadlines,
-// and ride the key's next turn, so nothing starves.
+// A popped batch takes up to max_batch requests in service order,
+// from however many tenants: each distinct tenant becomes one operator
+// group of the grouped SBGEMV, and the batch_formed trace instant
+// reports their count as `groups`.
 #pragma once
 
 #include <chrono>
@@ -187,13 +182,6 @@ struct PendingRequest {
   /// util::trace async-span id pairing the submit-side queue_wait
   /// begin with its end at dispatch; 0 = tracing was off at submit.
   std::uint64_t trace_id = 0;
-  /// True for work that was already dispatched once and is riding the
-  /// queue again for a retry (e.g. a quarantined solo re-dispatch).
-  /// The shed-best-effort overload policy never displaces such a
-  /// request: shedding work that already consumed device time trades
-  /// sunk cost for churn, and a retried request must not lose its
-  /// admission to a newer best-effort arrival.
-  bool retrying = false;
 
   bool has_deadline() const {
     return deadline != std::chrono::steady_clock::time_point::max();
@@ -224,14 +212,12 @@ enum class OverloadPolicy : unsigned char {
 
 class RequestQueue {
  public:
-  /// `max_groups` caps distinct tenants per popped batch (0 =
-  /// unlimited); `deadline_aware` selects EDF-within-key + WFQ-
-  /// across-keys (true, production) vs FIFO + round-robin (false, the
-  /// deadline-blind baseline).  `max_queue_depth` bounds total
-  /// pending requests (0 = unbounded); `policy` picks what gives way
-  /// at the bound.
-  RequestQueue(int max_batch, double linger_seconds, int max_groups = 0,
-               bool deadline_aware = true, int max_queue_depth = 0,
+  /// `deadline_aware` selects EDF-within-key + WFQ-across-keys (true,
+  /// production) vs FIFO + round-robin (false, the deadline-blind
+  /// baseline).  `max_queue_depth` bounds total pending requests (0 =
+  /// unbounded); `policy` picks what gives way at the bound.
+  RequestQueue(int max_batch, double linger_seconds, bool deadline_aware = true,
+               int max_queue_depth = 0,
                OverloadPolicy policy = OverloadPolicy::kShedBestEffort);
 
   /// Outcome of a push attempt.  When the request was not accepted it
@@ -265,7 +251,6 @@ class RequestQueue {
   std::size_t pending() const;
   int max_batch() const { return max_batch_; }
   double linger_seconds() const { return linger_seconds_; }
-  int max_groups() const { return max_groups_; }
   bool deadline_aware() const { return deadline_aware_; }
   int max_queue_depth() const { return max_queue_depth_; }
   OverloadPolicy overload_policy() const { return policy_; }
@@ -291,15 +276,13 @@ class RequestQueue {
   std::chrono::steady_clock::time_point release_time(const KeyQueue& kq) const;
 
   /// Remove the newest pending best-effort request (largest arrival
-  /// seq with no deadline, skipping dispatched-and-retrying work) to
-  /// make room, maintaining the key activation bookkeeping.  Assumes
-  /// the queue mutex is held; nullopt when every pending request
-  /// carries a deadline or is retrying.
+  /// seq with no deadline) to make room, maintaining the key
+  /// activation bookkeeping.  Assumes the queue mutex is held; nullopt
+  /// when every pending request carries a deadline.
   std::optional<PendingRequest> shed_newest_best_effort();
 
   int max_batch_;
   double linger_seconds_;
-  int max_groups_;
   bool deadline_aware_;
   int max_queue_depth_;
   OverloadPolicy policy_;

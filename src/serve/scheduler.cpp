@@ -46,11 +46,6 @@ ServeOptions resolve_options(ServeOptions options) {
         "ServeOptions: pipeline_chunks must be >= 0, got " +
         std::to_string(options.pipeline_chunks));
   }
-  if (options.max_groups_per_batch < 0) {
-    throw std::invalid_argument(
-        "ServeOptions: max_groups_per_batch must be >= 0, got " +
-        std::to_string(options.max_groups_per_batch));
-  }
   if (options.max_rank_group < 1) {
     throw std::invalid_argument(
         "ServeOptions: max_rank_group must be >= 1, got " +
@@ -219,19 +214,18 @@ AsyncScheduler::AsyncScheduler(const device::DeviceSpec& spec, ServeOptions opti
       setup_stream_(dev_),
       cache_(dev_, options_.plan_cache_capacity),
       queue_(options_.max_batch, options_.linger_seconds,
-             options_.max_groups_per_batch, options_.deadline_aware,
-             options_.max_queue_depth, options_.overload_policy) {
+             options_.deadline_aware, options_.max_queue_depth,
+             options_.overload_policy) {
   lanes_.resize(static_cast<std::size_t>(options_.num_streams));
   for (std::size_t i = 0; i < lanes_.size(); ++i) {
-    lanes_[i].stream = std::make_unique<device::Stream>(dev_);
-    lanes_[i].aux = std::make_unique<device::Stream>(dev_);
+    const StreamPair& pair = lanes_[i].pairs.emplace_back(dev_);
     // Device-clock trace tracks: lane i's main stream is tid 2i, its
     // aux (pipeline overlap) stream tid 2i+1.  Track names are
     // registered unconditionally — they are session metadata, so a
     // trace session started after construction still labels them.
     const int tid_a = static_cast<int>(2 * i);
-    lanes_[i].stream->set_trace_tid(tid_a);
-    lanes_[i].aux->set_trace_tid(tid_a + 1);
+    pair.stream->set_trace_tid(tid_a);
+    pair.aux->set_trace_tid(tid_a + 1);
     util::trace::set_device_track_name(
         tid_a, "lane " + std::to_string(i) + " stream A");
     util::trace::set_device_track_name(
@@ -281,53 +275,37 @@ TenantId AsyncScheduler::add_tenant(const core::ProblemDims& dims,
                                      options_.max_rank_group,
                                      comm::NetworkSpec::frontier());
   }
-  const auto local = core::LocalDims::single_rank(dims);
   // The expensive setup (batched FFT of the block column, fp32
   // spectrum warm — the latter so the lazily-cast copy is never raced
   // later) runs before the tenants lock is taken: registration must
   // not stall data-plane lanes looking up other tenants.  Its own
   // mutex serialises concurrent registrations on the setup stream.
-  std::shared_ptr<core::BlockToeplitzOperator> op;
-  std::shared_ptr<core::ShardedOperator> sharded;
+  std::shared_ptr<core::ShardedOperator> op;
   {
     std::lock_guard setup_lock(setup_mutex_);
-    if (rank_group > 1) {
-      sharded = std::make_shared<core::ShardedOperator>(
-          dev_, setup_stream_, dims, static_cast<index_t>(rank_group),
-          first_block_col);
-      sharded->warm_spectrum_f(setup_stream_);
-      if (options_.verify_mode != core::VerifyMode::kOff) {
-        sharded->warm_checksums(setup_stream_);
-      }
-    } else {
-      op = std::make_shared<core::BlockToeplitzOperator>(dev_, setup_stream_,
-                                                         local, first_block_col);
-      op->spectrum_f(setup_stream_);
-      if (options_.verify_mode != core::VerifyMode::kOff) {
-        // Warm the ABFT checksum vectors too — both directions, both
-        // precisions — so the lazily-built copies are never raced (and
-        // never billed, or fault-injected) on the request path.
-        op->checksum_d(setup_stream_, /*adjoint=*/false);
-        op->checksum_d(setup_stream_, /*adjoint=*/true);
-        op->checksum_f(setup_stream_, /*adjoint=*/false);
-        op->checksum_f(setup_stream_, /*adjoint=*/true);
-      }
+    op = std::make_shared<core::ShardedOperator>(
+        dev_, setup_stream_, dims, static_cast<index_t>(rank_group),
+        first_block_col);
+    op->warm_spectrum_f(setup_stream_);
+    if (options_.verify_mode != core::VerifyMode::kOff) {
+      // Warm the ABFT checksum vectors too, so the lazily-built copies
+      // are never raced (and never billed, or fault-injected) on the
+      // request path.
+      op->warm_checksums(setup_stream_);
     }
   }
   // Pre-warm the shape's full-batch forward-ddddd pipeline resolution
   // (a phantom cost-model probe in auto mode) off the request path;
   // other (batch size, direction, precision) combinations resolve
-  // lazily at first dispatch.  Sharded tenants dispatch per-rank
-  // slices, so the resolution is probed at rank 0's forward slice.
-  const core::LocalDims dispatch_dims =
-      sharded ? sharded->rank_dims(core::ApplyDirection::kForward, 0) : local;
-  pipeline_chunks_for(dispatch_dims, static_cast<index_t>(options_.max_batch),
+  // lazily at first dispatch.  Dispatch runs per-rank slices, so the
+  // resolution is probed at rank 0's forward slice.
+  pipeline_chunks_for(op->rank_dims(core::ApplyDirection::kForward, 0),
+                      static_cast<index_t>(options_.max_batch),
                       core::ApplyDirection::kForward,
                       precision::PrecisionConfig{});
   std::lock_guard lock(tenants_mutex_);
   const TenantId id = next_tenant_++;
-  tenants_.emplace(id, Tenant{local, std::move(op), rank_group,
-                              std::move(sharded)});
+  tenants_.emplace(id, Tenant{core::LocalDims::single_rank(dims), std::move(op)});
   return id;
 }
 
@@ -339,7 +317,7 @@ int AsyncScheduler::tenant_rank_group(TenantId tenant) const {
         "AsyncScheduler::tenant_rank_group: unknown tenant " +
         std::to_string(tenant));
   }
-  return it->second.rank_group;
+  return static_cast<int>(it->second.op->ranks());
 }
 
 bool AsyncScheduler::tenant_degraded(TenantId tenant) const {
@@ -406,7 +384,7 @@ std::future<MatvecResult> AsyncScheduler::enqueue(Request request,
                                   std::to_string(request.tenant));
     }
     dims = it->second.dims;
-    tenant_sharded = it->second.rank_group > 1;
+    tenant_sharded = it->second.op->ranks() > 1;
   }
   const index_t expect = request.direction == core::ApplyDirection::kForward
                              ? dims.n_t() * dims.n_m_local
@@ -557,8 +535,8 @@ StreamSession AsyncScheduler::open_stream(TenantId tenant,
         "AsyncScheduler::open_stream: qos.weight must be > 0, got " +
         std::to_string(qos.weight));
   }
-  // Pin exactly the shapes dispatch acquires: the tenant's own dims,
-  // or each rank slice of a sharded tenant in this direction.
+  // Pin exactly the shapes dispatch acquires: each rank slice of the
+  // tenant's placement in this direction (at one rank, its own dims).
   std::vector<PlanKey> pin_keys;
   {
     std::lock_guard lock(tenants_mutex_);
@@ -567,11 +545,10 @@ StreamSession AsyncScheduler::open_stream(TenantId tenant,
       throw std::invalid_argument("AsyncScheduler::open_stream: unknown tenant " +
                                   std::to_string(tenant));
     }
-    const Tenant& t = it->second;
-    const index_t ranks = t.sharded ? t.sharded->ranks() : 1;
-    for (index_t rk = 0; rk < ranks; ++rk) {
-      pin_keys.push_back(PlanKey{t.sharded ? t.sharded->rank_dims(direction, rk) : t.dims,
-                                 options_.matvec, dev_.spec().name, /*lane=*/0});
+    const core::ShardedOperator& op = *it->second.op;
+    for (index_t rk = 0; rk < op.ranks(); ++rk) {
+      pin_keys.push_back(PlanKey{op.rank_dims(direction, rk), options_.matvec,
+                                 dev_.spec().name, /*lane=*/0});
     }
   }
   // Capacity check BEFORE pinning: every pinned shape keeps one
@@ -669,8 +646,8 @@ void AsyncScheduler::execute_batch(int lane, Batch& batch) {
   // a fetch_add here could tag two consecutive pops in reverse order
   // and break the session dispatch-order guarantee.
   const std::int64_t batch_seq = batch.seq;
-  device::Stream& stream = *lanes_[static_cast<std::size_t>(lane)].stream;
-  device::Stream& aux = *lanes_[static_cast<std::size_t>(lane)].aux;
+  Lane& lane_state = lanes_[static_cast<std::size_t>(lane)];
+  device::Stream& stream = *lane_state.pairs.front().stream;
   const double sim_start = stream.now();
 
   const std::size_t b = batch.requests.size();
@@ -698,11 +675,11 @@ void AsyncScheduler::execute_batch(int lane, Batch& batch) {
                    });
 
   const core::LocalDims dims = batch.key.dims;
-  Lane& lane_state = lanes_[static_cast<std::size_t>(lane)];
+  const core::ApplyDirection direction = batch.key.direction;
   const TenantId batch_tenant = batch.requests[0].tenant;
   const precision::PrecisionConfig config =
       precision::PrecisionConfig::parse(batch.key.precision);
-  const bool forward = batch.key.direction == core::ApplyDirection::kForward;
+  const bool forward = direction == core::ApplyDirection::kForward;
   const index_t out_len =
       forward ? dims.n_t() * dims.n_d_local : dims.n_t() * dims.n_m_local;
 
@@ -711,206 +688,159 @@ void AsyncScheduler::execute_batch(int lane, Batch& batch) {
   // across the applies even if its tenant is concurrently
   // deregistered, and a retry or per-request quarantine re-dispatch
   // rebuilds its operator groups from these without another pass over
-  // the tenants map.
-  std::shared_ptr<core::ShardedOperator> sharded;
+  // the tenants map.  Every request shares one placement: a sharded
+  // tenant's batches are tenant-homogeneous by key construction
+  // (enqueue keys them on the tenant id), and a cross-tenant batch
+  // holds 1-rank tenants only.
   bool was_degraded = false;
-  std::vector<std::shared_ptr<core::BlockToeplitzOperator>> req_ops(b);
+  std::vector<std::shared_ptr<core::ShardedOperator>> req_ops(b);
   {
     std::lock_guard lock(tenants_mutex_);
-    const Tenant& first = tenants_.at(batch_tenant);
-    if (first.sharded) {
-      // Sharded batches are tenant-homogeneous by key construction
-      // (enqueue keys them on the tenant id).
-      sharded = first.sharded;
-      was_degraded = first.degraded;
-    } else {
-      for (std::size_t r = 0; r < b; ++r) {
-        req_ops[r] = tenants_.at(batch.requests[r].tenant).op;
-      }
+    was_degraded = tenants_.at(batch_tenant).degraded;
+    for (std::size_t r = 0; r < b; ++r) {
+      req_ops[r] = tenants_.at(batch.requests[r].tenant).op;
     }
   }
+  const core::ShardedOperator& placement = *req_ops.front();
+  const index_t ranks = placement.ranks();
+
+  // Records a sharded tenant's degraded state (a rank failure sets
+  // it, the next clean sharded dispatch clears it).
+  const auto mark_degraded = [&](bool degraded) {
+    was_degraded = degraded;
+    std::lock_guard lock(tenants_mutex_);
+    if (const auto it = tenants_.find(batch_tenant); it != tenants_.end()) {
+      it->second.degraded = degraded;
+    }
+  };
 
   std::vector<MatvecResult> results(b);
   std::vector<core::PhaseTimings> shares(b);
   int resolved_chunks = 1;
-  int group_count = sharded ? 1 : 0;
+  int group_count = 0;
 
-  // One dispatch attempt over requests [lo, hi): acquire the plan(s)
-  // (plan creation may itself fault — an injected DeviceOutOfMemory
-  // caches nothing, so the retry rebuilds cleanly), run ONE fused
-  // apply_batch and attribute the per-request timing shares.  Throws
-  // on failure.  A failed attempt may leave partial outputs in
-  // results[lo..hi) (a verified apply writes the detecting chunk's
-  // outputs before it throws; a StreamFault fires before any writes),
-  // but none is visible: a successful re-attempt rewrites the range
-  // completely, so retried dispatches stay bit-identical to a
-  // fault-free run, and a request that finally fails is fulfilled
-  // with a fresh MatvecResult that has no output.
+  // One dispatch attempt over requests [lo, hi): acquire one plan per
+  // placement rank (plan creation may itself fault — an injected
+  // DeviceOutOfMemory caches nothing, so the retry rebuilds cleanly),
+  // run ONE grouped DistributedMatvecPlan::apply_batch and attribute
+  // the per-request timing shares.  Throws on failure.  A failed
+  // attempt may leave partial outputs in results[lo..hi) (a verified
+  // apply writes the detecting chunk's outputs before it throws; a
+  // StreamFault fires before any writes), but none is visible: a
+  // successful re-attempt rewrites the range completely, so retried
+  // dispatches stay bit-identical to a fault-free run, and a request
+  // that finally fails is fulfilled with a fresh MatvecResult that
+  // has no output.
   const auto run_attempt = [&](std::size_t lo, std::size_t hi) {
     const std::size_t n = hi - lo;
     std::vector<core::ConstVectorView> inputs(n);
     std::vector<core::VectorView> outputs(n);
-    for (std::size_t i = 0; i < n; ++i) {
-      results[lo + i].output.resize(static_cast<std::size_t>(out_len));
-      inputs[i] = batch.requests[lo + i].input;
-      outputs[i] = results[lo + i].output;
+    // Contiguous same-tenant runs form operator groups (the batch was
+    // stable-sorted by tenant above).
+    std::vector<core::DistributedMatvecPlan::OperatorGroup> groups;
+    for (std::size_t i = lo; i < hi; ++i) {
+      results[i].output.resize(static_cast<std::size_t>(out_len));
+      inputs[i - lo] = batch.requests[i].input;
+      outputs[i - lo] = results[i].output;
+      if (i > lo && batch.requests[i].tenant == batch.requests[i - 1].tenant) {
+        ++groups.back().rhs_count;
+      } else {
+        groups.push_back({req_ops[i].get(), 1});
+      }
     }
+    group_count = static_cast<int>(groups.size());
     const util::trace::Span apply_span("apply", "serve");
-    if (sharded) {
-      // Rank plans ride the shared PlanCache under per-(lane, rank)
-      // keys: shard rank 0 reuses the lane's own index — it drives the
-      // lane's main stream, so its entry is interchangeable with a
-      // plain plan of the same slice shape — and rank r >= 1 encodes
-      // lane + num_lanes * r, injective and disjoint from the plain
-      // lanes' [0, num_lanes) so a cached rank plan is never driven
-      // from a foreign stream.  Extra stream pairs grow lazily to the
-      // widest group this lane has seen.
-      const index_t ranks = sharded->ranks();
+    // Resolved for this exact (slice shape, batch size, direction,
+    // precision): every pipelined dispatch runs a configuration the
+    // model validated against serial — a partial, adjoint or
+    // lower-precision batch never inherits the full-batch
+    // forward-ddddd count.
+    resolved_chunks =
+        pipeline_chunks_for(placement.rank_dims(direction, 0),
+                            static_cast<index_t>(n), direction, config);
+    // Rank plans ride the shared PlanCache under per-(lane, rank)
+    // keys: rank 0 uses the lane's own index and drives the lane's
+    // first stream pair, and rank r >= 1 encodes lane + num_lanes * r,
+    // injective and disjoint from the lanes' [0, num_lanes) so a
+    // cached rank plan is never driven from a foreign stream.  Stream
+    // pairs grow lazily to the widest group this lane has seen.
+    std::vector<std::shared_ptr<core::FftMatvecPlan>> plans;
+    std::vector<core::DistributedMatvecPlan::RankLane> rank_lanes;
+    const auto acquire = [&](index_t rk, const StreamPair& pair, int key_lane) {
+      plans.push_back(cache_.acquire(PlanKey{placement.rank_dims(direction, rk),
+                                             options_.matvec, dev_.spec().name,
+                                             key_lane},
+                                     *pair.stream));
+      rank_lanes.push_back({plans.back().get(), pair.aux.get()});
+    };
+    {
+      const util::trace::Span acquire_span("acquire_plan", "serve");
+      while (lane_state.pairs.size() < static_cast<std::size_t>(ranks)) {
+        lane_state.pairs.emplace_back(dev_);
+      }
       const auto num_lanes = static_cast<int>(lanes_.size());
-      while (lane_state.rank_streams.size() + 1 <
-             static_cast<std::size_t>(ranks)) {
-        lane_state.rank_streams.push_back(
-            std::make_unique<device::Stream>(dev_));
-        lane_state.rank_aux.push_back(std::make_unique<device::Stream>(dev_));
+      for (index_t rk = 0; rk < ranks; ++rk) {
+        acquire(rk, lane_state.pairs[static_cast<std::size_t>(rk)],
+                lane + num_lanes * static_cast<int>(rk));
       }
-      resolved_chunks =
-          pipeline_chunks_for(sharded->rank_dims(batch.key.direction, 0),
-                              static_cast<index_t>(n), batch.key.direction,
-                              config);
-      if (!lane_state.dist) {
-        lane_state.dist = std::make_unique<core::DistributedMatvecPlan>(
-            comm::NetworkSpec::frontier());
-      }
-      std::vector<std::shared_ptr<core::FftMatvecPlan>> rank_plans;
-      std::vector<core::DistributedMatvecPlan::RankLane> rank_lanes;
-      {
-        const util::trace::Span acquire_span("acquire_rank_plans", "serve");
-        for (index_t rk = 0; rk < ranks; ++rk) {
-          device::Stream& rank_stream =
-              rk == 0
-                  ? stream
-                  : *lane_state.rank_streams[static_cast<std::size_t>(rk - 1)];
-          device::Stream& rank_aux =
-              rk == 0
-                  ? aux
-                  : *lane_state.rank_aux[static_cast<std::size_t>(rk - 1)];
-          const int encoded = lane + num_lanes * static_cast<int>(rk);
-          rank_plans.push_back(cache_.acquire(
-              PlanKey{sharded->rank_dims(batch.key.direction, rk),
-                      options_.matvec, dev_.spec().name, encoded},
-              rank_stream));
-          rank_lanes.push_back({rank_plans.back().get(), &rank_aux});
-        }
-      }
-      try {
-        // One sharded apply for the whole range: broadcast and gather
-        // fused across all n right-hand sides (CommMode::kBatched),
-        // per-rank compute on the lane's rank stream pairs.
-        lane_state.dist->apply_batch(*sharded, batch.key.direction, config,
-                                     inputs, outputs, rank_lanes,
-                                     core::CommMode::kBatched,
-                                     resolved_chunks, options_.verify_mode);
-        metrics_.record_comm(lane, lane_state.dist->last_timings().comm);
-        if (was_degraded) {
-          // The group answered a full sharded dispatch again: healed.
-          was_degraded = false;
-          {
-            std::lock_guard lock(tenants_mutex_);
-            if (const auto it = tenants_.find(batch_tenant);
-                it != tenants_.end()) {
-              it->second.degraded = false;
-            }
-          }
-          if (trace_on) {
-            util::trace::instant(
-                "rank_healed", "serve",
-                {{"tenant", static_cast<std::int64_t>(batch_tenant)}});
-          }
-        }
-      } catch (const comm::RankFailure& rf) {
-        // A rank is down for this dispatch: mark the tenant degraded
-        // and fall back to the single-rank path — every slice runs
-        // serially on this lane's own stream pair, zero collectives,
-        // outputs bit-identical to the sharded apply (slice supports
-        // are disjoint).  Slower, but the batch completes.
-        metrics_.record_rank_failure();
-        {
-          std::lock_guard lock(tenants_mutex_);
-          if (const auto it = tenants_.find(batch_tenant);
-              it != tenants_.end()) {
-            it->second.degraded = true;
-          }
-        }
-        was_degraded = true;
-        if (trace_on) {
-          util::trace::instant(
-              "rank_failure", "serve",
-              {{"tenant", static_cast<std::int64_t>(batch_tenant)},
-               {"rank", static_cast<std::int64_t>(rf.rank())},
-               {"batch_seq", batch_seq}});
-        }
-        // Fallback plans bind every slice to the MAIN lane stream,
-        // keyed at this lane's own index (rank 0's regular entry is
-        // interchangeable; equal-shaped slices legitimately share one
-        // cached plan, reused serially).
-        std::vector<std::shared_ptr<core::FftMatvecPlan>> fb_plans;
-        std::vector<core::DistributedMatvecPlan::RankLane> fb_lanes;
-        for (index_t rk = 0; rk < ranks; ++rk) {
-          fb_plans.push_back(cache_.acquire(
-              PlanKey{sharded->rank_dims(batch.key.direction, rk),
-                      options_.matvec, dev_.spec().name, lane},
-              stream));
-          fb_lanes.push_back({fb_plans.back().get(), &aux});
-        }
-        lane_state.dist->apply_batch_degraded(*sharded, batch.key.direction,
-                                              config, inputs, outputs,
-                                              fb_lanes, resolved_chunks,
-                                              options_.verify_mode);
-        metrics_.record_degraded_batch();
-        if (trace_on) {
-          util::trace::instant(
-              "degraded_dispatch", "serve",
-              {{"tenant", static_cast<std::int64_t>(batch_tenant)},
-               {"batch_seq", batch_seq}});
-        }
-      }
-      const auto& rhs_shares = lane_state.dist->last_batch_timings();
-      for (std::size_t i = 0; i < n; ++i) shares[lo + i] = rhs_shares[i];
-    } else {
-      // Resolved for this exact (shape, batch size, direction,
-      // precision): every pipelined dispatch runs a configuration the
-      // model validated against serial — a partial, adjoint or
-      // lower-precision batch never inherits the full-batch
-      // forward-ddddd count.
-      resolved_chunks = pipeline_chunks_for(dims, static_cast<index_t>(n),
-                                            batch.key.direction, config);
-      std::shared_ptr<core::FftMatvecPlan> plan;
-      {
-        const util::trace::Span acquire_span("acquire_plan", "serve");
-        plan = cache_.acquire(
-            PlanKey{dims, options_.matvec, dev_.spec().name, lane}, stream);
-      }
-      // Contiguous same-tenant runs form operator groups (the batch
-      // was stable-sorted by tenant above).
-      std::vector<core::FftMatvecPlan::OperatorGroup> groups;
-      for (std::size_t i = lo; i < hi; ++i) {
-        if (i > lo &&
-            batch.requests[i].tenant == batch.requests[i - 1].tenant) {
-          ++groups.back().rhs_count;
-        } else {
-          groups.push_back({req_ops[i].get(), 1});
-        }
-      }
-      group_count = static_cast<int>(groups.size());
-      core::BatchPipeline pipeline;
-      pipeline.chunks = resolved_chunks;
-      pipeline.aux = &aux;
-      pipeline.verify = options_.verify_mode;
-      plan->apply_batch(groups, batch.key.direction, config, inputs, outputs,
-                        pipeline);
-      const auto& rhs_shares = plan->last_batch_timings();
-      for (std::size_t i = 0; i < n; ++i) shares[lo + i] = rhs_shares[i];
     }
+    try {
+      // One apply for the whole range: at one rank the single-rank
+      // grouped batch; sharded, broadcast and gather fused across all
+      // n right-hand sides (CommMode::kBatched).
+      lane_state.dist.apply_batch(groups, direction, config, inputs, outputs,
+                                  rank_lanes, core::CommMode::kBatched,
+                                  resolved_chunks, options_.verify_mode);
+      if (ranks > 1) {
+        metrics_.record_comm(lane, lane_state.dist.last_timings().comm);
+      }
+      if (was_degraded) {
+        // The group answered a full sharded dispatch again: healed.
+        mark_degraded(false);
+        if (trace_on) {
+          util::trace::instant(
+              "rank_healed", "serve",
+              {{"tenant", static_cast<std::int64_t>(batch_tenant)}});
+        }
+      }
+    } catch (const comm::RankFailure& rf) {
+      // A rank is down for this dispatch (only a sharded placement can
+      // lose one): mark the tenant degraded and fall back to the
+      // single-rank path — every slice runs serially on this lane's
+      // first stream pair, zero collectives, outputs bit-identical to
+      // the sharded apply (slice supports are disjoint).  Slower, but
+      // the batch completes.
+      metrics_.record_rank_failure();
+      mark_degraded(true);
+      if (trace_on) {
+        util::trace::instant(
+            "rank_failure", "serve",
+            {{"tenant", static_cast<std::int64_t>(batch_tenant)},
+             {"rank", static_cast<std::int64_t>(rf.rank())},
+             {"batch_seq", batch_seq}});
+      }
+      // Fallback plans bind every slice to the lane's first pair,
+      // keyed at this lane's own index (rank 0's regular entry is
+      // interchangeable; equal-shaped slices legitimately share one
+      // cached plan, reused serially).
+      plans.clear();
+      rank_lanes.clear();
+      for (index_t rk = 0; rk < ranks; ++rk) {
+        acquire(rk, lane_state.pairs.front(), lane);
+      }
+      lane_state.dist.apply_batch_degraded(groups, direction, config, inputs,
+                                           outputs, rank_lanes, resolved_chunks,
+                                           options_.verify_mode);
+      metrics_.record_degraded_batch();
+      if (trace_on) {
+        util::trace::instant(
+            "degraded_dispatch", "serve",
+            {{"tenant", static_cast<std::int64_t>(batch_tenant)},
+             {"batch_seq", batch_seq}});
+      }
+    }
+    const auto& rhs_shares = lane_state.dist.last_batch_timings();
+    for (std::size_t i = 0; i < n; ++i) shares[lo + i] = rhs_shares[i];
   };
 
   // Doubling backoff before re-dispatch k of [lo, hi), clamped to the
@@ -988,17 +918,17 @@ void AsyncScheduler::execute_batch(int lane, Batch& batch) {
     }
   };
 
-  // The whole coalesced batch executes as ONE fused apply_batch: the
-  // cached plan's phase-2/4 FFTs run b * n_s sequences in one launch
+  // The whole coalesced batch executes as ONE fused apply_batch: each
+  // rank plan's phase-2/4 FFTs run b * n_s sequences in one launch
   // and phase 3 is a single grouped multi-RHS SBGEMV carrying one
   // operator-spectrum pointer per tenant group, so matrix traffic is
   // paid once per (frequency, tenant) instead of once per request.
   // When the shape's resolved pipeline chunk count and the batch size
   // allow (>= 2 chunks of >= 2 RHS), the apply is software-pipelined
-  // over the lane's stream pair — bit-identical outputs, lower
+  // over each rank's stream pair — bit-identical outputs, lower
   // simulated makespan.  The batch's simulated time and PhaseTimings
   // are attributed by each request's share of the modelled phase work
-  // (plan->last_batch_timings()).
+  // (DistributedMatvecPlan::last_batch_timings()).
   int batch_retries = 0;
   const ErrorCode batch_code = run_range(0, b, batch_retries);
   std::vector<ErrorCode> codes(b, batch_code);
@@ -1037,6 +967,7 @@ void AsyncScheduler::execute_batch(int lane, Batch& batch) {
     // failed request with a deadline also counts as a miss (it was
     // certainly not served on time).
     const auto fulfilled = clock::now();
+    const double exec_s = seconds_between(exec_start, fulfilled);
     const bool missed =
         req.has_deadline() && (failed || fulfilled > req.deadline);
     MatvecResult result;
@@ -1055,7 +986,7 @@ void AsyncScheduler::execute_batch(int lane, Batch& batch) {
       result.sim_seconds = shares[r].span();
     }
     result.queue_seconds = queue_s;
-    result.exec_seconds = seconds_between(exec_start, fulfilled);
+    result.exec_seconds = exec_s;
     result.batch_size = batch_size;
     result.lane = lane;
     result.batch_seq = batch_seq;
@@ -1063,22 +994,19 @@ void AsyncScheduler::execute_batch(int lane, Batch& batch) {
     result.deadline_missed = missed;
     result.retries = req_retries[r];
     req.promise.set_value(std::move(result));
-    metrics_.record_request(queue_s, seconds_between(exec_start, clock::now()),
-                            codes[r], req.session, req.has_deadline(), missed,
-                            req_retries[r]);
+    metrics_.record_request(queue_s, exec_s, codes[r], req.session,
+                            req.has_deadline(), missed, req_retries[r]);
     ++done;
   }
   metrics_.record_batch(batch_size, stream.now() - sim_start);
   // Lane utilisation, sampled here because only the owning lane thread
-  // may read the stream pair's (plain double) clocks: busy is the
-  // summed charged work of the lane's streams (main pair plus any
-  // sharded rank pairs), wall their makespan.
-  double lane_busy = stream.busy() + aux.busy();
-  double lane_wall = std::max(stream.now(), aux.now());
-  for (std::size_t r = 0; r < lane_state.rank_streams.size(); ++r) {
-    lane_busy += lane_state.rank_streams[r]->busy() + lane_state.rank_aux[r]->busy();
-    lane_wall = std::max({lane_wall, lane_state.rank_streams[r]->now(),
-                          lane_state.rank_aux[r]->now()});
+  // may read the stream pairs' (plain double) clocks: busy is the
+  // summed charged work of every pair's streams, wall their makespan.
+  double lane_busy = 0.0;
+  double lane_wall = 0.0;
+  for (const StreamPair& pair : lane_state.pairs) {
+    lane_busy += pair.stream->busy() + pair.aux->busy();
+    lane_wall = std::max({lane_wall, pair.stream->now(), pair.aux->now()});
   }
   metrics_.record_lane(lane, done, lane_busy, lane_wall);
 
@@ -1170,10 +1098,9 @@ double AsyncScheduler::max_lane_sim_seconds() const {
   // clocks are included for the makespan-accounting contract.
   double m = 0.0;
   for (const auto& lane : lanes_) {
-    m = std::max(m, lane.stream->now());
-    m = std::max(m, lane.aux->now());
-    for (const auto& s : lane.rank_streams) m = std::max(m, s->now());
-    for (const auto& s : lane.rank_aux) m = std::max(m, s->now());
+    for (const StreamPair& pair : lane.pairs) {
+      m = std::max({m, pair.stream->now(), pair.aux->now()});
+    }
   }
   return m;
 }

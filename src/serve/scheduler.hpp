@@ -7,25 +7,27 @@
 // an ordered stream through open_stream()'s StreamSession handle —
 // and receive std::futures.  A RequestQueue coalesces same-(shape,
 // direction, precision) requests — across tenants — into batches, and
-// a pool of worker lanes — one device::Stream per worker — executes
-// each batch as ONE fused FftMatvecPlan::apply_batch through the
-// shared LRU PlanCache: the popped batch is sorted by tenant into
-// operator groups and the batch's b right-hand sides ride a single
-// widened FFT + grouped multi-RHS SBGEMV pipeline, so batching buys
-// real per-request speedup even under multi-tenant skew where no
-// single tenant has companions in flight.
+// a pool of worker lanes — each owning device::Stream pairs — executes
+// each batch as ONE core::DistributedMatvecPlan::apply_batch over
+// plans from the shared LRU PlanCache: the popped batch is sorted by
+// tenant into operator groups and the batch's b right-hand sides ride
+// a single widened FFT + grouped multi-RHS SBGEMV pipeline, so
+// batching buys real per-request speedup even under multi-tenant
+// skew where no single tenant has companions in flight.
 //
-// Tenants may additionally be SHARDED (add_tenant's rank_group): the
-// operator's output dimension splits across a group of simulated
-// ranks (core::ShardedOperator) and each of the tenant's batches
-// dispatches as one DistributedMatvecPlan apply over the owning
-// lane's rank stream pairs, with the input broadcast and output
-// gather fused across the whole RHS batch — collective alpha costs
-// are paid once per batch, not once per request (bench/serve_scaling
-// gates the win) — and outputs bit-identical to the single-rank
-// path.  Rank plans ride the same PlanCache under per-(lane, rank)
-// keys; sharded batches stay tenant-homogeneous regardless of
-// cross_tenant_batching, so placement is a property of the batch.
+// Every tenant is a placement (core::ShardedOperator).  add_tenant's
+// rank_group = 1, the default, places it on one rank, where the
+// DistributedMatvecPlan apply is exactly the single-rank grouped
+// apply_batch with no communication.  A wider group SHARDS the
+// operator's output dimension across that many simulated ranks: each
+// of the tenant's batches then runs on the owning lane's rank stream
+// pairs, with the input broadcast and output gather fused across the
+// whole RHS batch — collective alpha costs are paid once per batch,
+// not once per request (bench/serve_scaling gates the win) — and
+// outputs bit-identical to the single-rank path.  Rank plans ride
+// the same PlanCache under per-(lane, rank) keys; sharded batches
+// stay tenant-homogeneous regardless of cross_tenant_batching, so
+// placement is a property of the batch.
 //
 // Scheduling is deadline-aware (ServeOptions::deadline_aware, on by
 // default): within a coalescing key requests dispatch earliest-
@@ -137,11 +139,6 @@ struct ServeOptions {
   /// pair is lane-owned and chunking is a per-apply execution mode,
   /// so cached plans are shared across modes.
   int pipeline_chunks = 0;
-  /// Cap on DISTINCT tenants coalesced into one batch (group-aware
-  /// admission): each operator group in the fused grouped SBGEMV
-  /// re-pays the per-frequency matrix traffic, so unbounded tiny-
-  /// batch tenant mixing bloats the launch.  0 = unlimited.
-  int max_groups_per_batch = 0;
   /// Cap on a tenant's rank-group size (simulated ranks its operator
   /// may shard across — see add_tenant's rank_group parameter).  The
   /// default matches NetworkSpec::frontier().node_size, so default
@@ -214,9 +211,9 @@ int adaptive_pipeline_chunks(
     const precision::PrecisionConfig& config = {});
 
 /// Rank-local overload: probe at an arbitrary slice shape (the serving
-/// layer resolves a sharded tenant's chunk count at its rank-0 slice,
-/// not the global shape).  The ProblemDims form above is the
-/// single-rank special case.
+/// layer resolves a tenant's chunk count at its placement's rank-0
+/// slice, which for a sharded tenant is not the global shape).  The
+/// ProblemDims form above is the single-rank special case.
 int adaptive_pipeline_chunks(
     const device::DeviceSpec& spec, const core::LocalDims& dims, int max_batch,
     core::ApplyDirection direction = core::ApplyDirection::kForward,
@@ -244,20 +241,21 @@ class AsyncScheduler {
   AsyncScheduler(const AsyncScheduler&) = delete;
   AsyncScheduler& operator=(const AsyncScheduler&) = delete;
 
-  /// Register a tenant model.  Builds the BlockToeplitzOperator (and
-  /// warms its single-precision spectrum, so the lazily-cast copy is
-  /// never raced on the request path) on the setup stream.
+  /// Register a tenant model.  Builds its core::ShardedOperator (and
+  /// warms the single-precision spectrum — plus the ABFT checksums
+  /// when verify is on — so the lazily-built copies are never raced
+  /// on the request path) on the setup stream.
   ///
   /// `rank_group` places the tenant's operator across that many
-  /// simulated ranks (core::ShardedOperator): its batches then
-  /// dispatch as ONE sharded apply per lane — broadcast and gather
-  /// fused across the whole RHS batch — with outputs bit-identical to
-  /// the single-rank apply in every precision config.  1 (the
-  /// default) keeps today's single-rank placement; 0 resolves
-  /// adaptively from the comm cost model's crossover
-  /// (adaptive_rank_group).  Throws std::invalid_argument when the
-  /// explicit value is negative, exceeds ServeOptions::max_rank_group
-  /// or exceeds an output dimension of `dims`.
+  /// simulated ranks: its batches then dispatch as ONE sharded apply
+  /// per lane — broadcast and gather fused across the whole RHS
+  /// batch — with outputs bit-identical to the single-rank apply in
+  /// every precision config.  1 (the default) is the unsharded
+  /// single-rank placement; 0 resolves adaptively from the comm cost
+  /// model's crossover (adaptive_rank_group).  Throws
+  /// std::invalid_argument when the explicit value is negative,
+  /// exceeds ServeOptions::max_rank_group or exceeds an output
+  /// dimension of `dims`.
   TenantId add_tenant(const core::ProblemDims& dims,
                       std::span<const double> first_block_col,
                       int rank_group = 1);
@@ -294,10 +292,10 @@ class AsyncScheduler {
   /// Open a streaming session: an ordered sequence of applies for one
   /// (tenant, direction, config) with per-request QoS applied to each
   /// submit (deadline_seconds is relative to each apply's submission).
-  /// Pins the plan shapes its dispatch acquires — the tenant's dims,
-  /// or each rank slice of a sharded tenant — in the PlanCache for the
-  /// session lifetime so cache pressure never cold-starts an active
-  /// stream.
+  /// Pins the plan shapes its dispatch acquires — each rank slice of
+  /// the tenant's placement, at one rank the tenant's own dims — in
+  /// the PlanCache for the session lifetime so cache pressure never
+  /// cold-starts an active stream.
   /// Throws std::invalid_argument for an unknown tenant, a negative
   /// deadline, a non-positive weight, or when the pinned working set
   /// (distinct pinned shapes x num_streams lanes) would exceed
@@ -341,13 +339,11 @@ class AsyncScheduler {
   friend class StreamSession;
 
   struct Tenant {
+    /// The tenant's single-rank dims: its batch key shape and input
+    /// extents.
     core::LocalDims dims;
-    /// Single-rank operator; null when the tenant is sharded.
-    std::shared_ptr<core::BlockToeplitzOperator> op;
-    /// Rank-group size (1 = unsharded).
-    int rank_group = 1;
-    /// Sharded placement (rank_group > 1); null otherwise.
-    std::shared_ptr<core::ShardedOperator> sharded;
+    /// The tenant's placement; op->ranks() == 1 means unsharded.
+    std::shared_ptr<core::ShardedOperator> op;
     /// Serving on the single-rank fallback after a rank failure
     /// (guarded by tenants_mutex_); cleared when a sharded dispatch
     /// next succeeds.
@@ -355,9 +351,9 @@ class AsyncScheduler {
   };
   /// Book-keeping for one open StreamSession (guarded by
   /// state_mutex_).  `pin_keys` are the plan shapes open_stream pinned
-  /// (one per rank slice of a sharded tenant); `outstanding` counts
-  /// accepted-but-unfulfilled applies, and close_session waits for it
-  /// to reach zero before unpinning those shapes.
+  /// (one per rank slice of the tenant's placement); `outstanding`
+  /// counts accepted-but-unfulfilled applies, and close_session waits
+  /// for it to reach zero before unpinning those shapes.
   struct SessionState {
     TenantId tenant = 0;
     core::ApplyDirection direction = core::ApplyDirection::kForward;
@@ -366,25 +362,28 @@ class AsyncScheduler {
     std::vector<PlanKey> pin_keys;
     std::int64_t outstanding = 0;
   };
-  /// Each lane owns a stream PAIR: `stream` drives the serial phases
-  /// (and is the stream cached plans are bound to), `aux` carries the
-  /// SBGEMV stage of pipelined batches (core::BatchPipeline::aux).
-  /// Pair ownership is per lane, so a cached plan is still never
-  /// driven from two threads and PlanKey is unchanged.
-  struct Lane {
+  /// One rank's streams on a lane: `stream` drives the serial phases
+  /// (and is the stream the rank's cached plans are bound to), `aux`
+  /// carries the SBGEMV stage of pipelined batches
+  /// (core::BatchPipeline::aux).  Heap-held, so a plan's stream keeps
+  /// its address while the lane grows pairs.
+  struct StreamPair {
+    explicit StreamPair(device::Device& dev)
+        : stream(std::make_unique<device::Stream>(dev)),
+          aux(std::make_unique<device::Stream>(dev)) {}
     std::unique_ptr<device::Stream> stream;
     std::unique_ptr<device::Stream> aux;
-    /// Extra stream pairs for sharded dispatch, grown lazily to the
-    /// widest rank group this lane has executed: shard rank 0 reuses
-    /// the pair above, shard rank r >= 1 drives rank_streams[r-1] /
-    /// rank_aux[r-1].  Lane-owned like the main pair, so cached rank
-    /// plans are still never driven from two threads; untracked in
-    /// the device trace (tid -1).
-    std::vector<std::unique_ptr<device::Stream>> rank_streams;
-    std::vector<std::unique_ptr<device::Stream>> rank_aux;
-    /// Per-lane sharded orchestrator (its output staging is grow-only
-    /// scratch, reused across tenants and batches).
-    std::unique_ptr<core::DistributedMatvecPlan> dist;
+  };
+  /// A worker lane.  pairs[r] serves placement rank r: pair 0 exists
+  /// from construction (device-trace tids 2i / 2i+1), pairs r >= 1
+  /// grow lazily to the widest rank group the lane has executed and
+  /// stay untracked in the device trace (tid -1).  Pair ownership is
+  /// per lane, so a cached plan is never driven from two threads.
+  struct Lane {
+    std::vector<StreamPair> pairs;
+    /// The lane's placement orchestrator (its grow-only output
+    /// staging is reused across tenants and batches).
+    core::DistributedMatvecPlan dist{comm::NetworkSpec::frontier()};
     std::thread worker;
   };
 

@@ -469,58 +469,6 @@ TEST(GemvGrouped, ValidationErrors) {
   EXPECT_NO_THROW(sbgemv_grouped(stream, ga));
 }
 
-TEST(GemvHalfGrouped, MatchesPerGroupHalfCalls) {
-  device::Device dev(device::make_mi300x());
-  device::Stream stream(dev);
-  const index_t m = 32, n = 48, batch = 3;
-  const std::vector<index_t> group_sizes{2, 1, 3};
-  const index_t nrhs = 6;
-  util::Rng rng(91);
-  std::vector<std::vector<precision::half>> mats;
-  for (std::size_t g = 0; g < group_sizes.size(); ++g) {
-    std::vector<precision::half> mat(static_cast<std::size_t>(m * n * batch));
-    for (auto& v : mat) v = precision::half(static_cast<float>(rng.uniform(-1, 1)));
-    mats.push_back(std::move(mat));
-  }
-  std::vector<precision::half> x(static_cast<std::size_t>(batch * nrhs * m));
-  for (auto& v : x) v = precision::half(static_cast<float>(rng.uniform(-1, 1)));
-  std::vector<precision::half> y_grouped(static_cast<std::size_t>(batch * nrhs * n),
-                                         precision::half(0.0f));
-  auto y_per_group = y_grouped;
-
-  SbgemvHalfArgs ha;
-  ha.m = m;
-  ha.n = n;
-  ha.lda = m;
-  ha.stride_a = m * n;
-  ha.x = x.data();
-  ha.stride_x = nrhs * m;
-  ha.y = y_grouped.data();
-  ha.stride_y = nrhs * n;
-  ha.batch = batch;
-  ha.rhs_stride_x = m;
-  ha.rhs_stride_y = n;
-  std::vector<SbgemvHalfGroup> groups;
-  for (std::size_t g = 0; g < group_sizes.size(); ++g) {
-    groups.push_back({mats[g].data(), group_sizes[g]});
-  }
-  sbgemv_half_grouped(stream, ha, groups);
-
-  index_t r0 = 0;
-  for (std::size_t g = 0; g < group_sizes.size(); ++g) {
-    SbgemvHalfArgs single = ha;
-    single.a = mats[g].data();
-    single.nrhs = group_sizes[g];
-    single.x = x.data() + r0 * m;
-    single.y = y_per_group.data() + r0 * n;
-    sbgemv_half_optimized(stream, single);
-    r0 += group_sizes[g];
-  }
-  for (std::size_t i = 0; i < y_grouped.size(); ++i) {
-    EXPECT_EQ(static_cast<float>(y_grouped[i]), static_cast<float>(y_per_group[i]));
-  }
-}
-
 TEST(GemvHalfMulti, MatchesIndependentHalfCalls) {
   device::Device dev(device::make_mi300x());
   device::Stream stream(dev);

@@ -219,13 +219,6 @@ TEST(CommCost, MatvecCollectivesFollowGridRoles) {
   EXPECT_EQ(net.matvec_collectives(1, 1, true, bcast_bytes, reduce_bytes).total(), 0.0);
 }
 
-TEST(CommCost, AllReduceCombinesBoth) {
-  const CommCostModel net(NetworkSpec::frontier());
-  const double ar = net.allreduce_time(16, 1e6, false);
-  EXPECT_GT(ar, net.reduce_time(16, 1e6, false));
-  EXPECT_GT(ar, net.broadcast_time(16, 1e6, false));
-}
-
 // -------------------------------------------------------- partitioner
 PartitionProblem paper_problem(index_t p) {
   PartitionProblem prob;

@@ -365,7 +365,8 @@ ShardedRun run_sharded(const GlobalProblem& p, index_t ranks,
   }
 
   DistributedMatvecPlan dist(comm::NetworkSpec::frontier());
-  dist.apply_batch(sharded, dir, cfg, iv, ov, lanes, mode, chunks);
+  const DistributedMatvecPlan::OperatorGroup group{&sharded, b};
+  dist.apply_batch({&group, 1}, dir, cfg, iv, ov, lanes, mode, chunks);
   run.timings = dist.last_timings();
   run.shares = dist.last_batch_timings();
   run.setup_seconds = setup.now();
@@ -516,9 +517,119 @@ TEST(ShardedApplyDetail, ValidatesRanksAndLaneShapes) {
   const std::vector<ConstVectorView> iv{in};
   const std::vector<VectorView> ov{out};
   DistributedMatvecPlan dist(comm::NetworkSpec::frontier());
-  EXPECT_THROW(dist.apply_batch(sharded, ApplyDirection::kForward,
+  const DistributedMatvecPlan::OperatorGroup group{&sharded, 1};
+  EXPECT_THROW(dist.apply_batch({&group, 1}, ApplyDirection::kForward,
                                 PrecisionConfig{}, iv, ov, lanes),
                std::invalid_argument);
+}
+
+TEST(ShardedApplyDetail, GroupedTenantsBitIdenticalToPerOperatorApplies) {
+  // Two same-shape operators in one grouped batch ({2, 3} right-hand
+  // sides): every output must equal its own operator's solo
+  // single-rank apply, at every rank count — a 1-rank placement is
+  // the serving layer's cross-tenant batch.
+  const std::vector<GlobalProblem> problems{make_global(12, 6, 8, 2700),
+                                            make_global(12, 6, 8, 2800)};
+  const std::vector<index_t> group_sizes{2, 3};
+  for (const auto dir : {ApplyDirection::kForward, ApplyDirection::kAdjoint}) {
+    const bool forward = dir == ApplyDirection::kForward;
+    const ProblemDims& dims = problems[0].dims;
+    const index_t in_len = dims.n_t * (forward ? dims.n_m : dims.n_d);
+    const index_t out_len = dims.n_t * (forward ? dims.n_d : dims.n_m);
+    std::vector<std::vector<double>> ins;
+    std::vector<std::size_t> owner;  // problem index of each RHS
+    for (std::size_t g = 0; g < group_sizes.size(); ++g) {
+      for (index_t r = 0; r < group_sizes[g]; ++r) {
+        ins.push_back(make_input_vector(in_len, 2900 + ins.size()));
+        owner.push_back(g);
+      }
+    }
+    const std::vector<ConstVectorView> iv(ins.begin(), ins.end());
+    for (const char* cfg_str : {"ddddd", "dssdd", "sssss"}) {
+      const auto cfg = PrecisionConfig::parse(cfg_str);
+      // Reference: each RHS alone through its own single-rank operator.
+      std::vector<std::vector<double>> expect(
+          ins.size(), std::vector<double>(static_cast<std::size_t>(out_len)));
+      {
+        device::Device dev(device::make_mi300x());
+        device::Stream stream(dev);
+        const auto local = LocalDims::single_rank(dims);
+        FftMatvecPlan plan(dev, stream, local);
+        for (std::size_t i = 0; i < ins.size(); ++i) {
+          const BlockToeplitzOperator op(dev, stream, local,
+                                         problems[owner[i]].first_col);
+          const std::vector<ConstVectorView> one_in{ins[i]};
+          const std::vector<VectorView> one_out{expect[i]};
+          plan.apply_batch(op, dir, cfg, one_in, one_out);
+        }
+      }
+      for (const index_t ranks : {1, 2, 3}) {
+        device::Device dev(device::make_mi300x());
+        device::Stream setup(dev);
+        std::vector<std::unique_ptr<ShardedOperator>> ops;
+        std::vector<DistributedMatvecPlan::OperatorGroup> groups;
+        for (std::size_t g = 0; g < problems.size(); ++g) {
+          ops.push_back(std::make_unique<ShardedOperator>(
+              dev, setup, dims, ranks, problems[g].first_col));
+          groups.push_back({ops.back().get(), group_sizes[g]});
+        }
+        std::vector<std::unique_ptr<device::Stream>> streams;
+        std::vector<std::unique_ptr<FftMatvecPlan>> plans;
+        std::vector<DistributedMatvecPlan::RankLane> lanes;
+        for (index_t r = 0; r < ranks; ++r) {
+          streams.push_back(std::make_unique<device::Stream>(dev));
+          streams.push_back(std::make_unique<device::Stream>(dev));
+          plans.push_back(std::make_unique<FftMatvecPlan>(
+              dev, *streams[streams.size() - 2], ops[0]->rank_dims(dir, r)));
+          lanes.push_back({plans.back().get(), streams.back().get()});
+        }
+        std::vector<std::vector<double>> got(
+            ins.size(), std::vector<double>(static_cast<std::size_t>(out_len)));
+        const std::vector<VectorView> ov(got.begin(), got.end());
+        DistributedMatvecPlan dist(comm::NetworkSpec::frontier());
+        dist.apply_batch(groups, dir, cfg, iv, ov, lanes);
+        for (std::size_t i = 0; i < ins.size(); ++i) {
+          EXPECT_EQ(got[i], expect[i])
+              << cfg_str << ", " << ranks << " ranks, "
+              << (forward ? "F" : "F*") << ", RHS " << i;
+        }
+      }
+    }
+  }
+}
+
+TEST(ShardedApplyDetail, GroupsMustShareOnePlacement) {
+  const auto p = make_global(12, 6, 8, 3000);
+  const auto q = make_global(12, 6, 16, 3100);
+  device::Device dev(device::make_mi300x());
+  device::Stream stream(dev);
+  const ShardedOperator two_ranks(dev, stream, p.dims, 2, p.first_col);
+  const ShardedOperator one_rank(dev, stream, p.dims, 1, p.first_col);
+  const ShardedOperator other_dims(dev, stream, q.dims, 2, q.first_col);
+
+  std::vector<std::unique_ptr<FftMatvecPlan>> plans;
+  std::vector<DistributedMatvecPlan::RankLane> lanes;
+  for (index_t r = 0; r < 2; ++r) {
+    plans.push_back(std::make_unique<FftMatvecPlan>(
+        dev, stream, two_ranks.rank_dims(ApplyDirection::kForward, r)));
+    lanes.push_back({plans.back().get(), nullptr});
+  }
+  std::vector<std::vector<double>> ins(
+      2, std::vector<double>(static_cast<std::size_t>(p.dims.n_t * p.dims.n_m)));
+  std::vector<std::vector<double>> outs(
+      2, std::vector<double>(static_cast<std::size_t>(p.dims.n_t * p.dims.n_d)));
+  const std::vector<ConstVectorView> iv(ins.begin(), ins.end());
+  const std::vector<VectorView> ov(outs.begin(), outs.end());
+  DistributedMatvecPlan dist(comm::NetworkSpec::frontier());
+  const auto apply = [&](const ShardedOperator& second) {
+    const std::vector<DistributedMatvecPlan::OperatorGroup> groups{
+        {&two_ranks, 1}, {&second, 1}};
+    dist.apply_batch(groups, ApplyDirection::kForward, PrecisionConfig{}, iv,
+                     ov, lanes);
+  };
+  EXPECT_THROW(apply(one_rank), std::invalid_argument);    // rank count
+  EXPECT_THROW(apply(other_dims), std::invalid_argument);  // global dims
+  EXPECT_NO_THROW(apply(two_ranks));
 }
 
 }  // namespace

@@ -966,7 +966,7 @@ TEST(ServeFaults, ShutdownRacingInFlightRetryFulfillsEveryFuture) {
 
 // ------------------------------------------------- bounded admission
 TEST(BoundedAdmission, RejectNewRefusesAtDepth) {
-  RequestQueue q(8, 10.0, 0, true, /*max_queue_depth=*/2,
+  RequestQueue q(8, 10.0, true, /*max_queue_depth=*/2,
                  OverloadPolicy::kRejectNew);
   EXPECT_EQ(q.max_queue_depth(), 2);
   const BatchKey key = batch_key(small_dims());
@@ -981,7 +981,7 @@ TEST(BoundedAdmission, RejectNewRefusesAtDepth) {
 }
 
 TEST(BoundedAdmission, ShedBestEffortDisplacesNewestForDeadlines) {
-  RequestQueue q(8, 10.0, 0, true, /*max_queue_depth=*/2,
+  RequestQueue q(8, 10.0, true, /*max_queue_depth=*/2,
                  OverloadPolicy::kShedBestEffort);
   const BatchKey key = batch_key(small_dims());
   ASSERT_TRUE(q.push(key, make_request(1)).accepted());  // best effort, oldest
@@ -1004,32 +1004,6 @@ TEST(BoundedAdmission, ShedBestEffortDisplacesNewestForDeadlines) {
   // Best-effort arrivals never displace anything at the bound.
   out = q.push(key, make_request(6));
   EXPECT_EQ(out.status, RequestQueue::PushOutcome::Status::kFull);
-  EXPECT_EQ(q.pending(), 2u);
-}
-
-TEST(BoundedAdmission, ShedSkipsDispatchedAndRetryingWork) {
-  RequestQueue q(8, 10.0, 0, true, /*max_queue_depth=*/2,
-                 OverloadPolicy::kShedBestEffort);
-  const BatchKey key = batch_key(small_dims());
-  ASSERT_TRUE(q.push(key, make_request(1)).accepted());  // best effort, oldest
-  // The NEWEST pending request is best-effort but already cost device
-  // time: it was dispatched once and is riding the queue again for a
-  // quarantined solo retry.  Shedding it would discard that work.
-  PendingRequest retry = make_request(2);
-  retry.retrying = true;
-  ASSERT_TRUE(q.push(key, std::move(retry)).accepted());
-  // The deadlined arrival skips the retrying request and displaces
-  // the OLDER plain best-effort one instead.
-  auto out = q.push(key, deadline_request(10.0, 3));
-  EXPECT_TRUE(out.accepted());
-  ASSERT_TRUE(out.shed.has_value());
-  EXPECT_EQ(out.shed->tenant, 1u);
-  EXPECT_FALSE(out.shed->retrying);
-  // Everything left is deadlined or retrying: nothing sheddable.
-  out = q.push(key, deadline_request(10.0, 4));
-  EXPECT_EQ(out.status, RequestQueue::PushOutcome::Status::kFull);
-  ASSERT_TRUE(out.returned.has_value());
-  EXPECT_EQ(out.returned->tenant, 4u);
   EXPECT_EQ(q.pending(), 2u);
 }
 

@@ -300,50 +300,13 @@ TEST(RequestQueue, CloseDrainsThenStops) {
   EXPECT_FALSE(q.pop_batch().has_value());  // then consumers are released
 }
 
-TEST(RequestQueue, MaxGroupsCapsDistinctTenantsPerBatch) {
-  // Group-aware admission: with max_groups = 2 the take loop stops —
-  // in FIFO order — before admitting a third distinct tenant, and the
-  // leftovers ride the key's next turn.
-  RequestQueue q(8, 0.0, /*max_groups=*/2);
-  EXPECT_EQ(q.max_groups(), 2);
-  const BatchKey key = batch_key(small_dims());
-  for (const TenantId t : {1, 1, 2, 3, 1}) q.push(key, make_request({}, t));
-  const auto b1 = q.pop_batch();
-  ASSERT_TRUE(b1.has_value());
-  ASSERT_EQ(b1->requests.size(), 3u);  // 1, 1, 2 — tenant 3 would be third
-  EXPECT_EQ(b1->requests[0].tenant, 1u);
-  EXPECT_EQ(b1->requests[1].tenant, 1u);
-  EXPECT_EQ(b1->requests[2].tenant, 2u);
-  const auto b2 = q.pop_batch();
-  ASSERT_TRUE(b2.has_value());
-  ASSERT_EQ(b2->requests.size(), 2u);  // 3, 1 — two distinct groups, allowed
-  EXPECT_EQ(b2->requests[0].tenant, 3u);
-  EXPECT_EQ(b2->requests[1].tenant, 1u);
-  EXPECT_EQ(q.pending(), 0u);
-}
-
-TEST(RequestQueue, MaxGroupsZeroIsUnlimited) {
-  RequestQueue q(8, 0.0, /*max_groups=*/0);
+TEST(RequestQueue, BatchTakesEveryDistinctTenant) {
+  RequestQueue q(8, 0.0);
   const BatchKey key = batch_key(small_dims());
   for (TenantId t = 1; t <= 5; ++t) q.push(key, make_request({}, t));
   const auto b = q.pop_batch();
   ASSERT_TRUE(b.has_value());
   EXPECT_EQ(b->requests.size(), 5u);
-}
-
-TEST(RequestQueue, MaxGroupsAlwaysMakesProgress) {
-  // Even max_groups = 1 takes the head request (a pop can never spin
-  // on an empty batch) and splits the rest by tenant runs.
-  RequestQueue q(8, 0.0, /*max_groups=*/1);
-  const BatchKey key = batch_key(small_dims());
-  for (const TenantId t : {7, 8, 8}) q.push(key, make_request({}, t));
-  const auto b1 = q.pop_batch();
-  ASSERT_TRUE(b1.has_value());
-  EXPECT_EQ(b1->requests.size(), 1u);
-  const auto b2 = q.pop_batch();
-  ASSERT_TRUE(b2.has_value());
-  EXPECT_EQ(b2->requests.size(), 2u);
-  EXPECT_THROW(RequestQueue(8, 0.0, -1), std::invalid_argument);
 }
 
 TEST(RequestQueue, EdfServesEarliestDeadlineFirstWithinKey) {
@@ -421,7 +384,7 @@ TEST(RequestQueue, WeightedFairQueueingTracksWeightRatio) {
 TEST(RequestQueue, BlindModeIgnoresDeadlinesAndWeights) {
   // deadline_aware == false is the PR 2-5 baseline: FIFO within the
   // key even when a later arrival carries the earlier deadline.
-  RequestQueue q(8, 0.0, /*max_groups=*/0, /*deadline_aware=*/false);
+  RequestQueue q(8, 0.0, /*deadline_aware=*/false);
   EXPECT_FALSE(q.deadline_aware());
   const BatchKey key = batch_key(small_dims());
   q.push(key, make_request({}, /*tenant=*/1));
@@ -980,9 +943,28 @@ TEST(AsyncScheduler, OptionValidationNamesTheBadField) {
   opts = {};
   opts.pipeline_chunks = -2;
   expect_invalid(opts, "pipeline_chunks");
-  opts = {};
-  opts.max_groups_per_batch = -1;
-  expect_invalid(opts, "max_groups_per_batch");
+}
+
+TEST(AsyncScheduler, MetricsRecordTheResultsLatencies) {
+  // The metrics and the MatvecResult describe one request with one
+  // pair of measurements, not two reads of the clock.
+  ServeOptions opts;
+  opts.num_streams = 1;
+  opts.linger_seconds = 0.0;
+  AsyncScheduler sched(device::make_mi300x(), opts);
+  const auto tenant = register_tenant(sched, small_dims(), 171);
+  const auto result =
+      sched
+          .submit(tenant.tenant, core::ApplyDirection::kForward,
+                  precision::PrecisionConfig{},
+                  core::make_input_vector(small_dims().n_t * small_dims().n_m, 172))
+          .get();
+  ASSERT_TRUE(result.ok());
+  sched.drain();
+  const auto snap = sched.metrics();
+  ASSERT_EQ(snap.exec_latency.count, 1);
+  EXPECT_EQ(snap.exec_latency.max, result.exec_seconds);
+  EXPECT_EQ(snap.queue_latency.max, result.queue_seconds);
 }
 
 TEST(AsyncScheduler, RequestStructAndPositionalSubmitAreEquivalent) {
