@@ -27,6 +27,8 @@ class ProcessGrid {
   index_t cols() const { return cols_; }
   index_t size() const { return rows_ * cols_; }
 
+  bool operator==(const ProcessGrid&) const = default;
+
   index_t rank_of(index_t row, index_t col) const {
     check_coord(row, col);
     return col * rows_ + row;

@@ -1,9 +1,9 @@
-// Pairwise-tree summation shared by the thread communicator and the
-// lockstep cluster, so both reduction paths combine rank
+// Pairwise-tree summation shared by DistributedMatvecPlan's grid
+// reduction and the tests' thread communicator, so both combine rank
 // contributions in the identical ((r0+r1)+(r2+r3))+... order — the
 // log2(p)-depth rounding behaviour assumed by the paper's error
-// analysis (§3.2.1) and required for the sequential LockstepCluster
-// to match its threaded test reference bit for bit.
+// analysis (§3.2.1) and required for the sequential grid apply to
+// match its threaded test reference bit for bit.
 #pragma once
 
 #include <vector>

@@ -2,9 +2,9 @@
 
 #include <algorithm>
 #include <stdexcept>
-#include <string>
 
 #include "comm/fault.hpp"
+#include "comm/tree_reduce.hpp"
 #include "core/synthetic.hpp"
 
 namespace fftmv::core {
@@ -28,79 +28,86 @@ std::vector<FftMatvecPlan::OperatorGroup> rank_groups(
   return slices;
 }
 
+/// dst = pairwise-tree sum of the partials, computed in T.  A partial
+/// is a rank's phase-5 output, already rounded through the phase-5
+/// precision, so narrowing it to T is exact.
+template <class T>
+void reduce_partials(const std::vector<const double*>& partials,
+                     index_t count, double* dst) {
+  std::vector<std::vector<T>> narrowed;
+  std::vector<const T*> members;
+  narrowed.reserve(partials.size());
+  for (const double* partial : partials) {
+    narrowed.emplace_back(partial, partial + count);
+    members.push_back(narrowed.back().data());
+  }
+  std::vector<T> sum(static_cast<std::size_t>(count));
+  comm::tree_reduce(members, sum.data(), count);
+  std::copy(sum.begin(), sum.end(), dst);
+}
+
 }  // namespace
+
+ShardedOperator::ShardedOperator(device::Device& dev, device::Stream& stream,
+                                 const ProblemDims& dims,
+                                 const comm::ProcessGrid& grid,
+                                 std::span<const double> first_block_col)
+    : ShardedOperator(dev, stream, dims, grid, grid, first_block_col) {}
 
 ShardedOperator::ShardedOperator(device::Device& dev, device::Stream& stream,
                                  const ProblemDims& dims, index_t ranks,
                                  std::span<const double> first_block_col)
-    : dims_(dims), ranks_(ranks) {
-  dims.validate();
-  if (ranks < 1) {
-    throw std::invalid_argument("ShardedOperator: ranks must be >= 1");
-  }
-  if (ranks > dims.n_d || ranks > dims.n_m) {
-    throw std::invalid_argument(
-        "ShardedOperator: ranks exceeds an output dimension (" +
-        std::to_string(ranks) + " ranks for n_d=" + std::to_string(dims.n_d) +
-        ", n_m=" + std::to_string(dims.n_m) + ")");
-  }
+    : ShardedOperator(dev, stream, dims, comm::ProcessGrid(ranks, 1),
+                      comm::ProcessGrid(1, ranks), first_block_col) {}
 
-  if (ranks == 1) {
-    const LocalDims local = LocalDims::single_rank(dims);
-    auto op =
-        std::make_shared<BlockToeplitzOperator>(dev, stream, local, first_block_col);
-    fwd_dims_.push_back(local);
-    adj_dims_.push_back(local);
-    fwd_ops_.push_back(op);
-    adj_ops_.push_back(op);
-    return;
-  }
-
-  // slice_first_block_col wants the global column as a vector; stage
-  // it once (empty stays empty for phantom shapes).
-  const std::vector<double> global_col(first_block_col.begin(),
-                                       first_block_col.end());
-  const comm::ProcessGrid fwd_grid(ranks, 1);  // forward: split sensors
-  const comm::ProcessGrid adj_grid(1, ranks);  // adjoint: split parameters
-  for (index_t r = 0; r < ranks; ++r) {
-    const LocalDims fwd = LocalDims::for_rank(dims, fwd_grid, r);
-    const LocalDims adj = LocalDims::for_rank(dims, adj_grid, r);
-    fwd_dims_.push_back(fwd);
-    adj_dims_.push_back(adj);
-    if (global_col.empty()) {
-      fwd_ops_.push_back(
-          std::make_shared<BlockToeplitzOperator>(dev, stream, fwd, std::span<const double>{}));
-      adj_ops_.push_back(
-          std::make_shared<BlockToeplitzOperator>(dev, stream, adj, std::span<const double>{}));
-    } else {
-      const auto fwd_col = slice_first_block_col(dims, fwd, global_col);
-      const auto adj_col = slice_first_block_col(dims, adj, global_col);
-      fwd_ops_.push_back(
-          std::make_shared<BlockToeplitzOperator>(dev, stream, fwd, fwd_col));
-      adj_ops_.push_back(
-          std::make_shared<BlockToeplitzOperator>(dev, stream, adj, adj_col));
+ShardedOperator::ShardedOperator(device::Device& dev, device::Stream& stream,
+                                 const ProblemDims& dims,
+                                 const comm::ProcessGrid& fwd_grid,
+                                 const comm::ProcessGrid& adj_grid,
+                                 std::span<const double> first_block_col)
+    : dims_(dims), fwd_grid_(fwd_grid), adj_grid_(adj_grid) {
+  // A slice that is the whole operator is built straight from the
+  // caller's column, and so is every slice when the column lacks the
+  // global extent: empty for phantom runs, otherwise malformed, which
+  // the operator rejects instead of slicing past its end.
+  const auto global_elems =
+      static_cast<std::size_t>(dims.n_t * dims.n_d * dims.n_m);
+  const auto build = [&](const LocalDims& local) {
+    if (first_block_col.size() != global_elems ||
+        local == LocalDims::single_rank(dims)) {
+      return std::make_shared<BlockToeplitzOperator>(dev, stream, local,
+                                                     first_block_col);
     }
+    return std::make_shared<BlockToeplitzOperator>(
+        dev, stream, local, slice_first_block_col(dims, local, first_block_col));
+  };
+  const bool shared = fwd_grid == adj_grid;
+  for (index_t r = 0; r < fwd_grid.size(); ++r) {
+    fwd_dims_.push_back(LocalDims::for_rank(dims, fwd_grid, r));
+    adj_dims_.push_back(LocalDims::for_rank(dims, adj_grid, r));
+    fwd_ops_.push_back(build(fwd_dims_.back()));
+    adj_ops_.push_back(shared ? fwd_ops_.back() : build(adj_dims_.back()));
   }
 }
 
 std::size_t ShardedOperator::check(index_t rank) const {
-  if (rank < 0 || rank >= ranks_) {
+  if (rank < 0 || rank >= ranks()) {
     throw std::out_of_range("ShardedOperator: rank out of range");
   }
   return static_cast<std::size_t>(rank);
 }
 
 void ShardedOperator::warm_spectrum_f(device::Stream& stream) {
-  // With ranks == 1 both vectors alias one operator; the second call
-  // hits the operator's cached copy.
+  // When both directions share a grid the two lists alias one
+  // operator per rank; the second call hits its cached copy.
   for (const auto& op : fwd_ops_) op->spectrum_f(stream);
   for (const auto& op : adj_ops_) op->spectrum_f(stream);
 }
 
 void ShardedOperator::warm_checksums(device::Stream& stream) {
   // A forward slice is only ever applied forward and an adjoint slice
-  // only adjoint, so each list warms just its own direction (in the
-  // ranks == 1 degenerate case the shared operator gets both).
+  // only adjoint, so each list warms just its own direction (an
+  // operator both lists share gets both).
   for (const auto& op : fwd_ops_) {
     op->checksum_d(stream, /*adjoint=*/false);
     op->checksum_f(stream, /*adjoint=*/false);
@@ -128,15 +135,26 @@ const ShardedOperator& DistributedMatvecPlan::validate_batch(
     throw std::invalid_argument(
         "DistributedMatvecPlan: need at least one operator group");
   }
-  // The rank slices follow from (ranks, global dims) alone, so groups
+  // The rank slices follow from (grid, global dims) alone, so groups
   // sharing both share every slice shape; each rank plan then checks
   // its own operators against its dims.
+  index_t grouped_rhs = 0;
   for (const auto& g : groups) {
-    if (g.op == nullptr || g.op->ranks() != groups.front().op->ranks() ||
+    if (g.op == nullptr ||
+        g.op->grid(direction) != groups.front().op->grid(direction) ||
         g.op->dims() != groups.front().op->dims()) {
       throw std::invalid_argument(
           "DistributedMatvecPlan: operator groups must share one placement");
     }
+    if (g.rhs_count < 1) {
+      throw std::invalid_argument(
+          "DistributedMatvecPlan: every group needs >= 1 RHS");
+    }
+    grouped_rhs += g.rhs_count;
+  }
+  if (grouped_rhs != static_cast<index_t>(inputs.size())) {
+    throw std::invalid_argument(
+        "DistributedMatvecPlan: group RHS counts do not sum to the input count");
   }
   const ShardedOperator& placement = *groups.front().op;
   const index_t ranks = placement.ranks();
@@ -148,9 +166,25 @@ const ShardedOperator& DistributedMatvecPlan::validate_batch(
     if (lanes[r].plan == nullptr) {
       throw std::invalid_argument("DistributedMatvecPlan: null rank plan");
     }
-    if (!(lanes[r].plan->dims() == placement.rank_dims(direction, r))) {
+    if (!lanes[r].plan->dims().same_extents(placement.rank_dims(direction, r))) {
       throw std::invalid_argument(
           "DistributedMatvecPlan: rank plan dims do not match the shard");
+    }
+  }
+  // Vector extents at the global dims, before any fault consult,
+  // sync, charge or staging reads or writes a caller's vector.
+  if (!lanes[0].plan->stream().device().phantom()) {
+    const ProblemDims& dims = placement.dims();
+    const bool adjoint = direction == ApplyDirection::kAdjoint;
+    const auto in_len =
+        static_cast<std::size_t>(dims.n_t * (adjoint ? dims.n_d : dims.n_m));
+    const auto out_len =
+        static_cast<std::size_t>(dims.n_t * (adjoint ? dims.n_m : dims.n_d));
+    for (std::size_t i = 0; i < inputs.size(); ++i) {
+      if (inputs[i].size() != in_len || outputs[i].size() != out_len) {
+        throw std::invalid_argument(
+            "DistributedMatvecPlan: input or output span has wrong extent");
+      }
     }
   }
   return placement;
@@ -167,6 +201,13 @@ void DistributedMatvecPlan::apply_batch(
   const ShardedOperator& placement =
       validate_batch(groups, direction, inputs, outputs, lanes);
   const index_t ranks = placement.ranks();
+  const bool adjoint = direction == ApplyDirection::kAdjoint;
+  const comm::ProcessGrid& grid = placement.grid(direction);
+  if ((adjoint ? grid.rows() : grid.cols()) > 1) {
+    throw std::invalid_argument(
+        "DistributedMatvecPlan: apply_batch charges an output split only; "
+        "ranks sharing output slices run through apply_batch_serial");
+  }
 
   if (ranks == 1) {
     // Degenerate placement: byte-for-byte the single-rank grouped
@@ -180,7 +221,6 @@ void DistributedMatvecPlan::apply_batch(
     return;
   }
 
-  const bool adjoint = direction == ApplyDirection::kAdjoint;
   const ProblemDims& dims = placement.dims();
   const index_t nt = dims.n_t;
   const index_t ns_in = adjoint ? dims.n_d : dims.n_m;
@@ -190,8 +230,8 @@ void DistributedMatvecPlan::apply_batch(
 
   // Fault consult at the entry collective: a down rank aborts the
   // sharded dispatch before any compute or communication is charged,
-  // so the caller can re-dispatch on the degraded single-survivor
-  // path with bit-identical results.
+  // so the caller can re-dispatch through apply_batch_serial with
+  // bit-identical results.
   if (device::FaultPlan* faults = dev.fault_plan()) {
     const index_t down = faults->on_group_sync(ranks);
     if (down >= 0) throw comm::RankFailure(down, ranks);
@@ -246,10 +286,11 @@ void DistributedMatvecPlan::apply_batch(
   for (const auto& lane : lanes) lane.plan->stream().advance(coll.reduce_s);
   const double t_end = sync_group();
 
-  // Assemble: per-rank output slices have disjoint support, so the
-  // gather is plain copies into the caller's vectors (already billed
-  // above at the reduce tariff).
-  assemble_outputs(placement, direction, outputs, phantom);
+  // Assemble: each output slice has one owner here, so the gather is
+  // plain copies into the caller's vectors (billed above at the
+  // reduce tariff).
+  assemble_outputs(placement, direction, config.phase(precision::kPhaseUnpad),
+                   outputs, phantom);
 
   // Group accounting: phase fields stay the ranks' summed busy time
   // (serial-equivalent), comm is the collective bill charged once, and
@@ -264,7 +305,7 @@ void DistributedMatvecPlan::apply_batch(
   }
 }
 
-void DistributedMatvecPlan::apply_batch_degraded(
+void DistributedMatvecPlan::apply_batch_serial(
     std::span<const OperatorGroup> groups, ApplyDirection direction,
     const precision::PrecisionConfig& config,
     std::span<const ConstVectorView> inputs,
@@ -275,9 +316,9 @@ void DistributedMatvecPlan::apply_batch_degraded(
       validate_batch(groups, direction, inputs, outputs, lanes);
   const bool phantom = lanes[0].plan->stream().device().phantom();
 
-  // Survivor-local window: with all lanes bound to one stream (pair)
-  // the slices serialize and the makespan is the survivor's elapsed
-  // clock; no sync, no collective charge.
+  // Local window: with all lanes bound to one stream (pair) the slices
+  // serialize and the makespan is that stream's elapsed clock; no
+  // sync, no collective charge.
   const auto group_now = [&lanes]() {
     double t = 0.0;
     for (const auto& lane : lanes) {
@@ -291,7 +332,8 @@ void DistributedMatvecPlan::apply_batch_degraded(
   run_rank_slices(groups, direction, config, inputs, lanes, pipeline_chunks,
                   verify, phantom);
   const double t_end = group_now();
-  assemble_outputs(placement, direction, outputs, phantom);
+  assemble_outputs(placement, direction, config.phase(precision::kPhaseUnpad),
+                   outputs, phantom);
 
   timings_.comm = 0.0;
   timings_.makespan = t_end - t_start;
@@ -312,6 +354,7 @@ void DistributedMatvecPlan::run_rank_slices(
   const index_t ranks = placement.ranks();
   const bool adjoint = direction == ApplyDirection::kAdjoint;
   const index_t nt = placement.dims().n_t;
+  const index_t ns_in = adjoint ? placement.dims().n_d : placement.dims().n_m;
 
   timings_ = PhaseTimings{};
   rhs_timings_.assign(static_cast<std::size_t>(b), PhaseTimings{});
@@ -319,12 +362,27 @@ void DistributedMatvecPlan::run_rank_slices(
     stage_.resize(static_cast<std::size_t>(ranks));
   }
 
+  std::vector<std::vector<double>> staged(static_cast<std::size_t>(b));
+  std::vector<ConstVectorView> staged_views(staged.size());
   std::vector<VectorView> rank_outputs(static_cast<std::size_t>(b));
   for (index_t r = 0; r < ranks; ++r) {
     const LocalDims& local = placement.rank_dims(direction, r);
+    const index_t in_count = adjoint ? local.n_d_local : local.n_m_local;
     const index_t out_elems =
         nt * (adjoint ? local.n_m_local : local.n_d_local);
+    std::span<const ConstVectorView> rank_inputs = inputs;
     if (!phantom) {
+      // A rank narrower than the input (a grid column forward, a grid
+      // row adjoint) reads a staged copy of its slice of each input;
+      // an output-split rank reads the caller's vectors.
+      if (in_count < ns_in) {
+        const index_t in_offset = adjoint ? local.d_offset : local.m_offset;
+        for (std::size_t i = 0; i < staged.size(); ++i) {
+          staged[i] = slice_tosi(inputs[i], nt, ns_in, in_offset, in_count);
+          staged_views[i] = staged[i];
+        }
+        rank_inputs = staged_views;
+      }
       auto& stage = stage_[static_cast<std::size_t>(r)];
       const std::size_t need = static_cast<std::size_t>(b * out_elems);
       if (stage.size() < need) stage.resize(need);
@@ -339,7 +397,7 @@ void DistributedMatvecPlan::run_rank_slices(
 
     FftMatvecPlan& plan = *lanes[r].plan;
     plan.apply_batch(rank_groups(groups, direction, r), direction, config,
-                     inputs, rank_outputs,
+                     rank_inputs, rank_outputs,
                      BatchPipeline{pipeline_chunks, lanes[r].aux, verify});
     timings_ += plan.last_timings();
     const auto& shares = plan.last_batch_timings();
@@ -352,27 +410,51 @@ void DistributedMatvecPlan::run_rank_slices(
 
 void DistributedMatvecPlan::assemble_outputs(
     const ShardedOperator& placement, ApplyDirection direction,
-    std::span<const VectorView> outputs, bool phantom) const {
+    precision::Precision p5, std::span<const VectorView> outputs,
+    bool phantom) const {
   if (phantom) return;
   const index_t b = static_cast<index_t>(outputs.size());
-  const index_t ranks = placement.ranks();
   const bool adjoint = direction == ApplyDirection::kAdjoint;
-  const ProblemDims& dims = placement.dims();
-  const index_t nt = dims.n_t;
-  const index_t ns_out = adjoint ? dims.n_m : dims.n_d;
-  for (index_t i = 0; i < b; ++i) {
-    double* out = outputs[static_cast<std::size_t>(i)].data();
-    for (index_t r = 0; r < ranks; ++r) {
-      const LocalDims& local = placement.rank_dims(direction, r);
-      const index_t offset = adjoint ? local.m_offset : local.d_offset;
-      const index_t count = adjoint ? local.n_m_local : local.n_d_local;
-      const index_t out_elems = nt * count;
-      const double* slice =
-          stage_[static_cast<std::size_t>(r)].data() + i * out_elems;
+  const index_t nt = placement.dims().n_t;
+  const index_t ns_out = adjoint ? placement.dims().n_m : placement.dims().n_d;
+  // The owners of output slice s in increasing rank order: grid row s
+  // forward, grid column s adjoint.
+  const comm::ProcessGrid& grid = placement.grid(direction);
+  const index_t slices = adjoint ? grid.cols() : grid.rows();
+  const index_t owners = adjoint ? grid.rows() : grid.cols();
+  const auto owner = [&](index_t s, index_t k) {
+    return adjoint ? grid.rank_of(k, s) : grid.rank_of(s, k);
+  };
+  std::vector<const double*> partials(static_cast<std::size_t>(owners));
+  std::vector<double> reduced;
+  for (index_t s = 0; s < slices; ++s) {
+    const LocalDims& local = placement.rank_dims(direction, owner(s, 0));
+    const index_t offset = adjoint ? local.m_offset : local.d_offset;
+    const index_t count = adjoint ? local.n_m_local : local.n_d_local;
+    const index_t out_elems = nt * count;
+    for (index_t i = 0; i < b; ++i) {
+      for (index_t k = 0; k < owners; ++k) {
+        partials[static_cast<std::size_t>(k)] =
+            stage_[static_cast<std::size_t>(owner(s, k))].data() +
+            i * out_elems;
+      }
+      // One owner: a plain copy, which keeps a -0.0 output's sign.
+      // Several: the paper's reduction of the partials in the phase-5
+      // precision.
+      const double* src = partials.front();
+      if (owners > 1) {
+        reduced.resize(static_cast<std::size_t>(out_elems));
+        if (p5 == precision::Precision::kDouble) {
+          reduce_partials<double>(partials, out_elems, reduced.data());
+        } else {
+          reduce_partials<float>(partials, out_elems, reduced.data());
+        }
+        src = reduced.data();
+      }
+      double* out = outputs[static_cast<std::size_t>(i)].data();
       for (index_t t = 0; t < nt; ++t) {
-        const double* src = slice + t * count;
-        double* dst = out + t * ns_out + offset;
-        std::copy(src, src + count, dst);
+        std::copy(src + t * count, src + (t + 1) * count,
+                  out + t * ns_out + offset);
       }
     }
   }

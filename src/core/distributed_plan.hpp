@@ -1,59 +1,62 @@
-// Sharded batched matvec: one tenant's operator partitioned along the
-// block dimension across a group of simulated ranks, with the
-// collectives fused across the WHOLE right-hand-side batch.
+// Distributed batched matvec: one operator placed on a process grid
+// of simulated ranks (ShardedOperator) and the one executor that runs
+// a batch of right-hand sides across it (DistributedMatvecPlan).
+// Every rank runs the unmodified single-rank grouped
+// FftMatvecPlan::apply_batch on its operator slice.
 //
-// Partitioning is direction-dependent and always splits the OUTPUT
-// spatial dimension, because that is the split that keeps outputs
-// bit-identical to the single-rank apply in every precision config:
+// Placement.  Rank r of a p_r x p_c comm::ProcessGrid (paper §2.4)
+// owns the sensor rows of its grid row and the parameter columns of
+// its grid column (LocalDims::for_rank), with one grid per direction:
 //
-//   forward (d = F m):  rank r owns the sensor rows [d_r, d_r+n_d_r)
-//     of every block — LocalDims{global, n_m, n_d_r, 0, d_r} on a
-//     (R, 1) grid.  Phases 1-2 run on the full input (every rank
-//     holds it after the broadcast), the phase-3 GEMV computes
-//     full-width dot products for the rank's rows in exactly the
-//     single-rank accumulation order, and phases 4-5 touch only the
-//     rank's output slice.
-//   adjoint (m = F* d): rank r owns the parameter columns
-//     [m_r, m_r+n_m_r) — LocalDims{global, n_m_r, n_d, m_r, 0} on a
-//     (1, R) grid — with the mirrored argument.
-//
-// Per-rank outputs therefore have DISJOINT support and the "tree
-// reduce of partial outputs" degenerates to a gather: assembly is
-// implemented as copies (summing zero-padded partials would flip the
-// sign bit of a -0.0 output, the one way IEEE addition with zero is
-// not the identity) while the simulated time is charged at the cost
-// model's reduce tariff through the shared
-// comm::CommCostModel::rank_group_collectives path.  The price of
-// bit-identity is that phases 1-2 are duplicated on every rank (the
-// input is not split) and each direction needs its own operator
-// slice, ~2x operator storage; the paper-style input split — which
-// would make partial sums meet in a real reduction and change
-// rounding — stays the job of LockstepCluster.
+//   the paper's grid: both directions on one p_r x p_c grid.  A rank
+//     reads only its input slice and computes a partial of its output
+//     slice.  The ranks sharing an output slice — a grid row forward,
+//     a grid column adjoint — are reduced in the phase-5 precision in
+//     comm::tree_reduce's pairwise order, taken in increasing rank
+//     order.  That is the distribution-dependent rounding the paper's
+//     Figure 4 error series measures, bit-identical to the threaded
+//     grid reference in tests/test_core_distributed.cpp.
+//   the output split (the serving layer's): R ranks on (R, 1) forward
+//     and (1, R) adjoint.  Every rank reads the whole input and owns
+//     a disjoint output slice, so each reduction has one member and
+//     assembly is a copy (summing zero-padded partials would flip the
+//     sign bit of a -0.0 output).  Each slice's GEMV computes
+//     full-width dot products in the single-rank accumulation order,
+//     so outputs are BIT-identical to the single-rank apply in every
+//     precision config, ragged splits included.  The price is phases
+//     1-2 duplicated on every rank and one operator slice per
+//     direction.
 //
 // Bit-identity also needs the phase-3 GEMV kernel KIND to agree
-// between the slice and the full operator, since the reference and
-// optimized transpose kernels accumulate in different orders.  The
-// rule: FftMatvecPlan resolves GemvKernelPolicy::kAuto from the
-// GLOBAL dims (LocalDims::global), never from its slice, so every
-// rank plan runs the kernel the unsliced operator would.  (Forward
-// always dispatches the reference N kernel; for the adjoint a
-// slice-local choice would flip once n_d > 1024 — tested at
-// n_d = 1025.)
+// between a slice and the full operator, since the reference and
+// optimized transpose kernels accumulate in different orders:
+// FftMatvecPlan resolves GemvKernelPolicy::kAuto from the GLOBAL dims
+// (LocalDims::global), never from its slice.  (Forward always
+// dispatches the reference N kernel; for the adjoint a slice-local
+// choice would flip once n_d > 1024 — tested at n_d = 1025.)
 //
-// Comm fusion (the tentpole's amortization move, PR 3 applied to the
-// network): CommMode::kBatched charges ONE broadcast of all b inputs
-// and ONE gather of all b outputs per batch; CommMode::kPerRequest
-// charges b of each (the ablation bench/serve_scaling gates against).
-// Compute is identical in both modes — the ablation isolates the
-// alpha amortization of the collectives.
+// Two ways to run a batch:
 //
-// A batch may span several operators of one placement (same rank
-// count, same global dims), mirroring FftMatvecPlan's operator
-// groups: rank r runs ONE grouped apply_batch over the rank-r slice
-// of every group's operator.  The serving layer places every tenant
-// this way — an unsharded tenant is a 1-rank placement, whose
-// apply_batch is exactly the single-rank grouped apply — so a
-// cross-tenant batch and a sharded batch take the same dispatch path.
+//   apply_batch charges the output split's collectives — one
+//     broadcast of the inputs and one gather of the outputs, through
+//     comm::CommCostModel::rank_group_collectives — and consults the
+//     device's FaultPlan at the entry sync.  CommMode::kBatched fuses
+//     each collective across the batch; kPerRequest charges b of each
+//     (the ablation bench/serve_scaling gates against), with identical
+//     compute.  It refuses a placement whose ranks share output
+//     slices: there is no charged model of the grid's reductions
+//     (bench/fig4_scaling prices them with matvec_collectives).
+//   apply_batch_serial runs every rank's slice back to back, charges
+//     no communication and never consults the FaultPlan.  It is the
+//     serving layer's fallback after a rank failure, and runs the
+//     paper grid's numerics.
+//
+// A batch may span several operators of one placement, mirroring
+// FftMatvecPlan's operator groups: rank r runs ONE grouped apply over
+// the rank-r slice of every group's operator.  The serving layer
+// places every tenant this way (an unsharded tenant is a 1-rank
+// placement), so a cross-tenant batch and a sharded batch take the
+// same dispatch path.
 #pragma once
 
 #include <memory>
@@ -61,38 +64,48 @@
 #include <vector>
 
 #include "comm/cost_model.hpp"
+#include "comm/process_grid.hpp"
 #include "core/block_toeplitz.hpp"
 #include "core/matvec_plan.hpp"
 #include "core/problem.hpp"
 
 namespace fftmv::core {
 
-/// How a sharded apply charges collective time: fused once per batch
-/// (the production mode) or once per right-hand side (the ablation).
+/// How apply_batch charges collective time: fused once per batch (the
+/// production mode) or once per right-hand side (the ablation).
 enum class CommMode : unsigned char { kBatched, kPerRequest };
 
-/// One tenant's operator sliced for a group of `ranks` simulated
-/// ranks, both directions: rank r's forward slice is the sensor-row
-/// range of every block, its adjoint slice the parameter-column
-/// range (see the header comment).  Slicing happens in the time
-/// domain (slice_first_block_col) before the setup FFT, and the FFT
-/// of each block entry's time series is independent of its
-/// neighbours, so a slice's spectrum entries are bit-identical to the
-/// corresponding entries of the full operator's spectrum.  With
-/// ranks == 1 both directions share one unsliced operator.
+/// One operator sliced over a process grid per direction (see the
+/// header comment).  Slicing happens in the time domain
+/// (slice_first_block_col) before the setup FFT, and the FFT of each
+/// block entry's time series is independent of its neighbours, so a
+/// slice's spectrum entries are bit-identical to the corresponding
+/// entries of the full operator's spectrum.  When both directions use
+/// one grid they share one operator per rank.
 class ShardedOperator {
  public:
+  /// The paper's grid: both directions on `grid`.
   /// `first_block_col` is the global time-outer (n_t, n_d, n_m)
   /// column; empty builds unbacked slices (phantom cost-model runs).
-  /// Throws std::invalid_argument when `ranks` < 1 or exceeds either
-  /// output dimension (a rank with an empty slice would serve no
-  /// purpose and LocalDims refuses the split).
+  /// Throws std::invalid_argument when the grid splits a dimension
+  /// into more parts than it has elements, or on a backed device when
+  /// the column lacks the global extent.
+  ShardedOperator(device::Device& dev, device::Stream& stream,
+                  const ProblemDims& dims, const comm::ProcessGrid& grid,
+                  std::span<const double> first_block_col);
+
+  /// The output split: (ranks, 1) forward, (1, ranks) adjoint.  Throws
+  /// std::invalid_argument when `ranks` < 1 or exceeds either output
+  /// dimension, or as the grid constructor does on a bad column.
   ShardedOperator(device::Device& dev, device::Stream& stream,
                   const ProblemDims& dims, index_t ranks,
                   std::span<const double> first_block_col);
 
-  index_t ranks() const { return ranks_; }
+  index_t ranks() const { return fwd_grid_.size(); }
   const ProblemDims& dims() const { return dims_; }
+  const comm::ProcessGrid& grid(ApplyDirection direction) const {
+    return direction == ApplyDirection::kForward ? fwd_grid_ : adj_grid_;
+  }
 
   const LocalDims& rank_dims(ApplyDirection direction, index_t rank) const {
     return direction == ApplyDirection::kForward ? fwd_dims_[check(rank)]
@@ -116,16 +129,22 @@ class ShardedOperator {
   void warm_checksums(device::Stream& stream);
 
  private:
+  ShardedOperator(device::Device& dev, device::Stream& stream,
+                  const ProblemDims& dims, const comm::ProcessGrid& fwd_grid,
+                  const comm::ProcessGrid& adj_grid,
+                  std::span<const double> first_block_col);
+
   std::size_t check(index_t rank) const;
 
   ProblemDims dims_;
-  index_t ranks_ = 1;
+  comm::ProcessGrid fwd_grid_, adj_grid_;
   std::vector<LocalDims> fwd_dims_, adj_dims_;
-  // shared_ptr so the 1-rank degenerate case stores one operator once.
+  // shared_ptr so a rank's slice is stored once when both directions
+  // share a grid.
   std::vector<std::shared_ptr<BlockToeplitzOperator>> fwd_ops_, adj_ops_;
 };
 
-/// Orchestrates one sharded apply_batch over borrowed per-rank
+/// Orchestrates one distributed apply over borrowed per-rank
 /// execution resources.  The plan owns only grow-only host staging
 /// for the per-rank output slices; the per-rank FftMatvecPlans and
 /// streams are the caller's (the serving layer acquires them from its
@@ -133,10 +152,11 @@ class ShardedOperator {
 /// DistributedMatvecPlan instance can serve any tenant of any shape.
 class DistributedMatvecPlan {
  public:
-  /// Rank r's borrowed resources: a plan whose dims equal the
-  /// placement's rank_dims(direction, r), driving its own stream (the
-  /// plan's construction stream); `aux` optionally carries the
-  /// chunked dual-stream pipeline for the rank's slice.
+  /// Rank r's borrowed resources: a plan whose extents (global dims,
+  /// n_m_local, n_d_local) equal the placement's rank_dims(direction,
+  /// r), so one plan may serve every same-shape rank, driving its own
+  /// stream (the plan's construction stream); `aux` optionally
+  /// carries the chunked dual-stream pipeline for the rank's slice.
   struct RankLane {
     FftMatvecPlan* plan = nullptr;
     device::Stream* aux = nullptr;
@@ -145,8 +165,8 @@ class DistributedMatvecPlan {
   /// One operator's contiguous slice of a grouped batch (mirrors
   /// FftMatvecPlan::OperatorGroup): `rhs_count` right-hand sides
   /// applied through `op`.  Every group's operator must share one
-  /// placement — the same ranks() and the same global dims — so the
-  /// rank slices, and the rank plans that run them, are common to all
+  /// placement — the same grid and the same global dims — so the rank
+  /// slices, and the rank plans that run them, are common to all
   /// groups.
   struct OperatorGroup {
     const ShardedOperator* op = nullptr;
@@ -162,18 +182,18 @@ class DistributedMatvecPlan {
   /// apply_batch — zero communication charged, byte-for-byte the
   /// non-distributed path.  Otherwise: every rank stream first syncs
   /// to the group's latest clock (collectives are bulk-synchronous),
-  /// the input broadcast is charged on all rank streams (fused across
-  /// the batch in kBatched mode), each rank runs ONE fused grouped
-  /// FftMatvecPlan::apply_batch over its slices, the streams sync
-  /// again and the output gather is charged, and the disjoint slices
-  /// are copied into the caller's outputs.  Outputs are bit-identical
-  /// to the single-rank apply_batch (and therefore to b independent
-  /// applies) for every precision config, both directions, ragged
-  /// partitions included, in both comm modes and any chunk count.
-  /// Throws std::invalid_argument when the groups do not share one
-  /// placement, and comm::RankFailure — before any compute or
-  /// communication is charged — when the device's FaultPlan reports a
-  /// rank of the group down at the entry collective sync.
+  /// the input broadcast is charged on all rank streams, each rank
+  /// runs ONE fused grouped FftMatvecPlan::apply_batch over its
+  /// slices, the streams sync again, the output gather is charged and
+  /// the slices are assembled into the caller's outputs.  Outputs are
+  /// bit-identical to the single-rank apply_batch (and therefore to b
+  /// independent applies) in both comm modes and any chunk count.
+  /// Throws std::invalid_argument — before any fault consult or
+  /// charge — on a malformed batch, when the groups do not share one
+  /// placement, or when ranks share an output slice; throws
+  /// comm::RankFailure, before any compute or communication is
+  /// charged, when the device's FaultPlan reports a rank of the group
+  /// down at the entry collective sync.
   void apply_batch(std::span<const OperatorGroup> groups,
                    ApplyDirection direction,
                    const precision::PrecisionConfig& config,
@@ -184,25 +204,21 @@ class DistributedMatvecPlan {
                    index_t pipeline_chunks = 1,
                    VerifyMode verify = VerifyMode::kOff);
 
-  /// Degraded single-survivor apply: every rank's slice runs serially
-  /// on the caller's surviving stream(s) — pass lanes whose plans are
-  /// all bound to one lane's stream — with ZERO communication charged
-  /// (the data never leaves the survivor; this is the single-rank
-  /// path's cost semantics, just with the work of all slices).
-  /// Outputs are bit-identical to the sharded apply_batch, because
-  /// slice outputs have disjoint support and each slice's compute is
-  /// unchanged; only the modelled time differs (slower: no overlap,
-  /// but no collectives).  Never consults the FaultPlan's rank hook,
-  /// so it completes while the group outage lasts.  Only a multi-rank
-  /// placement can lose a rank, so this path has no 1-rank shortcut.
-  void apply_batch_degraded(std::span<const OperatorGroup> groups,
-                            ApplyDirection direction,
-                            const precision::PrecisionConfig& config,
-                            std::span<const ConstVectorView> inputs,
-                            std::span<const VectorView> outputs,
-                            std::span<const RankLane> lanes,
-                            index_t pipeline_chunks = 1,
-                            VerifyMode verify = VerifyMode::kOff);
+  /// Serial apply over any placement: every rank's slice runs back to
+  /// back on the lanes' streams — after a rank failure, pass lanes
+  /// whose plans are all bound to the survivor's stream — with ZERO
+  /// communication charged.  For an output split the outputs are
+  /// bit-identical to apply_batch's; only the modelled time differs
+  /// (no overlap, but no collectives).  Never consults the FaultPlan's
+  /// rank hook, so it completes while a group outage lasts.
+  void apply_batch_serial(std::span<const OperatorGroup> groups,
+                          ApplyDirection direction,
+                          const precision::PrecisionConfig& config,
+                          std::span<const ConstVectorView> inputs,
+                          std::span<const VectorView> outputs,
+                          std::span<const RankLane> lanes,
+                          index_t pipeline_chunks = 1,
+                          VerifyMode verify = VerifyMode::kOff);
 
   /// Totals of the most recent apply: per-phase fields are the
   /// group's summed busy time (serial-equivalent work), `comm` the
@@ -235,10 +251,11 @@ class DistributedMatvecPlan {
                        std::span<const RankLane> lanes,
                        index_t pipeline_chunks, VerifyMode verify,
                        bool phantom);
-  /// Copy the disjoint per-rank slices from stage_ into the caller's
-  /// output vectors.
+  /// Reduce the partials of each output slice from stage_ into the
+  /// caller's output vectors.
   void assemble_outputs(const ShardedOperator& placement,
                         ApplyDirection direction,
+                        precision::Precision p5,
                         std::span<const VectorView> outputs,
                         bool phantom) const;
 

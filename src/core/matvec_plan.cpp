@@ -147,12 +147,9 @@ void FftMatvecPlan::apply_batch(std::span<const OperatorGroup> groups,
       throw std::invalid_argument(
           "matvec: every group needs an operator and >= 1 RHS");
     }
-    // Only what the plan's buffers depend on must match: a grid
-    // rank's operator may sit at other offsets than the rank the plan
-    // was built for (LockstepCluster drives one plan over every rank).
-    const LocalDims& d = g.op->dims();
-    if (d.global != dims_.global || d.n_m_local != dims_.n_m_local ||
-        d.n_d_local != dims_.n_d_local) {
+    // A grid rank's operator may sit at other offsets than the rank
+    // the plan was built for: one plan serves every same-shape rank.
+    if (!g.op->dims().same_extents(dims_)) {
       throw std::invalid_argument(
           "matvec: group operator dims do not match the plan");
     }

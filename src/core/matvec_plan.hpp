@@ -30,9 +30,9 @@
 // (the adjoint swaps the roles); the callers own those collectives.
 // Because phase 5 rounds through its precision, a rank's
 // double output already holds its phase-5 partial exactly:
-// LockstepCluster narrows it to float when phase 5 is single and
-// reduces it there, and DistributedMatvecPlan gathers disjoint output
-// slices.
+// DistributedMatvecPlan narrows it to float when phase 5 is single
+// and reduces it there, or copies it when the rank alone owns its
+// output slice.
 //
 // Precision semantics (§3.2): input/output are always double; each
 // phase computes in its configured precision; casts occur where the

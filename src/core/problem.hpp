@@ -58,6 +58,13 @@ struct LocalDims {
 
   auto operator<=>(const LocalDims&) const = default;
 
+  /// Same global dims and local sizes, whatever the offsets: what a
+  /// plan's buffers depend on.
+  bool same_extents(const LocalDims& o) const {
+    return global == o.global && n_m_local == o.n_m_local &&
+           n_d_local == o.n_d_local;
+  }
+
   static LocalDims for_rank(const ProblemDims& dims, const comm::ProcessGrid& grid,
                             index_t rank) {
     dims.validate();

@@ -9,6 +9,7 @@
 #pragma once
 
 #include <cmath>
+#include <span>
 #include <vector>
 
 #include "core/problem.hpp"
@@ -50,7 +51,7 @@ inline std::vector<double> make_input_vector(index_t n, std::uint64_t seed) {
 /// rank's sensor/parameter ranges.
 inline std::vector<double> slice_first_block_col(
     const ProblemDims& global, const LocalDims& local,
-    const std::vector<double>& global_col) {
+    std::span<const double> global_col) {
   const index_t nt = global.n_t;
   std::vector<double> out(
       static_cast<std::size_t>(nt * local.n_d_local * local.n_m_local));
@@ -68,7 +69,7 @@ inline std::vector<double> slice_first_block_col(
 
 /// Extract the TOSI column slice [offset, offset+count) of a global
 /// TOSI vector with `width` space points per time step.
-inline std::vector<double> slice_tosi(const std::vector<double>& global,
+inline std::vector<double> slice_tosi(std::span<const double> global,
                                       index_t n_t, index_t width, index_t offset,
                                       index_t count) {
   std::vector<double> out(static_cast<std::size_t>(n_t * count));

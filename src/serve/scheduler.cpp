@@ -821,16 +821,16 @@ void AsyncScheduler::execute_batch(int lane, Batch& batch) {
       }
       // Fallback plans bind every slice to the lane's first pair,
       // keyed at this lane's own index (rank 0's regular entry is
-      // interchangeable; equal-shaped slices legitimately share one
-      // cached plan, reused serially).
+      // interchangeable; PlanKey carries the slice offsets, so each
+      // slice gets its own cached plan).
       plans.clear();
       rank_lanes.clear();
       for (index_t rk = 0; rk < ranks; ++rk) {
         acquire(rk, lane_state.pairs.front(), lane);
       }
-      lane_state.dist.apply_batch_degraded(groups, direction, config, inputs,
-                                           outputs, rank_lanes, resolved_chunks,
-                                           options_.verify_mode);
+      lane_state.dist.apply_batch_serial(groups, direction, config, inputs,
+                                         outputs, rank_lanes, resolved_chunks,
+                                         options_.verify_mode);
       metrics_.record_degraded_batch();
       if (trace_on) {
         util::trace::instant(

@@ -1,4 +1,4 @@
-#include "comm/communicator.hpp"
+#include "support/thread_comm.hpp"
 
 #include <exception>
 #include <mutex>

@@ -7,11 +7,11 @@
 #include <set>
 #include <utility>
 
-#include "comm/communicator.hpp"
 #include "comm/cost_model.hpp"
 #include "comm/partitioner.hpp"
 #include "comm/process_grid.hpp"
 #include "comm/tree_reduce.hpp"
+#include "support/thread_comm.hpp"
 
 namespace fftmv::comm {
 namespace {

@@ -1,7 +1,8 @@
 // Distributed matvec tests: a threaded grid reference and the
-// sequential lockstep cluster must both reproduce the single-rank
-// result, agree bit-for-bit with each other, and show the Figure-4
-// error behaviour (error growth with grid rows via n_m = N_m / p_c).
+// sequential grid apply (DistributedMatvecPlan over the paper's grid)
+// must both reproduce the single-rank result, agree bit-for-bit with
+// each other, and show the Figure-4 error behaviour (error growth
+// with grid rows via n_m = N_m / p_c).
 #include <gtest/gtest.h>
 
 #include <map>
@@ -10,14 +11,13 @@
 #include <string>
 
 #include "blas/vector_ops.hpp"
-#include "comm/communicator.hpp"
 #include "core/block_toeplitz.hpp"
 #include "core/dense_reference.hpp"
 #include "core/distributed_plan.hpp"
-#include "core/lockstep_cluster.hpp"
 #include "core/matvec_plan.hpp"
 #include "core/synthetic.hpp"
 #include "device/device_spec.hpp"
+#include "support/thread_comm.hpp"
 
 namespace fftmv::core {
 namespace {
@@ -203,26 +203,62 @@ INSTANTIATE_TEST_SUITE_P(Shapes, GridShapes,
                                   std::to_string(info.param.second);
                          });
 
-// ----------------------------------------------------- lockstep ==
+// ------------------------------------------------ lockstep grids
+/// The sequential grid apply: the paper's p_r x p_c placement run by
+/// DistributedMatvecPlan::apply_batch_serial on one stream, mirroring
+/// threaded_apply.  Same-shape ranks share one plan, as fig4_scaling's
+/// thousands of ranks do.
+std::vector<double> lockstep_apply(const GlobalProblem& p, index_t p_rows,
+                                   index_t p_cols, const PrecisionConfig& cfg,
+                                   bool adjoint,
+                                   PhaseTimings* timings = nullptr) {
+  device::Device dev(device::make_mi300x());
+  device::Stream stream(dev);
+  const auto dir = adjoint ? ApplyDirection::kAdjoint : ApplyDirection::kForward;
+  const ShardedOperator op(dev, stream, p.dims,
+                           comm::ProcessGrid(p_rows, p_cols), p.first_col);
+  std::map<std::pair<index_t, index_t>, std::unique_ptr<FftMatvecPlan>> plans;
+  std::vector<DistributedMatvecPlan::RankLane> lanes;
+  for (index_t r = 0; r < op.ranks(); ++r) {
+    const LocalDims& local = op.rank_dims(dir, r);
+    auto& plan = plans[{local.n_m_local, local.n_d_local}];
+    if (!plan) plan = std::make_unique<FftMatvecPlan>(dev, stream, local);
+    lanes.push_back({plan.get(), nullptr});
+  }
+  std::vector<double> out(static_cast<std::size_t>(
+      p.dims.n_t * (adjoint ? p.dims.n_m : p.dims.n_d)));
+  const ConstVectorView in[] = {adjoint ? p.d : p.m};
+  const VectorView outs[] = {out};
+  DistributedMatvecPlan dist(comm::NetworkSpec::frontier());
+  const DistributedMatvecPlan::OperatorGroup group{&op, 1};
+  dist.apply_batch_serial({&group, 1}, dir, cfg, in, outs, lanes);
+  if (timings != nullptr) *timings = dist.last_timings();
+  return out;
+}
+
 TEST(Lockstep, BitIdenticalToThreadedBackend) {
   const auto p = make_global(16, 4, 8, 700);
   for (auto [pr, pc] : {std::pair<index_t, index_t>{2, 2}, {1, 4}, {4, 1}}) {
-    device::Device dev(device::make_mi300x());
-    device::Stream stream(dev);
-    LockstepCluster cluster(dev, stream, p.dims, comm::ProcessGrid(pr, pc),
-                            p.first_col);
     for (const auto& cfg : PrecisionConfig::all_configs()) {
       for (const bool adjoint : {false, true}) {
-        std::vector<double> lockstep(static_cast<std::size_t>(
-            p.dims.n_t * (adjoint ? p.dims.n_m : p.dims.n_d)));
-        if (adjoint) {
-          cluster.adjoint(p.d, lockstep, cfg);
-        } else {
-          cluster.forward(p.m, lockstep, cfg);
-        }
-        EXPECT_EQ(lockstep, threaded_apply(p, pr, pc, cfg, adjoint))
+        EXPECT_EQ(lockstep_apply(p, pr, pc, cfg, adjoint),
+                  threaded_apply(p, pr, pc, cfg, adjoint))
             << pr << "x" << pc << " " << cfg.to_string() << (adjoint ? " F*" : " F");
       }
+    }
+  }
+}
+
+TEST(Lockstep, RaggedGridBitIdenticalToThreadedBackend) {
+  // 10 x 3 over 2 x 4: parameter columns split 3,3,2,2 and sensor
+  // rows 2,1, so ranks differ in shape and run on different plans.
+  const auto p = make_global(10, 3, 8, 1100);
+  for (const char* cfg_str : {"ddddd", "dssdd", "dssds", "sssss"}) {
+    const auto cfg = PrecisionConfig::parse(cfg_str);
+    for (const bool adjoint : {false, true}) {
+      EXPECT_EQ(lockstep_apply(p, 2, 4, cfg, adjoint),
+                threaded_apply(p, 2, 4, cfg, adjoint))
+          << cfg_str << (adjoint ? " F*" : " F");
     }
   }
 }
@@ -230,12 +266,7 @@ TEST(Lockstep, BitIdenticalToThreadedBackend) {
 TEST(Lockstep, ForwardMatchesSingleRankDouble) {
   const auto p = make_global(32, 4, 16, 800);
   for (auto [pr, pc] : {std::pair<index_t, index_t>{1, 8}, {2, 4}, {4, 2}}) {
-    device::Device dev(device::make_mi300x());
-    device::Stream stream(dev);
-    LockstepCluster cluster(dev, stream, p.dims, comm::ProcessGrid(pr, pc),
-                            p.first_col);
-    std::vector<double> d(static_cast<std::size_t>(p.dims.n_t * p.dims.n_d));
-    cluster.forward(p.m, d, PrecisionConfig{});
+    const auto d = lockstep_apply(p, pr, pc, PrecisionConfig{}, false);
     const auto expect = single_rank_forward(p, PrecisionConfig{});
     EXPECT_LT(blas::relative_l2_error(static_cast<index_t>(d.size()), d.data(),
                                       expect.data()),
@@ -246,12 +277,7 @@ TEST(Lockstep, ForwardMatchesSingleRankDouble) {
 
 TEST(Lockstep, AdjointMatchesSingleRankDouble) {
   const auto p = make_global(32, 4, 16, 900);
-  device::Device dev(device::make_mi300x());
-  device::Stream stream(dev);
-  LockstepCluster cluster(dev, stream, p.dims, comm::ProcessGrid(2, 4),
-                          p.first_col);
-  std::vector<double> m(static_cast<std::size_t>(p.dims.n_t * p.dims.n_m));
-  cluster.adjoint(p.d, m, PrecisionConfig{});
+  const auto m = lockstep_apply(p, 2, 4, PrecisionConfig{}, true);
   const auto expect = single_rank_adjoint(p, PrecisionConfig{});
   EXPECT_LT(blas::relative_l2_error(static_cast<index_t>(m.size()), m.data(),
                                     expect.data()),
@@ -260,28 +286,17 @@ TEST(Lockstep, AdjointMatchesSingleRankDouble) {
 
 TEST(Lockstep, ManyRankSimulationStaysAccurate) {
   // 32 simulated ranks — beyond what the threaded reference should be
-  // asked to do, exactly the lockstep cluster's purpose.
+  // asked to do, exactly the sequential grid apply's purpose.
   const auto p = make_global(64, 8, 16, 1000);
-  device::Device dev(device::make_mi300x());
-  device::Stream stream(dev);
-  LockstepCluster cluster(dev, stream, p.dims, comm::ProcessGrid(4, 8),
-                          p.first_col);
-  std::vector<double> d(static_cast<std::size_t>(p.dims.n_t * p.dims.n_d));
-  cluster.forward(p.m, d, PrecisionConfig::parse("dssdd"));
+  PhaseTimings timings;
+  const auto d =
+      lockstep_apply(p, 4, 8, PrecisionConfig::parse("dssdd"), false, &timings);
   const auto baseline = single_rank_forward(p, PrecisionConfig{});
   EXPECT_LT(blas::relative_l2_error(static_cast<index_t>(d.size()), d.data(),
                                     baseline.data()),
             1e-5);
-  EXPECT_GT(cluster.max_rank_compute_seconds(), 0.0);
-}
-
-TEST(Lockstep, RejectsUnevenSplits) {
-  const auto p = make_global(10, 3, 8, 1100);
-  device::Device dev(device::make_mi300x());
-  device::Stream stream(dev);
-  EXPECT_THROW(LockstepCluster(dev, stream, p.dims, comm::ProcessGrid(2, 4),
-                               p.first_col),
-               std::invalid_argument);
+  EXPECT_GT(timings.compute_total(), 0.0);
+  EXPECT_EQ(timings.comm, 0.0);
 }
 
 // --------------------------------------------- Figure-4 error shape
@@ -295,12 +310,7 @@ TEST(Lockstep, ErrorGrowsWhenGridRowsGrow) {
 
   std::map<index_t, double> err_by_rows;
   for (index_t pr : {1, 4}) {
-    device::Device dev(device::make_mi300x());
-    device::Stream stream(dev);
-    LockstepCluster cluster(dev, stream, p.dims, comm::ProcessGrid(pr, 8 / pr),
-                            p.first_col);
-    std::vector<double> d(static_cast<std::size_t>(p.dims.n_t * p.dims.n_d));
-    cluster.forward(p.m, d, cfg);
+    const auto d = lockstep_apply(p, pr, 8 / pr, cfg, false);
     err_by_rows[pr] = blas::relative_l2_error(static_cast<index_t>(d.size()),
                                               d.data(), baseline.data());
   }
@@ -314,8 +324,8 @@ TEST(Lockstep, ErrorGrowsWhenGridRowsGrow) {
 // with batch-fused collectives.  The contract under test is BIT
 // identity with the single-rank fused apply_batch — EXPECT_EQ on the
 // doubles, not a tolerance — for every precision config, both
-// directions, ragged partitions, both comm modes and pipelined
-// chunking.
+// directions, ragged partitions, both comm modes, pipelined chunking
+// and the serial path.
 
 struct ShardedRun {
   std::vector<std::vector<double>> outputs;
@@ -328,10 +338,12 @@ struct ShardedRun {
 /// deterministic right-hand sides through DistributedMatvecPlan on
 /// per-rank stream pairs, and return outputs + timings.  ranks == 1
 /// is the single-rank reference (same inputs by construction).
+/// `serial` binds every rank to one stream pair and runs
+/// apply_batch_serial instead.
 ShardedRun run_sharded(const GlobalProblem& p, index_t ranks,
                        ApplyDirection dir, const PrecisionConfig& cfg,
                        index_t b, CommMode mode = CommMode::kBatched,
-                       index_t chunks = 1) {
+                       index_t chunks = 1, bool serial = false) {
   device::Device dev(device::make_mi300x());
   device::Stream setup(dev);
   ShardedOperator sharded(dev, setup, p.dims, ranks, p.first_col);
@@ -340,8 +352,10 @@ ShardedRun run_sharded(const GlobalProblem& p, index_t ranks,
   std::vector<std::unique_ptr<FftMatvecPlan>> plans;
   std::vector<DistributedMatvecPlan::RankLane> lanes;
   for (index_t r = 0; r < ranks; ++r) {
-    streams.push_back(std::make_unique<device::Stream>(dev));
-    auxes.push_back(std::make_unique<device::Stream>(dev));
+    if (!serial || r == 0) {
+      streams.push_back(std::make_unique<device::Stream>(dev));
+      auxes.push_back(std::make_unique<device::Stream>(dev));
+    }
     plans.push_back(std::make_unique<FftMatvecPlan>(dev, *streams.back(),
                                                     sharded.rank_dims(dir, r)));
     lanes.push_back({plans.back().get(), auxes.back().get()});
@@ -366,7 +380,11 @@ ShardedRun run_sharded(const GlobalProblem& p, index_t ranks,
 
   DistributedMatvecPlan dist(comm::NetworkSpec::frontier());
   const DistributedMatvecPlan::OperatorGroup group{&sharded, b};
-  dist.apply_batch({&group, 1}, dir, cfg, iv, ov, lanes, mode, chunks);
+  if (serial) {
+    dist.apply_batch_serial({&group, 1}, dir, cfg, iv, ov, lanes, chunks);
+  } else {
+    dist.apply_batch({&group, 1}, dir, cfg, iv, ov, lanes, mode, chunks);
+  }
   run.timings = dist.last_timings();
   run.shares = dist.last_batch_timings();
   run.setup_seconds = setup.now();
@@ -388,6 +406,10 @@ TEST_P(ShardedApply, ForwardBitIdenticalToSingleRank) {
   const auto got =
       run_sharded(p, ranks, ApplyDirection::kForward, cfg, 3).outputs;
   EXPECT_EQ(expect, got) << ranks << " ranks, " << cfg_str;
+  const auto serial = run_sharded(p, ranks, ApplyDirection::kForward, cfg, 3,
+                                  CommMode::kBatched, 1, /*serial=*/true);
+  EXPECT_EQ(expect, serial.outputs) << ranks << " ranks, " << cfg_str;
+  EXPECT_EQ(serial.timings.comm, 0.0);
 }
 
 TEST_P(ShardedApply, AdjointBitIdenticalToSingleRank) {
@@ -399,6 +421,10 @@ TEST_P(ShardedApply, AdjointBitIdenticalToSingleRank) {
   const auto got =
       run_sharded(p, ranks, ApplyDirection::kAdjoint, cfg, 3).outputs;
   EXPECT_EQ(expect, got) << ranks << " ranks, " << cfg_str;
+  const auto serial = run_sharded(p, ranks, ApplyDirection::kAdjoint, cfg, 3,
+                                  CommMode::kBatched, 1, /*serial=*/true);
+  EXPECT_EQ(expect, serial.outputs) << ranks << " ranks, " << cfg_str;
+  EXPECT_EQ(serial.timings.comm, 0.0);
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -521,6 +547,89 @@ TEST(ShardedApplyDetail, ValidatesRanksAndLaneShapes) {
   EXPECT_THROW(dist.apply_batch({&group, 1}, ApplyDirection::kForward,
                                 PrecisionConfig{}, iv, ov, lanes),
                std::invalid_argument);
+}
+
+TEST(ShardedApplyDetail, RejectsAShortOperatorColumn) {
+  // Each rank of a split slices the caller's global column; a column
+  // one element short is refused, not read past its end.
+  const auto p = make_global(8, 4, 8, 2640);
+  device::Device dev(device::make_mi300x());
+  device::Stream stream(dev);
+  const std::span<const double> col(p.first_col.data(), p.first_col.size() - 1);
+  for (const index_t ranks : {1, 2}) {
+    EXPECT_THROW(ShardedOperator(dev, stream, p.dims, ranks, col),
+                 std::invalid_argument);
+  }
+  EXPECT_THROW(ShardedOperator(dev, stream, p.dims, comm::ProcessGrid(2, 2), col),
+               std::invalid_argument);
+}
+
+TEST(ShardedApplyDetail, RejectsBadBatchesBeforeChargingTheClock) {
+  // A malformed batch throws before the fault consult, the entry sync
+  // and the broadcast charge, and before any caller vector is read or
+  // written.
+  const auto p = make_global(8, 4, 8, 2650);
+  device::Device dev(device::make_mi300x());
+  device::Stream setup(dev);
+  const ShardedOperator sharded(dev, setup, p.dims, 2, p.first_col);
+  std::vector<std::unique_ptr<device::Stream>> streams;
+  std::vector<std::unique_ptr<FftMatvecPlan>> plans;
+  std::vector<DistributedMatvecPlan::RankLane> lanes;
+  for (index_t r = 0; r < 2; ++r) {
+    streams.push_back(std::make_unique<device::Stream>(dev));
+    plans.push_back(std::make_unique<FftMatvecPlan>(
+        dev, *streams.back(), sharded.rank_dims(ApplyDirection::kForward, r)));
+    lanes.push_back({plans.back().get(), nullptr});
+  }
+  const std::size_t out_len = static_cast<std::size_t>(p.dims.n_t * p.dims.n_d);
+  const std::size_t short_out = out_len - static_cast<std::size_t>(p.dims.n_d);
+  constexpr double kGuard = -7.0;
+  std::vector<double> out(out_len, kGuard);
+  DistributedMatvecPlan dist(comm::NetworkSpec::frontier());
+  const auto expect_rejected = [&](ConstVectorView in, VectorView o,
+                                   index_t group_rhs, const char* what) {
+    const DistributedMatvecPlan::OperatorGroup group{&sharded, group_rhs};
+    const ConstVectorView iv[] = {in};
+    const VectorView ov[] = {o};
+    EXPECT_THROW(dist.apply_batch({&group, 1}, ApplyDirection::kForward,
+                                  PrecisionConfig{}, iv, ov, lanes),
+                 std::invalid_argument)
+        << what;
+    for (const auto& stream : streams) EXPECT_EQ(stream->now(), 0.0) << what;
+  };
+  expect_rejected(p.m, {out.data(), short_out}, 1, "short output");
+  for (std::size_t i = short_out; i < out_len; ++i) {
+    EXPECT_EQ(out[i], kGuard) << "guard " << i;
+  }
+  expect_rejected({p.m.data(), p.m.size() - 1}, out, 1, "short input");
+  expect_rejected(p.m, out, 2, "group of 2 over one input");
+}
+
+TEST(ShardedApplyDetail, ChargedApplyRejectsSharedOutputSlices) {
+  // On a 2 x 2 grid two ranks share every output slice in both
+  // directions: apply_batch has no charged model for their reduction,
+  // the serial path runs it.
+  const auto p = make_global(8, 4, 8, 2680);
+  for (const auto dir : {ApplyDirection::kForward, ApplyDirection::kAdjoint}) {
+    const bool forward = dir == ApplyDirection::kForward;
+    device::Device dev(device::make_mi300x());
+    device::Stream stream(dev);
+    const ShardedOperator op(dev, stream, p.dims, comm::ProcessGrid(2, 2),
+                             p.first_col);
+    FftMatvecPlan plan(dev, stream, op.rank_dims(dir, 0));
+    const std::vector<DistributedMatvecPlan::RankLane> lanes(4, {&plan, nullptr});
+    std::vector<double> out(
+        static_cast<std::size_t>(p.dims.n_t * (forward ? p.dims.n_d : p.dims.n_m)));
+    const ConstVectorView iv[] = {forward ? p.m : p.d};
+    const VectorView ov[] = {out};
+    DistributedMatvecPlan dist(comm::NetworkSpec::frontier());
+    const DistributedMatvecPlan::OperatorGroup group{&op, 1};
+    EXPECT_THROW(
+        dist.apply_batch({&group, 1}, dir, PrecisionConfig{}, iv, ov, lanes),
+        std::invalid_argument);
+    EXPECT_NO_THROW(dist.apply_batch_serial({&group, 1}, dir, PrecisionConfig{},
+                                            iv, ov, lanes));
+  }
 }
 
 TEST(ShardedApplyDetail, GroupedTenantsBitIdenticalToPerOperatorApplies) {

@@ -286,7 +286,8 @@ TEST_F(MatvecFixture, UnfusedCastsGiveSameNumbersSlower) {
         EXPECT_EQ(a, c) << what;
         // The unpad rounds through p5, so a single-precision phase 5
         // leaves float-representable outputs: narrowing them is exact
-        // (LockstepCluster reduces its partials in float on this).
+        // (DistributedMatvecPlan reduces grid partials in float on
+        // this).
         if (cfg.phase(precision::kPhaseUnpad) == precision::Precision::kSingle) {
           for (const auto& out : a) {
             for (const double y : out) {
