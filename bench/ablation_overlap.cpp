@@ -11,8 +11,9 @@
 //
 // The double-buffered schedule is computed on the device layer's
 // Event/Stream::wait machinery — the same inter-stream dependency
-// model the pipelined apply_batch executes on, so host-I/O and device
-// pipelining share one overlap model.  The old bespoke closed form (a
+// model a sharded apply's rank syncs use, so the repository has one
+// overlap model.  This is the paper's only overlap: each matvec's
+// five phases run in sequence.  The old bespoke closed form (a
 // per-step barrier recurrence) is kept as a cross-check column; this
 // harness exits nonzero if the two drift apart by more than the
 // pipeline-slack tolerance the event model legitimately buys.

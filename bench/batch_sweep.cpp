@@ -20,20 +20,12 @@
 //                  traffic once per frequency block instead of once
 //                  per request.
 //
-// Each sweep also carries a pipelined column: the same batch run
-// through the chunked dual-stream pipelined apply_batch at the chunk
-// count serve's auto mode resolves for the shape (bit-identical
-// outputs, verified), so the batching curve and the phase-overlap win
-// are tracked side by side.
-//
 // `--quick` caps the sweeps at b = 8 for the CI smoke step; `--json
 // <path>` writes the tracked perf artifact.  Self-checking: exits
 // nonzero unless b = 8 beats b = 1 on per-RHS simulated time in the
 // measured sweep AND the grouped b = 8 cross-tenant dispatch beats
-// the per-tenant dispatch of the same mix AND the pipelined apply is
-// never slower than the serial batch, so a regressed batched (or
-// grouped, or pipelined) pipeline fails CI even before the perf-diff
-// gate runs.
+// the per-tenant dispatch of the same mix, so a regressed batched (or
+// grouped) pipeline fails CI even before the perf-diff gate runs.
 #include <algorithm>
 #include <iostream>
 #include <memory>
@@ -51,19 +43,15 @@ struct SweepPoint {
   index_t b = 0;
   double batched_per_rhs_s = 0.0;
   double sequential_per_rhs_s = 0.0;
-  double pipelined_per_rhs_s = 0.0;
-  index_t pipeline_chunks = 1;  ///< resolved chunk count (1 = serial)
 };
 
 /// Per-RHS simulated seconds of one apply_batch with b RHS vs b
-/// sequential applies vs the chunked dual-stream pipelined apply (at
-/// the chunk count serve's auto mode resolves for this shape and b),
-/// on the given (possibly phantom) device.
+/// sequential applies, on the given (possibly phantom) device.
 SweepPoint sweep_point(device::Device& dev, const core::ProblemDims& dims,
                        const precision::PrecisionConfig& config, index_t b,
                        bool verify) {
   const auto local = core::LocalDims::single_rank(dims);
-  device::Stream stream(dev), aux(dev);
+  device::Stream stream(dev);
   const bool phantom = dev.phantom();
 
   // Operator and inputs are materialised only on a backed device; a
@@ -75,22 +63,19 @@ SweepPoint sweep_point(device::Device& dev, const core::ProblemDims& dims,
     op.spectrum_f(stream);  // warm the one-time cast
   }
 
-  std::vector<std::vector<double>> inputs, outputs, sequential, pipelined;
+  std::vector<std::vector<double>> inputs, outputs, sequential;
   std::vector<core::ConstVectorView> in_views(static_cast<std::size_t>(b));
   std::vector<core::VectorView> out_views(static_cast<std::size_t>(b));
-  std::vector<core::VectorView> pipe_views(static_cast<std::size_t>(b));
   if (!phantom) {
     for (index_t r = 0; r < b; ++r) {
       inputs.push_back(core::make_input_vector(
           dims.n_t * dims.n_m, 100 + static_cast<std::uint64_t>(r)));
       outputs.emplace_back(static_cast<std::size_t>(dims.n_t * dims.n_d));
       sequential.emplace_back(static_cast<std::size_t>(dims.n_t * dims.n_d));
-      pipelined.emplace_back(static_cast<std::size_t>(dims.n_t * dims.n_d));
     }
     for (index_t r = 0; r < b; ++r) {
       in_views[static_cast<std::size_t>(r)] = inputs[static_cast<std::size_t>(r)];
       out_views[static_cast<std::size_t>(r)] = outputs[static_cast<std::size_t>(r)];
-      pipe_views[static_cast<std::size_t>(r)] = pipelined[static_cast<std::size_t>(r)];
     }
   }
 
@@ -119,37 +104,11 @@ SweepPoint sweep_point(device::Device& dev, const core::ProblemDims& dims,
   }
   p.sequential_per_rhs_s = (stream.now() - t0) / static_cast<double>(b);
 
-  // Pipelined apply at the chunk count the serving layer's auto mode
-  // resolves for this exact shape and batch size (the probe only ever
-  // returns counts with >= 2 RHS per chunk, or 1 when chunking
-  // loses).  chunks == 1 IS the serial batch measured above
-  // (unit-tested exact degeneracy), so that case reuses the batched
-  // numbers instead of re-running b real applies.
-  p.pipeline_chunks = static_cast<index_t>(serve::adaptive_pipeline_chunks(
-      dev.spec(), dims, static_cast<int>(b), core::ApplyDirection::kForward,
-      config));
-  if (p.pipeline_chunks > 1) {
-    t0 = stream.now();
-    plan.apply_batch(op, core::ApplyDirection::kForward, config, in_views,
-                     phantom ? out_views : pipe_views,
-                     {p.pipeline_chunks, &aux});
-    p.pipelined_per_rhs_s = (stream.now() - t0) / static_cast<double>(b);
-  } else {
-    p.pipelined_per_rhs_s = p.batched_per_rhs_s;
-  }
-
   if (verify && !dev.phantom()) {
     for (index_t r = 0; r < b; ++r) {
       if (outputs[static_cast<std::size_t>(r)] !=
           sequential[static_cast<std::size_t>(r)]) {
         std::cerr << "batch_sweep: batched output diverged from sequential at b="
-                  << b << " rhs " << r << "\n";
-        std::exit(1);
-      }
-      if (p.pipeline_chunks > 1 &&
-          pipelined[static_cast<std::size_t>(r)] !=
-              outputs[static_cast<std::size_t>(r)]) {
-        std::cerr << "batch_sweep: pipelined output diverged from batched at b="
                   << b << " rhs " << r << "\n";
         std::exit(1);
       }
@@ -238,11 +197,9 @@ CrossTenantPoint cross_tenant_point(device::Device& dev,
 
 struct SweepResult {
   util::Table table{{"b", "batched/RHS ms", "sequential/RHS ms",
-                     "vs sequential", "vs b=1", "pipelined/RHS ms", "chunks",
-                     "pipelined vs serial"}};
+                     "vs sequential", "vs b=1"}};
   double per_rhs_b1 = 0.0;  ///< the self-check endpoints
   double per_rhs_b8 = 0.0;
-  bool pipelined_ok = true;  ///< pipelined never slower than batched
 };
 
 SweepResult run_sweep(device::Device& dev, const core::ProblemDims& dims,
@@ -253,17 +210,10 @@ SweepResult run_sweep(device::Device& dev, const core::ProblemDims& dims,
     const auto p = sweep_point(dev, dims, config, b, verify);
     if (b == 1) r.per_rhs_b1 = p.batched_per_rhs_s;
     if (b == 8) r.per_rhs_b8 = p.batched_per_rhs_s;
-    // The auto chunk policy may only ever help: chunks == 1 rows are
-    // exactly the serial batch, pipelined rows must beat it.
-    r.pipelined_ok =
-        r.pipelined_ok && p.pipelined_per_rhs_s <= p.batched_per_rhs_s * (1.0 + 1e-9);
     r.table.add_row({std::to_string(b), bench::ms(p.batched_per_rhs_s),
                      bench::ms(p.sequential_per_rhs_s),
                      util::Table::fmt(p.sequential_per_rhs_s / p.batched_per_rhs_s, 2) + "x",
-                     util::Table::fmt(r.per_rhs_b1 / p.batched_per_rhs_s, 2) + "x",
-                     bench::ms(p.pipelined_per_rhs_s),
-                     std::to_string(p.pipeline_chunks),
-                     util::Table::fmt(p.batched_per_rhs_s / p.pipelined_per_rhs_s, 2) + "x"});
+                     util::Table::fmt(r.per_rhs_b1 / p.batched_per_rhs_s, 2) + "x"});
   }
   return r;
 }
@@ -358,10 +308,9 @@ int main(int argc, char** argv) {
   }
 
   // Self-checks: neither batching speedup can silently rot — b = 8
-  // must beat b = 1 on per-RHS simulated time, the grouped
+  // must beat b = 1 on per-RHS simulated time, and the grouped
   // cross-tenant dispatch at b = 8 must beat the per-tenant dispatch
-  // of the same request mix, and the pipelined apply (auto chunk
-  // policy) must never lose to the serial batch.
+  // of the same request mix.
   const bool batched_ok = gate.per_rhs_b8 > 0.0 && gate.per_rhs_b1 > 0.0 &&
                           gate.per_rhs_b8 < gate.per_rhs_b1;
   const bool grouped_ok = grouped_b8 > 0.0 && per_tenant_b8 > 0.0 &&
@@ -371,11 +320,7 @@ int main(int argc, char** argv) {
             << util::Table::fmt(gate.per_rhs_b1 / gate.per_rhs_b8, 2) << "x), "
             << "grouped b=8 " << bench::ms(grouped_b8) << " ms vs per-tenant "
             << bench::ms(per_tenant_b8) << " ms ("
-            << util::Table::fmt(per_tenant_b8 / grouped_b8, 2) << "x), "
-            << "pipelined " << (gate.pipelined_ok ? "never slower" : "SLOWER")
-            << " -> "
-            << (batched_ok && grouped_ok && gate.pipelined_ok ? "PASSED"
-                                                              : "FAILED")
-            << "\n";
-  return batched_ok && grouped_ok && gate.pipelined_ok ? 0 : 1;
+            << util::Table::fmt(per_tenant_b8 / grouped_b8, 2) << "x) -> "
+            << (batched_ok && grouped_ok ? "PASSED" : "FAILED") << "\n";
+  return batched_ok && grouped_ok ? 0 : 1;
 }

@@ -107,15 +107,15 @@ double measured_error(index_t p, index_t p_rows,
   const auto fwd = core::ApplyDirection::kForward;
   const core::ShardedOperator op(dev, stream, rdims, grid, col);
   core::FftMatvecPlan plan(dev, stream, op.rank_dims(fwd, 0));
-  const std::vector<core::DistributedMatvecPlan::RankLane> lanes(
-      static_cast<std::size_t>(p), {&plan, nullptr});
+  const std::vector<core::FftMatvecPlan*> plans(static_cast<std::size_t>(p),
+                                                &plan);
   core::DistributedMatvecPlan dist(comm::NetworkSpec::frontier());
   const core::DistributedMatvecPlan::OperatorGroup group{&op, 1};
   const auto apply = [&](const precision::PrecisionConfig& config) {
     std::vector<double> d(static_cast<std::size_t>(rdims.n_t * rdims.n_d));
     const core::ConstVectorView in[] = {m};
     const core::VectorView out[] = {d};
-    dist.apply_batch_serial({&group, 1}, fwd, config, in, out, lanes);
+    dist.apply_batch_serial({&group, 1}, fwd, config, in, out, plans);
     return d;
   };
   const auto baseline = apply(precision::PrecisionConfig{});
@@ -131,8 +131,15 @@ int main(int argc, char** argv) {
   util::CliParser cli(argc, argv);
   cli.check_known({"max-gpus"});
   // -max-gpus caps the sweep (error measurement is real arithmetic
-  // over all simulated ranks).
+  // over all simulated ranks).  The sweep starts at 8 GPUs, so a lower
+  // cap would run no row and leave the error check nothing to check.
   const index_t max_gpus = cli.get_int("max-gpus", 4096);
+  if (max_gpus < 8) {
+    std::cerr << "fig4_scaling: -max-gpus must be >= 8 (the sweep starts at "
+                 "8 GPUs), got "
+              << max_gpus << "\n";
+    return 1;
+  }
 
   const comm::CommCostModel net(comm::NetworkSpec::frontier());
   std::cout << "Figure 4 — mixed-precision matvec weak scaling on a\n"

@@ -526,12 +526,9 @@ int main(int argc, char** argv) {
       out_views[static_cast<std::size_t>(i)] = outs[static_cast<std::size_t>(i)];
     }
     const auto timed = [&](core::VerifyMode mode) {
-      core::BatchPipeline pipeline;
-      pipeline.verify = mode;
       const double t0 = stream.now();
       plan.apply_batch(op, core::ApplyDirection::kForward,
-                       precision::PrecisionConfig{}, in_views, out_views,
-                       pipeline);
+                       precision::PrecisionConfig{}, in_views, out_views, mode);
       return stream.now() - t0;
     };
     timed(core::VerifyMode::kOff);  // untimed warm-up (plan workspaces)
@@ -576,11 +573,10 @@ int main(int argc, char** argv) {
       for (const auto& config : precision::PrecisionConfig::all_configs()) {
         try {
           core::VectorView ref_view[] = {ref};
-          plan.apply_batch(op, direction, config, in_view, ref_view, {});
-          core::BatchPipeline pipeline;
-          pipeline.verify = core::VerifyMode::kParanoid;
+          plan.apply_batch(op, direction, config, in_view, ref_view);
           core::VectorView got_view[] = {got};
-          plan.apply_batch(op, direction, config, in_view, got_view, pipeline);
+          plan.apply_batch(op, direction, config, in_view, got_view,
+                           core::VerifyMode::kParanoid);
           if (got != ref) {
             std::cout << "FAIL: paranoid verify changed the "
                       << config.to_string() << (adjoint ? " adjoint" : "")

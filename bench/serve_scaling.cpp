@@ -66,16 +66,15 @@ CasePoint run_case(device::Device& dev, const core::ProblemDims& dims,
   }
   core::ShardedOperator op(dev, setup, dims, ranks, col);
 
-  std::vector<std::unique_ptr<device::Stream>> streams, auxes;
-  std::vector<std::unique_ptr<core::FftMatvecPlan>> plans;
-  std::vector<core::DistributedMatvecPlan::RankLane> lanes;
+  std::vector<std::unique_ptr<device::Stream>> streams;
+  std::vector<std::unique_ptr<core::FftMatvecPlan>> owned;
+  std::vector<core::FftMatvecPlan*> plans;
   for (index_t r = 0; r < ranks; ++r) {
     streams.push_back(std::make_unique<device::Stream>(dev));
-    auxes.push_back(std::make_unique<device::Stream>(dev));
-    plans.push_back(std::make_unique<core::FftMatvecPlan>(
+    owned.push_back(std::make_unique<core::FftMatvecPlan>(
         dev, *streams.back(),
         op.rank_dims(core::ApplyDirection::kForward, r)));
-    lanes.push_back({plans.back().get(), auxes.back().get()});
+    plans.push_back(owned.back().get());
   }
 
   std::vector<std::vector<double>> inputs;
@@ -111,7 +110,7 @@ CasePoint run_case(device::Device& dev, const core::ProblemDims& dims,
   core::DistributedMatvecPlan dist(comm::NetworkSpec::frontier());
   const core::DistributedMatvecPlan::OperatorGroup group{&op, b};
   dist.apply_batch({&group, 1}, core::ApplyDirection::kForward, config,
-                   in_views, out_views, lanes, mode);
+                   in_views, out_views, plans, mode);
   p.makespan = dist.last_timings().span();
   p.comm = dist.last_timings().comm;
   p.compute = dist.last_timings().compute_total();

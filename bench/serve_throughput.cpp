@@ -10,10 +10,6 @@
 //   served - AsyncScheduler: operators built once per tenant, plans
 //            reused through the LRU cache, same-key requests
 //            coalesced into batches and dispatched across streams.
-//            Run twice — lane stream-pair pipelining off
-//            (pipeline_chunks = 1) and in the production auto mode —
-//            with a self-check that auto is bit-identical and never
-//            slower on simulated makespan.
 // Reported: wall seconds, simulated device seconds (naive: its single
 // stream; served: busiest-lane makespan + one-time tenant setup), and
 // the speedups.
@@ -138,18 +134,16 @@ int main(int argc, char** argv) {
   const double naive_wall = naive_timer.seconds();
 
   // ----------------------------------------------------------- served
-  struct ServedRun {
-    double wall = 0.0;
-    double sim = 0.0;
-    index_t failed = 0;
-    std::vector<std::vector<double>> outputs;
-    serve::MetricsSnapshot snap;
-  };
-  const auto run_served = [&](int run_streams, int pipeline_chunks) {
-    ServedRun run;
+  // The production configuration (multi-lane) drives the gated
+  // speedup-vs-naive row.
+  index_t failed = 0;
+  double served_wall = 0.0;
+  double served_sim = 0.0;
+  serve::MetricsSnapshot snap;
+  {
     util::WallTimer served_timer;
     serve::ServeOptions opts;
-    opts.num_streams = run_streams;
+    opts.num_streams = streams;
     opts.max_batch = max_batch;
     // Generous linger: the whole trace is submitted well inside the
     // first linger window, so batch composition — and with it the
@@ -157,7 +151,6 @@ int main(int argc, char** argv) {
     // instead of racing the submission loop against the worker lanes.
     opts.linger_seconds = 5e-3;
     opts.plan_cache_capacity = 24;
-    opts.pipeline_chunks = pipeline_chunks;
     serve::AsyncScheduler scheduler(spec, opts);
     std::vector<serve::TenantId> ids;
     for (const auto& td : tenants) ids.push_back(scheduler.add_tenant(td.dims, td.col));
@@ -178,24 +171,15 @@ int main(int argc, char** argv) {
     scheduler.drain();
     for (auto& f : futures) {
       try {
-        run.outputs.push_back(f.get().output);
+        f.get();
       } catch (const std::exception&) {
-        ++run.failed;
-        run.outputs.emplace_back();
+        ++failed;
       }
     }
-    run.wall = served_timer.seconds();
-    run.sim = scheduler.max_lane_sim_seconds() + scheduler.setup_sim_seconds();
-    run.snap = scheduler.metrics();
-    return run;
-  };
-  // The production configuration (multi-lane, auto pipelining) drives
-  // the gated speedup-vs-naive row.
-  const ServedRun served = run_served(streams, /*pipeline_chunks=*/0);
-  const index_t failed = served.failed;
-  const double served_wall = served.wall;
-  const double served_sim = served.sim;
-  const auto& snap = served.snap;
+    served_wall = served_timer.seconds();
+    served_sim = scheduler.max_lane_sim_seconds() + scheduler.setup_sim_seconds();
+    snap = scheduler.metrics();
+  }
 
   util::Table table({"path", "wall ms", "sim ms", "req/s (wall)", "speedup wall",
                      "speedup sim"});
@@ -208,31 +192,6 @@ int main(int argc, char** argv) {
                  util::Table::fmt(naive_sim / served_sim, 2) + "x"});
   table.print(std::cout);
   artifact.add("throughput", table);
-
-  // ---------------------------------------- pipeline ablation (1 lane)
-  // Stream-pair pipelining off (pipeline_chunks = 1, the
-  // pre-pipelining behaviour) vs the production auto mode, replayed
-  // on ONE worker lane so the simulated makespan is the deterministic
-  // sum of the batch schedule rather than a busiest-of-N-lanes race.
-  // Outputs are bit-identical by construction (per-request arithmetic
-  // is independent of chunking), and auto must never be slower.
-  const ServedRun pipe_off = run_served(1, /*pipeline_chunks=*/1);
-  const ServedRun pipe_auto = run_served(1, /*pipeline_chunks=*/0);
-  const bool pipelined_identical = pipe_auto.outputs == pipe_off.outputs &&
-                                   pipe_auto.outputs == served.outputs;
-  const double pipelined_speedup = pipe_off.sim / pipe_auto.sim;
-  const bool pipelined_ok = pipelined_identical &&
-                            pipe_auto.failed + pipe_off.failed == 0 &&
-                            pipe_auto.sim <= pipe_off.sim * 1.001;
-  util::Table pipe_table({"pipelining", "sim ms", "vs pipeline off"});
-  pipe_table.add_row({"off (serial batches)", bench::ms(pipe_off.sim), "1.00x"});
-  pipe_table.add_row({"auto (stream-pair)", bench::ms(pipe_auto.sim),
-                      util::Table::fmt(pipelined_speedup, 2) + "x"});
-  bench::print_header("pipeline ablation — single lane, deterministic");
-  pipe_table.print(std::cout);
-  std::cout << "outputs across pipeline modes "
-            << (pipelined_identical ? "bit-identical" : "DIVERGED") << "\n";
-  artifact.add("pipeline ablation", pipe_table);
 
   std::cout << "\nserved metrics:\n";
   const auto summary = snap.summary_table();
@@ -361,18 +320,14 @@ int main(int argc, char** argv) {
     std::cout << "\nwrote artifact " << path << "\n";
   }
 
-  // Self-checks: served must beat naive on simulated time, the
-  // pipelined (auto) mode must stay bit-identical to pipeline-off and
-  // never slower on simulated makespan, and on the skewed workload
-  // grouped cross-tenant batching must beat same-tenant-only
-  // coalescing by >= 1.5x with bit-identical outputs.
-  const bool ok = failed == 0 && naive_sim / served_sim > 1.0 && pipelined_ok &&
+  // Self-checks: served must beat naive on simulated time, and on the
+  // skewed workload grouped cross-tenant batching must beat
+  // same-tenant-only coalescing by >= 1.5x with bit-identical outputs.
+  const bool ok = failed == 0 && naive_sim / served_sim > 1.0 &&
                   skew_failed == 0 && skew_identical && skew_speedup >= 1.5;
   std::cout << "\nserved vs naive: " << util::Table::fmt(naive_sim / served_sim, 2)
             << "x simulated, " << util::Table::fmt(naive_wall / served_wall, 2)
-            << "x wall, " << failed << " failed; pipelined vs serial "
-            << util::Table::fmt(pipelined_speedup, 2)
-            << "x sim (must be >= serial, bit-identical); cross-tenant skew "
+            << "x wall, " << failed << " failed; cross-tenant skew "
             << util::Table::fmt(skew_speedup, 2) << "x (need >= 1.5x), "
             << skew_failed << " failed -> " << (ok ? "PASSED" : "FAILED") << "\n";
   return ok ? 0 : 1;

@@ -21,19 +21,11 @@ Gated metrics (higher is better):
                     cost-model output).
   batch_sweep       table "measured ddddd", every row's
                     "vs sequential" — the multi-RHS apply_batch edge
-                    over sequential applies — table "cross-tenant
+                    over sequential applies — and table "cross-tenant
                     grouped ddddd", every row's "grouped vs
                     per-tenant" — the grouped multi-operator dispatch
-                    edge over per-tenant dispatch of the same mix —
-                    and every row's "pipelined vs serial" — the
-                    chunked dual-stream pipelined apply's edge at the
-                    auto-resolved chunk count (all deterministic).
-  pipeline_sweep    table "paper-scale phantom dssdd", every row's
-                    "vs serial" — the phase-pipelined apply_batch's
-                    modelled-makespan edge over the serial batch per
-                    chunk count at the paper-scale Hessian-assembly
-                    shape (deterministic cost-model output; the
-                    harness additionally hard-fails below 1.2x).
+                    edge over per-tenant dispatch of the same mix
+                    (both deterministic).
   serve_slo         table "slo attainment", row "deadline-aware
                     edf+wfq", column "SLO attainment" — the fraction
                     of deadline-bearing requests the EDF+WFQ scheduler
@@ -110,8 +102,6 @@ GATES = [
     ("batch_sweep", "measured ddddd", "*", "vs sequential", None),
     ("batch_sweep", "cross-tenant grouped ddddd", "*", "grouped vs per-tenant",
      None),
-    ("batch_sweep", "measured ddddd", "*", "pipelined vs serial", None),
-    ("pipeline_sweep", "paper-scale phantom dssdd", "*", "vs serial", None),
     ("serve_slo", "slo attainment", "deadline-aware edf+wfq",
      "SLO attainment", 0.35),
     ("serve_scaling", "batched vs per-request comm", "*", "comm ratio", None),
@@ -127,12 +117,11 @@ GATES = [
 # Benches whose tables are deterministic cost-model output (the
 # host-clock ablation_dense_vs_fft / ablation_overlap columns and the
 # wall-clock serve benches are excluded).  CI runs the first nine in
-# full and the last three with --quick.
+# full and the last two with --quick.
 DETERMINISTIC = [
     "fig1_sbgemv", "fig2_breakdown", "fig3_mixed", "fig4_scaling",
     "ablation_dispatch", "ablation_fp16", "ablation_fusion",
-    "ablation_partition", "pareto_sweep", "batch_sweep", "pipeline_sweep",
-    "serve_scaling",
+    "ablation_partition", "pareto_sweep", "batch_sweep", "serve_scaling",
 ]
 
 

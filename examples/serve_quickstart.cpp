@@ -103,7 +103,7 @@ int main(int argc, char** argv) {
   // 7. Request-scoped tracing: wrap any serving window in a
   //    util::trace session and load the JSON in chrome://tracing or
   //    Perfetto — queue-wait spans, per-batch dispatch spans, and the
-  //    per-phase device-clock spans of each lane's stream pair.
+  //    per-phase device-clock spans of each lane's stream.
   util::trace::start();
   auto traced = scheduler.submit(tenant_a, core::ApplyDirection::kForward,
                                  precision::PrecisionConfig{}, m_a);

@@ -6,6 +6,7 @@
 //
 //   -nm/-nd/-Nt   problem size (defaults are host-friendly; the
 //                 paper's size is -nm 5000 -nd 100 -Nt 1000)
+//   -reps N       timed F/F* repetitions, N >= 1 (default 20)
 //   -prec xxxxx   five-phase precision config (d/s per phase)
 //   -rand         random operator/vectors with the §4.2.1 mantissa-
 //                 filling initialisation (default: deterministic seed)
@@ -20,6 +21,8 @@
 // mean/min/max for F* (here across repetitions; the artifact reports
 // across processes).
 #include <iostream>
+#include <stdexcept>
+#include <string>
 
 #include "blas/vector_ops.hpp"
 #include "core/block_toeplitz.hpp"
@@ -96,6 +99,10 @@ int main(int argc, char** argv) {
         precision::PrecisionConfig::parse(cli.get_string("prec", "ddddd"));
     const auto spec = device::spec_by_name(cli.get_string("device", "mi300x"));
     const index_t reps = cli.get_int("reps", 20);
+    if (reps < 1) {
+      throw std::invalid_argument("-reps: expected a count >= 1, got " +
+                                  std::to_string(reps));
+    }
     const bool raw = cli.get_flag("raw");
     const std::uint64_t seed = cli.get_flag("rand") ? 20251116 : 1;
 

@@ -10,25 +10,20 @@
 //                [--smoke]
 //
 //   -tenants N       distinct tenant models (mixed shapes: each tenant
-//                    scales the base problem differently)
-//   -requests N      total requests issued by the generator
-//   -rps R           open-loop Poisson arrival rate (requests/second);
-//                    inter-arrival gaps are exponential via util::Rng
+//                    scales the base problem differently); N >= 1
+//   -requests N      total requests issued by the generator; N >= 0
+//   -rps R           open-loop Poisson arrival rate (requests/second,
+//                    finite and > 0); inter-arrival gaps are
+//                    exponential via util::Rng
 //   -streams S       scheduler worker lanes (one device stream each)
 //   -batch B         max requests coalesced per batch; 0 (default)
 //                    resolves to serve::kDefaultMaxBatch (16)
-//   -pipeline-chunks C  RHS chunks per pipelined apply_batch (batches
-//                    software-pipeline over each lane's stream pair);
-//                    0 (default) resolves per tenant shape from the
-//                    modelled phase ratio — the resolved values are
-//                    printed per shape and written to the artifact,
-//                    as the header line reports the resolved -batch —
-//                    1 forces serial execution
 //   -linger-ms L     max time a request waits for batch companions
 //   -cache C         resident FftMatvecPlan budget (LRU)
 //   -prec a,b,...    precision configs cycled across requests
-//   -adjoint-frac F  fraction of requests that are adjoint (F*) applies
-//   -sessions N      open N streaming sessions (open_stream handles,
+//   -adjoint-frac F  fraction of requests that are adjoint (F*)
+//                    applies, in [0, 1]
+//   -sessions N      open N >= 0 streaming sessions (open_stream handles,
 //                    cycled across tenants; plan shapes stay pinned in
 //                    the cache).  Even-indexed requests then route
 //                    through the sessions in round-robin instead of
@@ -59,7 +54,7 @@
 //                    same seed and workload replays the same faults
 //   -verify M        ABFT verification mode: off (default), checksum
 //                    (grouped-GEMV column checksums) or paranoid
-//                    (+ per-chunk FFT Parseval checks).  Detections
+//                    (+ FFT Parseval checks).  Detections
 //                    re-dispatch through the retry machinery; the
 //                    resilience table reports detections, recomputes
 //                    and false positives
@@ -78,7 +73,7 @@
 //                    export it as Chrome trace-event JSON (loadable in
 //                    chrome://tracing / Perfetto): queue-wait spans,
 //                    per-batch dispatch spans, per-phase device-clock
-//                    spans on each lane's stream pair, plan-cache
+//                    spans on each lane's stream, plan-cache
 //                    events.  The artifact's "trace" table records the
 //                    retained event count and the ring-overflow drop
 //                    count (drops are counted, never silent)
@@ -86,8 +81,10 @@
 //                    requests completed and throughput is nonzero
 //
 // The metrics report (throughput, p50/p95/p99 latency, batch-size
-// histogram, cache hit rate) prints on shutdown.
-#include <algorithm>
+// histogram, cache hit rate) prints on shutdown.  An out-of-range
+// value for a load flag exits 1 with a message naming the flag, before
+// anything is built.
+#include <cmath>
 #include <future>
 #include <iostream>
 #include <memory>
@@ -158,11 +155,10 @@ int main(int argc, char** argv) {
     util::consume_flag(argc, argv, "--trace", "-trace", &trace_path);
     const util::CliParser cli(argc, argv);
     cli.check_known({"tenants", "requests", "rps", "streams", "batch",
-                     "pipeline-chunks", "linger-ms", "cache", "prec",
-                     "adjoint-frac", "sessions", "deadline-ms", "weights",
-                     "queue-depth", "fault-rate", "fault-seed", "verify",
-                     "sdc-rate", "sdc-seed", "device", "seed", "raw",
-                     "smoke"});
+                     "linger-ms", "cache", "prec", "adjoint-frac", "sessions",
+                     "deadline-ms", "weights", "queue-depth", "fault-rate",
+                     "fault-seed", "verify", "sdc-rate", "sdc-seed", "device",
+                     "seed", "raw", "smoke"});
     const bool smoke = cli.get_flag("smoke");
     const bool raw = cli.get_flag("raw");
 
@@ -170,13 +166,34 @@ int main(int argc, char** argv) {
     const index_t n_requests = cli.get_int("requests", smoke ? 120 : 400);
     const double rps = cli.get_double("rps", smoke ? 4000.0 : 2000.0);
     const double adjoint_frac = cli.get_double("adjoint-frac", 0.3);
+    // Smoke exercises the streaming-session path too (2 pinned
+    // sessions with a loose deadline).
+    const index_t n_sessions = cli.get_int("sessions", smoke ? 2 : 0);
+    if (n_tenants < 1) {
+      throw std::invalid_argument("-tenants: expected a count >= 1, got " +
+                                  std::to_string(n_tenants));
+    }
+    if (n_requests < 0) {
+      throw std::invalid_argument("-requests: expected a count >= 0, got " +
+                                  std::to_string(n_requests));
+    }
+    if (n_sessions < 0) {
+      throw std::invalid_argument("-sessions: expected a count >= 0, got " +
+                                  std::to_string(n_sessions));
+    }
+    if (!std::isfinite(rps) || rps <= 0.0) {
+      throw std::invalid_argument(
+          "-rps: expected a finite arrival rate > 0, got " + std::to_string(rps));
+    }
+    if (!(adjoint_frac >= 0.0 && adjoint_frac <= 1.0)) {
+      throw std::invalid_argument(
+          "-adjoint-frac: expected a fraction in [0, 1], got " +
+          std::to_string(adjoint_frac));
+    }
     const auto spec = device::spec_by_name(cli.get_string("device", "mi300x"));
     const std::uint64_t seed =
         smoke ? 20260730 : static_cast<std::uint64_t>(cli.get_int("seed", 42));
     const auto configs = parse_config_list(cli.get_string("prec", "ddddd,dssdd,sssss"));
-    // Smoke exercises the streaming-session path too (2 pinned
-    // sessions with a loose deadline).
-    const index_t n_sessions = cli.get_int("sessions", smoke ? 2 : 0);
     const double deadline_ms = cli.get_double("deadline-ms", smoke ? 250.0 : 0.0);
     const auto weights = parse_weight_list(cli.get_string("weights", "1"));
 
@@ -184,9 +201,6 @@ int main(int argc, char** argv) {
     opts.num_streams = static_cast<int>(cli.get_int("streams", 2));
     // 0 = the scheduler's default cap; -batch N overrides it.
     opts.max_batch = static_cast<int>(cli.get_int("batch", 0));
-    // 0 = auto: pipeline chunk counts resolve per tenant shape from
-    // the modelled phase ratio; -pipeline-chunks N overrides.
-    opts.pipeline_chunks = static_cast<int>(cli.get_int("pipeline-chunks", 0));
     opts.linger_seconds = cli.get_double("linger-ms", 0.5) * 1e-3;
     // Default sized to the full default workload working set: plans
     // are precision-agnostic, so 3 tenant shapes x 2 lanes = 6 plan
@@ -223,11 +237,7 @@ int main(int argc, char** argv) {
       std::cout << "fftmv_server: " << n_tenants << " tenants, " << n_requests
                 << " requests @ " << rps << " req/s (Poisson), " << opts.num_streams
                 << " streams, batch<=" << scheduler.options().max_batch
-                << (opts.max_batch == 0 ? " (default)" : "") << ", pipeline "
-                << (opts.pipeline_chunks == 0
-                        ? std::string("auto")
-                        : std::to_string(opts.pipeline_chunks) + " chunks")
-                << ", linger " << opts.linger_seconds * 1e3 << " ms, plan cache "
+                << (opts.max_batch == 0 ? " (default)" : "") << ", linger " << opts.linger_seconds * 1e3 << " ms, plan cache "
                 << opts.plan_cache_capacity << ", device " << spec.name << "\n";
     }
 
@@ -247,30 +257,6 @@ int main(int argc, char** argv) {
       model.adj_input =
           core::make_input_vector(model.dims.n_t * model.dims.n_d, seed + 17 * t + 2);
       tenants.push_back(std::move(model));
-    }
-
-    // Resolved pipeline chunk counts per distinct tenant shape
-    // (deterministic cost-model resolutions in auto mode): printed
-    // and written to the artifact so the effective execution mode is
-    // attributable, like the resolved -batch report above.
-    util::Table pipeline_table({"shape (n_m x n_d x n_t)", "pipeline chunks"});
-    {
-      std::vector<std::string> seen;
-      for (const auto& tenant : tenants) {
-        const std::string shape = std::to_string(tenant.dims.n_m) + " x " +
-                                  std::to_string(tenant.dims.n_d) + " x " +
-                                  std::to_string(tenant.dims.n_t);
-        if (std::find(seen.begin(), seen.end(), shape) != seen.end()) continue;
-        seen.push_back(shape);
-        pipeline_table.add_row(
-            {shape,
-             std::to_string(scheduler.resolved_pipeline_chunks(tenant.dims))});
-      }
-    }
-    if (!raw) {
-      std::cout << "resolved pipeline chunks"
-                << (opts.pipeline_chunks == 0 ? " (auto)" : "") << ":\n";
-      pipeline_table.print(std::cout);
     }
 
     // Streaming sessions: pinned (tenant, direction, config) streams
@@ -386,7 +372,6 @@ int main(int argc, char** argv) {
            std::to_string(fs.buffer_writes), std::to_string(fs.buffer_faults)});
       artifact.add("faults", faults_table);
     }
-    artifact.add("pipeline chunks", pipeline_table);
     if (!snap.lanes.empty()) artifact.add("lanes", snap.lane_table());
     if (!snap.sessions.empty()) artifact.add("sessions", snap.session_table());
     if (!trace_path.empty()) {

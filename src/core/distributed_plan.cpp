@@ -122,7 +122,7 @@ const ShardedOperator& DistributedMatvecPlan::validate_batch(
     std::span<const OperatorGroup> groups, ApplyDirection direction,
     std::span<const ConstVectorView> inputs,
     std::span<const VectorView> outputs,
-    std::span<const RankLane> lanes) const {
+    std::span<FftMatvecPlan* const> plans) const {
   if (inputs.empty()) {
     throw std::invalid_argument(
         "DistributedMatvecPlan: need at least one right-hand side");
@@ -158,22 +158,22 @@ const ShardedOperator& DistributedMatvecPlan::validate_batch(
   }
   const ShardedOperator& placement = *groups.front().op;
   const index_t ranks = placement.ranks();
-  if (static_cast<index_t>(lanes.size()) != ranks) {
+  if (static_cast<index_t>(plans.size()) != ranks) {
     throw std::invalid_argument(
-        "DistributedMatvecPlan: need one RankLane per shard rank");
+        "DistributedMatvecPlan: need one plan per shard rank");
   }
   for (index_t r = 0; r < ranks; ++r) {
-    if (lanes[r].plan == nullptr) {
+    if (plans[r] == nullptr) {
       throw std::invalid_argument("DistributedMatvecPlan: null rank plan");
     }
-    if (!lanes[r].plan->dims().same_extents(placement.rank_dims(direction, r))) {
+    if (!plans[r]->dims().same_extents(placement.rank_dims(direction, r))) {
       throw std::invalid_argument(
           "DistributedMatvecPlan: rank plan dims do not match the shard");
     }
   }
   // Vector extents at the global dims, before any fault consult,
   // sync, charge or staging reads or writes a caller's vector.
-  if (!lanes[0].plan->stream().device().phantom()) {
+  if (!plans[0]->stream().device().phantom()) {
     const ProblemDims& dims = placement.dims();
     const bool adjoint = direction == ApplyDirection::kAdjoint;
     const auto in_len =
@@ -195,11 +195,10 @@ void DistributedMatvecPlan::apply_batch(
     const precision::PrecisionConfig& config,
     std::span<const ConstVectorView> inputs,
     std::span<const VectorView> outputs,
-    std::span<const RankLane> lanes, CommMode mode, index_t pipeline_chunks,
-    VerifyMode verify) {
+    std::span<FftMatvecPlan* const> plans, CommMode mode, VerifyMode verify) {
   const index_t b = static_cast<index_t>(inputs.size());
   const ShardedOperator& placement =
-      validate_batch(groups, direction, inputs, outputs, lanes);
+      validate_batch(groups, direction, inputs, outputs, plans);
   const index_t ranks = placement.ranks();
   const bool adjoint = direction == ApplyDirection::kAdjoint;
   const comm::ProcessGrid& grid = placement.grid(direction);
@@ -212,10 +211,9 @@ void DistributedMatvecPlan::apply_batch(
   if (ranks == 1) {
     // Degenerate placement: byte-for-byte the single-rank grouped
     // batch, zero communication charged.
-    FftMatvecPlan& plan = *lanes[0].plan;
+    FftMatvecPlan& plan = *plans[0];
     plan.apply_batch(rank_groups(groups, direction, 0), direction, config,
-                     inputs, outputs,
-                     BatchPipeline{pipeline_chunks, lanes[0].aux, verify});
+                     inputs, outputs, verify);
     timings_ = plan.last_timings();
     rhs_timings_ = plan.last_batch_timings();
     return;
@@ -225,7 +223,7 @@ void DistributedMatvecPlan::apply_batch(
   const index_t nt = dims.n_t;
   const index_t ns_in = adjoint ? dims.n_d : dims.n_m;
   const index_t ns_out = adjoint ? dims.n_m : dims.n_d;
-  device::Device& dev = lanes[0].plan->stream().device();
+  device::Device& dev = plans[0]->stream().device();
   const bool phantom = dev.phantom();
 
   // Fault consult at the entry collective: a down rank aborts the
@@ -258,32 +256,25 @@ void DistributedMatvecPlan::apply_batch(
   // Collectives are bulk-synchronous: every rank stream first catches
   // up to the group's latest clock (idle jump), then all are charged
   // the collective's duration together, staying in lockstep.
-  const auto sync_group = [&lanes]() {
+  const auto sync_group = [&plans]() {
     const device::Stream* latest = nullptr;
-    for (const auto& lane : lanes) {
-      const device::Stream& s = lane.plan->stream();
+    for (const FftMatvecPlan* plan : plans) {
+      const device::Stream& s = plan->stream();
       if (latest == nullptr || s.now() > latest->now()) latest = &s;
-      if (lane.aux != nullptr && lane.aux->now() > latest->now()) {
-        latest = lane.aux;
-      }
     }
     device::Event e;
     e.record(*latest);
-    for (const auto& lane : lanes) {
-      lane.plan->stream().wait(e);
-      if (lane.aux != nullptr) lane.aux->wait(e);
-    }
+    for (const FftMatvecPlan* plan : plans) plan->stream().wait(e);
     return e.seconds();
   };
 
   const double t_start = sync_group();
-  for (const auto& lane : lanes) lane.plan->stream().advance(coll.broadcast_s);
+  for (const FftMatvecPlan* plan : plans) plan->stream().advance(coll.broadcast_s);
 
-  run_rank_slices(groups, direction, config, inputs, lanes, pipeline_chunks,
-                  verify, phantom);
+  run_rank_slices(groups, direction, config, inputs, plans, verify, phantom);
 
   sync_group();
-  for (const auto& lane : lanes) lane.plan->stream().advance(coll.reduce_s);
+  for (const FftMatvecPlan* plan : plans) plan->stream().advance(coll.reduce_s);
   const double t_end = sync_group();
 
   // Assemble: each output slice has one owner here, so the gather is
@@ -309,28 +300,24 @@ void DistributedMatvecPlan::apply_batch_serial(
     std::span<const OperatorGroup> groups, ApplyDirection direction,
     const precision::PrecisionConfig& config,
     std::span<const ConstVectorView> inputs,
-    std::span<const VectorView> outputs, std::span<const RankLane> lanes,
-    index_t pipeline_chunks, VerifyMode verify) {
+    std::span<const VectorView> outputs, std::span<FftMatvecPlan* const> plans,
+    VerifyMode verify) {
   const index_t b = static_cast<index_t>(inputs.size());
   const ShardedOperator& placement =
-      validate_batch(groups, direction, inputs, outputs, lanes);
-  const bool phantom = lanes[0].plan->stream().device().phantom();
+      validate_batch(groups, direction, inputs, outputs, plans);
+  const bool phantom = plans[0]->stream().device().phantom();
 
-  // Local window: with all lanes bound to one stream (pair) the slices
+  // Local window: with all plans bound to one stream the slices
   // serialize and the makespan is that stream's elapsed clock; no
   // sync, no collective charge.
-  const auto group_now = [&lanes]() {
+  const auto group_now = [&plans]() {
     double t = 0.0;
-    for (const auto& lane : lanes) {
-      t = std::max(t, lane.plan->stream().now());
-      if (lane.aux != nullptr) t = std::max(t, lane.aux->now());
-    }
+    for (const FftMatvecPlan* plan : plans) t = std::max(t, plan->stream().now());
     return t;
   };
 
   const double t_start = group_now();
-  run_rank_slices(groups, direction, config, inputs, lanes, pipeline_chunks,
-                  verify, phantom);
+  run_rank_slices(groups, direction, config, inputs, plans, verify, phantom);
   const double t_end = group_now();
   assemble_outputs(placement, direction, config.phase(precision::kPhaseUnpad),
                    outputs, phantom);
@@ -347,8 +334,8 @@ void DistributedMatvecPlan::apply_batch_serial(
 void DistributedMatvecPlan::run_rank_slices(
     std::span<const OperatorGroup> groups, ApplyDirection direction,
     const precision::PrecisionConfig& config,
-    std::span<const ConstVectorView> inputs, std::span<const RankLane> lanes,
-    index_t pipeline_chunks, VerifyMode verify, bool phantom) {
+    std::span<const ConstVectorView> inputs,
+    std::span<FftMatvecPlan* const> plans, VerifyMode verify, bool phantom) {
   const ShardedOperator& placement = *groups.front().op;
   const index_t b = static_cast<index_t>(inputs.size());
   const index_t ranks = placement.ranks();
@@ -395,10 +382,9 @@ void DistributedMatvecPlan::run_rank_slices(
       std::fill(rank_outputs.begin(), rank_outputs.end(), VectorView{});
     }
 
-    FftMatvecPlan& plan = *lanes[r].plan;
+    FftMatvecPlan& plan = *plans[r];
     plan.apply_batch(rank_groups(groups, direction, r), direction, config,
-                     rank_inputs, rank_outputs,
-                     BatchPipeline{pipeline_chunks, lanes[r].aux, verify});
+                     rank_inputs, rank_outputs, verify);
     timings_ += plan.last_timings();
     const auto& shares = plan.last_batch_timings();
     for (index_t i = 0; i < b; ++i) {

@@ -144,24 +144,19 @@ class ShardedOperator {
   std::vector<std::shared_ptr<BlockToeplitzOperator>> fwd_ops_, adj_ops_;
 };
 
-/// Orchestrates one distributed apply over borrowed per-rank
-/// execution resources.  The plan owns only grow-only host staging
-/// for the per-rank output slices; the per-rank FftMatvecPlans and
-/// streams are the caller's (the serving layer acquires them from its
-/// PlanCache, benches and tests construct their own), so one
+/// Orchestrates one distributed apply over borrowed per-rank plans.
+/// The plan owns only grow-only host staging for the per-rank output
+/// slices; the per-rank FftMatvecPlans and their streams are the
+/// caller's (the serving layer acquires them from its PlanCache,
+/// benches and tests construct their own), so one
 /// DistributedMatvecPlan instance can serve any tenant of any shape.
+///
+/// `plans[r]` runs rank r on its own stream (the plan's construction
+/// stream).  Its extents (global dims, n_m_local, n_d_local) must
+/// equal the placement's rank_dims(direction, r), so one plan may
+/// serve every same-shape rank.
 class DistributedMatvecPlan {
  public:
-  /// Rank r's borrowed resources: a plan whose extents (global dims,
-  /// n_m_local, n_d_local) equal the placement's rank_dims(direction,
-  /// r), so one plan may serve every same-shape rank, driving its own
-  /// stream (the plan's construction stream); `aux` optionally
-  /// carries the chunked dual-stream pipeline for the rank's slice.
-  struct RankLane {
-    FftMatvecPlan* plan = nullptr;
-    device::Stream* aux = nullptr;
-  };
-
   /// One operator's contiguous slice of a grouped batch (mirrors
   /// FftMatvecPlan::OperatorGroup): `rhs_count` right-hand sides
   /// applied through `op`.  Every group's operator must share one
@@ -187,7 +182,7 @@ class DistributedMatvecPlan {
   /// slices, the streams sync again, the output gather is charged and
   /// the slices are assembled into the caller's outputs.  Outputs are
   /// bit-identical to the single-rank apply_batch (and therefore to b
-  /// independent applies) in both comm modes and any chunk count.
+  /// independent applies) in both comm modes.
   /// Throws std::invalid_argument — before any fault consult or
   /// charge — on a malformed batch, when the groups do not share one
   /// placement, or when ranks share an output slice; throws
@@ -199,14 +194,13 @@ class DistributedMatvecPlan {
                    const precision::PrecisionConfig& config,
                    std::span<const ConstVectorView> inputs,
                    std::span<const VectorView> outputs,
-                   std::span<const RankLane> lanes,
+                   std::span<FftMatvecPlan* const> plans,
                    CommMode mode = CommMode::kBatched,
-                   index_t pipeline_chunks = 1,
                    VerifyMode verify = VerifyMode::kOff);
 
   /// Serial apply over any placement: every rank's slice runs back to
-  /// back on the lanes' streams — after a rank failure, pass lanes
-  /// whose plans are all bound to the survivor's stream — with ZERO
+  /// back on the plans' streams — after a rank failure, pass plans
+  /// that are all bound to the survivor's stream — with ZERO
   /// communication charged.  For an output split the outputs are
   /// bit-identical to apply_batch's; only the modelled time differs
   /// (no overlap, but no collectives).  Never consults the FaultPlan's
@@ -216,8 +210,7 @@ class DistributedMatvecPlan {
                           const precision::PrecisionConfig& config,
                           std::span<const ConstVectorView> inputs,
                           std::span<const VectorView> outputs,
-                          std::span<const RankLane> lanes,
-                          index_t pipeline_chunks = 1,
+                          std::span<FftMatvecPlan* const> plans,
                           VerifyMode verify = VerifyMode::kOff);
 
   /// Totals of the most recent apply: per-phase fields are the
@@ -240,7 +233,7 @@ class DistributedMatvecPlan {
       std::span<const OperatorGroup> groups, ApplyDirection direction,
       std::span<const ConstVectorView> inputs,
       std::span<const VectorView> outputs,
-      std::span<const RankLane> lanes) const;
+      std::span<FftMatvecPlan* const> plans) const;
   /// Run every rank's grouped slice apply into stage_, accumulating
   /// timings_ and rhs_timings_ (comm/makespan left for the caller to
   /// fill).
@@ -248,9 +241,8 @@ class DistributedMatvecPlan {
                        ApplyDirection direction,
                        const precision::PrecisionConfig& config,
                        std::span<const ConstVectorView> inputs,
-                       std::span<const RankLane> lanes,
-                       index_t pipeline_chunks, VerifyMode verify,
-                       bool phantom);
+                       std::span<FftMatvecPlan* const> plans,
+                       VerifyMode verify, bool phantom);
   /// Reduce the partials of each output slice from stage_ into the
   /// caller's output vectors.
   void assemble_outputs(const ShardedOperator& placement,

@@ -119,9 +119,9 @@ void FftMatvecPlan::apply_batch(const BlockToeplitzOperator& op,
                                 const PrecisionConfig& config,
                                 std::span<const ConstVectorView> inputs,
                                 std::span<const VectorView> outputs,
-                                const BatchPipeline& pipeline) {
+                                VerifyMode verify) {
   const OperatorGroup group{&op, static_cast<index_t>(inputs.size())};
-  apply_batch({&group, 1}, direction, config, inputs, outputs, pipeline);
+  apply_batch({&group, 1}, direction, config, inputs, outputs, verify);
 }
 
 void FftMatvecPlan::apply_batch(std::span<const OperatorGroup> groups,
@@ -129,7 +129,7 @@ void FftMatvecPlan::apply_batch(std::span<const OperatorGroup> groups,
                                 const PrecisionConfig& config,
                                 std::span<const ConstVectorView> inputs,
                                 std::span<const VectorView> outputs,
-                                const BatchPipeline& pipeline) {
+                                VerifyMode verify) {
   const bool adjoint = direction == ApplyDirection::kAdjoint;
   const index_t b = static_cast<index_t>(inputs.size());
   if (b < 1) {
@@ -172,6 +172,8 @@ void FftMatvecPlan::apply_batch(std::span<const OperatorGroup> groups,
   const index_t ns_in = adjoint ? dims_.n_d_local : dims_.n_m_local;
   const index_t ns_out = adjoint ? dims_.n_m_local : dims_.n_d_local;
 
+  // Validation runs before any state mutation: a throwing call must
+  // not perturb executions() or the previous apply's timings.
   if (!dev_->phantom()) {
     for (index_t r = 0; r < b; ++r) {
       if (static_cast<index_t>(inputs[r].size()) != nt * ns_in) {
@@ -183,16 +185,6 @@ void FftMatvecPlan::apply_batch(std::span<const OperatorGroup> groups,
     }
   }
 
-  // Pipeline-argument validation (before any state mutation, like
-  // the span checks above: a throwing call must not perturb
-  // executions() or the previous apply's timings).
-  const index_t chunks =
-      std::min<index_t>(std::max<index_t>(pipeline.chunks, 1), b);
-  if (chunks > 1 && pipeline.aux != nullptr &&
-      &pipeline.aux->device() != dev_) {
-    throw std::invalid_argument(
-        "matvec: pipeline aux stream is bound to a different device");
-  }
   // kAuto resolves from the GLOBAL shape, not this plan's slice, so a
   // sharded rank plan runs the same transpose kernel — and the same
   // summation order — as the full operator would.
@@ -208,70 +200,36 @@ void FftMatvecPlan::apply_batch(std::span<const OperatorGroup> groups,
   ++executions_;
   const bool fuse = options_.fuse_casts;
 
-  // ---- Chunked executor.  The batch's b RHS are split into `chunks`
-  // contiguous chunks (serial execution is the chunks == 1 degenerate
-  // case running every stage on the plan's own stream).  Per chunk,
-  // three stages, each issuing the same launches whatever the chunk's
-  // RHS count — five in all:
-  //   stage 1 (stream A): ONE transpose/pad launch that reads every
-  //     RHS's caller input directly, rounding double -> p1 -> p2
-  //     in-kernel, into the RHS-outer padded buffer, then ONE batched
-  //     real FFT over cb * ns_in sequences (runtime batch multiplier);
-  //   stage 2 (stream B): Fourier reorder, then the grouped multi-RHS
-  //     SBGEMV into the frequency-outer output spectrum — the
-  //     dominant phase at paper scale;
-  //   stage 3 (stream A): ONE batched inverse FFT that reads the GEMV
-  //     output where it lies and writes every RHS's caller output
-  //     directly, rounding p4 -> p5 -> double in-kernel; it carries a
-  //     verified apply's checksum compare (see inverse_fused).
+  // ---- Executor.  Three stages run in order on the plan's stream,
+  // each issuing the same launches whatever b is — five in all:
+  //   stage 1: ONE transpose/pad launch that reads every RHS's caller
+  //     input directly, rounding double -> p1 -> p2 in-kernel, into
+  //     the RHS-outer padded buffer, then ONE batched real FFT over
+  //     b * ns_in sequences (runtime batch multiplier);
+  //   stage 2: Fourier reorder, then the grouped multi-RHS SBGEMV into
+  //     the frequency-outer output spectrum — the dominant phase at
+  //     paper scale;
+  //   stage 3: ONE batched inverse FFT that reads the GEMV output where
+  //     it lies and writes every RHS's caller output directly, rounding
+  //     p4 -> p5 -> double in-kernel; it carries a verified apply's
+  //     checksum compare (see inverse_fused).
   // The fusion ablation (fuse_casts = false) is the unfused 7-launch
   // pipeline: stage 2 reorders the GEMV output back (carrying the
   // compare), stage 3 runs the inverse FFT into a padded buffer and
   // a separate unpad, and each precision change is a cast kernel of
   // its own around a memory op in the producer's precision.
-  // Issue order software-pipelines the chunks — stage2(i) on B, then
-  // stage1(i+1) on A, then stage3(i) on A — so chunk i's SBGEMV
-  // overlaps chunk i+1's pad+FFT.  Cross-stream dependencies are
-  // events: stage2(i) waits for stage1(i)'s FFT, stage3(i) waits for
-  // stage2(i); the spectrum workspaces ping-pong on chunk parity so
-  // stage1(i+1) never overwrites the set stage2(i) still reads, and
-  // the remaining reuse hazards (set parity recurs at i+2) are
-  // already ordered by stage3(i)'s wait on stream A.  Numerics are
-  // bit-identical to the serial batch: chunks partition the RHS
-  // dimension, every kernel's per-RHS arithmetic is unchanged, and
-  // host execution order per buffer is dependency-ordered.
-  device::Stream& sa = *stream_;
-  device::Stream* sb = &sa;
-  if (chunks > 1) {
-    if (pipeline.aux != nullptr) {
-      sb = pipeline.aux;
-    } else {
-      if (!owned_aux_) owned_aux_.emplace(*dev_);
-      sb = &*owned_aux_;
-    }
-  }
-  // ABFT verification state: per-config tolerances plus the shared
-  // double-width checksum workspaces (sized for the largest chunk).
-  // Stage 2 writes chunk i's checksum dots on stream B and the fused
-  // stage 3 compares them on stream A, where stage 2(i+1) may already
-  // run, so a pipelined apply ping-pongs them on chunk parity like the
-  // spectra.
-  const VerifyMode verify = pipeline.verify;
+  device::Stream& s = *stream_;
+  // ABFT verification state: per-config tolerances plus the
+  // double-width checksum workspaces, one slot per (frequency, RHS).
   VerifyTolerances vtol;
   if (verify != VerifyMode::kOff) {
     vtol = verify_tolerances(config, dims_, adjoint);
-  }
-  const double t_begin = sa.now();
-  const index_t cmax = (b + chunks - 1) / chunks;
-  const auto chk_offset = [&](index_t i) { return (i % 2) * nf * cmax; };
-  if (verify != VerifyMode::kOff) {
-    const index_t chk_elems = nf * cmax * (chunks > 1 ? 2 : 1);
-    if (!chk_ || chk_->size() < chk_elems) chk_.emplace(*dev_, chk_elems);
-    if (!chk_scale_ || chk_scale_->size() < chk_elems) {
-      chk_scale_.emplace(*dev_, chk_elems);
+    if (!chk_ || chk_->size() < nf * b) chk_.emplace(*dev_, nf * b);
+    if (!chk_scale_ || chk_scale_->size() < nf * b) {
+      chk_scale_.emplace(*dev_, nf * b);
     }
   }
-  const auto chunk_lo = [&](index_t i) { return (i * b) / chunks; };
+  const double t_begin = s.now();
   // The lazily built FFT plan of one precision for the parameter side
   // (n_m_local sequences) or the data side (n_d_local sequences).
   const auto fft_plan = [&](auto tag, bool d_side) -> fft::BatchedRealFft<decltype(tag)>& {
@@ -286,108 +244,85 @@ void FftMatvecPlan::apply_batch(std::span<const OperatorGroup> groups,
     if (!slot || slot->batch() != ns) slot.emplace(L, ns);
     return *slot;
   };
-  DualComplex* spec_set[2] = {&spec_, &spec_alt_};
-  DualComplex* spec_t_set[2] = {&spec_t_, &spec_t_alt_};
-  DualComplex* ospec_t_set[2] = {&ospec_t_, &ospec_t_alt_};
-  DualComplex* ospec_set[2] = {&ospec_, &ospec_alt_};
-  std::vector<device::Event> ev_fft(static_cast<std::size_t>(chunks));
-  std::vector<device::Event> ev_gemv(static_cast<std::size_t>(chunks));
   double gemv_seconds = 0.0;
 
-  // Per-phase device-clock trace spans: each stage's [t0, now()]
-  // window on its stream's track, so a pipelined batch renders chunk
-  // i's SBGEMV (stream B) actually overlapping chunk i+1's pad+FFT
-  // (stream A).  Untracked streams (trace_tid < 0 — phantom probes,
-  // ad-hoc streams) never emit.
-  const auto trace_phase = [&](const device::Stream& s, const char* phase,
-                               index_t i, index_t cb, double t0) {
+  // Per-phase device-clock trace spans: each phase's [t0, now()]
+  // window on the stream's track.  Untracked streams (trace_tid < 0 —
+  // phantom probes, ad-hoc streams) never emit.
+  const auto trace_phase = [&](const char* phase, double t0) {
     if (util::trace::enabled() && s.trace_tid() >= 0) {
       util::trace::complete_device(s.trace_tid(), phase, "phase", t0,
-                                   s.now() - t0, {{"chunk", i}, {"rhs", cb}});
+                                   s.now() - t0, {{"rhs", b}});
     }
   };
 
-  const auto stage1 = [&](index_t i) {
-    const index_t lo = chunk_lo(i), hi = chunk_lo(i + 1);
-    const index_t cb = hi - lo;
-    const std::size_t par = static_cast<std::size_t>(i % 2);
-    double t0 = sa.now();
-    dispatch2(p1, p2, [&](auto tag1, auto tag2) {
-      using S1 = decltype(tag1);
-      using S2 = decltype(tag2);
-      const index_t n = nt * ns_in;
-      S2* padded = padded_.get<S2>(*dev_, cmax * ns_in * L);
-      std::vector<const double*> srcs;
-      srcs.reserve(static_cast<std::size_t>(cb));
-      for (index_t r = lo; r < hi; ++r) srcs.push_back(inputs[r].data());
-      // Pad the chunk's inputs in one launch, rounded through p1 on
-      // their way to p2.  The fusion ablation instead casts each input
-      // to p1, pads in p1, then casts the chunk to p2.
-      if (fuse || (std::is_same_v<S1, double> && std::is_same_v<S2, double>)) {
-        precision::transpose_pad_cast<S1>(sa, std::span<const double* const>(srcs),
-                                          padded, nt, ns_in, L);
-        return;
+  // ---- Stage 1: pad + forward FFT.
+  double t0 = s.now();
+  dispatch2(p1, p2, [&](auto tag1, auto tag2) {
+    using S1 = decltype(tag1);
+    using S2 = decltype(tag2);
+    const index_t n = nt * ns_in;
+    S2* padded = padded_.get<S2>(*dev_, b * ns_in * L);
+    std::vector<const double*> srcs;
+    srcs.reserve(static_cast<std::size_t>(b));
+    for (index_t r = 0; r < b; ++r) srcs.push_back(inputs[r].data());
+    // Pad every input in one launch, rounded through p1 on its way to
+    // p2.  The fusion ablation instead casts each input to p1, pads in
+    // p1, then casts the batch to p2.
+    if (fuse || (std::is_same_v<S1, double> && std::is_same_v<S2, double>)) {
+      precision::transpose_pad_cast<S1>(s, std::span<const double* const>(srcs),
+                                        padded, nt, ns_in, L);
+      return;
+    }
+    std::vector<const S1*> srcs1;
+    if constexpr (std::is_same_v<S1, double>) {
+      srcs1 = srcs;
+    } else {
+      S1* staged = stage_.get<S1>(*dev_, b * n);
+      for (index_t k = 0; k < b; ++k) {
+        precision::convert_array(s, srcs[static_cast<std::size_t>(k)],
+                                 staged + k * n, n);
+        srcs1.push_back(staged + k * n);
       }
-      std::vector<const S1*> srcs1;
-      if constexpr (std::is_same_v<S1, double>) {
-        srcs1 = srcs;
-      } else {
-        S1* staged = stage_.get<S1>(*dev_, cmax * n);
-        for (index_t k = 0; k < cb; ++k) {
-          precision::convert_array(sa, srcs[static_cast<std::size_t>(k)],
-                                   staged + k * n, n);
-          srcs1.push_back(staged + k * n);
-        }
-      }
-      const std::span<const S1* const> in1(srcs1);
-      if constexpr (std::is_same_v<S1, S2>) {
-        precision::transpose_pad_cast<S1>(sa, in1, padded, nt, ns_in, L);
-      } else {
-        S1* tmp = padded_.get<S1>(*dev_, cmax * ns_in * L);
-        precision::transpose_pad_cast<S1>(sa, in1, tmp, nt, ns_in, L);
-        precision::convert_array(sa, tmp, padded, cb * ns_in * L);
-      }
-    });
-    trace_phase(sa, "pad", i, cb, t0);
-    timings_.pad += sa.now() - t0;
-    t0 = sa.now();
-    dispatch1(p2, [&](auto tag2) {
-      using S2 = decltype(tag2);
-      using C2 = std::complex<S2>;
-      auto& plan = fft_plan(tag2, /*d_side=*/adjoint);
-      const S2* padded = padded_.get<S2>(*dev_, cmax * ns_in * L);
-      C2* spec = spec_set[par]->get<C2>(*dev_, cmax * ns_in * nf);
-      plan.forward_on(sa, padded, L, spec, nf, /*batch_multiplier=*/cb);
-      if (verify == VerifyMode::kParanoid) {
-        plan.verify_parseval_on(sa, padded, L, spec, nf, cb, vtol.fft_forward,
-                                "fft-parseval-forward");
-      }
-    });
-    trace_phase(sa, "fft", i, cb, t0);
-    timings_.fft += sa.now() - t0;
-    ev_fft[static_cast<std::size_t>(i)].record(sa);
-  };
+    }
+    const std::span<const S1* const> in1(srcs1);
+    if constexpr (std::is_same_v<S1, S2>) {
+      precision::transpose_pad_cast<S1>(s, in1, padded, nt, ns_in, L);
+    } else {
+      S1* tmp = padded_.get<S1>(*dev_, b * ns_in * L);
+      precision::transpose_pad_cast<S1>(s, in1, tmp, nt, ns_in, L);
+      precision::convert_array(s, tmp, padded, b * ns_in * L);
+    }
+  });
+  trace_phase("pad", t0);
+  timings_.pad += s.now() - t0;
+  t0 = s.now();
+  dispatch1(p2, [&](auto tag2) {
+    using S2 = decltype(tag2);
+    using C2 = std::complex<S2>;
+    auto& plan = fft_plan(tag2, /*d_side=*/adjoint);
+    const S2* padded = padded_.get<S2>(*dev_, b * ns_in * L);
+    C2* spec = spec_.get<C2>(*dev_, b * ns_in * nf);
+    plan.forward_on(s, padded, L, spec, nf, /*batch_multiplier=*/b);
+    if (verify == VerifyMode::kParanoid) {
+      plan.verify_parseval_on(s, padded, L, spec, nf, b, vtol.fft_forward,
+                              "fft-parseval-forward");
+    }
+  });
+  trace_phase("fft", t0);
+  timings_.fft += s.now() - t0;
 
-  // Chunk i's grouped-GEMV arguments in the phase-3 precision: the
-  // per-group operator-spectrum base pointers sliced to the chunk's
-  // RHS range [lo, hi) — nothing else in the pipeline is operator-
-  // specific, so this is the only thing that distinguishes a grouped
-  // (cross-tenant) batch from a flat one.  `gemv_groups` holds the
-  // groups the returned arguments point at.  The GEMV output y is
-  // frequency-outer: frequency f, chunk RHS r, entry s at
-  // f * cb * ns_out + r * ns_out + s.
-  const auto gemv_args = [&](auto tag3, index_t i, device::Stream& s, auto& gemv_groups) {
+  // The grouped-GEMV arguments in the phase-3 precision: one
+  // operator-spectrum base pointer per group — nothing else in the
+  // pipeline is operator-specific, so this is the only thing that
+  // distinguishes a grouped (cross-tenant) batch from a flat one.
+  // `gemv_groups` holds the groups the returned arguments point at.
+  // The GEMV output y is frequency-outer: frequency f, RHS r, entry j
+  // at f * b * ns_out + r * ns_out + j.
+  const auto gemv_args = [&](auto tag3, auto& gemv_groups) {
     using C3 = std::complex<decltype(tag3)>;
-    const index_t lo = chunk_lo(i), hi = chunk_lo(i + 1);
-    const index_t cb = hi - lo;
-    const std::size_t par = static_cast<std::size_t>(i % 2);
     gemv_groups.reserve(groups.size());
-    index_t g0 = 0;
     for (const auto& g : groups) {
-      const index_t gs = std::max(lo, g0);
-      const index_t ge = std::min(hi, g0 + g.rhs_count);
-      g0 += g.rhs_count;
-      if (gs >= ge) continue;
       const C3* spectrum;
       const C3* checksum = nullptr;
       if constexpr (std::is_same_v<C3, cdouble>) {
@@ -397,7 +332,7 @@ void FftMatvecPlan::apply_batch(std::span<const OperatorGroup> groups,
         spectrum = g.op->spectrum_f(s);
         if (verify != VerifyMode::kOff) checksum = g.op->checksum_f(s, adjoint);
       }
-      gemv_groups.push_back({spectrum, ge - gs, checksum});
+      gemv_groups.push_back({spectrum, g.rhs_count, checksum});
     }
     blas::SbgemvGroupedArgs<C3> args;
     args.base.op = adjoint ? blas::Op::C : blas::Op::N;
@@ -406,11 +341,11 @@ void FftMatvecPlan::apply_batch(std::span<const OperatorGroup> groups,
     args.base.alpha = C3(1);
     args.base.lda = dims_.n_d_local;
     args.base.stride_a = dims_.n_d_local * dims_.n_m_local;
-    args.base.x = spec_t_set[par]->get<C3>(*dev_, nf * cmax * ns_in);
-    args.base.stride_x = cb * ns_in;
+    args.base.x = spec_t_.get<C3>(*dev_, nf * b * ns_in);
+    args.base.stride_x = b * ns_in;
     args.base.beta = C3(0);
-    args.base.y = ospec_t_set[par]->get<C3>(*dev_, nf * cmax * ns_out);
-    args.base.stride_y = cb * ns_out;
+    args.base.y = ospec_t_.get<C3>(*dev_, nf * b * ns_out);
+    args.base.stride_y = b * ns_out;
     args.base.batch = nf;
     args.rhs_stride_x = ns_in;
     args.rhs_stride_y = ns_out;
@@ -418,91 +353,89 @@ void FftMatvecPlan::apply_batch(std::span<const OperatorGroup> groups,
     blas::SbgemvVerify<C3> vreq;
     if (verify != VerifyMode::kOff) {
       vreq.enabled = true;
-      vreq.checksum_out = chk_->data() + chk_offset(i);
-      vreq.scale_out = chk_scale_->data() + chk_offset(i);
+      vreq.checksum_out = chk_->data();
+      vreq.scale_out = chk_scale_->data();
       vreq.tolerance = vtol.gemv;
     }
     return std::pair(args, vreq);
   };
 
-  const auto stage2 = [&](index_t i) {
-    const index_t lo = chunk_lo(i), hi = chunk_lo(i + 1);
-    const index_t cb = hi - lo;
-    const std::size_t par = static_cast<std::size_t>(i % 2);
-    sb->wait(ev_fft[static_cast<std::size_t>(i)]);
-    const double t0 = sb->now();
-    dispatch2(p2, p3, [&](auto tag2, auto tag3) {
-      using C2 = std::complex<decltype(tag2)>;
-      using C3 = std::complex<decltype(tag3)>;
-      const C2* spec = spec_set[par]->get<C2>(*dev_, cmax * ns_in * nf);
-      C3* spec_t = spec_t_set[par]->get<C3>(*dev_, nf * cmax * ns_in);
-      if (fuse || std::is_same_v<C2, C3>) {
-        precision::transpose_cast<C3>(*sb, spec, spec_t, cb * ns_in, nf);
-      } else {
-        C2* tmp = spec_t_set[par]->get<C2>(*dev_, nf * cmax * ns_in);
-        precision::transpose_cast<C2>(*sb, spec, tmp, cb * ns_in, nf);
-        precision::convert_array(*sb, tmp, spec_t, nf * cb * ns_in);
+  // ---- Stage 2: Fourier reorder + grouped SBGEMV.
+  t0 = s.now();
+  dispatch2(p2, p3, [&](auto tag2, auto tag3) {
+    using C2 = std::complex<decltype(tag2)>;
+    using C3 = std::complex<decltype(tag3)>;
+    const C2* spec = spec_.get<C2>(*dev_, b * ns_in * nf);
+    C3* spec_t = spec_t_.get<C3>(*dev_, nf * b * ns_in);
+    if (fuse || std::is_same_v<C2, C3>) {
+      precision::transpose_cast<C3>(s, spec, spec_t, b * ns_in, nf);
+    } else {
+      C2* tmp = spec_t_.get<C2>(*dev_, nf * b * ns_in);
+      precision::transpose_cast<C2>(s, spec, tmp, b * ns_in, nf);
+      precision::convert_array(s, tmp, spec_t, nf * b * ns_in);
+    }
+  });
+  dispatch2(p3, p4, [&](auto tag3, auto tag4) {
+    using C3 = std::complex<decltype(tag3)>;
+    using C4 = std::complex<decltype(tag4)>;
+    std::vector<blas::SbgemvGroup<C3>> gemv_groups;
+    const auto [args, vreq] = gemv_args(tag3, gemv_groups);
+    const double gemv_t0 = s.now();
+    blas::sbgemv_grouped(s, args, gemv_policy, vreq);
+    gemv_seconds += s.now() - gemv_t0;
+    // The fused inverse FFT of stage 3 reads the GEMV output where it
+    // lies.  The fusion ablation reorders it back here instead; that
+    // reorder is then the first kernel to read the GEMV output after
+    // its write-back (the SDC site), so a verified apply's checksum
+    // compare rides it: each row tile's first block checks its
+    // frequency blocks' (entry, RHS) columns.
+    if (fuse) return;
+    blas::GemvVerifyFailure fail;
+    const auto reorder = [&](auto* dst) {
+      if (verify == VerifyMode::kOff) {
+        precision::transpose_cast(s, args.base.y, dst, nf, b * ns_out);
+        return;
       }
-    });
-    dispatch2(p3, p4, [&](auto tag3, auto tag4) {
-      using C3 = std::complex<decltype(tag3)>;
-      using C4 = std::complex<decltype(tag4)>;
-      std::vector<blas::SbgemvGroup<C3>> gemv_groups;
-      const auto [args, vreq] = gemv_args(tag3, i, *sb, gemv_groups);
-      const double gemv_t0 = sb->now();
-      blas::sbgemv_grouped(*sb, args, gemv_policy, vreq);
-      gemv_seconds += sb->now() - gemv_t0;
-      // The fused inverse FFT of stage 3 reads the GEMV output where
-      // it lies.  The fusion ablation reorders it back here instead;
-      // that reorder is then the first kernel to read the GEMV output
-      // after its write-back (the SDC site), so a verified apply's
-      // checksum compare rides it: each row tile's first block checks
-      // its frequency blocks' (entry, RHS) columns.
-      if (fuse) return;
-      blas::GemvVerifyFailure fail;
-      const auto reorder = [&](auto* dst) {
-        if (verify == VerifyMode::kOff) {
-          precision::transpose_cast(*sb, args.base.y, dst, nf, cb * ns_out);
-          return;
-        }
-        precision::transpose_cast(
-            *sb, args.base.y, dst, nf, cb * ns_out,
-            [&](index_t f0, index_t f1) {
-              for (index_t f = f0; f < f1; ++f) {
-                blas::gemv_grouped_verify_block(args, vreq, &fail, f);
-              }
-            },
-            blas::gemv_compare_extra_footprint<C3>(ns_out, nf, cb));
-      };
-      C4* ospec = ospec_set[par]->get<C4>(*dev_, cmax * ns_out * nf);
-      if (std::is_same_v<C3, C4>) {
-        reorder(ospec);
-      } else {
-        C3* tmp = ospec_set[par]->get<C3>(*dev_, cmax * ns_out * nf);
-        reorder(tmp);
-        precision::convert_array(*sb, tmp, ospec, cb * ns_out * nf);
-      }
-      blas::throw_if_checksum_failed(fail);
-    });
-    trace_phase(*sb, "sbgemv", i, cb, t0);
-    timings_.sbgemv += sb->now() - t0;
-    ev_gemv[static_cast<std::size_t>(i)].record(*sb);
-  };
+      precision::transpose_cast(
+          s, args.base.y, dst, nf, b * ns_out,
+          [&](index_t f0, index_t f1) {
+            for (index_t f = f0; f < f1; ++f) {
+              blas::gemv_grouped_verify_block(args, vreq, &fail, f);
+            }
+          },
+          blas::gemv_compare_extra_footprint<C3>(ns_out, nf, b));
+    };
+    C4* ospec = ospec_.get<C4>(*dev_, b * ns_out * nf);
+    if (std::is_same_v<C3, C4>) {
+      reorder(ospec);
+    } else {
+      C3* tmp = ospec_.get<C3>(*dev_, b * ns_out * nf);
+      reorder(tmp);
+      precision::convert_array(s, tmp, ospec, b * ns_out * nf);
+    }
+    blas::throw_if_checksum_failed(fail);
+  });
+  trace_phase("sbgemv", t0);
+  timings_.sbgemv += s.now() - t0;
 
-  // Stage 3 of the fused pipeline: ONE batched inverse real FFT over
-  // the chunk's cb * ns_out sequences.  Sequence q = r * ns_out + s
-  // (chunk RHS r, entry s) loads bin f from the GEMV's frequency-outer
-  // output at f * cb * ns_out + q, in p3, cast to p4 in-register, and
-  // stores its first nt samples straight into output r at
-  // t * ns_out + s, rounded p4 -> p5 -> double; the padding tail is
-  // dropped.  The launch is the first kernel to read the GEMV output
-  // after its write-back, so it carries a verified apply's checksum
-  // compare — gridblock q checks frequencies [q nf / nq, (q+1) nf / nq),
-  // so each (frequency, RHS) column is checked once — and a paranoid
-  // apply's inverse Parseval check.
-  const auto inverse_fused = [&](index_t i, double* const* out) {
-    const index_t cb = chunk_lo(i + 1) - chunk_lo(i);
-    const index_t nq = cb * ns_out;
+  // ---- Stage 3: inverse FFT (+ unpad in the fusion ablation).
+  t0 = s.now();
+  std::vector<double*> dsts;
+  dsts.reserve(static_cast<std::size_t>(b));
+  for (index_t r = 0; r < b; ++r) dsts.push_back(outputs[r].data());
+  if (fuse) {
+    // ONE batched inverse real FFT over the b * ns_out sequences.
+    // Sequence q = r * ns_out + j (RHS r, entry j) loads bin f from
+    // the GEMV's frequency-outer output at f * b * ns_out + q, in p3,
+    // cast to p4 in-register, and stores its first nt samples straight
+    // into output r at t * ns_out + j, rounded p4 -> p5 -> double; the
+    // padding tail is dropped.  The launch is the first kernel to read
+    // the GEMV output after its write-back, so it carries a verified
+    // apply's checksum compare — gridblock q checks frequencies
+    // [q nf / nq, (q+1) nf / nq), so each (frequency, RHS) column is
+    // checked once — and a paranoid apply's inverse Parseval check.
+    const index_t nq = b * ns_out;
+    double* const* out = dsts.data();
     dispatch2(p3, p4, [&](auto tag3, auto tag4) {
       dispatch1(p5, [&](auto tag5) {
         using C3 = std::complex<decltype(tag3)>;
@@ -511,7 +444,7 @@ void FftMatvecPlan::apply_batch(std::span<const OperatorGroup> groups,
         using S5 = decltype(tag5);
         auto& plan = fft_plan(tag4, /*d_side=*/!adjoint);
         std::vector<blas::SbgemvGroup<C3>> gemv_groups;
-        const auto [args, vreq] = gemv_args(tag3, i, sa, gemv_groups);
+        const auto [args, vreq] = gemv_args(tag3, gemv_groups);
         const C3* y = args.base.y;
         const auto load = [=](index_t q, index_t f) {
           return precision::convert_scalar<C4>(y[f * nq + q]);
@@ -529,114 +462,89 @@ void FftMatvecPlan::apply_batch(std::span<const OperatorGroup> groups,
             blas::gemv_grouped_verify_block(args, vreq, &fail, f);
           }
         };
-        auto fp = plan.fused_footprint(cb, static_cast<double>(nf * sizeof(C3)),
+        auto fp = plan.fused_footprint(b, static_cast<double>(nf * sizeof(C3)),
                                        static_cast<double>(nt * sizeof(double)));
         if (verify != VerifyMode::kOff) {
-          const auto extra = blas::gemv_compare_extra_footprint<C3>(ns_out, nf, cb);
+          const auto extra = blas::gemv_compare_extra_footprint<C3>(ns_out, nf, b);
           fp.bytes_read += extra.bytes_read;
           fp.bytes_written += extra.bytes_written;
           fp.flops += extra.flops;
         }
         fft::ParsevalFailure parseval_fail;
         const fft::ParsevalCheck parseval{vtol.fft_inverse, &parseval_fail};
-        plan.inverse_fused_on(sa, cb, fp, load, store, compare,
+        plan.inverse_fused_on(s, b, fp, load, store, compare,
                               verify == VerifyMode::kParanoid ? &parseval : nullptr);
         blas::throw_if_checksum_failed(fail);
         parseval_fail.throw_if_any("fft-parseval-inverse");
       });
     });
-  };
-
-  const auto stage3 = [&](index_t i) {
-    const index_t lo = chunk_lo(i), hi = chunk_lo(i + 1);
-    const index_t cb = hi - lo;
-    const std::size_t par = static_cast<std::size_t>(i % 2);
-    sa.wait(ev_gemv[static_cast<std::size_t>(i)]);
-    double t0 = sa.now();
-    std::vector<double*> dsts;
-    dsts.reserve(static_cast<std::size_t>(cb));
-    for (index_t r = lo; r < hi; ++r) dsts.push_back(outputs[r].data());
-    if (fuse) {
-      inverse_fused(i, dsts.data());
-      trace_phase(sa, "ifft", i, cb, t0);
-      timings_.ifft += sa.now() - t0;
-      return;
-    }
+    trace_phase("ifft", t0);
+    timings_.ifft += s.now() - t0;
+  } else {
     // The fusion ablation: inverse FFT into the padded buffer, then
-    // unpad in p4 into a plan buffer, cast the chunk to p5, then each
+    // unpad in p4 into a plan buffer, cast the batch to p5, then each
     // RHS to its output (an all-double chain unpads straight into the
     // outputs).
     dispatch1(p4, [&](auto tag4) {
       using S4 = decltype(tag4);
       using C4 = std::complex<S4>;
       auto& plan = fft_plan(tag4, /*d_side=*/!adjoint);
-      const C4* ospec = ospec_set[par]->get<C4>(*dev_, cmax * ns_out * nf);
-      S4* opad = opad_.get<S4>(*dev_, cmax * ns_out * L);
-      plan.inverse_on(sa, ospec, nf, opad, L, /*batch_multiplier=*/cb);
+      const C4* ospec = ospec_.get<C4>(*dev_, b * ns_out * nf);
+      S4* opad = opad_.get<S4>(*dev_, b * ns_out * L);
+      plan.inverse_on(s, ospec, nf, opad, L, /*batch_multiplier=*/b);
       if (verify == VerifyMode::kParanoid) {
-        plan.verify_parseval_on(sa, opad, L, ospec, nf, cb, vtol.fft_inverse,
+        plan.verify_parseval_on(s, opad, L, ospec, nf, b, vtol.fft_inverse,
                                 "fft-parseval-inverse");
       }
     });
-    trace_phase(sa, "ifft", i, cb, t0);
-    timings_.ifft += sa.now() - t0;
-    t0 = sa.now();
+    trace_phase("ifft", t0);
+    timings_.ifft += s.now() - t0;
+    t0 = s.now();
     dispatch2(p4, p5, [&](auto tag4, auto tag5) {
       using S4 = decltype(tag4);
       using S5 = decltype(tag5);
       const index_t n = nt * ns_out;
-      const S4* opad = opad_.get<S4>(*dev_, cmax * ns_out * L);
+      const S4* opad = opad_.get<S4>(*dev_, b * ns_out * L);
       if (std::is_same_v<S4, double> && std::is_same_v<S5, double>) {
-        precision::unpad_transpose_cast<S5>(sa, opad, std::span<double* const>(dsts),
+        precision::unpad_transpose_cast<S5>(s, opad, std::span<double* const>(dsts),
                                             nt, ns_out, L);
         return;
       }
-      S4* out4 = olocal_.get<S4>(*dev_, cmax * n);
+      S4* out4 = olocal_.get<S4>(*dev_, b * n);
       std::vector<S4*> dsts4;
-      for (index_t k = 0; k < cb; ++k) dsts4.push_back(out4 + k * n);
-      precision::unpad_transpose_cast<S4>(sa, opad, std::span<S4* const>(dsts4),
+      for (index_t k = 0; k < b; ++k) dsts4.push_back(out4 + k * n);
+      precision::unpad_transpose_cast<S4>(s, opad, std::span<S4* const>(dsts4),
                                           nt, ns_out, L);
       const auto cast_out = [&](const auto* from) {
-        for (index_t k = 0; k < cb; ++k) {
-          precision::convert_array(sa, from + k * n,
+        for (index_t k = 0; k < b; ++k) {
+          precision::convert_array(s, from + k * n,
                                    dsts[static_cast<std::size_t>(k)], n);
         }
       };
       if constexpr (!std::is_same_v<S4, S5> && !std::is_same_v<S5, double>) {
-        S5* out5 = olocal_.get<S5>(*dev_, cmax * n);
-        precision::convert_array(sa, out4, out5, cb * n);
+        S5* out5 = olocal_.get<S5>(*dev_, b * n);
+        precision::convert_array(s, out4, out5, b * n);
         cast_out(out5);
       } else {
         cast_out(out4);
       }
     });
-    trace_phase(sa, "unpad", i, cb, t0);
-    timings_.unpad += sa.now() - t0;
-  };
-
-  stage1(0);
-  for (index_t i = 0; i < chunks; ++i) {
-    stage2(i);
-    if (i + 1 < chunks) stage1(i + 1);
-    stage3(i);
+    trace_phase("unpad", t0);
+    timings_.unpad += s.now() - t0;
   }
-  // Stream A waited on every stage-2 event, so its elapsed time IS
-  // the two-stream makespan: overlapped time is credited as
-  // max-over-streams, while the per-phase fields above carry the
-  // busy-time sum (makespan == busy total iff chunks == 1).
-  timings_.makespan = sa.now() - t_begin;
+  // One in-order stream: the elapsed clock is the busy-time total.
+  timings_.makespan = s.now() - t_begin;
 
   // ---- Per-RHS attribution (last_batch_timings).  Phases 1/2/4/5,
-  // the phase-3 reorder(s) and the batch makespan do identical work per
-  // RHS (one shape per batch) and split evenly (so the shares' phase
-  // fields sum to the batch's busy phases and their makespans to the
-  // batch makespan); the GEMV launch splits across groups in
-  // proportion to each group's modelled traffic — one n_d x n_m
-  // matrix read per group plus the group's (ns_in + ns_out) vector
-  // elements per RHS, the nf and element-size factors cancelling —
-  // then evenly within a group.  A singleton group therefore carries
-  // its full matrix read while a b-wide group amortises its own over
-  // b requests; with one group this reduces to the even split.
+  // the phase-3 reorder(s) and the makespan do identical work per RHS
+  // (one shape per batch) and split evenly; the GEMV launch splits
+  // across groups in proportion to each group's modelled traffic —
+  // one n_d x n_m matrix read per group plus the group's
+  // (ns_in + ns_out) vector elements per RHS, the nf and element-size
+  // factors cancelling — then evenly within a group.  A singleton
+  // group therefore carries its full matrix read while a b-wide group
+  // amortises its own over b requests; with one group this reduces to
+  // the even split.
   const double db = static_cast<double>(b);
   const double mat_w = static_cast<double>(dims_.n_d_local) *
                        static_cast<double>(dims_.n_m_local);

@@ -43,14 +43,10 @@
 // width.
 //
 // One executor runs every apply: the grouped apply_batch, with b
-// right-hand sides; forward()/adjoint() are its one-RHS calls.
-// Batches optionally execute phase-pipelined: the RHS dimension
-// splits into chunks software-pipelined over two streams under the
-// device layer's Event/Stream::wait ordering contract (see
-// BatchPipeline and device/stream.hpp), overlapping one chunk's
-// SBGEMV with its successor's pad+FFT.  Outputs are bit-identical to
-// the serial batch; PhaseTimings separates the end-to-end makespan
-// from the busy-time phase fields.
+// right-hand sides; forward()/adjoint() are its one-RHS calls.  It
+// runs the five phases in sequence on the plan's own stream, as the
+// paper's FFTMatvec does; a batch widens each launch instead of
+// adding launches.
 #pragma once
 
 #include <cstdint>
@@ -75,13 +71,13 @@ namespace fftmv::core {
 /// simulated seconds each phase's kernels were charged, regardless of
 /// which stream ran them — so total() is the serial-equivalent work.
 /// `makespan` is the end-to-end simulated duration of the apply.  A
-/// serial apply sets makespan == total(); a pipelined apply_batch
-/// overlaps the SBGEMV stage with the FFT stages of neighbouring RHS
-/// chunks on a second stream, so makespan < total() and the gap is
-/// exactly the overlapped time (credited max-over-streams, see
-/// device/stream.hpp).  Per-RHS attributions (last_batch_timings)
-/// split both: phase fields sum to the batch's phase fields and
-/// makespan shares sum to the batch makespan.
+/// single-rank apply runs on one in-order stream, so makespan ==
+/// total().  Only a sharded DistributedMatvecPlan apply overlaps work:
+/// its ranks run concurrently, so the group makespan (max over rank
+/// streams, plus collectives) falls below the summed busy time.
+/// Per-RHS attributions (last_batch_timings) split both: phase fields
+/// sum to the batch's phase fields and makespan shares sum to the
+/// batch makespan.
 struct PhaseTimings {
   double pad = 0.0;     ///< transpose/pad (+cast)
   double fft = 0.0;     ///< phase-2 batched FFT
@@ -95,7 +91,7 @@ struct PhaseTimings {
   /// fused path.
   double unpad = 0.0;
   double comm = 0.0;    ///< modelled collectives (DistributedMatvecPlan)
-  double makespan = 0.0;  ///< end-to-end duration (== total() when serial)
+  double makespan = 0.0;  ///< end-to-end duration (== total() at one rank)
 
   double compute_total() const { return pad + fft + sbgemv + ifft + unpad; }
   double total() const { return compute_total() + comm; }
@@ -110,23 +106,24 @@ struct PhaseTimings {
 /// adjoint() remain the single-RHS spellings).
 enum class ApplyDirection : unsigned char { kForward, kAdjoint };
 
-/// ABFT verification level for apply_batch:
+/// ABFT verification level for apply_batch, a per-apply argument
+/// rather than a MatvecOptions field so flipping it never splits
+/// plan-cache entries:
 ///   kOff       no checks (today's behaviour, zero extra cost);
 ///   kChecksum  Huang-Abraham column checksums on the grouped
 ///              phase-3 SBGEMV — covers the library's silent-
 ///              corruption injection site at a few percent modelled
 ///              overhead;
-///   kParanoid  checksum plus a Parseval energy invariant on every
-///              phase-2/4 FFT chunk (defense in depth for corruption
+///   kParanoid  checksum plus a Parseval energy invariant on the
+///              phase-2/4 FFTs (defense in depth for corruption
 ///              sources the GEMV checksum cannot see).
 /// Detection throws device::SilentCorruption; outputs of a verified
 /// apply are bit-identical to an unverified one (the checks only
 /// read), so a clean recompute after a detection is a full repair.
-/// A verified apply that throws may already have written some of its
-/// outputs: the detecting chunk's, whose inverse FFT carries the
-/// checks, and a pipelined apply's earlier chunks.  Callers must not
-/// read the outputs of a throwing apply (the serving layer fulfils a
-/// failed request with a fresh result that has no output).
+/// A verified apply that throws may already have written its outputs:
+/// the inverse FFT that writes them carries the checks.  Callers must
+/// not read the outputs of a throwing apply (the serving layer fulfils
+/// a failed request with a fresh result that has no output).
 /// Tolerances come from core::verify_tolerances, calibrated per
 /// precision config so legitimate rounding never trips a check.
 enum class VerifyMode : unsigned char { kOff, kChecksum, kParanoid };
@@ -144,32 +141,6 @@ inline const char* verify_mode_name(VerifyMode m) {
 /// in an apply_batch call.
 using VectorView = std::span<double>;
 using ConstVectorView = std::span<const double>;
-
-/// Pipelined-execution request for apply_batch: split the batch's b
-/// right-hand sides into `chunks` contiguous chunks and software-
-/// pipeline them across two streams — chunk i's phase-3 grouped
-/// SBGEMV (plus its Fourier reorder) runs on the auxiliary stream
-/// while chunk i+1's phase-1/2 pad+FFT runs on the plan's own stream,
-/// with phase-4/5 draining behind.  Cross-stream ordering uses the
-/// device layer's Event/Stream::wait contract; the spectrum
-/// workspaces ping-pong so a chunk's FFT never overwrites the
-/// spectrum its predecessor's GEMV is still consuming.  Results are
-/// bit-identical to the serial batch for every precision config
-/// (chunks partition the RHS dimension; per-RHS arithmetic is
-/// untouched); chunks <= 1 is exactly today's serial execution.
-struct BatchPipeline {
-  /// RHS chunks to pipeline; clamped to the batch size; <= 1 = serial.
-  index_t chunks = 1;
-  /// Stream for the SBGEMV stage.  nullptr lets the plan use an
-  /// internally-owned second stream; the serving layer passes its
-  /// lane's own auxiliary stream instead (stream pairs are lane-
-  /// owned, so a cached plan is still never driven by two threads).
-  device::Stream* aux = nullptr;
-  /// ABFT verification level for this batch (see VerifyMode).  Lives
-  /// here rather than in MatvecOptions so flipping it never splits
-  /// plan-cache entries.
-  VerifyMode verify = VerifyMode::kOff;
-};
 
 struct MatvecOptions {
   blas::GemvKernelPolicy gemv_policy = blas::GemvKernelPolicy::kAuto;
@@ -211,15 +182,14 @@ class FftMatvecPlan {
   /// bit-identical to b independent forward()/adjoint() calls for
   /// every precision config — those are this same executor at b == 1.
   /// last_timings() afterwards holds the totals for the whole batch
-  /// and last_batch_timings() the per-RHS shares.  `pipeline` requests
-  /// chunked dual-stream execution (bit-identical outputs, lower
-  /// makespan — see BatchPipeline).  A verified apply that throws may
-  /// have written some outputs (see VerifyMode).
+  /// and last_batch_timings() the per-RHS shares.  `verify` arms the
+  /// ABFT checks; a verified apply that throws may have written its
+  /// outputs (see VerifyMode).
   void apply_batch(const BlockToeplitzOperator& op, ApplyDirection direction,
                    const precision::PrecisionConfig& config,
                    std::span<const ConstVectorView> inputs,
                    std::span<const VectorView> outputs,
-                   const BatchPipeline& pipeline = {});
+                   VerifyMode verify = VerifyMode::kOff);
 
   /// One operator's contiguous slice of a grouped batch: `rhs_count`
   /// right-hand sides applied through `op`.  Every group's operator
@@ -241,15 +211,13 @@ class FftMatvecPlan {
   /// ordered group by group: group g's RHS r sits at global index
   /// (sum of earlier groups' rhs_count) + r.  Results are
   /// bit-identical to per-operator apply_batch calls (and therefore
-  /// to b independent applies) in every precision config, pipelined
-  /// or serial (chunks split the RHS dimension across group
-  /// boundaries; each chunk carries its groups' slice).
+  /// to b independent applies) in every precision config.
   void apply_batch(std::span<const OperatorGroup> groups,
                    ApplyDirection direction,
                    const precision::PrecisionConfig& config,
                    std::span<const ConstVectorView> inputs,
                    std::span<const VectorView> outputs,
-                   const BatchPipeline& pipeline = {});
+                   VerifyMode verify = VerifyMode::kOff);
 
   /// Timings of the most recent apply (an apply_batch reports the
   /// whole batch's totals).
@@ -302,7 +270,7 @@ class FftMatvecPlan {
   std::optional<fft::BatchedRealFft<double>> fft_m_d_, fft_d_d_;
   std::optional<fft::BatchedRealFft<float>> fft_m_f_, fft_d_f_;
 
-  // Pipeline buffers (shared between directions, max-size semantics).
+  // Phase buffers (shared between directions, max-size semantics).
   // The pad reads and the inverse FFT writes the caller's vectors
   // directly, so a fused apply needs nothing outside the five phases.
   DualReal padded_;    ///< SOTI zero-padded real input (x L)
@@ -315,22 +283,10 @@ class FftMatvecPlan {
   DualReal stage_;     ///< input cast to p1
   DualReal olocal_;    ///< unpadded output in p4, then p5
 
-  // Second spectrum workspace set for pipelined apply_batch: chunk i
-  // uses set i % 2, so chunk i+1's FFT (stream A) writes while chunk
-  // i's GEMV stage (stream B) still reads the other set.  Serial
-  // applies only ever touch set 0 (the members above).  ospec_alt_
-  // is the fusion ablation's.
-  DualComplex spec_alt_, spec_t_alt_, ospec_t_alt_, ospec_alt_;
-  /// Lazily-created second stream for pipelined applies when the
-  /// caller does not supply one (BatchPipeline::aux == nullptr).
-  std::optional<device::Stream> owned_aux_;
-
   // ABFT verify workspaces (double-width regardless of the precision
   // config — see blas::SbgemvVerify::acc_t): per (frequency block,
-  // RHS) checksum dots and magnitude estimates.  The GEMV writes them
-  // on the SBGEMV stage's stream and the fused inverse FFT compares
-  // them on the plan's own, so a pipelined apply holds two halves,
-  // chunk i using half i % 2, like the spectrum sets.
+  // RHS) checksum dots and magnitude estimates, written by the GEMV
+  // and compared by the first kernel that reads its output.
   std::optional<device::device_vector<cdouble>> chk_;
   std::optional<device::device_vector<double>> chk_scale_;
 };

@@ -15,7 +15,7 @@
 //     plus pipeline fill/drain.
 // The overlapped schedule is replayed on the device layer's
 // Event/Stream::wait machinery — the same inter-stream dependency
-// model the pipelined apply_batch executes on — with one clock for
+// model a sharded apply's rank syncs use — with one clock for
 // the host and one for the device: the device waits on each step's
 // generation event (and the consumption that frees its double
 // buffer), the host waits on the device before consuming.  The

@@ -14,9 +14,9 @@
 // max(own clock, event clock).  Because streams are in order, every
 // launch issued after the wait is therefore modelled as starting no
 // earlier than the recorded point — this is the whole dependency
-// semantics multi-stream software pipelines (pipelined apply_batch,
-// the overlap ablation) are built on.  The jump, if any, is idle
-// time: it advances now() but not busy().
+// semantics multi-stream schedules (a sharded apply's rank syncs, the
+// host-I/O overlap of core::sequence_driver) are built on.  The jump,
+// if any, is idle time: it advances now() but not busy().
 //
 // Makespan vs busy time: now() is the stream's clock (work + idle),
 // busy() only the charged work.  For a group of streams on one
@@ -126,7 +126,7 @@ class Stream {
   /// util::trace device-clock track id for spans charged to this
   /// stream; -1 (the default) marks the stream untracked, so phantom
   /// cost-model probes and ad-hoc streams never emit trace events.
-  /// AsyncScheduler assigns ids per lane stream pair.
+  /// AsyncScheduler assigns each lane's first stream an id.
   int trace_tid() const { return trace_tid_; }
   void set_trace_tid(int tid) { trace_tid_ = tid; }
 

@@ -43,17 +43,17 @@ struct SessionSummary {
 };
 
 /// Per-lane utilisation: simulated busy vs wall time of the lane's
-/// stream pair, sampled on the owning lane thread at the end of each
+/// rank streams, sampled on the owning lane thread at the end of each
 /// dispatched batch (the stream clocks are plain doubles, so only the
-/// lane thread may read them).  `busy` sums the pair's charged work
-/// and `wall` is the pair's makespan, so a pipelined lane can show
-/// utilization() > 1: the aux stream's overlapped SBGEMV work is real
+/// lane thread may read them).  `busy` sums the streams' charged work
+/// and `wall` is their makespan, so a lane that ran sharded batches
+/// can show utilization() > 1: its ranks' concurrent work is real
 /// work that did not extend the lane's clock.
 struct LaneSummary {
   std::int64_t batches = 0;
   std::int64_t requests = 0;
-  double busy_sim_seconds = 0.0;  ///< sum over the lane's stream pair
-  double wall_sim_seconds = 0.0;  ///< max over the lane's stream pair
+  double busy_sim_seconds = 0.0;  ///< sum over the lane's rank streams
+  double wall_sim_seconds = 0.0;  ///< max over the lane's rank streams
   /// Simulated collective time charged by this lane's sharded
   /// (rank-group) batches; zero for lanes that only ran single-rank
   /// work.  Accumulates per batch, unlike the cumulative clocks above.
@@ -210,7 +210,7 @@ class ServeMetrics {
   void record_cache(std::int64_t hits, std::int64_t misses, std::int64_t evictions);
   /// Per-lane utilisation sample, taken by the OWNING lane thread at
   /// the end of a dispatched batch: `busy_sim_seconds` /
-  /// `wall_sim_seconds` are the lane stream pair's cumulative
+  /// `wall_sim_seconds` are the lane's rank streams' cumulative
   /// busy-sum and makespan (monotone, so they overwrite rather than
   /// accumulate); `requests` is this batch's size and increments.
   void record_lane(int lane, std::int64_t requests, double busy_sim_seconds,

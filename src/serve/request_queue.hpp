@@ -114,8 +114,8 @@ struct MatvecResult {
   double exec_seconds = 0.0;   ///< execution start -> completion (wall)
   /// This request's share of the batch's end-to-end simulated
   /// duration (makespan): shares sum to the lane's clock advance even
-  /// when a pipelined batch overlapped SBGEMV with FFT across its
-  /// stream pair.  Per-phase busy time lives in `timings`.
+  /// when a sharded batch's ranks ran concurrently.  Per-phase busy
+  /// time lives in `timings`.
   double sim_seconds = 0.0;
   /// This request's share of the batch's per-phase simulated times: a
   /// coalesced batch runs as ONE fused apply_batch, and the batch

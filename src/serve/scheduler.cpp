@@ -41,11 +41,6 @@ ServeOptions resolve_options(ServeOptions options) {
   if (options.plan_cache_capacity == 0) {
     throw std::invalid_argument("ServeOptions: plan_cache_capacity must be >= 1");
   }
-  if (options.pipeline_chunks < 0) {
-    throw std::invalid_argument(
-        "ServeOptions: pipeline_chunks must be >= 0, got " +
-        std::to_string(options.pipeline_chunks));
-  }
   if (options.max_rank_group < 1) {
     throw std::invalid_argument(
         "ServeOptions: max_rank_group must be >= 1, got " +
@@ -95,75 +90,34 @@ bool retryable(ErrorCode code) {
          code == ErrorCode::kSilentCorruption;
 }
 
-/// Shared fixture for the adaptive-policy probes: a phantom device
-/// (dry runs are pure cost-model arithmetic — deterministic per
-/// DeviceSpec, no buffers, no kernels), a stream pair, an empty-
-/// column operator and a plan at `dims`.  `timed_apply` runs one
-/// null-view apply_batch and returns its simulated duration.
+/// Fixture for the adaptive rank-group probe: a phantom device (dry
+/// runs are pure cost-model arithmetic — deterministic per
+/// DeviceSpec, no buffers, no kernels), a stream, an empty-column
+/// operator and a plan at `dims`.  `timed_apply` runs one null-view
+/// apply_batch and returns its simulated duration.
 struct PhantomProbe {
   device::Device dev;
-  device::Stream stream, aux;
+  device::Stream stream;
   core::BlockToeplitzOperator op;
   core::FftMatvecPlan plan;
 
   PhantomProbe(const device::DeviceSpec& spec, const core::LocalDims& dims)
       : dev(spec, &util::ThreadPool::global(), /*phantom=*/true),
         stream(dev),
-        aux(dev),
         op(dev, stream, dims, {}),
         plan(dev, stream, dims) {}
 
   double timed_apply(index_t b, core::ApplyDirection direction,
-                     const precision::PrecisionConfig& config,
-                     index_t chunks = 1) {
+                     const precision::PrecisionConfig& config) {
     const std::vector<core::ConstVectorView> ins(static_cast<std::size_t>(b));
     const std::vector<core::VectorView> outs(static_cast<std::size_t>(b));
     const double t0 = stream.now();
-    plan.apply_batch(op, direction, config, ins, outs, {chunks, &aux});
+    plan.apply_batch(op, direction, config, ins, outs);
     return stream.now() - t0;
   }
 };
 
 }  // namespace
-
-int adaptive_pipeline_chunks(const device::DeviceSpec& spec,
-                             const core::ProblemDims& dims, int max_batch,
-                             core::ApplyDirection direction,
-                             const precision::PrecisionConfig& config) {
-  return adaptive_pipeline_chunks(spec, core::LocalDims::single_rank(dims),
-                                  max_batch, direction, config);
-}
-
-int adaptive_pipeline_chunks(const device::DeviceSpec& spec,
-                             const core::LocalDims& dims, int max_batch,
-                             core::ApplyDirection direction,
-                             const precision::PrecisionConfig& config) {
-  // Probe the chunked dual-stream pipeline at the tenant's own shape,
-  // batch size, direction and precision config — a handful of phantom
-  // pipeline evaluations, memoized by the scheduler per combination.
-  // Chunking re-pays the grouped SBGEMV's matrix traffic once per
-  // chunk, so the argmin naturally lands on serial for small
-  // batches/shapes and on 2-8 chunks where the batch is wide enough
-  // for overlap to dominate the re-read.
-  constexpr double kMinGain = 0.03;  // < 3% modelled win: stay serial
-  const index_t b = std::max(1, max_batch);
-  PhantomProbe probe(spec, dims);
-  if (config.phase(precision::kPhaseSbgemv) == precision::Precision::kSingle) {
-    probe.op.spectrum_f(probe.stream);  // warm the cast outside the probe
-  }
-  double serial_s = 0.0, best_s = 0.0;
-  int best_chunks = 1;
-  for (const index_t chunks : {1, 2, 4, 8}) {
-    if (chunks != 1 && chunks * 2 > b) break;  // < 2 RHS per chunk: skip
-    const double t = probe.timed_apply(b, direction, config, chunks);
-    if (chunks == 1) serial_s = t;
-    if (chunks == 1 || t < best_s) {
-      best_s = t;
-      best_chunks = static_cast<int>(chunks);
-    }
-  }
-  return best_s < serial_s * (1.0 - kMinGain) ? best_chunks : 1;
-}
 
 int adaptive_rank_group(const device::DeviceSpec& spec,
                         const core::ProblemDims& dims, int max_rank_group,
@@ -218,18 +172,15 @@ AsyncScheduler::AsyncScheduler(const device::DeviceSpec& spec, ServeOptions opti
              options_.overload_policy) {
   lanes_.resize(static_cast<std::size_t>(options_.num_streams));
   for (std::size_t i = 0; i < lanes_.size(); ++i) {
-    const StreamPair& pair = lanes_[i].pairs.emplace_back(dev_);
-    // Device-clock trace tracks: lane i's main stream is tid 2i, its
-    // aux (pipeline overlap) stream tid 2i+1.  Track names are
-    // registered unconditionally — they are session metadata, so a
-    // trace session started after construction still labels them.
-    const int tid_a = static_cast<int>(2 * i);
-    pair.stream->set_trace_tid(tid_a);
-    pair.aux->set_trace_tid(tid_a + 1);
-    util::trace::set_device_track_name(
-        tid_a, "lane " + std::to_string(i) + " stream A");
-    util::trace::set_device_track_name(
-        tid_a + 1, "lane " + std::to_string(i) + " stream B");
+    // Device-clock trace tracks: lane i's rank-0 stream is tid i.
+    // Track names are registered unconditionally — they are session
+    // metadata, so a trace session started after construction still
+    // labels them.
+    const auto& stream =
+        lanes_[i].streams.emplace_back(std::make_unique<device::Stream>(dev_));
+    const int tid = static_cast<int>(i);
+    stream->set_trace_tid(tid);
+    util::trace::set_device_track_name(tid, "lane " + std::to_string(i));
   }
   // Streams first, then workers: a worker may touch any lane state
   // only through its own index.
@@ -294,15 +245,6 @@ TenantId AsyncScheduler::add_tenant(const core::ProblemDims& dims,
       op->warm_checksums(setup_stream_);
     }
   }
-  // Pre-warm the shape's full-batch forward-ddddd pipeline resolution
-  // (a phantom cost-model probe in auto mode) off the request path;
-  // other (batch size, direction, precision) combinations resolve
-  // lazily at first dispatch.  Dispatch runs per-rank slices, so the
-  // resolution is probed at rank 0's forward slice.
-  pipeline_chunks_for(op->rank_dims(core::ApplyDirection::kForward, 0),
-                      static_cast<index_t>(options_.max_batch),
-                      core::ApplyDirection::kForward,
-                      precision::PrecisionConfig{});
   std::lock_guard lock(tenants_mutex_);
   const TenantId id = next_tenant_++;
   tenants_.emplace(id, Tenant{core::LocalDims::single_rank(dims), std::move(op)});
@@ -329,36 +271,6 @@ bool AsyncScheduler::tenant_degraded(TenantId tenant) const {
         std::to_string(tenant));
   }
   return it->second.degraded;
-}
-
-int AsyncScheduler::pipeline_chunks_for(const core::LocalDims& dims,
-                                        index_t batch,
-                                        core::ApplyDirection direction,
-                                        const precision::PrecisionConfig& config) {
-  if (options_.pipeline_chunks == 1 || batch < 4) return 1;  // < 2 chunks of 2
-  if (options_.pipeline_chunks >= 2) {
-    // Forced mode: honour the override, clamped to >= 2 RHS per chunk.
-    const auto chunks = std::min<index_t>(options_.pipeline_chunks, batch / 2);
-    return chunks < 2 ? 1 : static_cast<int>(chunks);
-  }
-  const auto key = std::make_tuple(dims, batch,
-                                   direction == core::ApplyDirection::kAdjoint,
-                                   config.to_string());
-  {
-    std::lock_guard lock(pipeline_mutex_);
-    if (const auto it = pipeline_chunks_by_key_.find(key);
-        it != pipeline_chunks_by_key_.end()) {
-      return it->second;
-    }
-  }
-  // Probe outside the lock (pure phantom cost-model arithmetic, no
-  // shared state); concurrent resolvers of the same key agree, so the
-  // first writer winning is harmless.
-  const int chunks = adaptive_pipeline_chunks(
-      dev_.spec(), dims, static_cast<int>(batch), direction, config);
-  std::lock_guard lock(pipeline_mutex_);
-  pipeline_chunks_by_key_.emplace(key, chunks);
-  return chunks;
 }
 
 std::future<MatvecResult> AsyncScheduler::enqueue(Request request,
@@ -647,7 +559,7 @@ void AsyncScheduler::execute_batch(int lane, Batch& batch) {
   // and break the session dispatch-order guarantee.
   const std::int64_t batch_seq = batch.seq;
   Lane& lane_state = lanes_[static_cast<std::size_t>(lane)];
-  device::Stream& stream = *lane_state.pairs.front().stream;
+  device::Stream& stream = *lane_state.streams.front();
   const double sim_start = stream.now();
 
   const std::size_t b = batch.requests.size();
@@ -716,7 +628,6 @@ void AsyncScheduler::execute_batch(int lane, Batch& batch) {
 
   std::vector<MatvecResult> results(b);
   std::vector<core::PhaseTimings> shares(b);
-  int resolved_chunks = 1;
   int group_count = 0;
 
   // One dispatch attempt over requests [lo, hi): acquire one plan per
@@ -725,7 +636,7 @@ void AsyncScheduler::execute_batch(int lane, Batch& batch) {
   // run ONE grouped DistributedMatvecPlan::apply_batch and attribute
   // the per-request timing shares.  Throws on failure.  A failed
   // attempt may leave partial outputs in results[lo..hi) (a verified
-  // apply writes the detecting chunk's outputs before it throws; a
+  // apply may write its outputs before its checks throw; a
   // StreamFault fires before any writes), but none is visible: a
   // successful re-attempt rewrites the range completely, so retried
   // dispatches stay bit-identical to a fault-free run, and a request
@@ -750,37 +661,30 @@ void AsyncScheduler::execute_batch(int lane, Batch& batch) {
     }
     group_count = static_cast<int>(groups.size());
     const util::trace::Span apply_span("apply", "serve");
-    // Resolved for this exact (slice shape, batch size, direction,
-    // precision): every pipelined dispatch runs a configuration the
-    // model validated against serial — a partial, adjoint or
-    // lower-precision batch never inherits the full-batch
-    // forward-ddddd count.
-    resolved_chunks =
-        pipeline_chunks_for(placement.rank_dims(direction, 0),
-                            static_cast<index_t>(n), direction, config);
     // Rank plans ride the shared PlanCache under per-(lane, rank)
     // keys: rank 0 uses the lane's own index and drives the lane's
-    // first stream pair, and rank r >= 1 encodes lane + num_lanes * r,
+    // first stream, and rank r >= 1 encodes lane + num_lanes * r,
     // injective and disjoint from the lanes' [0, num_lanes) so a
-    // cached rank plan is never driven from a foreign stream.  Stream
-    // pairs grow lazily to the widest group this lane has seen.
-    std::vector<std::shared_ptr<core::FftMatvecPlan>> plans;
-    std::vector<core::DistributedMatvecPlan::RankLane> rank_lanes;
-    const auto acquire = [&](index_t rk, const StreamPair& pair, int key_lane) {
-      plans.push_back(cache_.acquire(PlanKey{placement.rank_dims(direction, rk),
+    // cached rank plan is never driven from a foreign stream.  Streams
+    // grow lazily to the widest group this lane has seen.
+    std::vector<std::shared_ptr<core::FftMatvecPlan>> owned;
+    std::vector<core::FftMatvecPlan*> plans;
+    const auto acquire = [&](index_t rk, device::Stream& rank_stream,
+                             int key_lane) {
+      owned.push_back(cache_.acquire(PlanKey{placement.rank_dims(direction, rk),
                                              options_.matvec, dev_.spec().name,
                                              key_lane},
-                                     *pair.stream));
-      rank_lanes.push_back({plans.back().get(), pair.aux.get()});
+                                     rank_stream));
+      plans.push_back(owned.back().get());
     };
     {
       const util::trace::Span acquire_span("acquire_plan", "serve");
-      while (lane_state.pairs.size() < static_cast<std::size_t>(ranks)) {
-        lane_state.pairs.emplace_back(dev_);
+      while (lane_state.streams.size() < static_cast<std::size_t>(ranks)) {
+        lane_state.streams.push_back(std::make_unique<device::Stream>(dev_));
       }
       const auto num_lanes = static_cast<int>(lanes_.size());
       for (index_t rk = 0; rk < ranks; ++rk) {
-        acquire(rk, lane_state.pairs[static_cast<std::size_t>(rk)],
+        acquire(rk, *lane_state.streams[static_cast<std::size_t>(rk)],
                 lane + num_lanes * static_cast<int>(rk));
       }
     }
@@ -789,8 +693,8 @@ void AsyncScheduler::execute_batch(int lane, Batch& batch) {
       // grouped batch; sharded, broadcast and gather fused across all
       // n right-hand sides (CommMode::kBatched).
       lane_state.dist.apply_batch(groups, direction, config, inputs, outputs,
-                                  rank_lanes, core::CommMode::kBatched,
-                                  resolved_chunks, options_.verify_mode);
+                                  plans, core::CommMode::kBatched,
+                                  options_.verify_mode);
       if (ranks > 1) {
         metrics_.record_comm(lane, lane_state.dist.last_timings().comm);
       }
@@ -807,7 +711,7 @@ void AsyncScheduler::execute_batch(int lane, Batch& batch) {
       // A rank is down for this dispatch (only a sharded placement can
       // lose one): mark the tenant degraded and fall back to the
       // single-rank path — every slice runs serially on this lane's
-      // first stream pair, zero collectives, outputs bit-identical to
+      // first stream, zero collectives, outputs bit-identical to
       // the sharded apply (slice supports are disjoint).  Slower, but
       // the batch completes.
       metrics_.record_rank_failure();
@@ -819,18 +723,17 @@ void AsyncScheduler::execute_batch(int lane, Batch& batch) {
              {"rank", static_cast<std::int64_t>(rf.rank())},
              {"batch_seq", batch_seq}});
       }
-      // Fallback plans bind every slice to the lane's first pair,
+      // Fallback plans bind every slice to the lane's first stream,
       // keyed at this lane's own index (rank 0's regular entry is
       // interchangeable; PlanKey carries the slice offsets, so each
       // slice gets its own cached plan).
+      owned.clear();
       plans.clear();
-      rank_lanes.clear();
       for (index_t rk = 0; rk < ranks; ++rk) {
-        acquire(rk, lane_state.pairs.front(), lane);
+        acquire(rk, stream, lane);
       }
       lane_state.dist.apply_batch_serial(groups, direction, config, inputs,
-                                         outputs, rank_lanes, resolved_chunks,
-                                         options_.verify_mode);
+                                         outputs, plans, options_.verify_mode);
       metrics_.record_degraded_batch();
       if (trace_on) {
         util::trace::instant(
@@ -923,11 +826,8 @@ void AsyncScheduler::execute_batch(int lane, Batch& batch) {
   // and phase 3 is a single grouped multi-RHS SBGEMV carrying one
   // operator-spectrum pointer per tenant group, so matrix traffic is
   // paid once per (frequency, tenant) instead of once per request.
-  // When the shape's resolved pipeline chunk count and the batch size
-  // allow (>= 2 chunks of >= 2 RHS), the apply is software-pipelined
-  // over each rank's stream pair — bit-identical outputs, lower
-  // simulated makespan.  The batch's simulated time and PhaseTimings
-  // are attributed by each request's share of the modelled phase work
+  // The batch's simulated time and PhaseTimings are attributed by
+  // each request's share of the modelled phase work
   // (DistributedMatvecPlan::last_batch_timings()).
   int batch_retries = 0;
   const ErrorCode batch_code = run_range(0, b, batch_retries);
@@ -981,7 +881,7 @@ void AsyncScheduler::execute_batch(int lane, Batch& batch) {
       result.timings = shares[r];
       // span(): the request's share of the batch's end-to-end
       // makespan, so per-request sim times still sum to the lane
-      // clock advance when a pipelined batch overlapped phases
+      // clock advance when a sharded batch's ranks overlapped
       // (busy-time per phase stays available in `timings`).
       result.sim_seconds = shares[r].span();
     }
@@ -1000,13 +900,13 @@ void AsyncScheduler::execute_batch(int lane, Batch& batch) {
   }
   metrics_.record_batch(batch_size, stream.now() - sim_start);
   // Lane utilisation, sampled here because only the owning lane thread
-  // may read the stream pairs' (plain double) clocks: busy is the
-  // summed charged work of every pair's streams, wall their makespan.
+  // may read its streams' (plain double) clocks: busy is the summed
+  // charged work of the lane's rank streams, wall their makespan.
   double lane_busy = 0.0;
   double lane_wall = 0.0;
-  for (const StreamPair& pair : lane_state.pairs) {
-    lane_busy += pair.stream->busy() + pair.aux->busy();
-    lane_wall = std::max({lane_wall, pair.stream->now(), pair.aux->now()});
+  for (const auto& rank_stream : lane_state.streams) {
+    lane_busy += rank_stream->busy();
+    lane_wall = std::max(lane_wall, rank_stream->now());
   }
   metrics_.record_lane(lane, done, lane_busy, lane_wall);
 
@@ -1017,7 +917,6 @@ void AsyncScheduler::execute_batch(int lane, Batch& batch) {
         {{"batch_seq", batch_seq},
          {"size", batch_size},
          {"groups", static_cast<std::int64_t>(group_count)},
-         {"chunks", resolved_chunks},
          {"lane", lane},
          {"shape", std::to_string(d.n_m) + "x" + std::to_string(d.n_d) + "x" +
                        std::to_string(d.n_t)},
@@ -1093,23 +992,13 @@ MetricsSnapshot AsyncScheduler::metrics() const {
 }
 
 double AsyncScheduler::max_lane_sim_seconds() const {
-  // Max-over-streams: a pipelined apply joins the pair before
-  // returning, so the main stream normally dominates, but the aux
-  // clocks are included for the makespan-accounting contract.
   double m = 0.0;
   for (const auto& lane : lanes_) {
-    for (const StreamPair& pair : lane.pairs) {
-      m = std::max({m, pair.stream->now(), pair.aux->now()});
+    for (const auto& rank_stream : lane.streams) {
+      m = std::max(m, rank_stream->now());
     }
   }
   return m;
-}
-
-int AsyncScheduler::resolved_pipeline_chunks(const core::ProblemDims& dims) {
-  return pipeline_chunks_for(core::LocalDims::single_rank(dims),
-                             static_cast<index_t>(options_.max_batch),
-                             core::ApplyDirection::kForward,
-                             precision::PrecisionConfig{});
 }
 
 }  // namespace fftmv::serve

@@ -7,22 +7,23 @@
 // an ordered stream through open_stream()'s StreamSession handle —
 // and receive std::futures.  A RequestQueue coalesces same-(shape,
 // direction, precision) requests — across tenants — into batches, and
-// a pool of worker lanes — each owning device::Stream pairs — executes
-// each batch as ONE core::DistributedMatvecPlan::apply_batch over
-// plans from the shared LRU PlanCache: the popped batch is sorted by
-// tenant into operator groups and the batch's b right-hand sides ride
-// a single widened FFT + grouped multi-RHS SBGEMV pipeline, so
-// batching buys real per-request speedup even under multi-tenant
-// skew where no single tenant has companions in flight.
+// a pool of worker lanes — each owning one device::Stream per
+// placement rank — executes each batch as ONE
+// core::DistributedMatvecPlan::apply_batch over plans from the shared
+// LRU PlanCache: the popped batch is sorted by tenant into operator
+// groups and the batch's b right-hand sides ride a single widened FFT
+// + grouped multi-RHS SBGEMV pipeline, so batching buys real
+// per-request speedup even under multi-tenant skew where no single
+// tenant has companions in flight.
 //
 // Every tenant is a placement (core::ShardedOperator).  add_tenant's
 // rank_group = 1, the default, places it on one rank, where the
 // DistributedMatvecPlan apply is exactly the single-rank grouped
 // apply_batch with no communication.  A wider group SHARDS the
 // operator's output dimension across that many simulated ranks: each
-// of the tenant's batches then runs on the owning lane's rank stream
-// pairs, with the input broadcast and output gather fused across the
-// whole RHS batch — collective alpha costs are paid once per batch,
+// of the tenant's batches then runs on the owning lane's rank streams
+// concurrently, with the input broadcast and output gather fused across
+// the whole RHS batch — collective alpha costs are paid once per batch,
 // not once per request (bench/serve_scaling gates the win) — and
 // outputs bit-identical to the single-rank path.  Rank plans ride
 // the same PlanCache under per-(lane, rank) keys; sharded batches
@@ -79,9 +80,7 @@
 #include <map>
 #include <memory>
 #include <span>
-#include <string>
 #include <thread>
-#include <tuple>
 #include <unordered_map>
 #include <vector>
 
@@ -127,18 +126,6 @@ struct ServeOptions {
   /// default).  false restores the PR 3 same-tenant-only coalescing;
   /// kept for the serve_throughput ablation and A/B debugging.
   bool cross_tenant_batching = true;
-  /// RHS chunks per pipelined apply_batch (core::BatchPipeline): a
-  /// batch is split into chunks software-pipelined over the lane's
-  /// stream pair so chunk i's SBGEMV overlaps chunk i+1's pad+FFT.
-  /// 0 (the default) resolves per tenant shape from the modelled
-  /// phase ratio (adaptive_pipeline_chunks — which picks serial
-  /// whenever chunking's per-chunk matrix re-read outweighs the
-  /// overlap, as it does for small batches); 1 forces today's serial
-  /// execution; >= 2 forces that chunk count.  Outputs are
-  /// bit-identical in every mode.  Not part of PlanKey: the stream
-  /// pair is lane-owned and chunking is a per-apply execution mode,
-  /// so cached plans are shared across modes.
-  int pipeline_chunks = 0;
   /// Cap on a tenant's rank-group size (simulated ranks its operator
   /// may shard across — see add_tenant's rank_group parameter).  The
   /// default matches NetworkSpec::frontier().node_size, so default
@@ -172,7 +159,7 @@ struct ServeOptions {
   double retry_backoff_seconds = 50e-6;
   /// ABFT verification level for every dispatched batch
   /// (core::VerifyMode): kChecksum arms the grouped-GEMV column
-  /// checksums, kParanoid adds the per-chunk FFT Parseval checks.  A
+  /// checksums, kParanoid adds the FFT Parseval checks.  A
   /// detection re-dispatches through the retry machinery above and
   /// surfaces kSilentCorruption only when the recompute budget is
   /// exhausted.  Not part of PlanKey — cached plans are shared across
@@ -186,38 +173,8 @@ struct ServeOptions {
 inline constexpr int kDefaultMaxBatch = 16;
 
 /// The serve-shape operator bench/batch_sweep measures its batching
-/// curve on (and pipeline_sweep / serve_scaling their backed sweeps).
+/// curve on (and serve_scaling its backed sweep).
 inline constexpr core::ProblemDims kBatchCurveShape{192, 12, 96};
-
-/// The chunk count pipelined apply_batch should use for `dims` at
-/// batch size `max_batch` on `spec`, for the given direction and
-/// precision config (phase ratios — and so the chunking trade —
-/// shift with both): phantom dry runs of the chunked dual-stream
-/// pipeline over chunk counts {1, 2, 4, 8} (pure cost-model
-/// arithmetic, deterministic per spec), returning the
-/// modelled-makespan argmin — or 1 (serial) unless the best pipelined
-/// schedule beats serial by > 3%, so marginal shapes never flap into
-/// chunking for noise-level gains.  Chunking trades the overlap win
-/// against one extra matrix read per chunk in the grouped SBGEMV, so
-/// small batches and small shapes resolve to serial while
-/// assembly-sized batches at paper-like shapes resolve to 2-8.
-/// Used to resolve ServeOptions::pipeline_chunks == 0, memoized per
-/// (shape, batch size, direction, precision) so every pipelined
-/// dispatch runs exactly the configuration the model validated.
-int adaptive_pipeline_chunks(
-    const device::DeviceSpec& spec, const core::ProblemDims& dims,
-    int max_batch,
-    core::ApplyDirection direction = core::ApplyDirection::kForward,
-    const precision::PrecisionConfig& config = {});
-
-/// Rank-local overload: probe at an arbitrary slice shape (the serving
-/// layer resolves a tenant's chunk count at its placement's rank-0
-/// slice, which for a sharded tenant is not the global shape).  The
-/// ProblemDims form above is the single-rank special case.
-int adaptive_pipeline_chunks(
-    const device::DeviceSpec& spec, const core::LocalDims& dims, int max_batch,
-    core::ApplyDirection direction = core::ApplyDirection::kForward,
-    const precision::PrecisionConfig& config = {});
 
 /// The rank-group size add_tenant(rank_group == 0) resolves for a
 /// tenant of this shape: phantom dry runs of the rank-0 forward slice
@@ -321,12 +278,6 @@ class AsyncScheduler {
   const ServeOptions& options() const { return options_; }
   int num_lanes() const { return static_cast<int>(lanes_.size()); }
 
-  /// The pipeline chunk count a FULL batch (max_batch RHS) of this
-  /// shape dispatches with: the memoized auto resolution when
-  /// pipeline_chunks == 0, else the (clamped) forced value.  Partial
-  /// batches resolve separately per actual size at dispatch.
-  int resolved_pipeline_chunks(const core::ProblemDims& dims);
-
   /// Simulated seconds of the busiest lane stream (the service's
   /// simulated makespan, excluding tenant setup).  Stream clocks are
   /// unsynchronised plain doubles: call only when the service is
@@ -362,25 +313,15 @@ class AsyncScheduler {
     std::vector<PlanKey> pin_keys;
     std::int64_t outstanding = 0;
   };
-  /// One rank's streams on a lane: `stream` drives the serial phases
-  /// (and is the stream the rank's cached plans are bound to), `aux`
-  /// carries the SBGEMV stage of pipelined batches
-  /// (core::BatchPipeline::aux).  Heap-held, so a plan's stream keeps
-  /// its address while the lane grows pairs.
-  struct StreamPair {
-    explicit StreamPair(device::Device& dev)
-        : stream(std::make_unique<device::Stream>(dev)),
-          aux(std::make_unique<device::Stream>(dev)) {}
-    std::unique_ptr<device::Stream> stream;
-    std::unique_ptr<device::Stream> aux;
-  };
-  /// A worker lane.  pairs[r] serves placement rank r: pair 0 exists
-  /// from construction (device-trace tids 2i / 2i+1), pairs r >= 1
-  /// grow lazily to the widest rank group the lane has executed and
-  /// stay untracked in the device trace (tid -1).  Pair ownership is
-  /// per lane, so a cached plan is never driven from two threads.
+  /// A worker lane.  streams[r] serves placement rank r and is the
+  /// stream the rank's cached plans are bound to: stream 0 exists from
+  /// construction (device-trace tid i), streams r >= 1 grow lazily to
+  /// the widest rank group the lane has executed and stay untracked in
+  /// the device trace (tid -1).  Heap-held, so a plan's stream keeps
+  /// its address while the lane grows.  Stream ownership is per lane,
+  /// so a cached plan is never driven from two threads.
   struct Lane {
-    std::vector<StreamPair> pairs;
+    std::vector<std::unique_ptr<device::Stream>> streams;
     /// The lane's placement orchestrator (its grow-only output
     /// staging is reused across tenants and batches).
     core::DistributedMatvecPlan dist{comm::NetworkSpec::frontier()};
@@ -425,29 +366,9 @@ class AsyncScheduler {
   RequestQueue queue_;
   mutable ServeMetrics metrics_;  ///< internally synchronised sink
 
-  /// Auto-mode pipeline chunk count for batches of this exact
-  /// (shape, batch size, direction, precision) — memoized
-  /// adaptive_pipeline_chunks probes, so every dispatched (chunks, b)
-  /// configuration is one the model validated against serial for the
-  /// batch's own config (a count resolved at max_batch / forward /
-  /// ddddd is never blindly applied to a partial, adjoint or
-  /// lower-precision batch).  add_tenant pre-warms the full-batch
-  /// forward-ddddd entry; other combinations probe lazily on first
-  /// dispatch (microseconds of cost-model arithmetic).
-  int pipeline_chunks_for(const core::LocalDims& dims, index_t batch,
-                          core::ApplyDirection direction,
-                          const precision::PrecisionConfig& config);
-
   mutable std::mutex tenants_mutex_;
   std::unordered_map<TenantId, Tenant> tenants_;
   TenantId next_tenant_ = 1;
-
-  /// Memoized auto resolutions keyed (shape, batch size, adjoint,
-  /// precision) — own lock: the lazy probe must not stall tenant
-  /// lookups.
-  std::mutex pipeline_mutex_;
-  std::map<std::tuple<core::LocalDims, index_t, bool, std::string>, int>
-      pipeline_chunks_by_key_;
 
   mutable std::mutex state_mutex_;
   std::condition_variable cv_drained_;

@@ -23,12 +23,11 @@
 //                    labels the lane workers and clients).  Host
 //                    timestamps are microseconds since start().
 //   pid kDevicePid - simulated device-clock tracks; tid = the
-//                    device::Stream's trace_tid (assigned by the
-//                    scheduler per lane stream pair, -1 = untracked —
+//                    device::Stream's trace_tid (the scheduler assigns
+//                    lane i's first stream tid i; -1 = untracked —
 //                    phantom cost-model probes never emit).  Device
 //                    timestamps are simulated seconds * 1e6, so
-//                    cross-stream overlap (the pipelined apply_batch)
-//                    renders as actually-overlapping spans.
+//                    spans on different tracks line up on one clock.
 //
 // Event phases used: "X" complete spans, "i" instants, "C" counters,
 // "b"/"e" nestable async pairs (queue-wait spans overlap freely, so
@@ -111,7 +110,7 @@ std::uint64_t next_id();
 /// Name the calling thread's host track (e.g. "lane 0").  Works while
 /// disabled — names persist across start()/stop() cycles.
 void set_thread_name(const std::string& name);
-/// Name a simulated device-clock track (e.g. "lane 0 stream A").
+/// Name a simulated device-clock track (e.g. "lane 0").
 /// Works while disabled; names persist across start()/stop() cycles.
 void set_device_track_name(int tid, const std::string& name);
 

@@ -17,6 +17,7 @@
 #include "core/matvec_plan.hpp"
 #include "core/synthetic.hpp"
 #include "device/device_spec.hpp"
+#include "device/fault_plan.hpp"
 #include "support/thread_comm.hpp"
 
 namespace fftmv::core {
@@ -217,13 +218,13 @@ std::vector<double> lockstep_apply(const GlobalProblem& p, index_t p_rows,
   const auto dir = adjoint ? ApplyDirection::kAdjoint : ApplyDirection::kForward;
   const ShardedOperator op(dev, stream, p.dims,
                            comm::ProcessGrid(p_rows, p_cols), p.first_col);
-  std::map<std::pair<index_t, index_t>, std::unique_ptr<FftMatvecPlan>> plans;
-  std::vector<DistributedMatvecPlan::RankLane> lanes;
+  std::map<std::pair<index_t, index_t>, std::unique_ptr<FftMatvecPlan>> owned;
+  std::vector<FftMatvecPlan*> plans;
   for (index_t r = 0; r < op.ranks(); ++r) {
     const LocalDims& local = op.rank_dims(dir, r);
-    auto& plan = plans[{local.n_m_local, local.n_d_local}];
+    auto& plan = owned[{local.n_m_local, local.n_d_local}];
     if (!plan) plan = std::make_unique<FftMatvecPlan>(dev, stream, local);
-    lanes.push_back({plan.get(), nullptr});
+    plans.push_back(plan.get());
   }
   std::vector<double> out(static_cast<std::size_t>(
       p.dims.n_t * (adjoint ? p.dims.n_m : p.dims.n_d)));
@@ -231,7 +232,7 @@ std::vector<double> lockstep_apply(const GlobalProblem& p, index_t p_rows,
   const VectorView outs[] = {out};
   DistributedMatvecPlan dist(comm::NetworkSpec::frontier());
   const DistributedMatvecPlan::OperatorGroup group{&op, 1};
-  dist.apply_batch_serial({&group, 1}, dir, cfg, in, outs, lanes);
+  dist.apply_batch_serial({&group, 1}, dir, cfg, in, outs, plans);
   if (timings != nullptr) *timings = dist.last_timings();
   return out;
 }
@@ -324,8 +325,7 @@ TEST(Lockstep, ErrorGrowsWhenGridRowsGrow) {
 // with batch-fused collectives.  The contract under test is BIT
 // identity with the single-rank fused apply_batch — EXPECT_EQ on the
 // doubles, not a tolerance — for every precision config, both
-// directions, ragged partitions, both comm modes, pipelined chunking
-// and the serial path.
+// directions, ragged partitions, both comm modes and the serial path.
 
 struct ShardedRun {
   std::vector<std::vector<double>> outputs;
@@ -336,29 +336,28 @@ struct ShardedRun {
 
 /// Build a ShardedOperator at `ranks`, drive one batched apply of `b`
 /// deterministic right-hand sides through DistributedMatvecPlan on
-/// per-rank stream pairs, and return outputs + timings.  ranks == 1
-/// is the single-rank reference (same inputs by construction).
-/// `serial` binds every rank to one stream pair and runs
-/// apply_batch_serial instead.
+/// per-rank streams, and return outputs + timings.  ranks == 1 is the
+/// single-rank reference (same inputs by construction).  `serial`
+/// binds every rank to one stream and runs apply_batch_serial
+/// instead.
 ShardedRun run_sharded(const GlobalProblem& p, index_t ranks,
                        ApplyDirection dir, const PrecisionConfig& cfg,
                        index_t b, CommMode mode = CommMode::kBatched,
-                       index_t chunks = 1, bool serial = false) {
+                       bool serial = false) {
   device::Device dev(device::make_mi300x());
   device::Stream setup(dev);
   ShardedOperator sharded(dev, setup, p.dims, ranks, p.first_col);
 
-  std::vector<std::unique_ptr<device::Stream>> streams, auxes;
-  std::vector<std::unique_ptr<FftMatvecPlan>> plans;
-  std::vector<DistributedMatvecPlan::RankLane> lanes;
+  std::vector<std::unique_ptr<device::Stream>> streams;
+  std::vector<std::unique_ptr<FftMatvecPlan>> owned;
+  std::vector<FftMatvecPlan*> plans;
   for (index_t r = 0; r < ranks; ++r) {
     if (!serial || r == 0) {
       streams.push_back(std::make_unique<device::Stream>(dev));
-      auxes.push_back(std::make_unique<device::Stream>(dev));
     }
-    plans.push_back(std::make_unique<FftMatvecPlan>(dev, *streams.back(),
+    owned.push_back(std::make_unique<FftMatvecPlan>(dev, *streams.back(),
                                                     sharded.rank_dims(dir, r)));
-    lanes.push_back({plans.back().get(), auxes.back().get()});
+    plans.push_back(owned.back().get());
   }
 
   const bool forward = dir == ApplyDirection::kForward;
@@ -381,9 +380,9 @@ ShardedRun run_sharded(const GlobalProblem& p, index_t ranks,
   DistributedMatvecPlan dist(comm::NetworkSpec::frontier());
   const DistributedMatvecPlan::OperatorGroup group{&sharded, b};
   if (serial) {
-    dist.apply_batch_serial({&group, 1}, dir, cfg, iv, ov, lanes, chunks);
+    dist.apply_batch_serial({&group, 1}, dir, cfg, iv, ov, plans);
   } else {
-    dist.apply_batch({&group, 1}, dir, cfg, iv, ov, lanes, mode, chunks);
+    dist.apply_batch({&group, 1}, dir, cfg, iv, ov, plans, mode);
   }
   run.timings = dist.last_timings();
   run.shares = dist.last_batch_timings();
@@ -407,7 +406,7 @@ TEST_P(ShardedApply, ForwardBitIdenticalToSingleRank) {
       run_sharded(p, ranks, ApplyDirection::kForward, cfg, 3).outputs;
   EXPECT_EQ(expect, got) << ranks << " ranks, " << cfg_str;
   const auto serial = run_sharded(p, ranks, ApplyDirection::kForward, cfg, 3,
-                                  CommMode::kBatched, 1, /*serial=*/true);
+                                  CommMode::kBatched, /*serial=*/true);
   EXPECT_EQ(expect, serial.outputs) << ranks << " ranks, " << cfg_str;
   EXPECT_EQ(serial.timings.comm, 0.0);
 }
@@ -422,7 +421,7 @@ TEST_P(ShardedApply, AdjointBitIdenticalToSingleRank) {
       run_sharded(p, ranks, ApplyDirection::kAdjoint, cfg, 3).outputs;
   EXPECT_EQ(expect, got) << ranks << " ranks, " << cfg_str;
   const auto serial = run_sharded(p, ranks, ApplyDirection::kAdjoint, cfg, 3,
-                                  CommMode::kBatched, 1, /*serial=*/true);
+                                  CommMode::kBatched, /*serial=*/true);
   EXPECT_EQ(expect, serial.outputs) << ranks << " ranks, " << cfg_str;
   EXPECT_EQ(serial.timings.comm, 0.0);
 }
@@ -511,16 +510,66 @@ TEST(ShardedApplyDetail, BatchedCommBeatsPerRequestAndStaysBitIdentical) {
   EXPECT_LT(batched.timings.comm, per_req.timings.comm);
 }
 
-TEST(ShardedApplyDetail, PipelinedChunksBitIdentical) {
+// ABFT verification through a 2-rank placement: a corrupted GEMV on
+// either rank throws device::SilentCorruption from both the charged and
+// the serial apply, and a clean rerun reproduces the clean verified
+// outputs bit for bit.  Each rank's apply issues one GEMV launch, so
+// buffer write k is rank k's.
+TEST(ShardedApplyDetail, ChecksumCatchesACorruptGemvOnEveryRank) {
   const auto p = make_global(16, 4, 8, 2500);
-  const auto cfg = PrecisionConfig::parse("dssds");
-  const auto serial =
-      run_sharded(p, 2, ApplyDirection::kForward, cfg, 6, CommMode::kBatched,
-                  /*chunks=*/1);
-  const auto chunked =
-      run_sharded(p, 2, ApplyDirection::kForward, cfg, 6, CommMode::kBatched,
-                  /*chunks=*/3);
-  EXPECT_EQ(serial.outputs, chunked.outputs);
+  const auto cfg = PrecisionConfig::parse("dssdd");
+  const index_t b = 3;
+  device::Device dev(device::make_mi300x());
+  device::Stream setup(dev);
+  ShardedOperator sharded(dev, setup, p.dims, 2, p.first_col);
+  sharded.warm_checksums(setup);
+  std::vector<std::unique_ptr<device::Stream>> streams;
+  std::vector<std::unique_ptr<FftMatvecPlan>> owned;
+  std::vector<FftMatvecPlan*> plans;
+  for (index_t r = 0; r < 2; ++r) {
+    streams.push_back(std::make_unique<device::Stream>(dev));
+    owned.push_back(std::make_unique<FftMatvecPlan>(
+        dev, *streams.back(), sharded.rank_dims(ApplyDirection::kForward, r)));
+    plans.push_back(owned.back().get());
+  }
+  std::vector<std::vector<double>> ins;
+  for (index_t i = 0; i < b; ++i) {
+    ins.push_back(make_input_vector(p.dims.n_t * p.dims.n_m,
+                                    2510 + static_cast<std::uint64_t>(i)));
+  }
+  const std::vector<ConstVectorView> iv(ins.begin(), ins.end());
+  const auto out_len = static_cast<std::size_t>(p.dims.n_t * p.dims.n_d);
+  DistributedMatvecPlan dist(comm::NetworkSpec::frontier());
+  const DistributedMatvecPlan::OperatorGroup group{&sharded, b};
+  for (const bool serial : {false, true}) {
+    const auto apply = [&](std::vector<std::vector<double>>& outs) {
+      outs.assign(static_cast<std::size_t>(b), std::vector<double>(out_len));
+      const std::vector<VectorView> ov(outs.begin(), outs.end());
+      if (serial) {
+        dist.apply_batch_serial({&group, 1}, ApplyDirection::kForward, cfg, iv,
+                                ov, plans, VerifyMode::kChecksum);
+      } else {
+        dist.apply_batch({&group, 1}, ApplyDirection::kForward, cfg, iv, ov,
+                         plans, CommMode::kBatched, VerifyMode::kChecksum);
+      }
+    };
+    dev.set_fault_plan(nullptr);
+    std::vector<std::vector<double>> clean, out;
+    apply(clean);
+    for (const std::uint64_t k : {0u, 1u}) {
+      const std::string what = std::string(serial ? "serial" : "charged") +
+                               ", corrupted GEMV on rank " + std::to_string(k);
+      auto faults = std::make_shared<device::FaultPlan>();
+      faults->fail_buffer_writes(k, k + 1);
+      dev.set_fault_plan(faults);
+      EXPECT_THROW(apply(out), device::SilentCorruption) << what;
+      EXPECT_EQ(faults->stats().buffer_faults, 1u) << what;
+      // The window passed: the rerun is clean and bit-identical.
+      apply(out);
+      EXPECT_EQ(out, clean) << what;
+    }
+  }
+  dev.set_fault_plan(nullptr);
 }
 
 TEST(ShardedApplyDetail, ValidatesRanksAndLaneShapes) {
@@ -537,7 +586,7 @@ TEST(ShardedApplyDetail, ValidatesRanksAndLaneShapes) {
   // A rank plan whose dims do not match its shard is rejected.
   ShardedOperator sharded(dev, stream, p.dims, 2, p.first_col);
   FftMatvecPlan wrong(dev, stream, LocalDims::single_rank(p.dims));
-  std::vector<DistributedMatvecPlan::RankLane> lanes(2, {&wrong, nullptr});
+  const std::vector<FftMatvecPlan*> plans(2, &wrong);
   const std::vector<double> in(static_cast<std::size_t>(p.dims.n_t * p.dims.n_m));
   std::vector<double> out(static_cast<std::size_t>(p.dims.n_t * p.dims.n_d));
   const std::vector<ConstVectorView> iv{in};
@@ -545,7 +594,7 @@ TEST(ShardedApplyDetail, ValidatesRanksAndLaneShapes) {
   DistributedMatvecPlan dist(comm::NetworkSpec::frontier());
   const DistributedMatvecPlan::OperatorGroup group{&sharded, 1};
   EXPECT_THROW(dist.apply_batch({&group, 1}, ApplyDirection::kForward,
-                                PrecisionConfig{}, iv, ov, lanes),
+                                PrecisionConfig{}, iv, ov, plans),
                std::invalid_argument);
 }
 
@@ -573,13 +622,13 @@ TEST(ShardedApplyDetail, RejectsBadBatchesBeforeChargingTheClock) {
   device::Stream setup(dev);
   const ShardedOperator sharded(dev, setup, p.dims, 2, p.first_col);
   std::vector<std::unique_ptr<device::Stream>> streams;
-  std::vector<std::unique_ptr<FftMatvecPlan>> plans;
-  std::vector<DistributedMatvecPlan::RankLane> lanes;
+  std::vector<std::unique_ptr<FftMatvecPlan>> owned;
+  std::vector<FftMatvecPlan*> plans;
   for (index_t r = 0; r < 2; ++r) {
     streams.push_back(std::make_unique<device::Stream>(dev));
-    plans.push_back(std::make_unique<FftMatvecPlan>(
+    owned.push_back(std::make_unique<FftMatvecPlan>(
         dev, *streams.back(), sharded.rank_dims(ApplyDirection::kForward, r)));
-    lanes.push_back({plans.back().get(), nullptr});
+    plans.push_back(owned.back().get());
   }
   const std::size_t out_len = static_cast<std::size_t>(p.dims.n_t * p.dims.n_d);
   const std::size_t short_out = out_len - static_cast<std::size_t>(p.dims.n_d);
@@ -592,7 +641,7 @@ TEST(ShardedApplyDetail, RejectsBadBatchesBeforeChargingTheClock) {
     const ConstVectorView iv[] = {in};
     const VectorView ov[] = {o};
     EXPECT_THROW(dist.apply_batch({&group, 1}, ApplyDirection::kForward,
-                                  PrecisionConfig{}, iv, ov, lanes),
+                                  PrecisionConfig{}, iv, ov, plans),
                  std::invalid_argument)
         << what;
     for (const auto& stream : streams) EXPECT_EQ(stream->now(), 0.0) << what;
@@ -617,7 +666,7 @@ TEST(ShardedApplyDetail, ChargedApplyRejectsSharedOutputSlices) {
     const ShardedOperator op(dev, stream, p.dims, comm::ProcessGrid(2, 2),
                              p.first_col);
     FftMatvecPlan plan(dev, stream, op.rank_dims(dir, 0));
-    const std::vector<DistributedMatvecPlan::RankLane> lanes(4, {&plan, nullptr});
+    const std::vector<FftMatvecPlan*> plans(4, &plan);
     std::vector<double> out(
         static_cast<std::size_t>(p.dims.n_t * (forward ? p.dims.n_d : p.dims.n_m)));
     const ConstVectorView iv[] = {forward ? p.m : p.d};
@@ -625,10 +674,10 @@ TEST(ShardedApplyDetail, ChargedApplyRejectsSharedOutputSlices) {
     DistributedMatvecPlan dist(comm::NetworkSpec::frontier());
     const DistributedMatvecPlan::OperatorGroup group{&op, 1};
     EXPECT_THROW(
-        dist.apply_batch({&group, 1}, dir, PrecisionConfig{}, iv, ov, lanes),
+        dist.apply_batch({&group, 1}, dir, PrecisionConfig{}, iv, ov, plans),
         std::invalid_argument);
     EXPECT_NO_THROW(dist.apply_batch_serial({&group, 1}, dir, PrecisionConfig{},
-                                            iv, ov, lanes));
+                                            iv, ov, plans));
   }
 }
 
@@ -683,20 +732,19 @@ TEST(ShardedApplyDetail, GroupedTenantsBitIdenticalToPerOperatorApplies) {
           groups.push_back({ops.back().get(), group_sizes[g]});
         }
         std::vector<std::unique_ptr<device::Stream>> streams;
-        std::vector<std::unique_ptr<FftMatvecPlan>> plans;
-        std::vector<DistributedMatvecPlan::RankLane> lanes;
+        std::vector<std::unique_ptr<FftMatvecPlan>> owned;
+        std::vector<FftMatvecPlan*> plans;
         for (index_t r = 0; r < ranks; ++r) {
           streams.push_back(std::make_unique<device::Stream>(dev));
-          streams.push_back(std::make_unique<device::Stream>(dev));
-          plans.push_back(std::make_unique<FftMatvecPlan>(
-              dev, *streams[streams.size() - 2], ops[0]->rank_dims(dir, r)));
-          lanes.push_back({plans.back().get(), streams.back().get()});
+          owned.push_back(std::make_unique<FftMatvecPlan>(
+              dev, *streams.back(), ops[0]->rank_dims(dir, r)));
+          plans.push_back(owned.back().get());
         }
         std::vector<std::vector<double>> got(
             ins.size(), std::vector<double>(static_cast<std::size_t>(out_len)));
         const std::vector<VectorView> ov(got.begin(), got.end());
         DistributedMatvecPlan dist(comm::NetworkSpec::frontier());
-        dist.apply_batch(groups, dir, cfg, iv, ov, lanes);
+        dist.apply_batch(groups, dir, cfg, iv, ov, plans);
         for (std::size_t i = 0; i < ins.size(); ++i) {
           EXPECT_EQ(got[i], expect[i])
               << cfg_str << ", " << ranks << " ranks, "
@@ -716,12 +764,12 @@ TEST(ShardedApplyDetail, GroupsMustShareOnePlacement) {
   const ShardedOperator one_rank(dev, stream, p.dims, 1, p.first_col);
   const ShardedOperator other_dims(dev, stream, q.dims, 2, q.first_col);
 
-  std::vector<std::unique_ptr<FftMatvecPlan>> plans;
-  std::vector<DistributedMatvecPlan::RankLane> lanes;
+  std::vector<std::unique_ptr<FftMatvecPlan>> owned;
+  std::vector<FftMatvecPlan*> plans;
   for (index_t r = 0; r < 2; ++r) {
-    plans.push_back(std::make_unique<FftMatvecPlan>(
+    owned.push_back(std::make_unique<FftMatvecPlan>(
         dev, stream, two_ranks.rank_dims(ApplyDirection::kForward, r)));
-    lanes.push_back({plans.back().get(), nullptr});
+    plans.push_back(owned.back().get());
   }
   std::vector<std::vector<double>> ins(
       2, std::vector<double>(static_cast<std::size_t>(p.dims.n_t * p.dims.n_m)));
@@ -734,7 +782,7 @@ TEST(ShardedApplyDetail, GroupsMustShareOnePlacement) {
     const std::vector<DistributedMatvecPlan::OperatorGroup> groups{
         {&two_ranks, 1}, {&second, 1}};
     dist.apply_batch(groups, ApplyDirection::kForward, PrecisionConfig{}, iv,
-                     ov, lanes);
+                     ov, plans);
   };
   EXPECT_THROW(apply(one_rank), std::invalid_argument);    // rank count
   EXPECT_THROW(apply(other_dims), std::invalid_argument);  // global dims

@@ -336,11 +336,9 @@ TEST_F(MatvecFixture, SerialBatchLaunchesDoNotGrowWithB) {
       in_views.emplace_back(ins[static_cast<std::size_t>(r)]);
       out_views.emplace_back(outs[static_cast<std::size_t>(r)]);
     }
-    BatchPipeline pipeline;
-    pipeline.verify = verify;
     const auto before = faults->stats().kernel_launches;
     (which != nullptr ? *which : plan)
-        .apply_batch(op, direction, cfg, in_views, out_views, pipeline);
+        .apply_batch(op, direction, cfg, in_views, out_views, verify);
     return faults->stats().kernel_launches - before;
   };
   for (const auto direction : {ApplyDirection::kForward, ApplyDirection::kAdjoint}) {
@@ -857,6 +855,7 @@ TEST_F(MatvecFixture, GroupedApplyBatchCountsOneExecutionAndAttributesTimings) {
   for (const auto& s : shares) sum += s;
   EXPECT_NEAR(sum.compute_total(), plan.last_timings().compute_total(), 1e-12);
   EXPECT_NEAR(sum.sbgemv, plan.last_timings().sbgemv, 1e-12);
+  EXPECT_NEAR(sum.makespan, plan.last_timings().makespan, 1e-12);
   EXPECT_NEAR(plan.last_timings().compute_total(), sim, 1e-12);
   // ...splits the tenant-agnostic phases evenly...
   EXPECT_DOUBLE_EQ(shares[0].fft, shares[5].fft);
@@ -864,223 +863,6 @@ TEST_F(MatvecFixture, GroupedApplyBatchCountsOneExecutionAndAttributesTimings) {
   // ...and charges the singleton more SBGEMV than a 5-wide member
   // (its matrix read amortises over one request, not five).
   EXPECT_GT(shares[0].sbgemv, shares[1].sbgemv);
-}
-
-// ------------------------------------------ pipelined batched applies
-/// Run b RHS through the serial apply_batch and through the chunked
-/// dual-stream pipelined apply_batch on identically-constructed
-/// plans; outputs must agree bit for bit.
-struct PipelinedCase {
-  std::vector<std::vector<double>> serial;
-  std::vector<std::vector<double>> pipelined;
-  PhaseTimings serial_timings;
-  PhaseTimings pipelined_timings;
-  double serial_sim = 0.0;
-  double pipelined_sim = 0.0;
-};
-
-PipelinedCase run_pipelined_vs_serial(device::Device& dev, const Problem& p,
-                                      index_t b, index_t chunks, bool adjoint,
-                                      const PrecisionConfig& config) {
-  const auto local = LocalDims::single_rank(p.dims);
-  const index_t in_len = p.dims.n_t * (adjoint ? p.dims.n_d : p.dims.n_m);
-  const index_t out_len = p.dims.n_t * (adjoint ? p.dims.n_m : p.dims.n_d);
-  const auto direction =
-      adjoint ? ApplyDirection::kAdjoint : ApplyDirection::kForward;
-
-  std::vector<std::vector<double>> inputs;
-  for (index_t r = 0; r < b; ++r) {
-    inputs.push_back(make_input_vector(in_len, 950 + static_cast<std::uint64_t>(r)));
-  }
-  PipelinedCase c;
-  c.serial.assign(static_cast<std::size_t>(b),
-                  std::vector<double>(static_cast<std::size_t>(out_len)));
-  c.pipelined = c.serial;
-  std::vector<ConstVectorView> in_views(inputs.begin(), inputs.end());
-
-  device::Stream stream(dev);
-  BlockToeplitzOperator op(dev, stream, local, p.first_col);
-  if (config.phase(precision::kPhaseSbgemv) == precision::Precision::kSingle) {
-    op.spectrum_f(stream);  // warm the one-time cast so timings compare
-  }
-  {
-    FftMatvecPlan plan(dev, stream, local);
-    std::vector<VectorView> out_views(c.serial.begin(), c.serial.end());
-    const double t0 = stream.now();
-    plan.apply_batch(op, direction, config, in_views, out_views);
-    c.serial_sim = stream.now() - t0;
-    c.serial_timings = plan.last_timings();
-  }
-  {
-    device::Stream main(dev), aux(dev);
-    FftMatvecPlan plan(dev, main, local);
-    std::vector<VectorView> out_views(c.pipelined.begin(), c.pipelined.end());
-    const double t0 = main.now();
-    plan.apply_batch(op, direction, config, in_views, out_views, {chunks, &aux});
-    c.pipelined_sim = main.now() - t0;
-    c.pipelined_timings = plan.last_timings();
-  }
-  return c;
-}
-
-TEST_F(MatvecFixture, PipelinedApplyBatchBitIdenticalAcrossConfigs) {
-  // Every precision mix, both directions, an odd b against an uneven
-  // chunk count: the chunked dual-stream schedule must not perturb a
-  // single bit relative to the serial batch.
-  auto p = make_problem(32, 4, 20, 91);
-  for (const char* cfg_str : {"ddddd", "dssdd", "sssss"}) {
-    const auto cfg = PrecisionConfig::parse(cfg_str);
-    for (bool adjoint : {false, true}) {
-      for (index_t chunks : {2, 3}) {
-        const auto c = run_pipelined_vs_serial(dev_, p, 5, chunks, adjoint, cfg);
-        for (std::size_t r = 0; r < c.serial.size(); ++r) {
-          EXPECT_EQ(c.pipelined[r], c.serial[r])
-              << cfg_str << (adjoint ? " adjoint" : " forward") << " chunks "
-              << chunks << " rhs " << r;
-        }
-      }
-    }
-  }
-}
-
-TEST_F(MatvecFixture, PipelinedApplyBatchChunkCountEdgeCases) {
-  // chunks > b clamps to b (one RHS per chunk); chunks == b is the
-  // fully-unrolled pipeline; both still bit-identical.
-  auto p = make_problem(24, 3, 16, 93);
-  for (index_t chunks : {4, 7, 9}) {
-    const auto c = run_pipelined_vs_serial(dev_, p, 4, chunks, false,
-                                           PrecisionConfig::parse("dssdd"));
-    for (std::size_t r = 0; r < c.serial.size(); ++r) {
-      EXPECT_EQ(c.pipelined[r], c.serial[r]) << "chunks " << chunks << " rhs " << r;
-    }
-  }
-}
-
-TEST_F(MatvecFixture, PipelinedChunksOneDegeneratesToSerialExactly) {
-  // chunks == 1 through the pipeline entry point IS the serial batch:
-  // same outputs, same simulated time, same phase timings, and the
-  // makespan equals the busy total.
-  auto p = make_problem(28, 4, 16, 95);
-  const auto c = run_pipelined_vs_serial(dev_, p, 6, 1, false,
-                                         PrecisionConfig::parse("dssdd"));
-  for (std::size_t r = 0; r < c.serial.size(); ++r) {
-    EXPECT_EQ(c.pipelined[r], c.serial[r]) << "rhs " << r;
-  }
-  EXPECT_DOUBLE_EQ(c.pipelined_sim, c.serial_sim);
-  EXPECT_DOUBLE_EQ(c.pipelined_timings.makespan, c.serial_timings.makespan);
-  EXPECT_DOUBLE_EQ(c.pipelined_timings.sbgemv, c.serial_timings.sbgemv);
-  EXPECT_NEAR(c.serial_timings.makespan, c.serial_timings.total(), 1e-15);
-}
-
-TEST_F(MatvecFixture, PipelinedMakespanBelowBusyTotalAndSharesSum) {
-  // With real overlap the end-to-end makespan must drop below the
-  // busy-time sum (the per-phase fields), the per-RHS attributions
-  // must still sum to the batch totals — makespan included — and the
-  // aux stream must never end ahead of the joined main stream.
-  auto p = make_problem(48, 6, 32, 97);
-  const auto local = LocalDims::single_rank(p.dims);
-  const index_t b = 8;
-  device::Stream main(dev_), aux(dev_);
-  BlockToeplitzOperator op(dev_, main, local, p.first_col);
-  std::vector<std::vector<double>> inputs, outputs(
-      static_cast<std::size_t>(b),
-      std::vector<double>(static_cast<std::size_t>(p.dims.n_t * p.dims.n_d)));
-  for (index_t r = 0; r < b; ++r) {
-    inputs.push_back(make_input_vector(p.dims.n_t * p.dims.n_m,
-                                       970 + static_cast<std::uint64_t>(r)));
-  }
-  std::vector<ConstVectorView> in_views(inputs.begin(), inputs.end());
-  std::vector<VectorView> out_views(outputs.begin(), outputs.end());
-  FftMatvecPlan plan(dev_, main, local);
-  const double t0 = main.now();
-  plan.apply_batch(op, ApplyDirection::kForward, PrecisionConfig{}, in_views,
-                   out_views, {2, &aux});
-  const auto& t = plan.last_timings();
-  EXPECT_NEAR(t.makespan, main.now() - t0, 1e-15);
-  EXPECT_LT(t.makespan, t.total());  // some SBGEMV/FFT overlap happened
-  EXPECT_LE(aux.now(), main.now());  // the apply joins the pair
-  PhaseTimings sum;
-  for (const auto& share : plan.last_batch_timings()) sum += share;
-  EXPECT_NEAR(sum.makespan, t.makespan, 1e-12);
-  EXPECT_NEAR(sum.total(), t.total(), 1e-12);
-  EXPECT_NEAR(sum.sbgemv, t.sbgemv, 1e-12);
-}
-
-TEST_F(MatvecFixture, PipelinedGroupedRaggedBitIdenticalToSerialGrouped) {
-  // Ragged operator groups (3 + 2 + 1) split across chunks that cut
-  // straight through group boundaries: each chunk's grouped SBGEMV
-  // carries its slice of the group layout, and every RHS must still
-  // ride its own operator bit-exactly.
-  const auto dims = ProblemDims{32, 4, 20};
-  const auto local = LocalDims::single_rank(dims);
-  device::Stream stream(dev_);
-  std::vector<std::unique_ptr<BlockToeplitzOperator>> ops;
-  std::vector<FftMatvecPlan::OperatorGroup> groups;
-  for (std::size_t g = 0; g < 3; ++g) {
-    const auto col = make_first_block_col(local, 860 + static_cast<std::uint64_t>(g));
-    ops.push_back(std::make_unique<BlockToeplitzOperator>(dev_, stream, local, col));
-    groups.push_back({ops.back().get(), static_cast<index_t>(3 - g)});
-  }
-  const index_t b = 6;
-  std::vector<std::vector<double>> inputs, serial_out(
-      static_cast<std::size_t>(b),
-      std::vector<double>(static_cast<std::size_t>(dims.n_t * dims.n_d)));
-  auto pipelined_out = serial_out;
-  for (index_t r = 0; r < b; ++r) {
-    inputs.push_back(make_input_vector(dims.n_t * dims.n_m,
-                                       870 + static_cast<std::uint64_t>(r)));
-  }
-  std::vector<ConstVectorView> in_views(inputs.begin(), inputs.end());
-  for (const char* cfg_str : {"ddddd", "dssdd"}) {
-    const auto cfg = PrecisionConfig::parse(cfg_str);
-    {
-      FftMatvecPlan plan(dev_, stream, local);
-      std::vector<VectorView> out_views(serial_out.begin(), serial_out.end());
-      plan.apply_batch(groups, ApplyDirection::kForward, cfg, in_views, out_views);
-    }
-    for (index_t chunks : {2, 4}) {
-      device::Stream main(dev_), aux(dev_);
-      FftMatvecPlan plan(dev_, main, local);
-      std::vector<VectorView> out_views(pipelined_out.begin(), pipelined_out.end());
-      plan.apply_batch(groups, ApplyDirection::kForward, cfg, in_views,
-                       out_views, {chunks, &aux});
-      for (std::size_t r = 0; r < serial_out.size(); ++r) {
-        EXPECT_EQ(pipelined_out[r], serial_out[r])
-            << cfg_str << " chunks " << chunks << " rhs " << r;
-      }
-    }
-  }
-}
-
-TEST_F(MatvecFixture, PipelinedAuxStreamMustMatchDevice) {
-  auto p = make_problem(24, 3, 16, 99);
-  const auto local = LocalDims::single_rank(p.dims);
-  BlockToeplitzOperator op(dev_, stream_, local, p.first_col);
-  FftMatvecPlan plan(dev_, stream_, local);
-  device::Device other(device::make_mi355x());
-  device::Stream foreign(other);
-  std::vector<std::vector<double>> inputs, outputs(
-      2, std::vector<double>(static_cast<std::size_t>(p.dims.n_t * p.dims.n_d)));
-  for (std::uint64_t r = 0; r < 2; ++r) {
-    inputs.push_back(make_input_vector(p.dims.n_t * p.dims.n_m, 990 + r));
-  }
-  std::vector<ConstVectorView> in_views(inputs.begin(), inputs.end());
-  std::vector<VectorView> out_views(outputs.begin(), outputs.end());
-  const auto executions_before = plan.executions();
-  EXPECT_THROW(plan.apply_batch(op, ApplyDirection::kForward, PrecisionConfig{},
-                                in_views, out_views, {2, &foreign}),
-               std::invalid_argument);
-  // Argument validation must not perturb the plan's accounting.
-  EXPECT_EQ(plan.executions(), executions_before);
-  // Without an aux stream the plan falls back to an internally-owned
-  // second stream and still matches the serial result.
-  auto serial = outputs;
-  std::vector<VectorView> serial_views(serial.begin(), serial.end());
-  plan.apply_batch(op, ApplyDirection::kForward, PrecisionConfig{}, in_views,
-                   serial_views);
-  plan.apply_batch(op, ApplyDirection::kForward, PrecisionConfig{}, in_views,
-                   out_views, {2, nullptr});
-  EXPECT_EQ(outputs, serial);
 }
 
 TEST_F(MatvecFixture, SerialAppliesRecordMakespanEqualToTotal) {

@@ -340,8 +340,7 @@ TEST(AbftChecksum, DetectsInjectedCorruptionThenRecomputesBitIdentically) {
   const std::vector<core::ConstVectorView> ins{core::ConstVectorView(input)};
   std::vector<double> clean(static_cast<std::size_t>(local.n_t() * local.n_d_local));
   const std::vector<core::VectorView> clean_outs{core::VectorView(clean)};
-  core::BatchPipeline verify;
-  verify.verify = core::VerifyMode::kChecksum;
+  const auto verify = core::VerifyMode::kChecksum;
   // Clean run WITH verification: no false positive, and the checksum
   // pass leaves the result untouched.
   plan.apply_batch(op, core::ApplyDirection::kForward, {}, ins, clean_outs,
@@ -361,13 +360,13 @@ TEST(AbftChecksum, DetectsInjectedCorruptionThenRecomputesBitIdentically) {
   EXPECT_EQ(out, clean);
 }
 
-// Detection through the pipelined, grouped executor: a 5-RHS batch
-// over two operators (groups of 2 and 3) in 1-3 chunks, with each of
-// its GEMV launches corrupted in turn.  The checksum compare that rides
-// the first kernel to read the GEMV output must catch every one, in
-// both directions and across the precision lattice, and the recompute
-// must be bit-identical to the clean verified run.
-TEST(AbftChecksum, PipelinedGroupedDetectionRecomputesBitIdentically) {
+// Detection through the grouped executor: a 5-RHS batch over two
+// operators (groups of 2 and 3) with its one GEMV launch corrupted.
+// The checksum compare that rides the first kernel to read the GEMV
+// output must catch it, in both directions and across the precision
+// lattice, and the recompute must be bit-identical to the clean
+// verified run.
+TEST(AbftChecksum, GroupedDetectionRecomputesBitIdentically) {
   device::Device dev(device::make_mi300x());
   device::Stream stream(dev);
   const auto local = core::LocalDims::single_rank(small_dims());
@@ -391,37 +390,27 @@ TEST(AbftChecksum, PipelinedGroupedDetectionRecomputesBitIdentically) {
     }
     for (const auto& in : ins) in_views.emplace_back(in);
     const auto apply = [&](const precision::PrecisionConfig& cfg,
-                           const core::BatchPipeline& pipeline,
                            std::vector<std::vector<double>>& outs) {
       outs.assign(static_cast<std::size_t>(b), std::vector<double>(out_len));
       std::vector<core::VectorView> out_views;
       for (auto& out : outs) out_views.emplace_back(out);
-      plan.apply_batch(groups, direction, cfg, in_views, out_views, pipeline);
+      plan.apply_batch(groups, direction, cfg, in_views, out_views,
+                       core::VerifyMode::kChecksum);
     };
     for (const char* cfg_str : {"ddddd", "dssdd", "sdsds", "sssss"}) {
       const auto cfg = precision::PrecisionConfig::parse(cfg_str);
-      for (const index_t chunks : {1, 2, 3}) {
-        core::BatchPipeline pipeline;
-        pipeline.chunks = chunks;
-        pipeline.verify = core::VerifyMode::kChecksum;
-        dev.set_fault_plan(nullptr);
-        std::vector<std::vector<double>> clean, out;
-        apply(cfg, pipeline, clean);
-        for (index_t launch = 0; launch < chunks; ++launch) {
-          const std::string what = std::string(cfg_str) + (forward ? " F" : " F*") +
-                                   " chunks=" + std::to_string(chunks) +
-                                   " corrupted GEMV " + std::to_string(launch);
-          auto faults = std::make_shared<FaultPlan>();
-          const auto window = static_cast<std::uint64_t>(launch);
-          faults->fail_buffer_writes(window, window + 1);
-          dev.set_fault_plan(faults);
-          EXPECT_THROW(apply(cfg, pipeline, out), device::SilentCorruption) << what;
-          EXPECT_EQ(faults->stats().buffer_faults, 1u) << what;
-          // The window passed: the recompute is clean and bit-identical.
-          apply(cfg, pipeline, out);
-          EXPECT_EQ(out, clean) << what;
-        }
-      }
+      const std::string what = std::string(cfg_str) + (forward ? " F" : " F*");
+      dev.set_fault_plan(nullptr);
+      std::vector<std::vector<double>> clean, out;
+      apply(cfg, clean);
+      auto faults = std::make_shared<FaultPlan>();
+      faults->fail_buffer_writes(0, 1);
+      dev.set_fault_plan(faults);
+      EXPECT_THROW(apply(cfg, out), device::SilentCorruption) << what;
+      EXPECT_EQ(faults->stats().buffer_faults, 1u) << what;
+      // The window passed: the recompute is clean and bit-identical.
+      apply(cfg, out);
+      EXPECT_EQ(out, clean) << what;
     }
   }
   dev.set_fault_plan(nullptr);
@@ -454,7 +443,7 @@ TEST(AbftChecksum, VerifyOffLeavesInjectedCorruptionSilent) {
 }
 
 // Property test over the full precision lattice: paranoid verification
-// (GEMV checksums + per-chunk Parseval checks) must never trip on
+// (GEMV checksums + FFT Parseval checks) must never trip on
 // legitimate mixed-precision rounding, and must never perturb the
 // result, for all 32 configs in both directions.
 TEST(AbftChecksum, ParanoidZeroFalsePositivesAcrossAllPrecisionConfigs) {
@@ -466,8 +455,7 @@ TEST(AbftChecksum, ParanoidZeroFalsePositivesAcrossAllPrecisionConfigs) {
   core::FftMatvecPlan plan(dev, stream, local);
   const auto fwd_in = core::make_input_vector(local.n_t() * local.n_m_local, 778);
   const auto adj_in = core::make_input_vector(local.n_t() * local.n_d_local, 779);
-  core::BatchPipeline paranoid;
-  paranoid.verify = core::VerifyMode::kParanoid;
+  const auto paranoid = core::VerifyMode::kParanoid;
   for (const auto& config : precision::PrecisionConfig::all_configs()) {
     for (const auto direction :
          {core::ApplyDirection::kForward, core::ApplyDirection::kAdjoint}) {
@@ -624,8 +612,8 @@ TEST(ServeFaults, TransientFaultRetriesBitIdentically) {
 
   AsyncScheduler sched(device::make_mi300x(), opts);
   const TenantId t = sched.add_tenant(small_dims(), col);
-  // Warm the plan cache and chunk resolution so the faulted dispatch
-  // exercises only the apply path.
+  // Warm the plan cache so the faulted dispatch exercises only the
+  // apply path.
   sched.submit(t, core::ApplyDirection::kForward, precision::PrecisionConfig{},
                inputs[0])
       .get();
@@ -722,7 +710,7 @@ TEST(ServeFaults, ChecksumDetectsCorruptionAndRecomputesTransparently) {
   const TenantId t = sched.add_tenant(small_dims(), col);
   sched.submit(t, core::ApplyDirection::kForward, precision::PrecisionConfig{},
                inputs[0])
-      .get();  // warm the plan cache and chunk resolution
+      .get();  // warm the plan cache
   // The first grouped-GEMV write-back of the next batch is corrupted;
   // the checksum trips, the batch recomputes past the window, and the
   // caller sees nothing but a clean (bit-identical) result.

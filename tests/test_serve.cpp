@@ -641,9 +641,8 @@ TEST(AsyncScheduler, CoalescedBatchExecutesPlanExactlyOnce) {
   EXPECT_LE(snap.batches, 6);
 
   // Per-request attribution: each member carries an even share of its
-  // batch's simulated makespan (== the busy share unless the batch
-  // was auto-pipelined, in which case overlapped time is credited
-  // once) and the phase breakdown.
+  // batch's simulated makespan (== the busy share: a single-rank batch
+  // runs on one in-order stream) and the phase breakdown.
   for (const auto& r : results) {
     EXPECT_GE(r.batch_size, 1);
     EXPECT_GT(r.timings.sbgemv, 0.0);
@@ -776,69 +775,6 @@ TEST(AsyncScheduler, DefaultMaxBatchResolvesToSixteen) {
   }
 }
 
-TEST(AsyncScheduler, PipelinedModeBitIdenticalToSerialAndResolvesChunks) {
-  // The same request set served with lane stream-pair pipelining
-  // forced off, forced to 2 chunks, and in auto mode must fulfil
-  // every request with bit-identical outputs (chunking partitions the
-  // RHS dimension; per-request arithmetic is untouched), and the
-  // per-shape resolution must be visible through
-  // resolved_pipeline_chunks.
-  std::vector<std::vector<double>> inputs;
-  for (std::uint64_t r = 0; r < 8; ++r) {
-    inputs.push_back(
-        core::make_input_vector(small_dims().n_t * small_dims().n_m, 150 + r));
-  }
-  std::vector<std::vector<std::vector<double>>> outputs;
-  for (const int chunks : {1, 2, 0}) {
-    ServeOptions opts;
-    opts.num_streams = 1;
-    opts.max_batch = 8;
-    opts.linger_seconds = 0.05;
-    opts.pipeline_chunks = chunks;
-    AsyncScheduler sched(device::make_mi300x(), opts);
-    const auto tenant = register_tenant(sched, small_dims(), 149);
-    EXPECT_EQ(sched.resolved_pipeline_chunks(small_dims()),
-              chunks == 0 ? adaptive_pipeline_chunks(device::make_mi300x(),
-                                                     small_dims(), 8)
-                          : chunks);
-    std::vector<std::future<MatvecResult>> futures;
-    for (const auto& input : inputs) {
-      futures.push_back(sched.submit(tenant.tenant, core::ApplyDirection::kForward,
-                                     precision::PrecisionConfig{}, input));
-    }
-    sched.drain();
-    outputs.emplace_back();
-    for (auto& f : futures) outputs.back().push_back(f.get().output);
-  }
-  EXPECT_EQ(outputs[1], outputs[0]);  // forced 2 chunks == serial bits
-  EXPECT_EQ(outputs[2], outputs[0]);  // auto == serial bits
-}
-
-TEST(AsyncScheduler, AdaptivePipelineChunksIsDeterministicAndBounded) {
-  // Pure cost-model resolution: deterministic per (spec, dims, b),
-  // serial for degenerate batches, and never an unprobed chunk count.
-  const auto spec = device::make_mi300x();
-  const int c = adaptive_pipeline_chunks(spec, small_dims(), 8);
-  EXPECT_EQ(adaptive_pipeline_chunks(spec, small_dims(), 8), c);
-  EXPECT_TRUE(c == 1 || c == 2 || c == 4 || c == 8) << c;
-  EXPECT_EQ(adaptive_pipeline_chunks(spec, small_dims(), 1), 1);
-  EXPECT_EQ(adaptive_pipeline_chunks(spec, small_dims(), 2), 1);
-  // At the paper shape with an assembly-sized batch the model must
-  // choose real chunking — the tentpole regime.
-  EXPECT_GE(adaptive_pipeline_chunks(spec, core::ProblemDims{5000, 100, 1000},
-                                     128),
-            2);
-  // Direction and precision are part of the probe (phase ratios
-  // shift with both), each deterministic in its own right.
-  const auto dssdd = precision::PrecisionConfig::parse("dssdd");
-  const int adj = adaptive_pipeline_chunks(spec, small_dims(), 8,
-                                           core::ApplyDirection::kAdjoint, dssdd);
-  EXPECT_EQ(adaptive_pipeline_chunks(spec, small_dims(), 8,
-                                     core::ApplyDirection::kAdjoint, dssdd),
-            adj);
-  EXPECT_TRUE(adj == 1 || adj == 2 || adj == 4) << adj;
-}
-
 TEST(AsyncScheduler, GroupedTimingsWeightSbgemvByGroupShare) {
   // A 1 + 3 grouped batch: the singleton's RHS carries its whole
   // matrix read in the SBGEMV share while the 3-wide group amortises
@@ -940,9 +876,6 @@ TEST(AsyncScheduler, OptionValidationNamesTheBadField) {
   opts = {};
   opts.plan_cache_capacity = 0;
   expect_invalid(opts, "plan_cache_capacity");
-  opts = {};
-  opts.pipeline_chunks = -2;
-  expect_invalid(opts, "pipeline_chunks");
 }
 
 TEST(AsyncScheduler, MetricsRecordTheResultsLatencies) {
@@ -1361,14 +1294,13 @@ TEST(PlanCache, UnmatchedUnpinIsHarmless) {
 
 // -------------------------------------------------- request tracing
 
-TEST(ServeTrace, EndToEndSpanStructureAndPipelineOverlap) {
+TEST(ServeTrace, EndToEndSpanStructure) {
   namespace trace = util::trace;
   trace::stop();
   trace::clear();
   ServeOptions opts;
-  opts.num_streams = 1;        // lane 0: device tids 0 (A) and 1 (B)
+  opts.num_streams = 1;        // lane 0: device tid 0
   opts.max_batch = 8;
-  opts.pipeline_chunks = 4;     // forced: 8 RHS -> 4 chunks of 2
   opts.linger_seconds = 500e-3; // generous: the 8 submits coalesce into
                                 // one full batch even on a loaded CI box
   AsyncScheduler sched(device::make_mi300x(), opts);
@@ -1428,7 +1360,6 @@ TEST(ServeTrace, EndToEndSpanStructureAndPipelineOverlap) {
   const auto& batch = batch_spans[0];
   const auto& args = batch.at("args");
   EXPECT_EQ(args.at("size").number(), 8.0);
-  EXPECT_EQ(args.at("chunks").number(), 4.0);
   EXPECT_EQ(args.at("lane").number(), 0.0);
   EXPECT_EQ(args.at("groups").number(), 1.0);
   EXPECT_GE(args.at("batch_seq").number(), 0.0);
@@ -1450,37 +1381,18 @@ TEST(ServeTrace, EndToEndSpanStructureAndPipelineOverlap) {
     EXPECT_TRUE(found) << nested;
   }
 
-  // Device-clock phase spans: lane 0's stream A (tid 0) runs pad/fft/
-  // ifft, stream B (tid 1) the grouped SBGEMV — once per chunk.  The
-  // fused inverse FFT writes the outputs, so no unpad span is traced.
-  std::map<std::string, int> a_phases, b_phases;
+  // Device-clock phase spans: the one batch runs its phases in
+  // sequence on lane 0's stream (tid 0), one span each.  The fused
+  // inverse FFT writes the outputs, so no unpad span is traced.
+  std::map<std::string, int> phases;
   for (const auto& ev : device_spans) {
-    const int tid = static_cast<int>(ev.at("tid").number());
-    ASSERT_TRUE(tid == 0 || tid == 1) << "unexpected device track " << tid;
-    (tid == 0 ? a_phases : b_phases)[ev.at("name").str()]++;
+    EXPECT_EQ(ev.at("tid").number(), 0.0) << ev.at("name").str();
+    phases[ev.at("name").str()]++;
   }
-  for (const char* p : {"pad", "fft", "ifft"}) {
-    EXPECT_EQ(a_phases[p], 4) << p;
+  for (const char* p : {"pad", "fft", "sbgemv", "ifft"}) {
+    EXPECT_EQ(phases[p], 1) << p;
   }
-  EXPECT_EQ(a_phases.count("unpad"), 0u);
-  EXPECT_EQ(b_phases["sbgemv"], 4);
-  EXPECT_EQ(a_phases.count("sbgemv"), 0u);
-
-  // The pipelined batch must show real overlap: some stream-B SBGEMV
-  // span intersects a stream-A span in simulated device time.
-  bool overlap = false;
-  for (const auto& sb : device_spans) {
-    if (static_cast<int>(sb.at("tid").number()) != 1) continue;
-    const double s0 = sb.at("ts").number();
-    const double s1 = s0 + sb.at("dur").number();
-    for (const auto& sa : device_spans) {
-      if (static_cast<int>(sa.at("tid").number()) != 0) continue;
-      const double t0 = sa.at("ts").number();
-      const double t1 = t0 + sa.at("dur").number();
-      if (s0 < t1 && t0 < s1) overlap = true;
-    }
-  }
-  EXPECT_TRUE(overlap);
+  EXPECT_EQ(phases.count("unpad"), 0u);
 
   // The lane utilisation gauge landed in the metrics snapshot.
   const auto snap = sched.metrics();
