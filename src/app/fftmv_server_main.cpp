@@ -31,23 +31,24 @@
 //                    table prints with the report.  0 (default) = all
 //                    one-shot
 //   -deadline-ms D   per-request completion deadline carried by the
-//                    session submits (StreamQoS); misses are counted
-//                    in the summary's "deadline miss" column.  0
-//                    (default) = best effort
+//                    session submits (StreamQoS), finite and >= 0;
+//                    misses are counted in the summary's "deadline
+//                    miss" column.  0 (default) = best effort
 //   -weights a,b,... weighted-fair-queueing weights cycled across the
-//                    sessions (default all 1)
+//                    sessions, each finite and > 0 (default all 1)
 //   -queue-depth N   bounded admission: max pending requests before
 //                    the shed-best-effort overload policy engages
 //                    (refusals surface as kQueueFull/kShed result
 //                    codes, never exceptions).  0 (default) =
 //                    unbounded
 //   -fault-rate F    deterministic fault injection: per-launch
-//                    probability of a transient kernel fault (and
-//                    F/2 per allocation of an injected OOM), sampled
-//                    from -fault-seed via device::FaultPlan and
-//                    attached AFTER tenant setup so only the request
-//                    path is exposed.  Faulted batches retry with
-//                    backoff and quarantine (see ServeOptions); the
+//                    probability F in [0, 1] of a transient kernel
+//                    fault (and F/2 per allocation of an injected
+//                    OOM), sampled from -fault-seed via
+//                    device::FaultPlan and attached AFTER tenant
+//                    setup so only the request path is exposed.
+//                    Faulted batches retry with backoff and
+//                    quarantine (see ServeOptions); the
 //                    errors/resilience tables report the outcome.  0
 //                    (default) = no injection
 //   -fault-seed S    seed for the fault plan's Bernoulli draws; the
@@ -59,11 +60,12 @@
 //                    resilience table reports detections, recomputes
 //                    and false positives
 //   -sdc-rate F      silent-data-corruption injection: per grouped-
-//                    GEMV launch probability of flipping an exponent
-//                    bit in the output buffer (device::FaultPlan's
-//                    buffer site).  Corruption is injected whether or
-//                    not -verify is on — off shows the corrupted-and-
-//                    undetected baseline.  0 (default) = no injection
+//                    GEMV launch probability F in [0, 1] of flipping
+//                    an exponent bit in the output buffer
+//                    (device::FaultPlan's buffer site).  Corruption
+//                    is injected whether or not -verify is on — off
+//                    shows the corrupted-and-undetected baseline.  0
+//                    (default) = no injection
 //   -sdc-seed S      seed for the SDC draws (defaults to -fault-seed)
 //   -raw             machine-parseable summary (bare numbers)
 //   -json PATH       write the metrics tables as a bench::Artifact
@@ -85,6 +87,7 @@
 // value for a load flag exits 1 with a message naming the flag, before
 // anything is built.
 #include <cmath>
+#include <cstdlib>
 #include <future>
 #include <iostream>
 #include <memory>
@@ -135,7 +138,16 @@ std::vector<double> parse_weight_list(const std::string& csv) {
     const std::size_t comma = csv.find(',', start);
     const std::string item = csv.substr(
         start, comma == std::string::npos ? std::string::npos : comma - start);
-    if (!item.empty()) weights.push_back(std::stod(item));
+    if (!item.empty()) {
+      char* end = nullptr;
+      const double weight = std::strtod(item.c_str(), &end);
+      if (end != item.c_str() + item.size() || !std::isfinite(weight) ||
+          weight <= 0.0) {
+        throw std::invalid_argument(
+            "-weights: expected finite weights > 0, got '" + item + "'");
+      }
+      weights.push_back(weight);
+    }
     if (comma == std::string::npos) break;
     start = comma + 1;
   }
@@ -143,6 +155,16 @@ std::vector<double> parse_weight_list(const std::string& csv) {
     throw std::invalid_argument("-weights: expected a comma-separated list");
   }
   return weights;
+}
+
+/// Throws naming `flag` unless `value` is a fraction in [0, 1] (NaN
+/// fails both comparisons).
+void check_fraction(const char* flag, double value) {
+  if (!(value >= 0.0 && value <= 1.0)) {
+    throw std::invalid_argument(std::string(flag) +
+                                ": expected a fraction in [0, 1], got " +
+                                std::to_string(value));
+  }
 }
 
 }  // namespace
@@ -185,16 +207,16 @@ int main(int argc, char** argv) {
       throw std::invalid_argument(
           "-rps: expected a finite arrival rate > 0, got " + std::to_string(rps));
     }
-    if (!(adjoint_frac >= 0.0 && adjoint_frac <= 1.0)) {
-      throw std::invalid_argument(
-          "-adjoint-frac: expected a fraction in [0, 1], got " +
-          std::to_string(adjoint_frac));
-    }
+    check_fraction("-adjoint-frac", adjoint_frac);
     const auto spec = device::spec_by_name(cli.get_string("device", "mi300x"));
     const std::uint64_t seed =
         smoke ? 20260730 : static_cast<std::uint64_t>(cli.get_int("seed", 42));
     const auto configs = parse_config_list(cli.get_string("prec", "ddddd,dssdd,sssss"));
     const double deadline_ms = cli.get_double("deadline-ms", smoke ? 250.0 : 0.0);
+    if (!std::isfinite(deadline_ms) || deadline_ms < 0.0) {
+      throw std::invalid_argument("-deadline-ms: expected a finite deadline >= 0, got " +
+                                  std::to_string(deadline_ms));
+    }
     const auto weights = parse_weight_list(cli.get_string("weights", "1"));
 
     serve::ServeOptions opts;
@@ -210,6 +232,7 @@ int main(int argc, char** argv) {
     // displaces pending best-effort work for deadlined arrivals.
     opts.max_queue_depth = static_cast<int>(cli.get_int("queue-depth", 0));
     const double fault_rate = cli.get_double("fault-rate", 0.0);
+    check_fraction("-fault-rate", fault_rate);
     const std::uint64_t fault_seed =
         static_cast<std::uint64_t>(cli.get_int("fault-seed", 1));
     const std::string verify_name = cli.get_string("verify", "off");
@@ -224,6 +247,7 @@ int main(int argc, char** argv) {
           "-verify: expected off, checksum or paranoid, got " + verify_name);
     }
     const double sdc_rate = cli.get_double("sdc-rate", 0.0);
+    check_fraction("-sdc-rate", sdc_rate);
     const std::uint64_t sdc_seed = static_cast<std::uint64_t>(
         cli.get_int("sdc-seed", static_cast<index_t>(fault_seed)));
 

@@ -83,17 +83,4 @@ device::KernelTiming transpose_batched(device::Stream& stream, const T* src,
   });
 }
 
-/// Host-side transpose used by tests as the correctness reference.
-template <class T>
-void transpose_batched_host(const T* src, T* dst, index_t batch, index_t rows,
-                            index_t cols) {
-  for (index_t b = 0; b < batch; ++b) {
-    const T* s = src + b * rows * cols;
-    T* d = dst + b * rows * cols;
-    for (index_t r = 0; r < rows; ++r) {
-      for (index_t c = 0; c < cols; ++c) d[c * rows + r] = s[r * cols + c];
-    }
-  }
-}
-
 }  // namespace fftmv::blas

@@ -16,22 +16,9 @@ void axpy(index_t n, T alpha, const T* x, T* y) {
 }
 
 template <class T>
-void scal(index_t n, T alpha, T* x) {
-  for (index_t i = 0; i < n; ++i) x[i] *= alpha;
-}
-
-template <class T>
 T dot(index_t n, const T* x, const T* y) {
   T acc{};
   for (index_t i = 0; i < n; ++i) acc += x[i] * y[i];
-  return acc;
-}
-
-/// Conjugated dot <x, y> = sum conj(x_i) y_i for complex T.
-template <class T>
-T dotc(index_t n, const T* x, const T* y) {
-  T acc{};
-  for (index_t i = 0; i < n; ++i) acc += conj_if_complex(x[i]) * y[i];
   return acc;
 }
 

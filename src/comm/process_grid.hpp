@@ -37,10 +37,6 @@ class ProcessGrid {
   index_t row_of(index_t rank) const { return rank % rows_; }
   index_t col_of(index_t rank) const { return rank / rows_; }
 
-  /// True when a grid column's ranks all live inside one node of
-  /// `node_size` GPUs (contiguous column-major numbering).
-  bool column_within_node(index_t node_size) const { return rows_ <= node_size; }
-
  private:
   void check_coord(index_t row, index_t col) const {
     if (row < 0 || row >= rows_ || col < 0 || col >= cols_) {

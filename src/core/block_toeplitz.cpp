@@ -1,6 +1,5 @@
 #include "core/block_toeplitz.hpp"
 
-#include <cmath>
 #include <stdexcept>
 
 #include "blas/permute.hpp"
@@ -129,14 +128,6 @@ BlockToeplitzOperator::BlockToeplitzOperator(device::Device& dev,
   // 4. Permute spectra into per-frequency column-major blocks.
   spectrum_to_blocks(stream, spectra.data(), spectrum_d_.data(), dims_.n_d_local,
                      dims_.n_m_local, n_f);
-
-  if (!dev.phantom()) {
-    double acc = 0.0;
-    for (index_t k = 0; k < spectrum_elems(); ++k) {
-      acc += std::norm(spectrum_d_[k]);
-    }
-    spectrum_norm_ = std::sqrt(acc);
-  }
 
   setup_seconds_ = stream.now() - t0;
 }

@@ -57,10 +57,6 @@ class BlockToeplitzOperator {
     return dims_.num_frequencies() * block_elems();
   }
 
-  /// Frobenius norm of the frequency-space operator (used by the
-  /// error model's amplification estimate).  Zero on phantom devices.
-  double spectrum_norm() const { return spectrum_norm_; }
-
   /// Simulated seconds spent in setup.
   double setup_seconds() const { return setup_seconds_; }
 
@@ -73,7 +69,6 @@ class BlockToeplitzOperator {
   mutable std::optional<device::device_vector<cdouble>> checksum_row_d_;
   mutable std::optional<device::device_vector<cfloat>> checksum_col_f_;
   mutable std::optional<device::device_vector<cfloat>> checksum_row_f_;
-  double spectrum_norm_ = 0.0;
   double setup_seconds_ = 0.0;
 };
 

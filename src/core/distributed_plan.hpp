@@ -30,7 +30,7 @@
 // Bit-identity also needs the phase-3 GEMV kernel KIND to agree
 // between a slice and the full operator, since the reference and
 // optimized transpose kernels accumulate in different orders:
-// FftMatvecPlan resolves GemvKernelPolicy::kAuto from the GLOBAL dims
+// FftMatvecPlan picks the transpose kernel from the GLOBAL dims
 // (LocalDims::global), never from its slice.  (Forward always
 // dispatches the reference N kernel; for the adjoint a slice-local
 // choice would flip once n_d > 1024 — tested at n_d = 1025.)

@@ -29,7 +29,8 @@ struct ErrorModelConstants {
 /// Inputs that depend on the run: the amplification factor and the
 /// distribution.  `amplification` plays the role of kappa(F_hat); in
 /// practice we use the observed normwise amplification
-/// ||F_hat||_F ||v0|| / ||v5|| (see EXPERIMENTS.md) because the exact
+/// ||F_hat||_F ||v0|| / ||v5|| (the BoundContainment test in
+/// tests/test_error_model.cpp computes it) because the exact
 /// condition number of the rectangular frequency blocks is not
 /// available in-application.
 struct ErrorModelInputs {
@@ -118,35 +119,6 @@ inline VerifyTolerances verify_tolerances(
   tol.fft_forward = kVerifySafety * log_l * (e2 + kEpsDouble);
   tol.fft_inverse = kVerifySafety * log_l * (e4 + kEpsDouble);
   return tol;
-}
-
-/// The phase whose epsilon term dominates the bound — §3.2.1 argues
-/// this is the SBGEMV whenever its n-dependence is active.
-inline int dominant_phase(const precision::PrecisionConfig& config,
-                          const ErrorModelInputs& in,
-                          const ErrorModelConstants& c = {}) {
-  double best = -1.0;
-  int phase = precision::kPhaseSbgemv;
-  const double log_nt = util::log2_ceil(util::next_pow2(in.dims.n_t()));
-  const double n_loc = static_cast<double>(in.adjoint ? in.dims.n_d_local
-                                                      : in.dims.n_m_local);
-  const double contributions[precision::kNumPhases] = {
-      (config.phase(0) == precision::Precision::kDouble ? 0.0 : c.c1) *
-          precision::eps(config.phase(0)),
-      c.c2 * precision::eps(config.phase(1)) * log_nt,
-      c.c3 * precision::eps(config.phase(2)) * n_loc,
-      c.c4 * precision::eps(config.phase(3)) * log_nt,
-      c.c5 * precision::eps(config.phase(4)) *
-          (in.reduce_ranks > 1 ? util::log2_ceil(util::next_pow2(in.reduce_ranks))
-                               : 0.0),
-  };
-  for (int i = 0; i < precision::kNumPhases; ++i) {
-    if (contributions[i] > best) {
-      best = contributions[i];
-      phase = i;
-    }
-  }
-  return phase;
 }
 
 }  // namespace fftmv::core

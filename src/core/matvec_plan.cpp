@@ -185,15 +185,13 @@ void FftMatvecPlan::apply_batch(std::span<const OperatorGroup> groups,
     }
   }
 
-  // kAuto resolves from the GLOBAL shape, not this plan's slice, so a
-  // sharded rank plan runs the same transpose kernel — and the same
-  // summation order — as the full operator would.
-  blas::GemvKernelPolicy gemv_policy = options_.gemv_policy;
-  if (gemv_policy == blas::GemvKernelPolicy::kAuto) {
-    gemv_policy = blas::use_optimized_transpose(dims_.global.n_d, dims_.global.n_m)
-                      ? blas::GemvKernelPolicy::kOptimized
-                      : blas::GemvKernelPolicy::kReference;
-  }
+  // The transpose kernel is picked from the GLOBAL shape, not this
+  // plan's slice, so a sharded rank plan runs the same kernel — and
+  // the same summation order — as the full operator would.
+  const blas::GemvKernelPolicy gemv_policy =
+      blas::use_optimized_transpose(dims_.global.n_d, dims_.global.n_m)
+          ? blas::GemvKernelPolicy::kOptimized
+          : blas::GemvKernelPolicy::kReference;
 
   timings_ = PhaseTimings{};
   rhs_timings_.clear();

@@ -143,7 +143,6 @@ using VectorView = std::span<double>;
 using ConstVectorView = std::span<const double>;
 
 struct MatvecOptions {
-  blas::GemvKernelPolicy gemv_policy = blas::GemvKernelPolicy::kAuto;
   /// When false, precision changes run as separate cast kernels after
   /// a same-precision memory op (the fusion ablation of §3.2).
   bool fuse_casts = true;

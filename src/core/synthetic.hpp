@@ -82,16 +82,4 @@ inline std::vector<double> slice_tosi(std::span<const double> global,
   return out;
 }
 
-/// Scatter a TOSI slice back into a global TOSI vector.
-inline void scatter_tosi(const std::vector<double>& local, index_t n_t,
-                         index_t width, index_t offset, index_t count,
-                         std::vector<double>& global) {
-  for (index_t t = 0; t < n_t; ++t) {
-    for (index_t k = 0; k < count; ++k) {
-      global[static_cast<std::size_t>(t * width + offset + k)] =
-          local[static_cast<std::size_t>(t * count + k)];
-    }
-  }
-}
-
 }  // namespace fftmv::core

@@ -53,9 +53,4 @@ double CostModel::memcpy_time(double bytes) const {
   return spec_.launch_overhead_s + 2.0 * bytes / bw;  // read + write
 }
 
-double CostModel::memset_time(double bytes) const {
-  const double bw = spec_.peak_bandwidth_gbps * 1e9 * spec_.streaming_derate_fp64;
-  return spec_.launch_overhead_s + bytes / bw;
-}
-
 }  // namespace fftmv::device

@@ -75,10 +75,9 @@ class CostModel {
   KernelTiming kernel_time(const LaunchGeometry& geom,
                            const KernelFootprint& fp) const;
 
-  /// Device-to-device copy/fill modelled as a perfectly streaming
-  /// kernel (read+write or write-only).
+  /// Device-to-device copy modelled as a perfectly streaming kernel
+  /// (read + write).
   double memcpy_time(double bytes) const;
-  double memset_time(double bytes) const;
 
  private:
   DeviceSpec spec_;

@@ -47,7 +47,7 @@ class Stream {
   double now() const { return sim_time_; }
 
   /// Simulated seconds of work charged to this stream (launches,
-  /// copies, fills, advances).  Excludes idle jumps from wait(), so
+  /// copies, advances).  Excludes idle jumps from wait(), so
   /// with overlapped multi-stream execution sum-of-busy can exceed
   /// the max-over-streams makespan.
   double busy() const { return busy_; }
@@ -100,16 +100,6 @@ class Stream {
     busy_ += t;
   }
 
-  /// Zero-fill with simulated write-only streaming time.
-  template <class T>
-  void fill_zero(T* dst, index_t count) {
-    const double bytes = static_cast<double>(count) * sizeof(T);
-    if (count > 0 && !dev_->phantom()) std::fill(dst, dst + count, T{});
-    const double t = dev_->cost_model().memset_time(bytes);
-    sim_time_ += t;
-    busy_ += t;
-  }
-
   /// Advance the clock without work (e.g. modelled communication
   /// time charged to this stream by the comm layer).
   void advance(double seconds) {
@@ -142,11 +132,6 @@ class Event {
  public:
   void record(const Stream& s) { time_ = s.now(); }
   double seconds() const { return time_; }
-
-  /// Simulated milliseconds between two recorded events.
-  static double elapsed_ms(const Event& start, const Event& stop) {
-    return (stop.time_ - start.time_) * 1e3;
-  }
 
  private:
   double time_ = 0.0;

@@ -41,8 +41,6 @@ class half {
 
   /// Machine epsilon of binary16: 2^-10.
   static constexpr double epsilon() { return 9.765625e-04; }
-  /// Largest finite value: 65504.
-  static constexpr double max_value() { return 65504.0; }
 
  private:
   static std::uint16_t float_to_bits(float value) {

@@ -71,7 +71,6 @@ class PrecisionConfig {
   static std::vector<PrecisionConfig> all_configs();
 
   Precision phase(int i) const { return phases_.at(static_cast<std::size_t>(i)); }
-  void set_phase(int i, Precision p) { phases_.at(static_cast<std::size_t>(i)) = p; }
 
   bool all_double() const;
   bool all_single() const;

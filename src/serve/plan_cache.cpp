@@ -2,6 +2,7 @@
 
 #include <functional>
 #include <stdexcept>
+#include <string>
 
 #include "util/trace.hpp"
 
@@ -29,15 +30,12 @@ void trace_cache_event(const char* name, const PlanKey& key) {
 }  // namespace
 
 std::size_t PlanKeyHash::operator()(const PlanKey& k) const noexcept {
-  std::size_t h = std::hash<std::string>{}(k.device);
-  hash_combine(h, static_cast<std::size_t>(k.lane));
+  std::size_t h = std::hash<int>{}(k.lane);
   const auto& d = k.dims;
   for (const index_t v : {d.global.n_m, d.global.n_d, d.global.n_t, d.n_m_local,
                           d.n_d_local, d.m_offset, d.d_offset}) {
     hash_combine(h, std::hash<index_t>{}(v));
   }
-  hash_combine(h, static_cast<std::size_t>(k.options.gemv_policy));
-  hash_combine(h, static_cast<std::size_t>(k.options.fuse_casts));
   return h;
 }
 
@@ -70,8 +68,7 @@ std::shared_ptr<core::FftMatvecPlan> PlanCache::acquire(const PlanKey& key,
   // other lanes' lookups (keys are lane-scoped in the scheduler, so
   // concurrent same-key builds do not arise there; if an external
   // caller races one, the loser's plan is simply dropped below).
-  auto plan =
-      std::make_shared<core::FftMatvecPlan>(*dev_, stream, key.dims, key.options);
+  auto plan = std::make_shared<core::FftMatvecPlan>(*dev_, stream, key.dims);
   std::shared_ptr<core::FftMatvecPlan> result;
   std::int64_t evicted = 0;
   {

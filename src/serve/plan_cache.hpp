@@ -1,39 +1,39 @@
 // LRU cache of FftMatvecPlan instances for the serving layer.
 //
-// Plan setup (FFT sub-plan twiddle tables, pipeline buffer
-// allocation) is a per-shape cost the one-shot executables re-pay on
-// every run; a long-lived service amortises it by keying plans on
-// (LocalDims, MatvecOptions, device, stream lane) and reusing them
-// across requests (ISSUE motivation; cf. the Hessian-action workloads
-// of Venkat et al., which apply the same operator thousands of
-// times).  FftMatvecPlan is precision-agnostic — the config is passed
+// Plan setup (FFT sub-plan twiddle tables, workspace allocation) is a
+// per-shape cost the one-shot executables re-pay on every run; a
+// long-lived service amortises it by keying plans on (LocalDims,
+// stream lane) and reusing them across requests (cf. the
+// Hessian-action workloads of Venkat et al., which apply the same
+// operator thousands of times).  A cache serves one device and builds
+// every plan with default MatvecOptions, so neither is part of the
+// key.  FftMatvecPlan is precision-agnostic — the config is passed
 // per apply and the plan lazily keeps dual-precision buffers — so the
-// precision config is deliberately NOT part of the key: every config
-// a tenant mixes shares one warmed plan, shrinking the resident
-// working set ~3x for the typical 3-config mix.  A plan is bound to
-// the stream it was created on (as with cuFFT/hipFFT plans), so the
-// lane index is part of the key and each scheduler lane only ever
-// touches its own entries — a cached plan is never driven from two
-// threads at once.
+// precision config is deliberately NOT part of the key either: every
+// config a tenant mixes shares one warmed plan, shrinking the
+// resident working set ~3x for the typical 3-config mix.  A plan is
+// bound to the stream it was created on (as with cuFFT/hipFFT plans),
+// so the lane index is part of the key and each scheduler lane only
+// ever touches its own entries — a cached plan is never driven from
+// two threads at once.
 //
 // Pinning: a streaming session keeps its tenant's plan hot for the
-// session lifetime — pin() marks a key's SHAPE (dims, options,
-// device; the lane component is ignored, since a session's requests
-// may run on any lane) and eviction skips every pinned entry, so
-// cache pressure from other tenants can never cold-start an active
-// session.  Pins are counted (two sessions on one shape need two
-// unpins) and only shield entries from eviction; they do not build
-// plans — each lane still warms its own entry on first dispatch and
-// keeps it from then on.  AsyncScheduler::open_stream validates that
-// capacity covers the pinned working set, so a fully-pinned cache
-// cannot sneak past its budget.
+// session lifetime — pin() marks a key's SHAPE (its dims; the lane
+// component is ignored, since a session's requests may run on any
+// lane) and eviction skips every pinned entry, so cache pressure from
+// other tenants can never cold-start an active session.  Pins are
+// counted (two sessions on one shape need two unpins) and only shield
+// entries from eviction; they do not build plans — each lane still
+// warms its own entry on first dispatch and keeps it from then on.
+// AsyncScheduler::open_stream validates that capacity covers the
+// pinned working set, so a fully-pinned cache cannot sneak past its
+// budget.
 #pragma once
 
 #include <cstdint>
 #include <list>
 #include <memory>
 #include <mutex>
-#include <string>
 #include <unordered_map>
 
 #include "core/matvec_plan.hpp"
@@ -45,9 +45,6 @@ namespace fftmv::serve {
 
 struct PlanKey {
   core::LocalDims dims;
-  core::MatvecOptions options;
-  /// DeviceSpec name the plan was built for.
-  std::string device;
   /// Scheduler stream lane the plan is bound to.
   int lane = 0;
 
@@ -69,8 +66,8 @@ class PlanCache {
   /// `capacity` is the maximum number of resident plans (>= 1).
   PlanCache(device::Device& dev, std::size_t capacity);
 
-  /// Return the cached plan for `key`, creating it on `stream` on a
-  /// miss and evicting the least-recently-used entry beyond capacity.
+  /// Return the cached plan for `key`, creating it on `stream` (with
+  /// default MatvecOptions) on a miss and evicting the least-recently-used entry beyond capacity.
   /// The returned shared_ptr keeps an evicted plan alive until its
   /// current user releases it.  Thread-safe.
   std::shared_ptr<core::FftMatvecPlan> acquire(const PlanKey& key,
@@ -81,9 +78,9 @@ class PlanCache {
   /// (e.g. asserting a coalesced batch cost one plan execution).
   std::shared_ptr<core::FftMatvecPlan> peek(const PlanKey& key) const;
 
-  /// Pin `key`'s shape: every lane's entry for (dims, options,
-  /// device) — key.lane is ignored — is shielded from LRU eviction
-  /// until a matching unpin().  Counted: pin twice, unpin twice.
+  /// Pin `key`'s shape: every lane's entry for key.dims — key.lane
+  /// is ignored — is shielded from LRU eviction until a matching
+  /// unpin().  Counted: pin twice, unpin twice.
   void pin(const PlanKey& key);
   void unpin(const PlanKey& key);
   /// True iff `key`'s shape currently holds at least one pin.

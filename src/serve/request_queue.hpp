@@ -87,6 +87,8 @@ struct StreamQoS {
   /// serves earlier deadlines first within a coalescing key and cuts
   /// linger short for urgent requests.  0 = best effort (no deadline;
   /// best-effort requests sort behind every deadlined one in a key).
+  /// Must be finite; one past the steady clock's range (~292 years)
+  /// saturates just short of the clock's end.
   double deadline_seconds = 0.0;
   /// Weighted-fair-queueing weight (> 0): while two keys are both
   /// backlogged, their served-request ratio tracks their weight

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cmath>
 #include <stdexcept>
 #include <string>
 #include <thread>
@@ -19,6 +20,34 @@ using clock = std::chrono::steady_clock;
 
 double seconds_between(clock::time_point a, clock::time_point b) {
   return std::chrono::duration<double>(b - a).count();
+}
+
+/// Reject QoS the scheduler cannot honour, naming the calling entry
+/// point.  A NaN or infinite deadline has no place on the clock.
+void validate_qos(const StreamQoS& qos, const char* caller) {
+  if (!std::isfinite(qos.deadline_seconds) || qos.deadline_seconds < 0.0) {
+    throw std::invalid_argument(
+        std::string(caller) + ": qos.deadline_seconds must be finite and >= 0, got " +
+        std::to_string(qos.deadline_seconds));
+  }
+  if (!(qos.weight > 0.0)) {
+    throw std::invalid_argument(std::string(caller) +
+                                ": qos.weight must be > 0, got " +
+                                std::to_string(qos.weight));
+  }
+}
+
+/// The absolute deadline `seconds` (finite, > 0) after `start`.  One
+/// past the clock's range (~292 years) saturates just short of it
+/// instead of overflowing the conversion: time_point::max() itself
+/// marks best effort, and the millisecond margin absorbs the rounding
+/// of the double-to-tick conversion.
+clock::time_point deadline_after(clock::time_point start, double seconds) {
+  const clock::duration headroom =
+      clock::time_point::max() - start - std::chrono::milliseconds(1);
+  const std::chrono::duration<double> relative(seconds);
+  if (relative >= headroom) return start + headroom;
+  return start + std::chrono::duration_cast<clock::duration>(relative);
 }
 
 /// Validate and resolve the service configuration up front (throwing
@@ -40,11 +69,6 @@ ServeOptions resolve_options(ServeOptions options) {
   }
   if (options.plan_cache_capacity == 0) {
     throw std::invalid_argument("ServeOptions: plan_cache_capacity must be >= 1");
-  }
-  if (options.max_rank_group < 1) {
-    throw std::invalid_argument(
-        "ServeOptions: max_rank_group must be >= 1, got " +
-        std::to_string(options.max_rank_group));
   }
   if (options.max_queue_depth < 0) {
     throw std::invalid_argument(
@@ -207,11 +231,11 @@ TenantId AsyncScheduler::add_tenant(const core::ProblemDims& dims,
         "AsyncScheduler::add_tenant: rank_group must be >= 0, got " +
         std::to_string(rank_group));
   }
-  if (rank_group > options_.max_rank_group) {
+  const comm::NetworkSpec network = comm::NetworkSpec::frontier();
+  if (rank_group > network.node_size) {
     throw std::invalid_argument(
         "AsyncScheduler::add_tenant: rank_group " + std::to_string(rank_group) +
-        " exceeds ServeOptions::max_rank_group = " +
-        std::to_string(options_.max_rank_group));
+        " exceeds the node size " + std::to_string(network.node_size));
   }
   if (rank_group > dims.n_d || rank_group > dims.n_m) {
     throw std::invalid_argument(
@@ -223,8 +247,7 @@ TenantId AsyncScheduler::add_tenant(const core::ProblemDims& dims,
     // Auto placement: the cost model's compute/comm crossover decides
     // whether sharding this shape pays at all, and how wide.
     rank_group = adaptive_rank_group(dev_.spec(), dims,
-                                     options_.max_rank_group,
-                                     comm::NetworkSpec::frontier());
+                                     static_cast<int>(network.node_size), network);
   }
   // The expensive setup (batched FFT of the block column, fp32
   // spectrum warm — the latter so the lazily-cast copy is never raced
@@ -276,16 +299,7 @@ bool AsyncScheduler::tenant_degraded(TenantId tenant) const {
 std::future<MatvecResult> AsyncScheduler::enqueue(Request request,
                                                   SessionId session) {
   const util::trace::Span submit_span("submit", "serve");
-  if (request.qos.deadline_seconds < 0.0) {
-    throw std::invalid_argument(
-        "AsyncScheduler::submit: qos.deadline_seconds must be >= 0, got " +
-        std::to_string(request.qos.deadline_seconds));
-  }
-  if (!(request.qos.weight > 0.0)) {
-    throw std::invalid_argument(
-        "AsyncScheduler::submit: qos.weight must be > 0, got " +
-        std::to_string(request.qos.weight));
-  }
+  validate_qos(request.qos, "AsyncScheduler::submit");
   core::LocalDims dims;
   bool tenant_sharded = false;
   {
@@ -315,10 +329,7 @@ std::future<MatvecResult> AsyncScheduler::enqueue(Request request,
   if (request.qos.deadline_seconds > 0.0) {
     // Relative QoS deadline -> absolute: the miss test and the EDF
     // order both run on the absolute time.
-    req.deadline =
-        req.enqueued + std::chrono::duration_cast<clock::duration>(
-                           std::chrono::duration<double>(
-                               request.qos.deadline_seconds));
+    req.deadline = deadline_after(req.enqueued, request.qos.deadline_seconds);
   }
   req.weight = request.qos.weight;
   std::future<MatvecResult> future = req.promise.get_future();
@@ -437,16 +448,7 @@ StreamSession AsyncScheduler::open_stream(TenantId tenant,
                                           core::ApplyDirection direction,
                                           const precision::PrecisionConfig& config,
                                           StreamQoS qos) {
-  if (qos.deadline_seconds < 0.0) {
-    throw std::invalid_argument(
-        "AsyncScheduler::open_stream: qos.deadline_seconds must be >= 0, got " +
-        std::to_string(qos.deadline_seconds));
-  }
-  if (!(qos.weight > 0.0)) {
-    throw std::invalid_argument(
-        "AsyncScheduler::open_stream: qos.weight must be > 0, got " +
-        std::to_string(qos.weight));
-  }
+  validate_qos(qos, "AsyncScheduler::open_stream");
   // Pin exactly the shapes dispatch acquires: each rank slice of the
   // tenant's placement in this direction (at one rank, its own dims).
   std::vector<PlanKey> pin_keys;
@@ -459,8 +461,7 @@ StreamSession AsyncScheduler::open_stream(TenantId tenant,
     }
     const core::ShardedOperator& op = *it->second.op;
     for (index_t rk = 0; rk < op.ranks(); ++rk) {
-      pin_keys.push_back(PlanKey{op.rank_dims(direction, rk), options_.matvec,
-                                 dev_.spec().name, /*lane=*/0});
+      pin_keys.push_back(PlanKey{op.rank_dims(direction, rk), /*lane=*/0});
     }
   }
   // Capacity check BEFORE pinning: every pinned shape keeps one
@@ -671,10 +672,8 @@ void AsyncScheduler::execute_batch(int lane, Batch& batch) {
     std::vector<core::FftMatvecPlan*> plans;
     const auto acquire = [&](index_t rk, device::Stream& rank_stream,
                              int key_lane) {
-      owned.push_back(cache_.acquire(PlanKey{placement.rank_dims(direction, rk),
-                                             options_.matvec, dev_.spec().name,
-                                             key_lane},
-                                     rank_stream));
+      owned.push_back(cache_.acquire(
+          PlanKey{placement.rank_dims(direction, rk), key_lane}, rank_stream));
       plans.push_back(owned.back().get());
     };
     {

@@ -46,8 +46,9 @@
 //
 //   THROWS std::invalid_argument, synchronously, for caller bugs
 //   only: unknown tenant, wrong input extent, invalid QoS (negative
-//   deadline, non-positive weight), invalid ServeOptions at
-//   construction, and open_stream pin-capacity overflow.
+//   or non-finite deadline, non-positive weight), invalid
+//   ServeOptions at construction, and open_stream pin-capacity
+//   overflow.
 //   StreamSession::submit/close on a CLOSED handle — or a handle that
 //   outlived its scheduler — still throws std::runtime_error: handle
 //   misuse is a caller bug, not a service outcome.
@@ -116,21 +117,16 @@ struct ServeOptions {
   /// Maximum time a request may wait for batch companions.
   double linger_seconds = 500e-6;
   /// Resident FftMatvecPlan budget across all lanes.  Size it to
-  /// hold the working set: distinct (dims, options) keys x
-  /// num_streams (plans are precision-agnostic, so a tenant's whole
-  /// config mix shares one entry per lane); an undersized cache
-  /// thrashes and re-pays plan setup on the request path.
+  /// hold the working set: distinct plan dims x num_streams (plans
+  /// are precision-agnostic, so a tenant's whole config mix shares
+  /// one entry per lane); an undersized cache thrashes and re-pays
+  /// plan setup on the request path.
   std::size_t plan_cache_capacity = 32;
   /// Coalesce same-shape requests across tenants into grouped
   /// batches dispatched as one grouped apply_batch (the production
   /// default).  false restores the PR 3 same-tenant-only coalescing;
   /// kept for the serve_throughput ablation and A/B debugging.
   bool cross_tenant_batching = true;
-  /// Cap on a tenant's rank-group size (simulated ranks its operator
-  /// may shard across — see add_tenant's rank_group parameter).  The
-  /// default matches NetworkSpec::frontier().node_size, so default
-  /// placements stay on the intra-node fabric.
-  int max_rank_group = 8;
   /// EDF-within-key + weighted-fair-queueing-across-keys dispatch
   /// with deadline-cancels-linger (the production default).  false
   /// restores the deadline-blind FIFO + round-robin of PR 2-5 —
@@ -162,11 +158,9 @@ struct ServeOptions {
   /// checksums, kParanoid adds the FFT Parseval checks.  A
   /// detection re-dispatches through the retry machinery above and
   /// surfaces kSilentCorruption only when the recompute budget is
-  /// exhausted.  Not part of PlanKey — cached plans are shared across
-  /// verify modes.
+  /// exhausted.  A per-apply argument, so cached plans are shared
+  /// across verify modes.
   core::VerifyMode verify_mode = core::VerifyMode::kOff;
-  /// Matvec execution options shared by all tenants.
-  core::MatvecOptions matvec;
 };
 
 /// What ServeOptions::max_batch == 0 resolves to.
@@ -209,10 +203,11 @@ class AsyncScheduler {
   /// batch — with outputs bit-identical to the single-rank apply in
   /// every precision config.  1 (the default) is the unsharded
   /// single-rank placement; 0 resolves adaptively from the comm cost
-  /// model's crossover (adaptive_rank_group).  Throws
+  /// model's crossover (adaptive_rank_group).  A group never spans
+  /// more than one node (NetworkSpec::frontier().node_size, 8 ranks),
+  /// so placements stay on the intra-node fabric.  Throws
   /// std::invalid_argument when the explicit value is negative,
-  /// exceeds ServeOptions::max_rank_group or exceeds an output
-  /// dimension of `dims`.
+  /// exceeds the node size or exceeds an output dimension of `dims`.
   TenantId add_tenant(const core::ProblemDims& dims,
                       std::span<const double> first_block_col,
                       int rank_group = 1);
@@ -254,10 +249,10 @@ class AsyncScheduler {
   /// the PlanCache for the session lifetime so cache pressure never
   /// cold-starts an active stream.
   /// Throws std::invalid_argument for an unknown tenant, a negative
-  /// deadline, a non-positive weight, or when the pinned working set
-  /// (distinct pinned shapes x num_streams lanes) would exceed
-  /// plan_cache_capacity; std::runtime_error after shutdown (this
-  /// call returns a handle, not a future, so there is no failed
+  /// or non-finite deadline, a non-positive weight, or when the pinned
+  /// working set (distinct pinned shapes x num_streams lanes) would
+  /// exceed plan_cache_capacity; std::runtime_error after shutdown
+  /// (this call returns a handle, not a future, so there is no failed
   /// future to return — unlike submit).
   StreamSession open_stream(TenantId tenant, core::ApplyDirection direction,
                             const precision::PrecisionConfig& config,
@@ -276,7 +271,6 @@ class AsyncScheduler {
   const PlanCache& plan_cache() const { return cache_; }
   device::Device& device() { return dev_; }
   const ServeOptions& options() const { return options_; }
-  int num_lanes() const { return static_cast<int>(lanes_.size()); }
 
   /// Simulated seconds of the busiest lane stream (the service's
   /// simulated makespan, excluding tenant setup).  Stream clocks are

@@ -1,6 +1,7 @@
-// Naive O(N^2) discrete Fourier transform, used as the ground truth
-// in FFT unit/property tests.  Accumulates in double regardless of
-// the working precision to provide a high-accuracy reference.
+// Naive O(N^2) discrete Fourier transform (test support): the ground
+// truth of the FFT unit/property tests.  Accumulates in double
+// regardless of the working precision to provide a high-accuracy
+// reference.
 #pragma once
 
 #include <cmath>

@@ -29,12 +29,6 @@ TEST(ProcessGrid, ColumnMajorNumbering) {
   }
 }
 
-TEST(ProcessGrid, ColumnLocalityCheck) {
-  EXPECT_TRUE(ProcessGrid(8, 512).column_within_node(8));
-  EXPECT_FALSE(ProcessGrid(16, 256).column_within_node(8));
-  EXPECT_TRUE(ProcessGrid(1, 4096).column_within_node(8));
-}
-
 TEST(ProcessGrid, Validation) {
   EXPECT_THROW(ProcessGrid(0, 4), std::invalid_argument);
   EXPECT_THROW(ProcessGrid(2, -1), std::invalid_argument);

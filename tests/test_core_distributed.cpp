@@ -67,6 +67,18 @@ std::vector<double> single_rank_adjoint(const GlobalProblem& p,
   return m;
 }
 
+/// Scatter a TOSI slice back into a global TOSI vector.
+void scatter_tosi(const std::vector<double>& local, index_t n_t,
+                  index_t width, index_t offset, index_t count,
+                  std::vector<double>& global) {
+  for (index_t t = 0; t < n_t; ++t) {
+    for (index_t k = 0; k < count; ++k) {
+      global[static_cast<std::size_t>(t * width + offset + k)] =
+          local[static_cast<std::size_t>(t * count + k)];
+    }
+  }
+}
+
 /// Round every element through precision `p` (double(float(x)) for
 /// single): what a collective moving `p` scalars delivers.
 void round_through(std::vector<double>& v, precision::Precision p) {

@@ -364,24 +364,6 @@ TEST_F(MatvecFixture, SerialBatchLaunchesDoNotGrowWithB) {
   EXPECT_EQ(faults->stats().kernel_faults, 0u);
 }
 
-TEST_F(MatvecFixture, KernelPoliciesAgreeNumericallyForAdjoint) {
-  auto p = make_problem(40, 5, 20, 66);
-  const auto local = LocalDims::single_rank(p.dims);
-  BlockToeplitzOperator op(dev_, stream_, local, p.first_col);
-
-  MatvecOptions ref_opt;
-  ref_opt.gemv_policy = blas::GemvKernelPolicy::kReference;
-  MatvecOptions opt_opt;
-  opt_opt.gemv_policy = blas::GemvKernelPolicy::kOptimized;
-  FftMatvecPlan ref_plan(dev_, stream_, local, ref_opt);
-  FftMatvecPlan opt_plan(dev_, stream_, local, opt_opt);
-
-  std::vector<double> a(static_cast<std::size_t>(20 * 40)), b(a.size());
-  ref_plan.adjoint(op, p.d, a, PrecisionConfig{});
-  opt_plan.adjoint(op, p.d, b, PrecisionConfig{});
-  EXPECT_LT(blas::relative_l2_error(20 * 40, a.data(), b.data()), 1e-13);
-}
-
 // --------------------------------------------------------- timings
 //
 // Reduced-size problems are launch-overhead-bound on the real specs
@@ -580,8 +562,8 @@ struct B1Rig {
 TEST(SingleRhsEquivalence, ForwardAdjointEqualB1ApplyBatch) {
   // forward()/adjoint() and a b=1 apply_batch must agree on outputs,
   // the stream clock, every PhaseTimings field and memory_used(), for
-  // all 32 configs x both directions x {fused casts, unfused casts,
-  // kReference policy}, on a backed shape and the paper-scale phantom.
+  // all 32 configs x both directions x {fused casts, unfused casts},
+  // on a backed shape and the paper-scale phantom.
   struct Shape {
     const char* name;
     ProblemDims dims;
@@ -591,10 +573,8 @@ TEST(SingleRhsEquivalence, ForwardAdjointEqualB1ApplyBatch) {
                           {"phantom 5000x100x1000", {5000, 100, 1000}, true}};
   MatvecOptions unfused;
   unfused.fuse_casts = false;
-  MatvecOptions reference;
-  reference.gemv_policy = blas::GemvKernelPolicy::kReference;
   const std::pair<const char*, MatvecOptions> variants[] = {
-      {"fused", MatvecOptions{}}, {"unfused", unfused}, {"kReference", reference}};
+      {"fused", MatvecOptions{}}, {"unfused", unfused}};
 
   for (const auto& shape : shapes) {
     const auto local = LocalDims::single_rank(shape.dims);

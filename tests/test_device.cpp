@@ -123,9 +123,10 @@ TEST(CostModel, ComputeRoofline) {
 }
 
 TEST(CostModel, MemcpyAndMemsetTimes) {
+  // A copy pays the launch overhead plus its read + write streaming.
   const CostModel model(make_mi300x());
-  EXPECT_GT(model.memcpy_time(1e9), model.memset_time(1e9));
-  EXPECT_GT(model.memset_time(1e9), 0.0);
+  EXPECT_GT(model.memcpy_time(1e9), model.memcpy_time(0.0));
+  EXPECT_GT(model.memcpy_time(0.0), 0.0);
 }
 
 // ------------------------------------------------------------- device
@@ -203,19 +204,7 @@ TEST(Stream, CopyAndFillWork) {
   std::vector<double> src{1, 2, 3}, dst(3, 0.0);
   stream.copy(src.data(), dst.data(), 3);
   EXPECT_EQ(dst, src);
-  stream.fill_zero(dst.data(), 3);
-  EXPECT_EQ(dst, (std::vector<double>{0, 0, 0}));
   EXPECT_GT(stream.now(), 0.0);
-}
-
-TEST(Stream, EventsMeasureElapsedSimTime) {
-  Device dev(make_mi300x());
-  Stream stream(dev);
-  Event start, stop;
-  start.record(stream);
-  stream.advance(1.5e-3);
-  stop.record(stream);
-  EXPECT_NEAR(Event::elapsed_ms(start, stop), 1.5, 1e-12);
 }
 
 TEST(Stream, WaitAdvancesClockToEventMax) {

@@ -1,6 +1,6 @@
 // Tests for the artifact-workflow extensions: binary vector I/O (the
-// -s flag), the matvec/host-I/O overlap driver (§4.2.2 closing
-// remark), and mixed-precision iterative refinement ([9, 10]).
+// -s flag) and the matvec/host-I/O overlap driver (§4.2.2 closing
+// remark).
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -8,14 +8,11 @@
 #include <fstream>
 #include <thread>
 
-#include "blas/vector_ops.hpp"
 #include "core/block_toeplitz.hpp"
 #include "core/matvec_plan.hpp"
 #include "core/sequence_driver.hpp"
 #include "core/synthetic.hpp"
 #include "device/device_spec.hpp"
-#include "inverse/lti_system.hpp"
-#include "inverse/refinement.hpp"
 #include "util/io.hpp"
 #include "util/rng.hpp"
 
@@ -134,73 +131,6 @@ TEST_F(DriverFixture, ZeroHostCostMakesSchedulesConverge) {
   // With (near-)zero host time the overlapped schedule approaches the
   // pure device time.
   EXPECT_LT(report.overlapped_s, report.device_s * 1.5 + 1e-4);
-}
-
-// ------------------------------------------------------ refinement
-TEST(Refinement, ReachesDoubleAccuracyWithMostlyMixedMatvecs) {
-  const auto cfg = inverse::LtiConfig::with_uniform_sensors(32, 16, 4);
-  inverse::AdvectionDiffusion1D system(cfg);
-  device::Device dev(device::make_mi300x());
-  device::Stream stream(dev);
-  const core::ProblemDims dims{cfg.n_m(), cfg.n_d(), cfg.n_t};
-  const auto local = core::LocalDims::single_rank(dims);
-  core::BlockToeplitzOperator op(dev, stream, local,
-                                 system.first_block_column());
-  core::FftMatvecPlan plan(dev, stream, local);
-
-  inverse::PriorModel prior;
-  prior.n_m = cfg.n_m();
-  prior.sigma = 1.0;
-  prior.alpha = 1.0;
-  inverse::NoiseModel noise;
-  noise.sigma = 1e-2;
-
-  inverse::HessianOperator hd(plan, op, prior, noise, precision::PrecisionConfig{});
-  inverse::HessianOperator hm(plan, op, prior, noise,
-                              precision::PrecisionConfig::parse("dssdd"));
-
-  // Manufactured solution: b = H m_true.
-  util::Rng rng(11);
-  std::vector<double> m_true(static_cast<std::size_t>(hd.parameter_size()));
-  for (auto& v : m_true) v = rng.uniform(-1, 1);
-  std::vector<double> b(m_true.size());
-  hd.apply(m_true, b);
-
-  std::vector<double> m(m_true.size());
-  const auto result =
-      inverse::solve_with_refinement(hd, hm, b, m, 1e-11, 20, 1e-4, 200);
-  EXPECT_TRUE(result.converged);
-  EXPECT_LT(result.residual_norm, 1e-11);
-  // The heavy lifting ran in mixed precision.
-  EXPECT_GT(result.mixed_matvecs, 4 * result.double_matvecs);
-  // And the recovered solution matches the manufactured one to far
-  // better than single precision alone could deliver.
-  EXPECT_LT(blas::relative_l2_error(hd.parameter_size(), m.data(),
-                                    m_true.data()),
-            1e-8);
-}
-
-TEST(Refinement, ZeroRhsTrivial) {
-  const auto cfg = inverse::LtiConfig::with_uniform_sensors(16, 8, 2);
-  inverse::AdvectionDiffusion1D system(cfg);
-  device::Device dev(device::make_mi300x());
-  device::Stream stream(dev);
-  const core::ProblemDims dims{cfg.n_m(), cfg.n_d(), cfg.n_t};
-  const auto local = core::LocalDims::single_rank(dims);
-  core::BlockToeplitzOperator op(dev, stream, local,
-                                 system.first_block_column());
-  core::FftMatvecPlan plan(dev, stream, local);
-  inverse::PriorModel prior;
-  prior.n_m = cfg.n_m();
-  inverse::NoiseModel noise;
-  inverse::HessianOperator hd(plan, op, prior, noise, precision::PrecisionConfig{});
-  inverse::HessianOperator hm(plan, op, prior, noise,
-                              precision::PrecisionConfig::parse("dssdd"));
-  std::vector<double> b(static_cast<std::size_t>(hd.parameter_size()), 0.0);
-  std::vector<double> m(b.size(), 1.0);
-  const auto result = inverse::solve_with_refinement(hd, hm, b, m);
-  EXPECT_TRUE(result.converged);
-  for (double v : m) EXPECT_EQ(v, 0.0);
 }
 
 }  // namespace

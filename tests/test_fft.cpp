@@ -11,9 +11,9 @@
 #include "device/device.hpp"
 #include "device/stream.hpp"
 #include "fft/complex_engine.hpp"
-#include "fft/dft_reference.hpp"
 #include "fft/plan.hpp"
 #include "fft/real_engine.hpp"
+#include "support/dft_reference.hpp"
 #include "util/rng.hpp"
 
 namespace fftmv::fft {

@@ -7,6 +7,7 @@
 #include <atomic>
 #include <chrono>
 #include <future>
+#include <limits>
 #include <map>
 #include <set>
 #include <sstream>
@@ -30,8 +31,7 @@ core::ProblemDims small_dims() { return {32, 4, 16}; }
 core::ProblemDims other_dims() { return {24, 3, 12}; }
 
 PlanKey key_for(const core::ProblemDims& dims, int lane = 0) {
-  return PlanKey{core::LocalDims::single_rank(dims), core::MatvecOptions{},
-                 "mi300x", lane};
+  return PlanKey{core::LocalDims::single_rank(dims), lane};
 }
 
 BatchKey batch_key(const core::ProblemDims& dims,
@@ -111,10 +111,7 @@ TEST(PlanCache, DistinctKeysGetDistinctPlans) {
   const auto base = cache.acquire(key_for(small_dims(), 0), stream);
   EXPECT_NE(base.get(), cache.acquire(key_for(other_dims(), 0), stream).get());
   EXPECT_NE(base.get(), cache.acquire(key_for(small_dims(), 1), stream).get());
-  auto opts_key = key_for(small_dims(), 0);
-  opts_key.options.fuse_casts = false;
-  EXPECT_NE(base.get(), cache.acquire(opts_key, stream).get());
-  EXPECT_EQ(cache.stats().misses, 4);
+  EXPECT_EQ(cache.stats().misses, 3);
 }
 
 
@@ -635,7 +632,7 @@ TEST(AsyncScheduler, CoalescedBatchExecutesPlanExactlyOnce) {
   // exact even if a heavily loaded runner splits the six submits
   // across the linger window.
   const auto plan = sched.plan_cache().peek(
-      PlanKey{local, sched.options().matvec, "MI300X", 0});
+      PlanKey{local, 0});
   ASSERT_NE(plan, nullptr);
   EXPECT_EQ(plan->executions(), snap.batches);
   EXPECT_LE(snap.batches, 6);
@@ -697,7 +694,7 @@ TEST(AsyncScheduler, CrossTenantRequestsCoalesceIntoOneGroupedExecution) {
   // are interleaved — the cross-tenant requests coalesced instead of
   // splitting into per-tenant singletons.
   const auto plan = sched.plan_cache().peek(
-      PlanKey{local, sched.options().matvec, "MI300X", 0});
+      PlanKey{local, 0});
   ASSERT_NE(plan, nullptr);
   EXPECT_EQ(plan->executions(), snap.batches);
   EXPECT_EQ(sched.plan_cache().size(), 1u);  // one shape -> one plan
@@ -811,9 +808,8 @@ TEST(AsyncScheduler, GroupedTimingsWeightSbgemvByGroupShare) {
   }
   double total = 0.0;
   for (const auto& r : results) total += r.sim_seconds;
-  const auto plan = sched.plan_cache().peek(PlanKey{
-      core::LocalDims::single_rank(small_dims()), sched.options().matvec,
-      "MI300X", 0});
+  const auto plan = sched.plan_cache().peek(
+      PlanKey{core::LocalDims::single_rank(small_dims()), 0});
   ASSERT_NE(plan, nullptr);
   // Per-request sim shares reconcile with the batch's end-to-end
   // makespan (== the busy total only when the batch ran serial).
@@ -1055,6 +1051,50 @@ TEST(AsyncScheduler, OpenStreamValidatesQoSTenantAndCapacity) {
   sc.close();
 }
 
+TEST(AsyncScheduler, DeadlinesTheClockCannotHoldAreRejectedOrSaturated) {
+  // NaN and infinite deadlines have no place on the steady clock, so
+  // both entry points reject them.  A finite deadline past the clock's
+  // ~292-year range saturates instead of wrapping to the far past,
+  // where every request would count as a miss.
+  ServeOptions opts;
+  opts.num_streams = 1;
+  opts.linger_seconds = 0.0;
+  AsyncScheduler sched(device::make_mi300x(), opts);
+  const auto tenant = register_tenant(sched, small_dims(), 195);
+  const auto input =
+      core::make_input_vector(small_dims().n_t * small_dims().n_m, 196);
+  const auto submit = [&](double deadline_seconds) {
+    return sched.submit(Request{.tenant = tenant.tenant,
+                                .direction = core::ApplyDirection::kForward,
+                                .config = {},
+                                .input = input,
+                                .qos = {.deadline_seconds = deadline_seconds,
+                                        .weight = 1.0}});
+  };
+  const auto open = [&](double deadline_seconds) {
+    return sched.open_stream(
+        tenant.tenant, core::ApplyDirection::kForward, precision::PrecisionConfig{},
+        StreamQoS{.deadline_seconds = deadline_seconds, .weight = 1.0});
+  };
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  for (const double bad : {std::numeric_limits<double>::quiet_NaN(), kInf, -kInf}) {
+    EXPECT_THROW(submit(bad), std::invalid_argument) << bad;
+    EXPECT_THROW(open(bad), std::invalid_argument) << bad;
+  }
+  for (const double far : {1e12, std::numeric_limits<double>::max()}) {
+    const auto one_shot = submit(far).get();
+    ASSERT_TRUE(one_shot.ok()) << far;
+    EXPECT_FALSE(one_shot.deadline_missed) << far;
+    StreamSession session = open(far);
+    const auto streamed = session.submit(input).get();
+    ASSERT_TRUE(streamed.ok()) << far;
+    EXPECT_FALSE(streamed.deadline_missed) << far;
+    session.close();
+  }
+  sched.drain();
+  EXPECT_EQ(sched.metrics().deadline_missed, 0);
+}
+
 TEST(AsyncScheduler, PinnedPlanSurvivesCachePressure) {
   ServeOptions opts;
   opts.num_streams = 1;
@@ -1066,8 +1106,7 @@ TEST(AsyncScheduler, PinnedPlanSurvivesCachePressure) {
   const auto tb = register_tenant(sched, other_dims(), 202);
   const auto tc = register_tenant(sched, core::ProblemDims{16, 2, 8}, 203);
   const auto td = register_tenant(sched, core::ProblemDims{40, 5, 20}, 204);
-  const PlanKey pinned_key{core::LocalDims::single_rank(small_dims()),
-                           sched.options().matvec, "MI300X", 0};
+  const PlanKey pinned_key{core::LocalDims::single_rank(small_dims()), 0};
 
   StreamSession session = sched.open_stream(
       ta.tenant, core::ApplyDirection::kForward, precision::PrecisionConfig{});
@@ -1520,11 +1559,9 @@ TEST(AsyncScheduler, ShardedBatchesPopulateRankPlansInSharedCache) {
   // dims); rank 1 lives at the encoded lane `lane + num_lanes * r`
   // = 0 + 1 * 1.  Both slices of the forward split must be resident.
   const auto rank0 = sched.plan_cache().peek(
-      PlanKey{core::LocalDims::for_rank(dims, comm::ProcessGrid{2, 1}, 0),
-              sched.options().matvec, "MI300X", 0});
+      PlanKey{core::LocalDims::for_rank(dims, comm::ProcessGrid{2, 1}, 0), 0});
   const auto rank1 = sched.plan_cache().peek(
-      PlanKey{core::LocalDims::for_rank(dims, comm::ProcessGrid{2, 1}, 1),
-              sched.options().matvec, "MI300X", 1});
+      PlanKey{core::LocalDims::for_rank(dims, comm::ProcessGrid{2, 1}, 1), 1});
   EXPECT_NE(rank0, nullptr);
   EXPECT_NE(rank1, nullptr);
 }
@@ -1547,8 +1584,7 @@ TEST(AsyncScheduler, ShardedSessionPinsItsRankPlans) {
   const auto tc = register_tenant(sched, core::ProblemDims{16, 2, 8}, 333);
   const auto td = register_tenant(sched, core::ProblemDims{40, 5, 20}, 334);
   const auto rank_key = [&](index_t r) {
-    return PlanKey{core::LocalDims::for_rank(dims, comm::ProcessGrid{2, 1}, r),
-                   sched.options().matvec, "MI300X", 0};
+    return PlanKey{core::LocalDims::for_rank(dims, comm::ProcessGrid{2, 1}, r), 0};
   };
 
   StreamSession session = sched.open_stream(
@@ -1634,23 +1670,19 @@ TEST(AsyncScheduler, ShardedTenantStaysOutOfCrossTenantGroups) {
 }
 
 TEST(AsyncScheduler, AddTenantValidatesRankGroup) {
-  AsyncScheduler sched(device::make_mi300x());  // max_rank_group = 8
+  AsyncScheduler sched(device::make_mi300x());  // node size 8
   const auto dims = small_dims();               // n_d = 4, n_m = 16
   const auto col =
       core::make_first_block_col(core::LocalDims::single_rank(dims), 91);
   EXPECT_THROW(sched.add_tenant(dims, col, -1), std::invalid_argument);
   EXPECT_THROW(sched.add_tenant(dims, col, 9), std::invalid_argument);
-  // Within the option cap but wider than the forward output dim.
+  // Within the node but wider than the forward output dim.
   EXPECT_THROW(sched.add_tenant(dims, col, 5), std::invalid_argument);
   EXPECT_THROW(sched.tenant_rank_group(999), std::invalid_argument);
   // rank_group = 0 resolves through the cost model to a usable group.
   const TenantId t = sched.add_tenant(dims, col, 0);
   EXPECT_GE(sched.tenant_rank_group(t), 1);
   EXPECT_LE(sched.tenant_rank_group(t), 4);
-  ServeOptions bad;
-  bad.max_rank_group = 0;
-  EXPECT_THROW(AsyncScheduler(device::make_mi300x(), bad),
-               std::invalid_argument);
 }
 
 TEST(AsyncScheduler, AdaptiveRankGroupScalesWithProblemSize) {
