@@ -1,10 +1,11 @@
 // Ablation (§3.2): cast fusion.  "At all possible points, the casting
 // kernels are fused with any nearby memory operations ... to reduce
 // kernel launch latencies."  Compares the mixed-precision matvec with
-// fused casts — the 5-launch pipeline, whose inverse FFT also absorbs
-// the output reorder and the unpad — against the unfused 7-launch
-// variant that runs every precision change as a separate cast kernel,
-// at paper scale on all three devices.
+// fused casts — the 3-launch pipeline, whose forward FFT also absorbs
+// the pad and the input reorder and whose inverse FFT absorbs the
+// output reorder and the unpad — against the unfused 7-launch variant
+// that runs every precision change as a separate cast kernel, at
+// paper scale on all three devices.
 #include <iostream>
 
 #include "bench_common.hpp"
@@ -42,12 +43,13 @@ int main(int argc, char** argv) {
   if (const auto path = artifact.write(); !path.empty()) {
     std::cout << "wrote artifact " << path << "\n";
   }
-  std::cout << "\nThe fused column is the 5-launch pipeline: its inverse FFT\n"
-               "reads the GEMV output in place and writes the outputs, so\n"
-               "the output reorder and the unpad cost no launch, even in\n"
-               "an all-double config.  Fusion saves one full pass over every\n"
-               "casted buffer plus a kernel launch per precision change;\n"
-               "numerics are identical (verified in\n"
-               "tests/test_core_matvec.cpp).\n";
+  std::cout << "\nThe fused column is the 3-launch pipeline: its forward FFT\n"
+               "reads the inputs and stores the spectrum where the GEMV\n"
+               "reads it, and its inverse FFT reads the GEMV output in place\n"
+               "and writes the outputs, so the pad, both reorders and the\n"
+               "unpad cost no launch, even in an all-double config.  Fusion\n"
+               "saves one full pass over every casted buffer plus a kernel\n"
+               "launch per precision change; numerics are identical\n"
+               "(verified in tests/test_core_matvec.cpp).\n";
   return 0;
 }

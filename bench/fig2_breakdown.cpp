@@ -6,9 +6,11 @@
 // Times come from paper-scale dry runs through the real pipeline on
 // phantom devices (DESIGN.md §1); a reduced-size backed run on the
 // same pipeline verifies numerics alongside.  The fused pipeline
-// folds phase 5 (unpad + cast) into the inverse FFT's sample stores,
-// so its time is charged to IFFT and the Unpad column reads 0; the
-// SBGEMV column carries the input Fourier reorder.
+// folds phase 1 (transpose + pad + cast) into the forward FFT's sample
+// loads and phase 5 (unpad + cast) into the inverse FFT's sample
+// stores, so their time is charged to FFT and IFFT and the Pad and
+// Unpad columns read 0; the forward FFT also stores its bins in the
+// order the GEMV reads them, so the SBGEMV column is the GEMV alone.
 #include <iostream>
 
 #include "bench_common.hpp"

@@ -11,9 +11,10 @@
 // arithmetic at the reduced size (same pipeline, same aspect ratio);
 // the SBGEMV error term scales with n_m (Eq. 6), so the paper-scale
 // error estimate n_m(paper)/n_m(reduced) * measured is reported too.
-// The fused pipeline folds phase 5 (unpad + cast) into the inverse
-// FFT's sample stores, so its time is charged to IFFT and the Unpad
-// columns read 0.
+// The fused pipeline folds phase 1 (pad + cast) into the forward
+// FFT's sample loads and phase 5 (unpad + cast) into the inverse FFT's
+// sample stores, so their time is charged to FFT and IFFT and the Pad
+// and Unpad columns read 0.
 #include <iostream>
 #include <map>
 

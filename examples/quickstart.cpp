@@ -57,8 +57,9 @@ int main(int argc, char** argv) {
   plan.forward(op, m, d_double, precision::PrecisionConfig{});
   plan.forward(op, m, d, config);  // warm-up (materialises fp32 operator)
 
-  // The fused pipeline folds phase 5 into the inverse FFT's output
-  // stores, so its time is charged to IFFT and Unpad reads 0.
+  // The fused pipeline folds phase 1 into the forward FFT's input
+  // loads and phase 5 into the inverse FFT's output stores, so their
+  // time is charged to FFT and IFFT, and Pad and Unpad read 0.
   util::Table table({"apply", "Pad ms", "FFT ms", "SBGEMV ms", "IFFT ms",
                      "Unpad ms", "total ms"});
   core::PhaseTimings acc{};

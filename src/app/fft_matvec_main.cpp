@@ -4,8 +4,8 @@
 //   fft_matvec -nm 512 -nd 16 -Nt 128 -prec dssdd -rand [-raw]
 //              [-reps 20] [-device mi300x] [-s DIR] [-t]
 //
-//   -nm/-nd/-Nt   problem size (defaults are host-friendly; the
-//                 paper's size is -nm 5000 -nd 100 -Nt 1000)
+//   -nm/-nd/-Nt   problem size, each >= 1 (defaults are host-friendly;
+//                 the paper's size is -nm 5000 -nd 100 -Nt 1000)
 //   -reps N       timed F/F* repetitions, N >= 1 (default 20)
 //   -prec xxxxx   five-phase precision config (d/s per phase)
 //   -rand         random operator/vectors with the §4.2.1 mantissa-
@@ -93,16 +93,20 @@ int main(int argc, char** argv) {
     cli.check_known({"nm", "nd", "Nt", "prec", "rand", "raw", "reps", "device", "s", "t"});
     if (cli.get_flag("t")) return self_test();
 
-    const core::ProblemDims dims{cli.get_int("nm", 512), cli.get_int("nd", 16),
-                                 cli.get_int("Nt", 128)};
+    // A count flag's value, rejected naming the flag when below 1.
+    const auto count = [&](const std::string& flag, index_t fallback) {
+      const index_t v = cli.get_int(flag, fallback);
+      if (v < 1) {
+        throw std::invalid_argument("-" + flag + ": expected a count >= 1, got " +
+                                    std::to_string(v));
+      }
+      return v;
+    };
+    const core::ProblemDims dims{count("nm", 512), count("nd", 16), count("Nt", 128)};
     const auto config =
         precision::PrecisionConfig::parse(cli.get_string("prec", "ddddd"));
     const auto spec = device::spec_by_name(cli.get_string("device", "mi300x"));
-    const index_t reps = cli.get_int("reps", 20);
-    if (reps < 1) {
-      throw std::invalid_argument("-reps: expected a count >= 1, got " +
-                                  std::to_string(reps));
-    }
+    const index_t reps = count("reps", 20);
     const bool raw = cli.get_flag("raw");
     const std::uint64_t seed = cli.get_flag("rand") ? 20251116 : 1;
 

@@ -30,9 +30,11 @@
 #include <algorithm>
 #include <cmath>
 #include <mutex>
+#include <type_traits>
 
 #include "blas/gemv_types.hpp"
 #include "device/stream.hpp"
+#include "precision/convert.hpp"
 #include "util/math.hpp"
 #include "util/types.hpp"
 
@@ -73,8 +75,9 @@ inline device::LaunchGeometry gemv_geometry(GemvKernelKind kind, index_t m,
 
 /// Resource footprint for a kernel kind.  Traffic counts the matrix
 /// once plus the vectors (x assumed L2-resident across blocks of the
-/// same batch entry, so counted once per batch entry).
-template <class T>
+/// same batch entry, so counted once per batch entry), x at the width
+/// of its own element type X.
+template <class T, class X = T>
 device::KernelFootprint gemv_footprint(GemvKernelKind kind, index_t m,
                                        index_t n, index_t batch) {
   const double es = static_cast<double>(sizeof(T));
@@ -84,7 +87,7 @@ device::KernelFootprint gemv_footprint(GemvKernelKind kind, index_t m,
   const double ylen = static_cast<double>(kind == GemvKernelKind::kReferenceN ? m : n);
 
   device::KernelFootprint fp;
-  fp.bytes_read = matrix + b * xlen * es;
+  fp.bytes_read = matrix + b * xlen * static_cast<double>(sizeof(X));
   fp.bytes_written = b * ylen * es;
   // 2 real ops per multiply-add; complex multiply-add is 8.
   fp.flops = (is_complex_v<T> ? 8.0 : 2.0) * b * static_cast<double>(m) *
@@ -121,17 +124,17 @@ device::KernelFootprint gemv_footprint(GemvKernelKind kind, index_t m,
 /// scale with nrhs.  The reference transpose kernel's serial
 /// dependency chain grows nrhs-fold per block, so its residency
 /// weight scales accordingly.
-template <class T>
+template <class T, class X = T>
 device::KernelFootprint gemv_multi_footprint(GemvKernelKind kind, index_t m,
                                              index_t n, index_t batch,
                                              index_t nrhs) {
-  device::KernelFootprint fp = gemv_footprint<T>(kind, m, n, batch);
+  device::KernelFootprint fp = gemv_footprint<T, X>(kind, m, n, batch);
   const double es = static_cast<double>(sizeof(T));
   const double b = static_cast<double>(batch);
   const double extra = static_cast<double>(nrhs - 1);
   const double xlen = static_cast<double>(kind == GemvKernelKind::kReferenceN ? n : m);
   const double ylen = static_cast<double>(kind == GemvKernelKind::kReferenceN ? m : n);
-  fp.bytes_read += extra * b * xlen * es;
+  fp.bytes_read += extra * b * xlen * static_cast<double>(sizeof(X));
   fp.bytes_written += extra * b * ylen * es;
   fp.flops *= static_cast<double>(nrhs);
   if (kind == GemvKernelKind::kReferenceT) {
@@ -147,13 +150,13 @@ device::KernelFootprint gemv_multi_footprint(GemvKernelKind kind, index_t m,
 /// count exactly as in the flat multi-RHS kernel.  num_groups == 1
 /// reproduces gemv_multi_footprint bit for bit, so the same-operator
 /// case keeps its modelled cost.
-template <class T>
+template <class T, class X = T>
 device::KernelFootprint gemv_grouped_footprint(GemvKernelKind kind, index_t m,
                                                index_t n, index_t batch,
                                                index_t num_groups,
                                                index_t total_nrhs) {
   device::KernelFootprint fp =
-      gemv_multi_footprint<T>(kind, m, n, batch, total_nrhs);
+      gemv_multi_footprint<T, X>(kind, m, n, batch, total_nrhs);
   fp.bytes_read += static_cast<double>(num_groups - 1) *
                    static_cast<double>(batch) * static_cast<double>(m) *
                    static_cast<double>(n) * static_cast<double>(sizeof(T));
@@ -161,6 +164,20 @@ device::KernelFootprint gemv_grouped_footprint(GemvKernelKind kind, index_t m,
 }
 
 namespace detail {
+
+/// An x element in the matrix type T: convert_scalar<T> when x is
+/// stored in another precision (see SbgemvArgs), the element itself
+/// when it is not.  The identity is spelled out because a same-type
+/// convert_scalar, though exact, slowed the optimized transpose
+/// kernel's host loop by ~7% at the FFT matvec's adjoint shape.
+template <class T, class X>
+T x_as(const X& v) {
+  if constexpr (std::is_same_v<T, X>) {
+    return v;
+  } else {
+    return precision::convert_scalar<T>(v);
+  }
+}
 
 template <class T>
 T conj_if_complex_dispatch(const T& v, bool conj) {
@@ -249,22 +266,22 @@ struct GemvVerifyFailure {
 /// accumulate `conj_if(checksum) . x` and `sum |checksum_j x_j|` in
 /// double and store them at [bz + batch * r].  Serial per bz, so the
 /// dots are deterministic.
-template <class T>
-void gemv_grouped_checksum_block(const SbgemvGroupedArgs<T>& ga,
+template <class T, class X>
+void gemv_grouped_checksum_block(const SbgemvGroupedArgs<T, X>& ga,
                                  const SbgemvVerify<T>& verify, index_t bz) {
-  const SbgemvArgs<T>& a = ga.base;
+  const SbgemvArgs<T, X>& a = ga.base;
   const index_t x_len = a.x_len();
   const bool conj = a.op == Op::C;
   index_t r0 = 0;
   for (const auto& g : ga.groups) {
     const T* c = g.checksum + bz * x_len;
     for (index_t r = r0; r < r0 + g.nrhs; ++r) {
-      const T* x = a.x + bz * a.stride_x + r * ga.rhs_stride_x;
+      const X* x = a.x + bz * a.stride_x + r * ga.rhs_stride_x;
       typename SbgemvVerify<T>::acc_t dot{};
       double scale = 0.0;
       for (index_t j = 0; j < x_len; ++j) {
         const auto term = detail::widen(detail::conj_if_complex_dispatch(c[j], conj)) *
-                          detail::widen(x[j]);
+                          detail::widen(detail::x_as<T>(x[j]));
         dot += term;
         scale += std::abs(term);
       }
@@ -283,11 +300,11 @@ void gemv_grouped_checksum_block(const SbgemvGroupedArgs<T>& ga,
 /// a finite difference within the bound: a NaN fails every
 /// comparison, and an Inf in y inflates the bound to Inf along with
 /// the difference, so `diff > bound` alone would wave both through.
-template <class T>
-void gemv_grouped_verify_block(const SbgemvGroupedArgs<T>& ga,
+template <class T, class X>
+void gemv_grouped_verify_block(const SbgemvGroupedArgs<T, X>& ga,
                                const SbgemvVerify<T>& verify,
                                GemvVerifyFailure* fail, index_t bz) {
-  const SbgemvArgs<T>& a = ga.base;
+  const SbgemvArgs<T, X>& a = ga.base;
   const index_t y_len = a.y_len();
   const index_t nrhs = ga.total_nrhs();
   const auto alpha = detail::widen(a.alpha);
@@ -312,20 +329,20 @@ void gemv_grouped_verify_block(const SbgemvGroupedArgs<T>& ga,
 /// Multi-RHS reference non-transpose body: each 64-row chunk streams
 /// its matrix rows once; every RHS consumes a row before the next row
 /// is touched.  Per-(row, RHS) arithmetic does not depend on nrhs.
-template <class T>
-void gemv_n_reference_multi_block(const SbgemvMultiArgs<T>& ma, index_t bx,
+template <class T, class X>
+void gemv_n_reference_multi_block(const SbgemvMultiArgs<T, X>& ma, index_t bx,
                                   index_t bz) {
-  const SbgemvArgs<T>& a = ma.base;
+  const SbgemvArgs<T, X>& a = ma.base;
   const T* A = a.a + bz * a.stride_a;
   const index_t row_begin = bx * kRefRowsPerBlock;
   const index_t row_end = std::min(a.m, row_begin + kRefRowsPerBlock);
   for (index_t i = row_begin; i < row_end; ++i) {
     for (index_t r = 0; r < ma.nrhs; ++r) {
-      const T* x = a.x + bz * a.stride_x + r * ma.rhs_stride_x;
+      const X* x = a.x + bz * a.stride_x + r * ma.rhs_stride_x;
       T* y = a.y + bz * a.stride_y + r * ma.rhs_stride_y;
       T acc{};
       for (index_t j = 0; j < a.n; ++j) {
-        acc += A[i + j * a.lda] * x[j];
+        acc += A[i + j * a.lda] * detail::x_as<T>(x[j]);
       }
       y[i] = a.alpha * acc + (a.beta == T(0) ? T(0) : a.beta * y[i]);
     }
@@ -335,18 +352,19 @@ void gemv_n_reference_multi_block(const SbgemvMultiArgs<T>& ma, index_t bx,
 /// Multi-RHS reference transpose body: gridblock bx's column is read
 /// once and dotted against every RHS in turn (nrhs serial dot
 /// products per block — the residency weight scales to match).
-template <class T>
-void gemv_t_reference_multi_block(const SbgemvMultiArgs<T>& ma, index_t bx,
+template <class T, class X>
+void gemv_t_reference_multi_block(const SbgemvMultiArgs<T, X>& ma, index_t bx,
                                   index_t bz) {
-  const SbgemvArgs<T>& a = ma.base;
+  const SbgemvArgs<T, X>& a = ma.base;
   const T* col = a.a + bz * a.stride_a + bx * a.lda;
   const bool conj = a.op == Op::C;
   for (index_t r = 0; r < ma.nrhs; ++r) {
-    const T* x = a.x + bz * a.stride_x + r * ma.rhs_stride_x;
+    const X* x = a.x + bz * a.stride_x + r * ma.rhs_stride_x;
     T* y = a.y + bz * a.stride_y + r * ma.rhs_stride_y;
     T acc{};
     for (index_t i = 0; i < a.m; ++i) {
-      acc += detail::conj_if_complex_dispatch(col[i], conj) * x[i];
+      acc += detail::conj_if_complex_dispatch(col[i], conj) *
+             detail::x_as<T>(x[i]);
     }
     y[bx] = a.alpha * acc + (a.beta == T(0) ? T(0) : a.beta * y[bx]);
   }
@@ -357,10 +375,10 @@ void gemv_t_reference_multi_block(const SbgemvMultiArgs<T>& ma, index_t bx,
 /// (column, RHS) pair runs the same 64-lane strided accumulation
 /// (coalesced loads) and shuffle-style wavefront tree reduction (6
 /// halving steps), whatever nrhs is.
-template <class T>
-void gemv_t_optimized_multi_block(const SbgemvMultiArgs<T>& ma, index_t bx,
+template <class T, class X>
+void gemv_t_optimized_multi_block(const SbgemvMultiArgs<T, X>& ma, index_t bx,
                                   index_t bz) {
-  const SbgemvArgs<T>& a = ma.base;
+  const SbgemvArgs<T, X>& a = ma.base;
   const T* A = a.a + bz * a.stride_a;
   const bool conj = a.op == Op::C;
   const index_t col_begin = bx * kOptTileCols;
@@ -369,12 +387,13 @@ void gemv_t_optimized_multi_block(const SbgemvMultiArgs<T>& ma, index_t bx,
   for (index_t j = col_begin; j < col_end; ++j) {
     const T* col = A + j * a.lda;
     for (index_t r = 0; r < ma.nrhs; ++r) {
-      const T* x = a.x + bz * a.stride_x + r * ma.rhs_stride_x;
+      const X* x = a.x + bz * a.stride_x + r * ma.rhs_stride_x;
       T* y = a.y + bz * a.stride_y + r * ma.rhs_stride_y;
       for (index_t l = 0; l < kWavefront; ++l) {
         T acc{};
         for (index_t i = l; i < a.m; i += kWavefront) {
-          acc += detail::conj_if_complex_dispatch(col[i], conj) * x[i];
+          acc += detail::conj_if_complex_dispatch(col[i], conj) *
+                 detail::x_as<T>(x[i]);
         }
         lanes[l] = acc;
       }

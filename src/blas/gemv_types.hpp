@@ -39,7 +39,13 @@ enum class GemvKernelPolicy { kAuto, kReference, kOptimized };
 ///   op == C: y_b[n] = alpha * A_b^H      * x_b[m] + beta * y_b
 /// with A_b = A + b*stride_a (m x n, leading dimension lda), and the
 /// vectors advancing by their strides per batch index.
-template <class T>
+///
+/// x may be stored in another precision than the matrix: X is its
+/// element type (T by default).  Every x element is cast to T as it
+/// is read, before any arithmetic, so the kernel computes exactly as
+/// if x had first been cast to T, and x's traffic is counted at
+/// sizeof(X).  The FFT matvec reads its phase-2 spectrum this way.
+template <class T, class X = T>
 struct SbgemvArgs {
   Op op = Op::N;
   index_t m = 0;
@@ -48,7 +54,7 @@ struct SbgemvArgs {
   const T* a = nullptr;
   index_t lda = 0;
   index_t stride_a = 0;
-  const T* x = nullptr;
+  const X* x = nullptr;
   index_t stride_x = 0;
   T beta = T(0);
   T* y = nullptr;
@@ -98,9 +104,9 @@ inline bool multi_rhs_y_strides_alias(index_t stride_y, index_t rhs_stride_y,
 /// the dominant matrix traffic is paid once per batch entry instead
 /// of once per RHS — the batched-execution amortisation the FFT
 /// matvec's apply_batch builds on.
-template <class T>
+template <class T, class X = T>
 struct SbgemvMultiArgs {
-  SbgemvArgs<T> base;
+  SbgemvArgs<T, X> base;
   index_t nrhs = 1;
   index_t rhs_stride_x = 0;
   index_t rhs_stride_y = 0;
@@ -176,9 +182,9 @@ struct SbgemvVerify {
 /// base.a is ignored; each group's matrix is (re)read once per batch
 /// entry, so the modelled matrix traffic scales with the group count
 /// while vector traffic scales with the total RHS count.
-template <class T>
+template <class T, class X = T>
 struct SbgemvGroupedArgs {
-  SbgemvArgs<T> base;
+  SbgemvArgs<T, X> base;
   index_t rhs_stride_x = 0;
   index_t rhs_stride_y = 0;
   std::span<const SbgemvGroup<T>> groups;
@@ -193,8 +199,8 @@ struct SbgemvGroupedArgs {
   /// range [r0, r0 + nrhs).  The kernels run every group through
   /// this, which is what makes the grouped call bit-identical to one
   /// call per group.
-  SbgemvMultiArgs<T> group_slice(const T* a, index_t r0, index_t nrhs) const {
-    SbgemvMultiArgs<T> ma{base, nrhs, rhs_stride_x, rhs_stride_y};
+  SbgemvMultiArgs<T, X> group_slice(const T* a, index_t r0, index_t nrhs) const {
+    SbgemvMultiArgs<T, X> ma{base, nrhs, rhs_stride_x, rhs_stride_y};
     ma.base.a = a;
     ma.base.x = base.x == nullptr ? nullptr : base.x + r0 * rhs_stride_x;
     ma.base.y = base.y == nullptr ? nullptr : base.y + r0 * rhs_stride_y;
@@ -215,7 +221,7 @@ struct SbgemvGroupedArgs {
     }
     // The strided layout rules are those of the equivalent flat
     // multi-RHS call spanning every group.
-    SbgemvMultiArgs<T> flat{base, total_nrhs(), rhs_stride_x, rhs_stride_y};
+    SbgemvMultiArgs<T, X> flat{base, total_nrhs(), rhs_stride_x, rhs_stride_y};
     flat.base.a = groups.front().a;
     flat.validate(allow_null);
   }

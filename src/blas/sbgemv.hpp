@@ -29,11 +29,11 @@ namespace detail {
 /// Flipping the TOP exponent bit moves any finite value far outside
 /// rounding noise (|v| < 2 becomes huge, |v| >= 2 collapses toward
 /// zero, 0 becomes 2.0), so every injection is ABFT-detectable.
-template <class T>
-void corrupt_grouped_output(const SbgemvGroupedArgs<T>& args,
+template <class T, class X>
+void corrupt_grouped_output(const SbgemvGroupedArgs<T, X>& args,
                             std::uint64_t draw) {
   using R = real_t<T>;
-  const SbgemvArgs<T>& a = args.base;
+  const SbgemvArgs<T, X>& a = args.base;
   const std::uint64_t batch = static_cast<std::uint64_t>(a.batch);
   const std::uint64_t nrhs = static_cast<std::uint64_t>(args.total_nrhs());
   const std::uint64_t y_len = static_cast<std::uint64_t>(a.y_len());
@@ -68,8 +68,8 @@ void corrupt_grouped_output(const SbgemvGroupedArgs<T>& args,
 bool use_optimized_transpose(index_t m, index_t n);
 
 /// Select the kernel kind for the given arguments and policy.
-template <class T>
-GemvKernelKind select_kernel(const SbgemvArgs<T>& args, GemvKernelPolicy policy) {
+template <class T, class X>
+GemvKernelKind select_kernel(const SbgemvArgs<T, X>& args, GemvKernelPolicy policy) {
   if (args.op == Op::N) return GemvKernelKind::kReferenceN;
   switch (policy) {
     case GemvKernelPolicy::kReference: return GemvKernelKind::kReferenceT;
@@ -91,7 +91,10 @@ GemvKernelKind select_kernel(const SbgemvArgs<T>& args, GemvKernelPolicy policy)
 /// policies and transition points above (the per-dot-product shape
 /// does not depend on the RHS count); per-(batch, group, RHS)
 /// arithmetic is the same for every grouping of the RHS, and one
-/// group's modelled footprint is exactly gemv_multi_footprint's.
+/// group's modelled footprint is exactly gemv_multi_footprint's.  x
+/// may be stored in another precision than the matrix (see
+/// SbgemvArgs): it is cast to T as it is read, the checksum dots
+/// included.
 ///
 /// This is also the library's SDC boundary: every GEMV launch passes
 /// through it.  An attached FaultPlan's buffer-write hook may silently
@@ -105,9 +108,9 @@ GemvKernelKind select_kernel(const SbgemvArgs<T>& args, GemvKernelPolicy policy)
 /// then calls throw_if_checksum_failed, so the check costs no launch
 /// of its own (the FFT matvec's phase-4 inverse FFT carries it, see
 /// fft::BatchedRealFft::inverse_fused_on).
-template <class T>
+template <class T, class X>
 device::KernelTiming sbgemv_grouped(device::Stream& stream,
-                                    const SbgemvGroupedArgs<T>& args,
+                                    const SbgemvGroupedArgs<T, X>& args,
                                     GemvKernelPolicy policy = GemvKernelPolicy::kAuto,
                                     const SbgemvVerify<T>& verify = {}) {
   const bool phantom = stream.device().phantom();
@@ -134,12 +137,12 @@ device::KernelTiming sbgemv_grouped(device::Stream& stream,
       }
     }
   }
-  const SbgemvArgs<T>& base = args.base;
+  const SbgemvArgs<T, X>& base = args.base;
   const GemvKernelKind kind = select_kernel(base, policy);
   const auto geom = gemv_geometry(kind, base.m, base.n, base.batch);
-  auto fp = gemv_grouped_footprint<T>(kind, base.m, base.n, base.batch,
-                                      static_cast<index_t>(args.groups.size()),
-                                      args.total_nrhs());
+  auto fp = gemv_grouped_footprint<T, X>(kind, base.m, base.n, base.batch,
+                                         static_cast<index_t>(args.groups.size()),
+                                         args.total_nrhs());
   if (verify.enabled) {
     const auto extra = gemv_checksum_extra_footprint<T>(
         base.x_len(), base.batch, static_cast<index_t>(args.groups.size()),
@@ -151,7 +154,7 @@ device::KernelTiming sbgemv_grouped(device::Stream& stream,
   // Each group's kernel arguments, sliced once per launch rather than
   // once per gridblock (the stream runs the blocks before launch
   // returns, so the body may borrow them).
-  std::vector<SbgemvMultiArgs<T>> slices;
+  std::vector<SbgemvMultiArgs<T, X>> slices;
   slices.reserve(args.groups.size());
   index_t r0 = 0;
   for (const auto& g : args.groups) {
@@ -173,17 +176,17 @@ device::KernelTiming sbgemv_grouped(device::Stream& stream,
   device::KernelTiming timing{};
   switch (kind) {
     case GemvKernelKind::kReferenceN:
-      timing = run([](const SbgemvMultiArgs<T>& a, index_t bx, index_t bz) {
+      timing = run([](const SbgemvMultiArgs<T, X>& a, index_t bx, index_t bz) {
         gemv_n_reference_multi_block(a, bx, bz);
       });
       break;
     case GemvKernelKind::kReferenceT:
-      timing = run([](const SbgemvMultiArgs<T>& a, index_t bx, index_t bz) {
+      timing = run([](const SbgemvMultiArgs<T, X>& a, index_t bx, index_t bz) {
         gemv_t_reference_multi_block(a, bx, bz);
       });
       break;
     case GemvKernelKind::kOptimizedT:
-      timing = run([](const SbgemvMultiArgs<T>& a, index_t bx, index_t bz) {
+      timing = run([](const SbgemvMultiArgs<T, X>& a, index_t bx, index_t bz) {
         gemv_t_optimized_multi_block(a, bx, bz);
       });
       break;

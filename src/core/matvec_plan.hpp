@@ -4,23 +4,28 @@
 // Forward (F) matvec on the rank's local block (N_t x n_m_local in,
 // N_t x n_d_local out):
 //   1. fused TOSI->SOTI transpose + zero-pad (+cast to the FFT
-//      precision),
-//   2. batched real FFT (n_m_local sequences of length 2 N_t),
-//   3. Fourier-space reorder to frequency-outer, then the strided
-//      batched GEMV over the N_t + 1 frequency blocks — the reorder is
-//      charged to the SBGEMV phase as the artifact's timing output
-//      does,
+//      precision) — folded into phase 2's sample loads, so its time is
+//      charged to FFT,
+//   2. batched real FFT (n_m_local sequences of length 2 N_t), which
+//      stores its bins frequency-outer, the Fourier reorder the GEMV
+//      needs,
+//   3. the strided batched GEMV over the N_t + 1 frequency blocks,
 //   4. batched inverse real FFT (n_d_local sequences) that loads its
 //      bins from the GEMV's frequency-outer output,
 //   5. unpad + SOTI->TOSI transpose, cast back to double — folded
 //      into phase 4's sample stores, so its time is charged to IFFT.
-// Five launches in all — pad, FFT, reorder, GEMV, inverse FFT.  The
-// pad reads each double input and the inverse FFT writes each double
-// output, with the casts to and from the phase precisions inside the
-// same launch.  The fusion ablation (fuse_casts = false)
-// keeps the unfused 7-launch pipeline — the GEMV output reordered back
-// to space-outer, the inverse FFT into a padded buffer, a separate
-// unpad, and every cast a kernel of its own — as the reference the
+// Three launches in all — forward FFT, GEMV, inverse FFT.  The
+// forward FFT reads each double input and the inverse FFT writes each
+// double output, with the casts to and from the phase precisions
+// inside the same launch; the zero-padded half of each sequence is
+// never stored, the forward FFT's loads return 0 for it.  The
+// spectrum stays in the FFT precision between phases 2 and 3 and the
+// GEMV casts it to its own as it reads it.  The fusion ablation
+// (fuse_casts = false) keeps the unfused 7-launch pipeline — a pad
+// into a padded buffer, the FFT into a space-outer spectrum, the
+// Fourier reorder, the GEMV, its output reordered back to
+// space-outer, the inverse FFT into a padded buffer and a separate
+// unpad, with every cast a kernel of its own — as the reference the
 // fused pipeline is bit-identical to.  The adjoint (F*) matvec
 // mirrors the pipeline with the conjugate-transpose SBGEMV.
 //
@@ -37,14 +42,14 @@
 // Precision semantics (§3.2): input/output are always double; each
 // phase computes in its configured precision; casts occur where the
 // working precision changes and are fused into the adjacent memory
-// operations (toggleable for the fusion ablation); the pure reorders
-// and the inverse FFT's bin loads read the producer's precision and
-// compute in the consumer's, so traffic runs at the lowest adjacent
-// width.
+// operations (toggleable for the fusion ablation); the pure reorders,
+// the GEMV's spectrum reads and the inverse FFT's bin loads read the
+// producer's precision and compute in the consumer's, so traffic runs
+// at the lowest adjacent width.
 //
 // One executor runs every apply: the grouped apply_batch, with b
 // right-hand sides; forward()/adjoint() are its one-RHS calls.  It
-// runs the five phases in sequence on the plan's own stream, as the
+// runs the phases in sequence on the plan's own stream, as the
 // paper's FFTMatvec does; a batch widens each launch instead of
 // adding launches.
 #pragma once
@@ -79,10 +84,15 @@ namespace fftmv::core {
 /// sum to the batch's phase fields and makespan shares sum to the
 /// batch makespan.
 struct PhaseTimings {
-  double pad = 0.0;     ///< transpose/pad (+cast)
-  double fft = 0.0;     ///< phase-2 batched FFT
-  /// Phase-3 GEMV incl. the input Fourier reorder (and, in the fusion
-  /// ablation, the output reorder too).
+  /// Transpose/pad (+cast): the fusion ablation only, 0 on the fused
+  /// path.
+  double pad = 0.0;
+  /// Phase-2 batched FFT; on the fused path it also reads the inputs
+  /// and stores the bins frequency-outer, so it carries phase 1 and
+  /// the Fourier reorder.
+  double fft = 0.0;
+  /// Phase-3 GEMV (in the fusion ablation, also the Fourier reorder
+  /// before it and the output reorder after it).
   double sbgemv = 0.0;
   /// Phase-4 batched IFFT; on the fused path it also writes the
   /// outputs, so it carries phase 5.
@@ -170,13 +180,12 @@ class FftMatvecPlan {
                std::span<double> m, const precision::PrecisionConfig& config);
 
   /// Execute b same-shape right-hand sides as ONE fused pipeline: the
-  /// phase-1 pad is one RHS-batched launch reading the caller's
-  /// vectors directly, the phase-2/4 real FFTs run the cached plan
-  /// with a runtime batch multiplier (b * n_s sequences in one
-  /// launch), the inverse writing the caller's outputs directly, and
-  /// phase 3 is a single multi-RHS strided batched GEMV
+  /// phase-2/4 real FFTs run the cached plan with a runtime batch
+  /// multiplier (b * n_s sequences in one launch), the forward reading
+  /// the caller's inputs and the inverse writing the caller's outputs
+  /// directly, and phase 3 is a single multi-RHS strided batched GEMV
   /// that pays the operator's matrix traffic once per frequency block
-  /// instead of once per request — so a serial batch issues five
+  /// instead of once per request — so a serial batch issues three
   /// launches whatever b is.  Results are
   /// bit-identical to b independent forward()/adjoint() calls for
   /// every precision config — those are this same executor at b == 1.
@@ -270,13 +279,14 @@ class FftMatvecPlan {
   std::optional<fft::BatchedRealFft<float>> fft_m_f_, fft_d_f_;
 
   // Phase buffers (shared between directions, max-size semantics).
-  // The pad reads and the inverse FFT writes the caller's vectors
-  // directly, so a fused apply needs nothing outside the five phases.
-  DualReal padded_;    ///< SOTI zero-padded real input (x L)
-  DualComplex spec_;   ///< spectrum, space-outer (ns x n_f)
+  // The forward FFT reads and the inverse FFT writes the caller's
+  // vectors directly, so a fused apply holds only the two spectra the
+  // GEMV reads and writes.
   DualComplex spec_t_; ///< spectrum, frequency-outer (n_f x ns)
   DualComplex ospec_t_;///< GEMV output spectrum, frequency-outer
   // The fusion ablation's buffers, allocated only when used.
+  DualReal padded_;    ///< SOTI zero-padded real input (x L)
+  DualComplex spec_;   ///< spectrum, space-outer (ns x n_f)
   DualComplex ospec_;  ///< GEMV output spectrum, space-outer
   DualReal opad_;      ///< padded real output (x L)
   DualReal stage_;     ///< input cast to p1

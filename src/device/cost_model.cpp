@@ -48,9 +48,4 @@ KernelTiming CostModel::kernel_time(const LaunchGeometry& geom,
   return t;
 }
 
-double CostModel::memcpy_time(double bytes) const {
-  const double bw = spec_.peak_bandwidth_gbps * 1e9 * spec_.streaming_derate_fp64;
-  return spec_.launch_overhead_s + 2.0 * bytes / bw;  // read + write
-}
-
 }  // namespace fftmv::device

@@ -75,10 +75,6 @@ class CostModel {
   KernelTiming kernel_time(const LaunchGeometry& geom,
                            const KernelFootprint& fp) const;
 
-  /// Device-to-device copy modelled as a perfectly streaming kernel
-  /// (read + write).
-  double memcpy_time(double bytes) const;
-
  private:
   DeviceSpec spec_;
 };

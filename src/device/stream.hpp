@@ -90,16 +90,6 @@ class Stream {
     return t;
   }
 
-  /// Device-to-device copy: real memcpy + simulated streaming time.
-  template <class T>
-  void copy(const T* src, T* dst, index_t count) {
-    const double bytes = static_cast<double>(count) * sizeof(T);
-    if (count > 0 && !dev_->phantom()) std::copy(src, src + count, dst);
-    const double t = dev_->cost_model().memcpy_time(bytes);
-    sim_time_ += t;
-    busy_ += t;
-  }
-
   /// Advance the clock without work (e.g. modelled communication
   /// time charged to this stream by the comm layer).
   void advance(double seconds) {

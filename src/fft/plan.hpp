@@ -12,16 +12,19 @@
 // grow the phase-2/4 batch from n_s to b * n_s without re-planning
 // (twiddle tables and geometry depend only on the length).
 //
-// The inverse also runs fused (inverse_fused_on): the launch reads its
-// bins and writes its samples through caller callbacks, so the memory
-// operations on either side of the transform ride it instead of
-// costing launches of their own.
+// Both directions also run fused (forward_fused_on, inverse_fused_on):
+// the launch reads its inputs and writes its outputs through caller
+// callbacks, cuFFT/rocFFT load and store callbacks in shape, so the
+// memory operations on either side of the transform (a pad, a cast, a
+// reorder) ride it instead of costing launches of their own.
 #pragma once
 
 #include <cmath>
 #include <complex>
+#include <cstddef>
 #include <mutex>
 #include <string>
+#include <type_traits>
 
 #include "device/fault_plan.hpp"
 #include "device/stream.hpp"
@@ -65,8 +68,8 @@ class ParsevalFailure {
   double bound_ = 0.0;
 };
 
-/// A Parseval energy check riding BatchedRealFft::inverse_fused_on
-/// (see verify_parseval_on for the invariant).
+/// A Parseval energy check riding BatchedRealFft::forward_fused_on or
+/// inverse_fused_on (see verify_parseval_on for the invariant).
 struct ParsevalCheck {
   double tolerance = 0.0;
   ParsevalFailure* failure = nullptr;  ///< receives failing sequences
@@ -123,6 +126,55 @@ class BatchedRealFft {
                          [=, this](index_t bx, index_t, index_t) {
       engine_.inverse(in + bx * in_stride, out + bx * out_stride,
                       FftScratch<Real>::local());
+    });
+  }
+
+  /// Fused forward execution: the transform of forward_on, one
+  /// gridblock per sequence, with its I/O through callbacks.
+  /// Gridblock q reads sample t as load(q, t), which returns Real, for
+  /// every t in [0, L) in increasing t (see RealFftEngine::forward), so
+  /// a zero-padded tail is the load returning 0, and hands bin k to
+  /// store(q, k, v) in increasing k.  `fp` is the launch's footprint,
+  /// fused_footprint().  With `parseval`, each sequence also checks
+  /// its energy balance, as verify_parseval_on would over the same
+  /// buffers: time energy summed from the samples as loaded, spectrum
+  /// energy from the bins as stored, read back as stored(q, k).
+  /// Failures are recorded for the caller to throw.
+  template <class Load, class Store, class Stored = std::nullptr_t>
+  device::KernelTiming forward_fused_on(device::Stream& stream,
+                                        index_t batch_multiplier,
+                                        device::KernelFootprint fp, Load load,
+                                        Store store,
+                                        const ParsevalCheck* parseval = nullptr,
+                                        Stored stored = nullptr) const {
+    constexpr bool can_check = !std::is_null_pointer_v<Stored>;
+    if (parseval != nullptr) {
+      if (!can_check) {
+        throw std::invalid_argument(
+            "BatchedRealFft: a fused Parseval check needs the stored bins");
+      }
+      fp.flops += parseval_flops(batch_multiplier);
+    }
+    const ParsevalCheck check = parseval != nullptr ? *parseval : ParsevalCheck{};
+    return stream.launch(geometry(batch_multiplier), fp,
+                         [=, this](index_t q, index_t, index_t) {
+      double e_time = 0.0;
+      engine_.forward(
+          [&](index_t t) {
+            const Real v = load(q, t);
+            if (check.failure != nullptr) {
+              const double d = static_cast<double>(v);
+              e_time += d * d;
+            }
+            return v;
+          },
+          [&](index_t k, const C& v) { store(q, k, v); }, FftScratch<Real>::local());
+      if constexpr (can_check) {
+        if (check.failure != nullptr) {
+          check_energy(q, e_time, [&](index_t k) { return stored(q, k); },
+                       check.tolerance, *check.failure);
+        }
+      }
     });
   }
 
@@ -228,15 +280,17 @@ class BatchedRealFft {
     return fp;
   }
 
-  /// Footprint of inverse_fused_on before its after() work: the
-  /// plan's own passes over the working set, with the first pass's
-  /// read and the last pass's write replaced by what the callbacks
-  /// move, `load_bytes` and `store_bytes` per sequence.  Those
-  /// accesses are strided within a sequence but contiguous across
-  /// neighbouring sequences (the batch-contiguous layout cuFFT/rocFFT
-  /// plans accept: element stride = batch, distance = 1), so a
-  /// wavefront's neighbouring sequences coalesce and the launch is
-  /// charged at the plan's own coalescing efficiency.
+  /// Footprint of forward_fused_on, or of inverse_fused_on before its
+  /// after() work: the plan's own passes over the working set, with
+  /// the first pass's read and the last pass's write replaced by what
+  /// the callbacks move, `load_bytes` and `store_bytes` per sequence
+  /// (a zero-padded tail that the load returns without reading moves
+  /// nothing).  Those accesses are strided within a sequence but
+  /// contiguous across neighbouring sequences (the batch-contiguous
+  /// layout cuFFT/rocFFT plans accept: element stride = batch,
+  /// distance = 1), so a wavefront's neighbouring sequences coalesce
+  /// and the launch is charged at the plan's own coalescing
+  /// efficiency.
   device::KernelFootprint fused_footprint(index_t batch_multiplier,
                                           double load_bytes,
                                           double store_bytes) const {

@@ -13,10 +13,13 @@
 // the IFFT operator norm 1/sqrt(L) used in the paper's error
 // analysis (§3.2.1).
 //
-// The inverse also takes its I/O through callbacks, the shape of
-// cuFFT/rocFFT load and store callbacks: the bins are read and the
-// samples handed on wherever and in whatever precision the caller
-// keeps them, with the transform's arithmetic unchanged.
+// Both directions also take their I/O through callbacks, the shape of
+// cuFFT/rocFFT load and store callbacks: the inputs are read and the
+// outputs handed on wherever and in whatever precision the caller
+// keeps them, with the transform's arithmetic unchanged.  Every
+// sample a forward transform reads goes through its load, a padding
+// zero included, so a load that returns 0 past the data feeds the
+// same arithmetic as an explicitly zero-padded buffer.
 #pragma once
 
 #include <cmath>
@@ -57,10 +60,21 @@ class RealFftEngine {
 
   /// out[k] = sum_j in[j] exp(-2 pi i j k / L), k in [0, L/2].
   void forward(const Real* in, C* out, FftScratch<Real>& scratch) const {
+    forward([in](index_t j) { return in[j]; },
+            [out](index_t k, const C& v) { out[k] = v; }, scratch);
+  }
+
+  /// The same forward with callback I/O: sample j (j in [0, L)) is
+  /// read as load(j), which returns Real, exactly once, in increasing
+  /// j, and bin k (k in [0, L/2]) is handed to store(k, v) exactly
+  /// once, in increasing k.
+  template <class Load, class Store>
+    requires std::invocable<Load&, index_t> && std::invocable<Store&, index_t, const C&>
+  void forward(Load&& load, Store&& store, FftScratch<Real>& scratch) const {
     if (packed_) {
-      forward_packed(in, out, scratch);
+      forward_packed(load, store, scratch);
     } else {
-      forward_direct(in, out, scratch);
+      forward_direct(load, store, scratch);
     }
   }
 
@@ -89,11 +103,15 @@ class RealFftEngine {
   }
 
  private:
-  void forward_packed(const Real* in, C* out, FftScratch<Real>& scratch) const {
+  template <class Load, class Store>
+  void forward_packed(Load& load, Store& store, FftScratch<Real>& scratch) const {
     const index_t n = L_ / 2;
     scratch.ensure_packed(n);
     C* z = scratch.packed.data();
-    for (index_t k = 0; k < n; ++k) z[k] = C(in[2 * k], in[2 * k + 1]);
+    for (index_t k = 0; k < n; ++k) {
+      const Real re = load(2 * k);
+      z[k] = C(re, load(2 * k + 1));
+    }
     engine_.transform(z, z, -1, scratch);
 
     // Unpack: E = FFT(x_even), O = FFT(x_odd); X[k] = E[k] + w^k O[k].
@@ -103,7 +121,7 @@ class RealFftEngine {
       const C znk = std::conj(k == 0 ? z[0] : z[n - k]);
       const C even = (zk + znk) * half;
       const C odd = C(0, -1) * (zk - znk) * half;
-      out[k] = even + unpack_tw_[static_cast<std::size_t>(k)] * odd;
+      store(k, even + unpack_tw_[static_cast<std::size_t>(k)] * odd);
     }
   }
 
@@ -130,12 +148,13 @@ class RealFftEngine {
     }
   }
 
-  void forward_direct(const Real* in, C* out, FftScratch<Real>& scratch) const {
+  template <class Load, class Store>
+  void forward_direct(Load& load, Store& store, FftScratch<Real>& scratch) const {
     scratch.ensure_packed(L_);
     C* z = scratch.packed.data();
-    for (index_t j = 0; j < L_; ++j) z[j] = C(in[j], Real(0));
+    for (index_t j = 0; j < L_; ++j) z[j] = C(load(j), Real(0));
     engine_.transform(z, z, -1, scratch);
-    for (index_t k = 0; k <= L_ / 2; ++k) out[k] = z[k];
+    for (index_t k = 0; k <= L_ / 2; ++k) store(k, z[k]);
   }
 
   template <class Load, class Store>

@@ -16,8 +16,9 @@
 // adjacent phase's precision P inside the kernel, so neither a
 // staging cast nor an output copy is launched per RHS: a batch pays
 // one launch per stage whatever its size.  The fused matvec folds the
-// unpad into its inverse FFT's sample stores, so the batched unpad
-// now serves only the fusion ablation.
+// pad into its forward FFT's sample loads and the unpad into its
+// inverse FFT's sample stores, so the batched pad and unpad, like the
+// Fourier reorder, now serve only the fusion ablation.
 #pragma once
 
 #include <algorithm>
@@ -212,7 +213,8 @@ device::KernelTiming unpad_transpose_cast(device::Stream& stream, const S* src,
 }
 
 /// Fourier-space reorder: (rows x cols) -> (cols x rows) transpose
-/// with cast; used for the SOTI<->TOSI moves around the SBGEMV.
+/// with cast; the fusion ablation's SOTI<->TOSI moves around the
+/// SBGEMV.
 /// "All memory operations ... are performed in the lowest possible
 /// precision among the compute precisions of adjacent phases": the
 /// caller passes S = producer precision, D = consumer precision, and

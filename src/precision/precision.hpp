@@ -4,7 +4,7 @@
 // The matvec decomposes into five computational phases (§2.4):
 //   1. broadcast + zero-pad        (memory/comm)
 //   2. batched FFT of the input    (compute)
-//   3. Fourier-space SBGEMV        (compute, includes the reorders)
+//   3. Fourier-space SBGEMV        (compute)
 //   4. batched IFFT of the output  (compute)
 //   5. unpad + reduction           (memory/comm)
 // Each phase computes in single (s) or double (d) precision, giving

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <map>
 #include <memory>
 #include <string>
 #include <vector>
@@ -17,6 +18,7 @@
 #include "core/synthetic.hpp"
 #include "device/device_spec.hpp"
 #include "device/fault_plan.hpp"
+#include "util/thread_pool.hpp"
 
 namespace fftmv::core {
 namespace {
@@ -230,85 +232,100 @@ TEST_F(MatvecFixture, MantissaTrickMakesPadPhaseLossy) {
 // ------------------------------------------------ options / fusion
 // The fusion ablation is the unfused 7-launch pipeline, every
 // precision change a cast kernel of its own, so it is an independent
-// reference for what the fused 5-launch pipeline does in-kernel
-// (double -> p1 -> p2 in the pad, the input reorder's cast, and the
-// inverse FFT's p3 -> p4 bin loads and p4 -> p5 -> double sample
-// stores): outputs must be bit-identical in every config, direction
-// and batch size, and fusing must be strictly faster in every config.
+// reference for what the fused 3-launch pipeline does in-kernel
+// (double -> p1 -> p2 and the zero-padded half in the forward FFT's
+// sample loads, the reorder in its bin stores, the GEMV's p2 -> p3
+// reads, and the inverse FFT's p3 -> p4 bin loads and p4 -> p5 ->
+// double sample stores): outputs must be bit-identical in every
+// config, direction, batch size and verify mode, on both FFT paths
+// (N_t = 16 runs the packed power-of-two transform, N_t = 20 packed
+// Bluestein), and fusing must be strictly faster in every case.
 TEST_F(MatvecFixture, UnfusedCastsGiveSameNumbersSlower) {
-  auto p = make_problem(32, 4, 16, 55);
-  const auto local = LocalDims::single_rank(p.dims);
-  BlockToeplitzOperator op(dev_, stream_, local, p.first_col);
-  op.spectrum_f(stream_);  // warm the lazy cast outside both plans' timings
+  for (const index_t n_t : {16, 20}) {
+    auto p = make_problem(32, 4, n_t, 55);
+    const auto local = LocalDims::single_rank(p.dims);
+    BlockToeplitzOperator op(dev_, stream_, local, p.first_col);
+    op.spectrum_f(stream_);  // warm the lazy casts outside both plans' timings
+    for (const bool adjoint : {false, true}) {
+      op.checksum_d(stream_, adjoint);
+      op.checksum_f(stream_, adjoint);
+    }
 
-  MatvecOptions fused_opt;
-  MatvecOptions unfused_opt;
-  unfused_opt.fuse_casts = false;
+    MatvecOptions fused_opt;
+    MatvecOptions unfused_opt;
+    unfused_opt.fuse_casts = false;
 
-  device::Stream s1(dev_), s2(dev_);
-  FftMatvecPlan fused(dev_, s1, local, fused_opt);
-  FftMatvecPlan unfused(dev_, s2, local, unfused_opt);
+    device::Stream s1(dev_), s2(dev_);
+    FftMatvecPlan fused(dev_, s1, local, fused_opt);
+    FftMatvecPlan unfused(dev_, s2, local, unfused_opt);
 
-  for (const index_t b : {1, 3}) {
-    for (const auto direction : {ApplyDirection::kForward, ApplyDirection::kAdjoint}) {
-      const bool forward = direction == ApplyDirection::kForward;
-      const index_t in_len = p.dims.n_t * (forward ? p.dims.n_m : p.dims.n_d);
-      const index_t out_len = p.dims.n_t * (forward ? p.dims.n_d : p.dims.n_m);
-      std::vector<std::vector<double>> ins;
-      std::vector<ConstVectorView> in_views;
-      for (index_t r = 0; r < b; ++r) {
-        ins.push_back(make_input_vector(in_len, 560 + static_cast<std::uint64_t>(r)));
-      }
-      for (const auto& in : ins) in_views.emplace_back(in);
-      // b == 1 goes through the single-RHS spellings.
-      const auto run = [&](FftMatvecPlan& plan, const PrecisionConfig& cfg,
-                           std::vector<std::vector<double>>& outs) {
-        outs.assign(static_cast<std::size_t>(b),
-                    std::vector<double>(static_cast<std::size_t>(out_len)));
-        if (b == 1) {
-          if (forward) {
-            plan.forward(op, ins[0], outs[0], cfg);
-          } else {
-            plan.adjoint(op, ins[0], outs[0], cfg);
-          }
-          return;
+    for (const index_t b : {1, 3}) {
+      for (const auto direction : {ApplyDirection::kForward, ApplyDirection::kAdjoint}) {
+        const bool forward = direction == ApplyDirection::kForward;
+        const index_t in_len = p.dims.n_t * (forward ? p.dims.n_m : p.dims.n_d);
+        const index_t out_len = p.dims.n_t * (forward ? p.dims.n_d : p.dims.n_m);
+        std::vector<std::vector<double>> ins;
+        std::vector<ConstVectorView> in_views;
+        for (index_t r = 0; r < b; ++r) {
+          ins.push_back(make_input_vector(in_len, 560 + static_cast<std::uint64_t>(r)));
         }
-        std::vector<VectorView> out_views;
-        for (auto& out : outs) out_views.emplace_back(out);
-        plan.apply_batch(op, direction, cfg, in_views, out_views);
-      };
-      for (const auto& cfg : PrecisionConfig::all_configs()) {
-        const std::string what = cfg.to_string() + (forward ? " F" : " F*") +
-                                 " b=" + std::to_string(b);
-        std::vector<std::vector<double>> a, c;
-        run(fused, cfg, a);
-        run(unfused, cfg, c);
-        EXPECT_EQ(a, c) << what;
-        // The unpad rounds through p5, so a single-precision phase 5
-        // leaves float-representable outputs: narrowing them is exact
-        // (DistributedMatvecPlan reduces grid partials in float on
-        // this).
-        if (cfg.phase(precision::kPhaseUnpad) == precision::Precision::kSingle) {
-          for (const auto& out : a) {
-            for (const double y : out) {
-              ASSERT_EQ(y, static_cast<double>(static_cast<float>(y))) << what;
+        for (const auto& in : ins) in_views.emplace_back(in);
+        // b == 1 unverified goes through the single-RHS spellings.
+        const auto run = [&](FftMatvecPlan& plan, const PrecisionConfig& cfg,
+                             VerifyMode verify, std::vector<std::vector<double>>& outs) {
+          outs.assign(static_cast<std::size_t>(b),
+                      std::vector<double>(static_cast<std::size_t>(out_len)));
+          if (b == 1 && verify == VerifyMode::kOff) {
+            if (forward) {
+              plan.forward(op, ins[0], outs[0], cfg);
+            } else {
+              plan.adjoint(op, ins[0], outs[0], cfg);
             }
+            return;
+          }
+          std::vector<VectorView> out_views;
+          for (auto& out : outs) out_views.emplace_back(out);
+          plan.apply_batch(op, direction, cfg, in_views, out_views, verify);
+        };
+        for (const auto verify :
+             {VerifyMode::kOff, VerifyMode::kChecksum, VerifyMode::kParanoid}) {
+          for (const auto& cfg : PrecisionConfig::all_configs()) {
+            const std::string what = cfg.to_string() + (forward ? " F" : " F*") +
+                                     " b=" + std::to_string(b) +
+                                     " N_t=" + std::to_string(n_t) + " " +
+                                     verify_mode_name(verify);
+            std::vector<std::vector<double>> a, c;
+            run(fused, cfg, verify, a);
+            run(unfused, cfg, verify, c);
+            EXPECT_EQ(a, c) << what;
+            // The unpad rounds through p5, so a single-precision phase 5
+            // leaves float-representable outputs: narrowing them is exact
+            // (DistributedMatvecPlan reduces grid partials in float on
+            // this).
+            if (cfg.phase(precision::kPhaseUnpad) == precision::Precision::kSingle) {
+              for (const auto& out : a) {
+                for (const double y : out) {
+                  ASSERT_EQ(y, static_cast<double>(static_cast<float>(y))) << what;
+                }
+              }
+            }
+            EXPECT_LT(fused.last_timings().compute_total(),
+                      unfused.last_timings().compute_total())
+                << what;
           }
         }
-        EXPECT_LT(fused.last_timings().compute_total(),
-                  unfused.last_timings().compute_total())
-            << what;
       }
     }
   }
 }
 
-// Five launches per serial apply_batch — pad, FFT, reorder, GEMV and
-// the fused inverse FFT — whatever its RHS count, and verification
-// adds none (the checksum compare rides the fused inverse FFT).  The
-// unfused ablation keeps the output reorder and the unpad: 7.
-// Launches are counted by a zero-rate FaultPlan, which sees every
-// launch and injects nothing.
+// Three launches per serial apply_batch — the fused forward FFT, the
+// GEMV and the fused inverse FFT — whatever its RHS count, and
+// verification adds none (the checksum compare rides the fused inverse
+// FFT, and the Parseval checks ride both FFTs).  The unfused ablation
+// keeps the pad, the reorders and the unpad: 7.  Launches are counted
+// by a zero-rate FaultPlan, which sees every launch and injects
+// nothing.
 TEST_F(MatvecFixture, SerialBatchLaunchesDoNotGrowWithB) {
   auto p = make_problem(32, 4, 16, 57);
   const auto local = LocalDims::single_rank(p.dims);
@@ -348,9 +365,10 @@ TEST_F(MatvecFixture, SerialBatchLaunchesDoNotGrowWithB) {
       // Warm the operator's lazy single-precision spectrum and checksum
       // rows, which launch once on first use.
       launches(direction, cfg, VerifyMode::kChecksum, 1);
-      for (const auto verify : {VerifyMode::kOff, VerifyMode::kChecksum}) {
+      for (const auto verify :
+           {VerifyMode::kOff, VerifyMode::kChecksum, VerifyMode::kParanoid}) {
         for (const index_t b : {1, 5, 16}) {
-          EXPECT_EQ(launches(direction, cfg, verify, b), 5u)
+          EXPECT_EQ(launches(direction, cfg, verify, b), 3u)
               << cfg_str << dir << " " << verify_mode_name(verify) << " b=" << b;
         }
       }
@@ -362,6 +380,51 @@ TEST_F(MatvecFixture, SerialBatchLaunchesDoNotGrowWithB) {
     }
   }
   EXPECT_EQ(faults->stats().kernel_faults, 0u);
+}
+
+// The host pool only schedules gridblocks: each block computes its
+// outputs from the same inputs in the same order whichever worker runs
+// it, so no output may depend on how the blocks are chunked.  One
+// apply_batch per config, F and F*, b = 3, on pools of 1, 2, 3 and 8
+// workers (N_t = 20, so both fused FFTs run the Bluestein path).
+TEST(PoolWidth, ApplyBatchOutputsDoNotDependOnWorkerCount) {
+  auto p = make_problem(24, 5, 20, 91);
+  const auto local = LocalDims::single_rank(p.dims);
+  const index_t b = 3;
+  // The 1-worker pool's outputs, keyed by config and direction.
+  std::map<std::string, std::vector<std::vector<double>>> reference;
+  for (const unsigned width : {1u, 2u, 3u, 8u}) {
+    util::ThreadPool pool(width);
+    device::Device dev(device::make_mi300x(), &pool);
+    device::Stream stream(dev);
+    BlockToeplitzOperator op(dev, stream, local, p.first_col);
+    FftMatvecPlan plan(dev, stream, local);
+    for (const auto& cfg : PrecisionConfig::all_configs()) {
+      for (const auto direction : {ApplyDirection::kForward, ApplyDirection::kAdjoint}) {
+        const bool forward = direction == ApplyDirection::kForward;
+        const index_t in_len = p.dims.n_t * (forward ? p.dims.n_m : p.dims.n_d);
+        const index_t out_len = p.dims.n_t * (forward ? p.dims.n_d : p.dims.n_m);
+        std::vector<std::vector<double>> ins, outs;
+        std::vector<ConstVectorView> in_views;
+        std::vector<VectorView> out_views;
+        for (index_t r = 0; r < b; ++r) {
+          ins.push_back(make_input_vector(in_len, 910 + static_cast<std::uint64_t>(r)));
+          outs.emplace_back(static_cast<std::size_t>(out_len));
+        }
+        for (index_t r = 0; r < b; ++r) {
+          in_views.emplace_back(ins[static_cast<std::size_t>(r)]);
+          out_views.emplace_back(outs[static_cast<std::size_t>(r)]);
+        }
+        plan.apply_batch(op, direction, cfg, in_views, out_views);
+        const std::string key = cfg.to_string() + (forward ? " F" : " F*");
+        if (width == 1) {
+          reference[key] = outs;
+        } else {
+          EXPECT_EQ(outs, reference[key]) << key << " on " << width << " workers";
+        }
+      }
+    }
+  }
 }
 
 // --------------------------------------------------------- timings
@@ -389,7 +452,7 @@ TEST(MatvecTimings, PopulatedAndSbgemvDominates) {
   std::vector<double> d(static_cast<std::size_t>(64 * 16));
   plan.forward(op, p.m, d, PrecisionConfig{});
   const auto& t = plan.last_timings();
-  EXPECT_GT(t.pad, 0.0);
+  EXPECT_EQ(t.pad, 0.0);  // the fused forward FFT reads the inputs
   EXPECT_GT(t.fft, 0.0);
   EXPECT_GT(t.sbgemv, 0.0);
   EXPECT_GT(t.ifft, 0.0);

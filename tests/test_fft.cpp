@@ -5,10 +5,14 @@
 #include <gtest/gtest.h>
 
 #include <complex>
+#include <functional>
+#include <limits>
 #include <random>
+#include <string>
 #include <vector>
 
 #include "device/device.hpp"
+#include "device/fault_plan.hpp"
 #include "device/stream.hpp"
 #include "fft/complex_engine.hpp"
 #include "fft/plan.hpp"
@@ -35,6 +39,19 @@ std::vector<Real> random_real(index_t n, std::uint64_t seed) {
   std::vector<Real> v(static_cast<std::size_t>(n));
   for (auto& x : v) x = static_cast<Real>(rng.uniform(-1, 1));
   return v;
+}
+
+/// The message of the device::SilentCorruption `fn` throws (its site
+/// must be "unit"), or "" when it throws none.
+template <class Fn>
+std::string message(Fn&& fn) {
+  try {
+    fn();
+  } catch (const device::SilentCorruption& e) {
+    EXPECT_EQ(e.site(), "unit");
+    return e.what();
+  }
+  return "";
 }
 
 template <class C>
@@ -346,6 +363,154 @@ TEST(BatchedPlan, InvalidMultiplierThrows) {
   EXPECT_THROW(plan.forward_on(stream, in.data(), 32, out.data(), 17, 0),
                std::invalid_argument);
   EXPECT_THROW(plan.geometry(-1), std::invalid_argument);
+}
+
+// ---------------------------------------------- fused entry points
+//
+// The fused launches run forward_on's and inverse_on's transforms with
+// their I/O through callbacks.  Callbacks that read and write plain
+// strided buffers must reproduce the plain launches bit for bit, and a
+// fused footprint whose callbacks move one pass of the working set
+// each way is charged exactly the plain footprint's simulated time.
+// Lengths 1..64 plus 80, 256 and 2000 cover the direct path (odd L),
+// the packed power-of-two path and the packed Bluestein path.
+
+std::vector<index_t> fused_lengths() {
+  std::vector<index_t> lengths;
+  for (index_t L = 1; L <= 64; ++L) lengths.push_back(L);
+  for (const index_t L : {80, 256, 2000}) lengths.push_back(L);
+  return lengths;
+}
+
+template <class Real>
+void expect_fused_matches_plain(index_t L, index_t mult) {
+  using C = std::complex<Real>;
+  const std::string what = "L=" + std::to_string(L) + " mult=" + std::to_string(mult);
+  device::Device dev(device::make_mi300x());
+  device::Stream plain_stream(dev), fused_stream(dev);
+  const index_t batch = 2, nf = L / 2 + 1, seqs = batch * mult;
+  BatchedRealFft<Real> plan(L, batch);
+  const auto fp = plan.fused_footprint(mult, static_cast<double>(L * sizeof(Real)),
+                                       static_cast<double>(L * sizeof(Real)));
+  const auto in = random_real<Real>(seqs * L, 300 + static_cast<std::uint64_t>(L));
+
+  std::vector<C> spec(static_cast<std::size_t>(seqs * nf)), fused_spec(spec.size());
+  plan.forward_on(plain_stream, in.data(), L, spec.data(), nf, mult);
+  plan.forward_fused_on(
+      fused_stream, mult, fp, [&](index_t q, index_t t) { return in[q * L + t]; },
+      [&](index_t q, index_t k, const C& v) { fused_spec[q * nf + k] = v; });
+  EXPECT_EQ(fused_spec, spec) << what;
+  EXPECT_EQ(fused_stream.now(), plain_stream.now()) << what;
+
+  std::vector<Real> back(in.size()), fused_back(in.size());
+  plan.inverse_on(plain_stream, spec.data(), nf, back.data(), L, mult);
+  plan.inverse_fused_on(
+      fused_stream, mult, fp, [&](index_t q, index_t k) { return spec[q * nf + k]; },
+      [&](index_t q, index_t j, Real v) { fused_back[q * L + j] = v; },
+      [](index_t) {});
+  EXPECT_EQ(fused_back, back) << what;
+  EXPECT_EQ(fused_stream.now(), plain_stream.now()) << what;
+}
+
+TEST(FusedPlan, IdentityCallbacksMatchPlainLaunchesBitForBit) {
+  for (const index_t L : fused_lengths()) {
+    for (const index_t mult : {1, 3}) {
+      expect_fused_matches_plain<double>(L, mult);
+      expect_fused_matches_plain<float>(L, mult);
+    }
+  }
+}
+
+// The matvec's phase-1 fold: a load that returns 0 past the n data
+// samples feeds the engine the zero-padded buffer's arithmetic, zeros
+// included, so the spectrum equals forward_on over an explicitly
+// padded buffer bit for bit (L = 2n as in the matvec, and L = 2n + 1
+// for the direct path).
+template <class Real>
+void expect_zero_load_matches_padded(index_t n, index_t L) {
+  using C = std::complex<Real>;
+  device::Device dev(device::make_mi300x());
+  device::Stream stream(dev);
+  const index_t batch = 3, mult = 2, nf = L / 2 + 1, seqs = batch * mult;
+  BatchedRealFft<Real> plan(L, batch);
+  const auto data = random_real<Real>(seqs * n, 400 + static_cast<std::uint64_t>(n));
+  std::vector<Real> padded(static_cast<std::size_t>(seqs * L), Real(0));
+  for (index_t q = 0; q < seqs; ++q) {
+    for (index_t t = 0; t < n; ++t) padded[q * L + t] = data[q * n + t];
+  }
+  std::vector<C> spec(static_cast<std::size_t>(seqs * nf)), fused_spec(spec.size());
+  plan.forward_on(stream, padded.data(), L, spec.data(), nf, mult);
+  plan.forward_fused_on(
+      stream, mult, plan.fused_footprint(mult, static_cast<double>(n * sizeof(Real)),
+                                         static_cast<double>(nf * sizeof(C))),
+      [&](index_t q, index_t t) { return t < n ? data[q * n + t] : Real(0); },
+      [&](index_t q, index_t k, const C& v) { fused_spec[q * nf + k] = v; });
+  EXPECT_EQ(fused_spec, spec) << "n=" << n << " L=" << L;
+}
+
+TEST(FusedPlan, ZeroLoadsPastTheDataMatchAnExplicitlyPaddedBuffer) {
+  for (const index_t n : {1, 2, 5, 16, 20, 40, 64, 128, 1000}) {
+    for (const index_t L : {2 * n, 2 * n + 1}) {
+      expect_zero_load_matches_padded<double>(n, L);
+      expect_zero_load_matches_padded<float>(n, L);
+    }
+  }
+}
+
+// The fused forward's Parseval check reads the bins back as stored, so
+// a bin corrupted on its way to memory trips it, and its verdict and
+// message are verify_parseval_on's over the same buffers.  Both FFT
+// paths: L = 16 (packed power of two) and L = 40 (packed Bluestein).
+TEST(FusedPlan, CorruptedStoredBinTripsTheForwardParsevalCheck) {
+  device::Device dev(device::make_mi300x());
+  device::Stream stream(dev);
+  const double tol = 1e-10;  // far above double rounding, far below a flip
+  for (const index_t L : {16, 40}) {
+    const index_t batch = 2, nf = L / 2 + 1;
+    BatchedRealFft<double> fft(L, batch);
+    const auto time = random_real<double>(batch * L, 81);
+    const auto fp = fft.fused_footprint(1, static_cast<double>(L * sizeof(double)),
+                                        static_cast<double>(nf * sizeof(cdouble)));
+    // Bin 3 of the SECOND sequence goes through `corrupt`.
+    const auto run = [&](auto corrupt, std::vector<cdouble>& spec) {
+      spec.assign(static_cast<std::size_t>(batch * nf), cdouble{});
+      ParsevalFailure fail;
+      const ParsevalCheck check{tol, &fail};
+      fft.forward_fused_on(
+          stream, 1, fp, [&](index_t q, index_t t) { return time[q * L + t]; },
+          [&](index_t q, index_t k, const cdouble& v) {
+            spec[q * nf + k] = q == 1 && k == 3 ? corrupt(v) : v;
+          },
+          &check, [&](index_t q, index_t k) { return spec[q * nf + k]; });
+      return message([&] { fail.throw_if_any("unit"); });
+    };
+    const auto plain = [&](const std::vector<cdouble>& spec) {
+      return message([&] {
+        fft.verify_parseval_on(stream, time.data(), L, spec.data(), nf, 1, tol, "unit");
+      });
+    };
+    std::vector<cdouble> spec;
+    EXPECT_EQ(run([](const cdouble& v) { return v; }, spec), "") << "L=" << L;
+    EXPECT_EQ(plain(spec), "") << "L=" << L;
+    const auto nan = std::numeric_limits<double>::quiet_NaN();
+    const auto inf = std::numeric_limits<double>::infinity();
+    for (const auto& corrupt : std::vector<std::function<cdouble(const cdouble&)>>{
+             [](const cdouble& v) { return v * 2.0; },
+             [&](const cdouble& v) { return cdouble{nan, v.imag()}; },
+             [&](const cdouble& v) { return cdouble{inf, v.imag()}; }}) {
+      const std::string fused = run(corrupt, spec);
+      EXPECT_NE(fused, "") << "L=" << L << ": a corrupted stored bin passed";
+      EXPECT_EQ(fused, plain(spec)) << "L=" << L;
+    }
+  }
+  // Without the stored bins there is nothing to check against.
+  BatchedRealFft<double> fft(16, 1);
+  ParsevalFailure fail;
+  const ParsevalCheck check{tol, &fail};
+  EXPECT_THROW(fft.forward_fused_on(
+                   stream, 1, fft.footprint(), [](index_t, index_t) { return 0.0; },
+                   [](index_t, index_t, const cdouble&) {}, &check),
+               std::invalid_argument);
 }
 
 // ---------------------------------------------- transform theorems
