@@ -1,6 +1,7 @@
 // google-benchmark microbenchmarks of the SBGEMV kernel bodies on the
-// host: non-transpose vs transpose-reference vs transpose-optimized,
-// and the wavefront-tree vs sequential reduction cost.
+// host: non-transpose reference vs split-column, transpose-reference
+// vs transpose-optimized, and the wavefront-tree vs sequential
+// reduction cost.
 #include <benchmark/benchmark.h>
 
 #include "blas/sbgemv.hpp"
@@ -72,6 +73,9 @@ void BM_GemvC_Optimized_ComplexDouble(benchmark::State& state) {
 void BM_GemvN_ComplexFloat(benchmark::State& state) {
   run_gemv<cfloat>(state, blas::Op::N, blas::GemvKernelPolicy::kReference);
 }
+void BM_GemvN_Split_ComplexFloat(benchmark::State& state) {
+  run_gemv<cfloat>(state, blas::Op::N, blas::GemvKernelPolicy::kOptimized);
+}
 
 // The paper's Phase-3 shape at reduced scale: short and wide.
 BENCHMARK(BM_GemvN_Double)->Args({16, 512, 65});
@@ -79,6 +83,9 @@ BENCHMARK(BM_GemvT_Reference_Double)->Args({16, 512, 65});
 BENCHMARK(BM_GemvT_Optimized_Double)->Args({16, 512, 65});
 BENCHMARK(BM_GemvC_Optimized_ComplexDouble)->Args({16, 512, 65});
 BENCHMARK(BM_GemvN_ComplexFloat)->Args({16, 512, 65});
+// map_solve's forward GEMV (dssdd: complex single, 16 x 1000, N_t + 1
+// = 129 frequency blocks), where the dispatcher splits the columns.
+BENCHMARK(BM_GemvN_Split_ComplexFloat)->Args({16, 1000, 129});
 // A square shape for contrast.
 BENCHMARK(BM_GemvT_Reference_Double)->Args({256, 256, 16});
 BENCHMARK(BM_GemvT_Optimized_Double)->Args({256, 256, 16});

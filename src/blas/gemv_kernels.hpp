@@ -1,11 +1,24 @@
 // SBGEMV kernel implementations for the simulated device.
 //
-// Three kernels, mirroring §3.1.1 of the paper:
+// Four kernel kinds, mirroring §3.1.1 of the paper: a reference and a
+// short-and-wide kernel for each op family.
 //
 //  * reference non-transpose: grid (ceil(m/64), 1, batch); each
 //    gridblock computes a 64-row chunk of the output, i.e. several
-//    long dot products of length n.  Efficient when m is small and n
-//    large (few blocks, lots of work per block).
+//    long dot products of length n.  When m is small the grid is one
+//    block per batch entry, which leaves most of the device idle
+//    unless the batch is large.
+//
+//  * split-column (split-K) non-transpose: grid (ceil(m/64), K,
+//    batch) with K = ceil(n/32).  Gridblock (bx, k, bz) sums its
+//    32-column tile of its 64 rows from zero, in column order, and
+//    stores the partials in a workspace; the last of the K blocks of
+//    a (row tile, batch entry) to finish folds the K partials in tile
+//    order into y (the threadfence-reduction / serial split-K
+//    pattern).  One launch, and its result does not depend on block
+//    scheduling.  With K = 1 it is the reference kernel bit for bit:
+//    the same body writes y directly, with the same geometry and
+//    footprint, so both kinds run one body.
 //
 //  * reference (conjugate) transpose: grid (n, 1, batch); each
 //    gridblock computes a SINGLE output element as one dot product of
@@ -20,7 +33,12 @@
 //    column accumulating partials (vectorised, coalesced loads) and a
 //    wavefront-shuffle tree combines them.  The tree-reduction
 //    summation order is reproduced here because it changes rounding
-//    behaviour relative to the sequential reference kernel.
+//    behaviour relative to the sequential reference kernel.  Lanes at
+//    or beyond m hold +0.0 throughout, so the host body runs only the
+//    live lanes and skips every tree add whose right operand is a dead
+//    lane: x + (+0.0) == x for every x a sum started at +0.0 can hold
+//    (such a sum is never -0.0 under round-to-nearest), so the output
+//    is bit-identical to the full 64-lane tree.
 //
 // Each kernel exposes its LaunchGeometry and KernelFootprint via a
 // *model* function so the analytic paper-scale sweeps use exactly the
@@ -42,24 +60,34 @@ namespace fftmv::blas {
 
 /// Wavefront width of the simulated device (CDNA).
 inline constexpr index_t kWavefront = 64;
-/// Rows handled per gridblock by the reference non-transpose kernel.
+/// Rows handled per gridblock by the non-transpose kernels.
 inline constexpr index_t kRefRowsPerBlock = 64;
-/// Columns per gridblock tile in the optimized transpose kernel.
+/// Columns per gridblock tile in the short-and-wide kernels: output
+/// columns in the optimized transpose kernel, summed columns in the
+/// split non-transpose kernel.
 inline constexpr index_t kOptTileCols = 32;
 
 enum class GemvKernelKind {
   kReferenceN,
+  kSplitN,       // split-column non-transpose
   kReferenceT,   // covers T and C
   kOptimizedT,   // covers T and C
 };
+
+/// Column tiles K per row of a kernel kind: ceil(n/32) for the split
+/// non-transpose kernel, 1 (no partial sums) for every other kind.
+inline index_t gemv_split_tiles(GemvKernelKind kind, index_t n) {
+  return kind == GemvKernelKind::kSplitN ? util::ceil_div(n, kOptTileCols) : 1;
+}
 
 /// Launch geometry for a kernel kind (per paper §3.1.1).
 inline device::LaunchGeometry gemv_geometry(GemvKernelKind kind, index_t m,
                                             index_t n, index_t batch) {
   switch (kind) {
     case GemvKernelKind::kReferenceN:
+    case GemvKernelKind::kSplitN:
       return {.grid_x = util::ceil_div(m, kRefRowsPerBlock),
-              .grid_y = 1,
+              .grid_y = gemv_split_tiles(kind, n),
               .grid_z = batch,
               .block_threads = 256};
     case GemvKernelKind::kReferenceT:
@@ -73,22 +101,44 @@ inline device::LaunchGeometry gemv_geometry(GemvKernelKind kind, index_t m,
   return {};
 }
 
+namespace detail {
+
+inline bool non_transpose(GemvKernelKind kind) {
+  return kind == GemvKernelKind::kReferenceN || kind == GemvKernelKind::kSplitN;
+}
+
+/// Bytes per (batch entry, RHS) of the split kernel's partial sums,
+/// K tiles of m: written once by the tiles and read once by the fold.
+/// None when K == 1 (the body writes y directly).
+template <class T>
+double partial_bytes(GemvKernelKind kind, index_t m, index_t n) {
+  const index_t tiles = gemv_split_tiles(kind, n);
+  return tiles > 1 ? static_cast<double>(tiles) * static_cast<double>(m) *
+                         static_cast<double>(sizeof(T))
+                   : 0.0;
+}
+
+}  // namespace detail
+
 /// Resource footprint for a kernel kind.  Traffic counts the matrix
 /// once plus the vectors (x assumed L2-resident across blocks of the
 /// same batch entry, so counted once per batch entry), x at the width
-/// of its own element type X.
+/// of its own element type X, plus the split kernel's partial sums
+/// (written once and read once by the fold).
 template <class T, class X = T>
 device::KernelFootprint gemv_footprint(GemvKernelKind kind, index_t m,
                                        index_t n, index_t batch) {
   const double es = static_cast<double>(sizeof(T));
   const double b = static_cast<double>(batch);
   const double matrix = b * static_cast<double>(m) * static_cast<double>(n) * es;
-  const double xlen = static_cast<double>(kind == GemvKernelKind::kReferenceN ? n : m);
-  const double ylen = static_cast<double>(kind == GemvKernelKind::kReferenceN ? m : n);
+  const bool nt = detail::non_transpose(kind);
+  const double xlen = static_cast<double>(nt ? n : m);
+  const double ylen = static_cast<double>(nt ? m : n);
+  const double partials = detail::partial_bytes<T>(kind, m, n);
 
   device::KernelFootprint fp;
-  fp.bytes_read = matrix + b * xlen * static_cast<double>(sizeof(X));
-  fp.bytes_written = b * ylen * es;
+  fp.bytes_read = matrix + b * (xlen * static_cast<double>(sizeof(X)) + partials);
+  fp.bytes_written = b * (ylen * es + partials);
   // 2 real ops per multiply-add; complex multiply-add is 8.
   fp.flops = (is_complex_v<T> ? 8.0 : 2.0) * b * static_cast<double>(m) *
              static_cast<double>(n);
@@ -96,6 +146,7 @@ device::KernelFootprint gemv_footprint(GemvKernelKind kind, index_t m,
 
   switch (kind) {
     case GemvKernelKind::kReferenceN:
+    case GemvKernelKind::kSplitN:
       // Scalar per-element loads; good coalescing across the thread
       // rows of each column chunk.
       fp.vector_load_bytes = static_cast<int>(std::min<std::size_t>(sizeof(T), 16));
@@ -120,8 +171,8 @@ device::KernelFootprint gemv_footprint(GemvKernelKind kind, index_t m,
 
 /// Resource footprint of the multi-RHS variant: the matrix is read
 /// ONCE per batch entry (each column tile stays resident while all
-/// nrhs vectors stream through it) while vector traffic and flops
-/// scale with nrhs.  The reference transpose kernel's serial
+/// nrhs vectors stream through it) while vector traffic, partial sums
+/// and flops scale with nrhs.  The reference transpose kernel's serial
 /// dependency chain grows nrhs-fold per block, so its residency
 /// weight scales accordingly.
 template <class T, class X = T>
@@ -132,10 +183,12 @@ device::KernelFootprint gemv_multi_footprint(GemvKernelKind kind, index_t m,
   const double es = static_cast<double>(sizeof(T));
   const double b = static_cast<double>(batch);
   const double extra = static_cast<double>(nrhs - 1);
-  const double xlen = static_cast<double>(kind == GemvKernelKind::kReferenceN ? n : m);
-  const double ylen = static_cast<double>(kind == GemvKernelKind::kReferenceN ? m : n);
-  fp.bytes_read += extra * b * xlen * static_cast<double>(sizeof(X));
-  fp.bytes_written += extra * b * ylen * es;
+  const bool nt = detail::non_transpose(kind);
+  const double xlen = static_cast<double>(nt ? n : m);
+  const double ylen = static_cast<double>(nt ? m : n);
+  const double partials = detail::partial_bytes<T>(kind, m, n);
+  fp.bytes_read += extra * b * (xlen * static_cast<double>(sizeof(X)) + partials);
+  fp.bytes_written += extra * b * (ylen * es + partials);
   fp.flops *= static_cast<double>(nrhs);
   if (kind == GemvKernelKind::kReferenceT) {
     fp.residency_weight *= static_cast<double>(nrhs);
@@ -326,25 +379,81 @@ void gemv_grouped_verify_block(const SbgemvGroupedArgs<T, X>& ga,
   }
 }
 
-/// Multi-RHS reference non-transpose body: each 64-row chunk streams
-/// its matrix rows once; every RHS consumes a row before the next row
-/// is touched.  Per-(row, RHS) arithmetic does not depend on nrhs.
+/// The split non-transpose kernel's column-tile partial sums for one
+/// multi-RHS slice: tile k's sum for the output element at offset o
+/// from the slice's y (o = bz * stride_y + r * rhs_stride_y + i) sits
+/// at sums[k * tile_stride + o], so each tile's partials are laid out
+/// like y itself.  tiles == 1 keeps none: the body writes y directly.
+template <class T>
+struct GemvPartials {
+  index_t tiles = 1;
+  T* sums = nullptr;
+  index_t tile_stride = 0;
+};
+
+/// Workspace elements of T a grouped launch of `kind` needs: the split
+/// kernel's K partial-sum tiles, each spanning y's extent, when K > 1;
+/// none otherwise.
 template <class T, class X>
-void gemv_n_reference_multi_block(const SbgemvMultiArgs<T, X>& ma, index_t bx,
-                                  index_t bz) {
+index_t gemv_workspace_size(GemvKernelKind kind, const SbgemvGroupedArgs<T, X>& args) {
+  const index_t tiles = gemv_split_tiles(kind, args.base.n);
+  return tiles > 1 ? tiles * args.y_extent() : 0;
+}
+
+/// Multi-RHS non-transpose body of both kinds: gridblock (bx, by, bz)
+/// owns column tile by of its 64-row chunk (the whole row when
+/// tiles == 1).  Each RHS sweeps the tile's columns in order and
+/// accumulates all the chunk's rows at once, one thread per row, so
+/// each (row, RHS) sum starts from zero and runs in column order.  With
+/// one tile it is the row's full dot product and goes straight to y;
+/// otherwise it is stored as tile by's partial for gemv_n_fold_block.
+/// Per-(row, RHS) arithmetic does not depend on nrhs.
+template <class T, class X>
+void gemv_n_multi_block(const SbgemvMultiArgs<T, X>& ma, const GemvPartials<T>& p,
+                        index_t bx, index_t by, index_t bz) {
   const SbgemvArgs<T, X>& a = ma.base;
-  const T* A = a.a + bz * a.stride_a;
+  const index_t row_begin = bx * kRefRowsPerBlock;
+  const index_t rows = std::min(a.m, row_begin + kRefRowsPerBlock) - row_begin;
+  const T* A = a.a + bz * a.stride_a + row_begin;
+  const index_t col_begin = by * kOptTileCols;
+  const index_t col_end = p.tiles == 1 ? a.n : std::min(a.n, col_begin + kOptTileCols);
+  T acc[kRefRowsPerBlock]{};
+  for (index_t r = 0; r < ma.nrhs; ++r) {
+    const X* x = a.x + bz * a.stride_x + r * ma.rhs_stride_x;
+    std::fill(acc, acc + rows, T{});
+    for (index_t j = col_begin; j < col_end; ++j) {
+      const T* col = A + j * a.lda;
+      const T xj = detail::x_as<T>(x[j]);
+      for (index_t i = 0; i < rows; ++i) acc[i] += col[i] * xj;
+    }
+    const index_t o = bz * a.stride_y + r * ma.rhs_stride_y + row_begin;
+    if (p.tiles == 1) {
+      T* y = a.y + o;
+      for (index_t i = 0; i < rows; ++i) {
+        y[i] = a.alpha * acc[i] + (a.beta == T(0) ? T(0) : a.beta * y[i]);
+      }
+    } else {
+      std::copy(acc, acc + rows, p.sums + by * p.tile_stride + o);
+    }
+  }
+}
+
+/// The split kernel's fold for row tile bx of batch entry bz, run by
+/// the last of its K gridblocks to finish: each (row, RHS) output sums
+/// the K tile partials from zero in tile order, so it does not depend
+/// on which block finished last.
+template <class T, class X>
+void gemv_n_fold_block(const SbgemvMultiArgs<T, X>& ma, const GemvPartials<T>& p,
+                       index_t bx, index_t bz) {
+  const SbgemvArgs<T, X>& a = ma.base;
   const index_t row_begin = bx * kRefRowsPerBlock;
   const index_t row_end = std::min(a.m, row_begin + kRefRowsPerBlock);
   for (index_t i = row_begin; i < row_end; ++i) {
     for (index_t r = 0; r < ma.nrhs; ++r) {
-      const X* x = a.x + bz * a.stride_x + r * ma.rhs_stride_x;
-      T* y = a.y + bz * a.stride_y + r * ma.rhs_stride_y;
+      const index_t o = bz * a.stride_y + r * ma.rhs_stride_y + i;
       T acc{};
-      for (index_t j = 0; j < a.n; ++j) {
-        acc += A[i + j * a.lda] * detail::x_as<T>(x[j]);
-      }
-      y[i] = a.alpha * acc + (a.beta == T(0) ? T(0) : a.beta * y[i]);
+      for (index_t k = 0; k < p.tiles; ++k) acc += p.sums[k * p.tile_stride + o];
+      a.y[o] = a.alpha * acc + (a.beta == T(0) ? T(0) : a.beta * a.y[o]);
     }
   }
 }
@@ -374,7 +483,9 @@ void gemv_t_reference_multi_block(const SbgemvMultiArgs<T, X>& ma, index_t bx,
 /// column tile is loaded once and reused by all nrhs vectors; each
 /// (column, RHS) pair runs the same 64-lane strided accumulation
 /// (coalesced loads) and shuffle-style wavefront tree reduction (6
-/// halving steps), whatever nrhs is.
+/// halving steps), whatever nrhs is.  Only the min(m, 64) live lanes
+/// run, and a tree add whose right operand is a dead (+0.0) lane is
+/// skipped, which leaves every sum bit-identical (see the header).
 template <class T, class X>
 void gemv_t_optimized_multi_block(const SbgemvMultiArgs<T, X>& ma, index_t bx,
                                   index_t bz) {
@@ -383,13 +494,14 @@ void gemv_t_optimized_multi_block(const SbgemvMultiArgs<T, X>& ma, index_t bx,
   const bool conj = a.op == Op::C;
   const index_t col_begin = bx * kOptTileCols;
   const index_t col_end = std::min(a.n, col_begin + kOptTileCols);
+  const index_t live = std::min(a.m, kWavefront);
   T lanes[kWavefront];
   for (index_t j = col_begin; j < col_end; ++j) {
     const T* col = A + j * a.lda;
     for (index_t r = 0; r < ma.nrhs; ++r) {
       const X* x = a.x + bz * a.stride_x + r * ma.rhs_stride_x;
       T* y = a.y + bz * a.stride_y + r * ma.rhs_stride_y;
-      for (index_t l = 0; l < kWavefront; ++l) {
+      for (index_t l = 0; l < live; ++l) {
         T acc{};
         for (index_t i = l; i < a.m; i += kWavefront) {
           acc += detail::conj_if_complex_dispatch(col[i], conj) *
@@ -397,8 +509,13 @@ void gemv_t_optimized_multi_block(const SbgemvMultiArgs<T, X>& ma, index_t bx,
         }
         lanes[l] = acc;
       }
+      // Before the step at offset `off`, lanes [0, width) are live with
+      // width <= 2 * off; lane l takes lane l + off only while that is
+      // live.
+      index_t width = live;
       for (index_t off = kWavefront / 2; off > 0; off /= 2) {
-        for (index_t l = 0; l < off; ++l) lanes[l] += lanes[l + off];
+        for (index_t l = 0; l + off < width; ++l) lanes[l] += lanes[l + off];
+        width = std::min(width, off);
       }
       y[j] = a.alpha * lanes[0] + (a.beta == T(0) ? T(0) : a.beta * y[j]);
     }

@@ -24,12 +24,14 @@ inline const char* op_name(Op op) {
   return "?";
 }
 
-/// Which SBGEMV implementation to run for transpose-family ops.
-///   kAuto       host dispatcher picks using the transition points
-///               established from the Figure-1-style benchmark data
-///               (paper §4.1.1),
+/// Which SBGEMV implementation to run, for every op.
+///   kAuto       host dispatcher picks from the matrix shape, using the
+///               transition points established from benchmark data
+///               (paper §4.1.1; bench/ablation_dispatch),
 ///   kReference  the original rocBLAS-style kernels,
-///   kOptimized  the paper's tiled short-and-wide kernel (§3.1.1).
+///   kOptimized  the short-and-wide kernels: the paper's tiled
+///               transpose kernel (§3.1.1) for T and C, the
+///               split-column kernel for N.
 enum class GemvKernelPolicy { kAuto, kReference, kOptimized };
 
 /// Arguments of a column-major strided batched GEMV
@@ -193,6 +195,13 @@ struct SbgemvGroupedArgs {
     index_t total = 0;
     for (const auto& g : groups) total += g.nrhs;
     return total;
+  }
+
+  /// Elements the output vectors span from base.y: one past the last
+  /// (batch entry, RHS) element.
+  index_t y_extent() const {
+    return (base.batch - 1) * base.stride_y + (total_nrhs() - 1) * rhs_stride_y +
+           base.y_len();
   }
 
   /// The SbgemvMultiArgs equivalent of one group: matrix `a`, RHS

@@ -13,6 +13,22 @@ bool use_optimized_transpose(index_t m, index_t n) {
   return m < n || m <= 1024;
 }
 
+bool use_split_columns(index_t m, index_t n) {
+  // Transition points from bench/ablation_dispatch's non-transpose
+  // table on the MI300X spec.  While the rows fit one 64-row block
+  // the reference grid is one block per batch entry, and for m < n
+  // the split kernel wins there (up to 5.6x at 16 x 5000, batch 41)
+  // in every cell but one corner, complex single at m = 6 and batch
+  // 1001, where its 6 x 32 tiles fall under the per-block residency
+  // floor (0.92-0.98x).  With two or more row tiles the reference
+  // grid is already wide: the split wins only at small batches and
+  // ties at the paper's 100 x 5000, batch 1001, on the MI300X, where
+  // the reference kernel's last wave is partly empty — but loses 2%
+  // (MI250X) and 4% (MI355X) there, whose wave counts come out
+  // nearly whole (fig2_breakdown), so it keeps the reference kernel.
+  return m < n && m <= kRefRowsPerBlock;
+}
+
 namespace {
 
 template <class T>

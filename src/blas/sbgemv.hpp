@@ -6,16 +6,24 @@
 // reproduces the integration path the paper describes (§3.1.1): the
 // optimized short-and-wide kernel was inserted into the rocBLAS host
 // dispatcher with transition points set from benchmark data, keeping
-// application code unchanged.
+// application code unchanged.  Each op family has such a kernel and
+// its own transition rule from bench/ablation_dispatch: the paper's
+// tiled kernel for the (conjugate) transpose, use_optimized_transpose,
+// and the split-column kernel for the non-transpose, use_split_columns.
 #pragma once
 
+#include <atomic>
 #include <cstring>
+#include <memory>
+#include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
 #include "blas/gemv_kernels.hpp"
 #include "blas/gemv_types.hpp"
 #include "device/device.hpp"
+#include "device/device_vector.hpp"
 #include "device/stream.hpp"
 
 namespace fftmv::blas {
@@ -67,19 +75,38 @@ void corrupt_grouped_output(const SbgemvGroupedArgs<T, X>& args,
 /// that the reference kernel is launch-bound.
 bool use_optimized_transpose(index_t m, index_t n);
 
+/// Transition rule used by GemvKernelPolicy::kAuto for the
+/// non-transpose op, from bench/ablation_dispatch's non-transpose
+/// table: on short-and-wide matrices (m < n, m <= 64) the reference
+/// kernel runs one block per batch entry, which leaves most of the
+/// device idle or wastes a partly empty last wave, and splitting the
+/// columns fills it.  The split's partial sums cost about 2/32 of the
+/// matrix traffic, so where the reference grid already fills the
+/// device (two or more row tiles, as in the paper's 100 x 5000
+/// blocks at batch 1001) it ties or loses, and the reference kernel
+/// stays.
+bool use_split_columns(index_t m, index_t n);
+
+/// kAuto resolved from an op and a matrix shape: kOptimized where that
+/// op's short-and-wide kernel wins by the rules above, kReference
+/// elsewhere.  A caller that runs one slice of a larger GEMV resolves
+/// it from the full shape and passes the result, so every slice runs
+/// the full GEMV's kernel kind and summation order.
+inline GemvKernelPolicy auto_policy(Op op, index_t m, index_t n) {
+  const bool short_wide =
+      op == Op::N ? use_split_columns(m, n) : use_optimized_transpose(m, n);
+  return short_wide ? GemvKernelPolicy::kOptimized : GemvKernelPolicy::kReference;
+}
+
 /// Select the kernel kind for the given arguments and policy.
 template <class T, class X>
 GemvKernelKind select_kernel(const SbgemvArgs<T, X>& args, GemvKernelPolicy policy) {
-  if (args.op == Op::N) return GemvKernelKind::kReferenceN;
-  switch (policy) {
-    case GemvKernelPolicy::kReference: return GemvKernelKind::kReferenceT;
-    case GemvKernelPolicy::kOptimized: return GemvKernelKind::kOptimizedT;
-    case GemvKernelPolicy::kAuto:
-      return use_optimized_transpose(args.m, args.n)
-                 ? GemvKernelKind::kOptimizedT
-                 : GemvKernelKind::kReferenceT;
+  if (policy == GemvKernelPolicy::kAuto) policy = auto_policy(args.op, args.m, args.n);
+  const bool optimized = policy == GemvKernelPolicy::kOptimized;
+  if (args.op == Op::N) {
+    return optimized ? GemvKernelKind::kSplitN : GemvKernelKind::kReferenceN;
   }
-  return GemvKernelKind::kReferenceT;
+  return optimized ? GemvKernelKind::kOptimizedT : GemvKernelKind::kReferenceT;
 }
 
 /// Grouped multi-operator multi-RHS batched GEMV — the library's one
@@ -108,11 +135,18 @@ GemvKernelKind select_kernel(const SbgemvArgs<T, X>& args, GemvKernelPolicy poli
 /// then calls throw_if_checksum_failed, so the check costs no launch
 /// of its own (the FFT matvec's phase-4 inverse FFT carries it, see
 /// fft::BatchedRealFft::inverse_fused_on).
+///
+/// The split non-transpose kernel keeps its partial sums in
+/// `workspace`, at least gemv_workspace_size elements; a call that
+/// passes none gets one allocated on the device for the call, so a
+/// caller that launches repeatedly (the FFT matvec plan) passes its
+/// own.  Every other kind ignores it.
 template <class T, class X>
 device::KernelTiming sbgemv_grouped(device::Stream& stream,
                                     const SbgemvGroupedArgs<T, X>& args,
                                     GemvKernelPolicy policy = GemvKernelPolicy::kAuto,
-                                    const SbgemvVerify<T>& verify = {}) {
+                                    const SbgemvVerify<T>& verify = {},
+                                    std::span<T> workspace = {}) {
   const bool phantom = stream.device().phantom();
   args.validate(/*allow_null=*/phantom);
   if (verify.enabled) {
@@ -139,6 +173,12 @@ device::KernelTiming sbgemv_grouped(device::Stream& stream,
   }
   const SbgemvArgs<T, X>& base = args.base;
   const GemvKernelKind kind = select_kernel(base, policy);
+  const index_t tiles = gemv_split_tiles(kind, base.n);
+  const index_t workspace_size = gemv_workspace_size(kind, args);
+  if (!workspace.empty() && static_cast<index_t>(workspace.size()) < workspace_size) {
+    throw std::invalid_argument(
+        "sbgemv_grouped: workspace smaller than gemv_workspace_size");
+  }
   const auto geom = gemv_geometry(kind, base.m, base.n, base.batch);
   auto fp = gemv_grouped_footprint<T, X>(kind, base.m, base.n, base.batch,
                                          static_cast<index_t>(args.groups.size()),
@@ -151,43 +191,75 @@ device::KernelTiming sbgemv_grouped(device::Stream& stream,
     fp.bytes_written += extra.bytes_written;
     fp.flops += extra.flops;
   }
-  // Each group's kernel arguments, sliced once per launch rather than
-  // once per gridblock (the stream runs the blocks before launch
-  // returns, so the body may borrow them).
-  std::vector<SbgemvMultiArgs<T, X>> slices;
+  // The split kernel's partial sums and, per (row tile, batch entry),
+  // an arrival count: the block that brings it to K is the last of its
+  // tiles to finish and folds them (a device kernel keeps the counts
+  // in global memory; here they are host atomics).  A phantom launch
+  // runs no numerics and needs neither.
+  std::optional<device::device_vector<T>> owned_workspace;
+  T* sums = workspace.data();
+  std::unique_ptr<std::atomic<index_t>[]> arrivals;
+  if (tiles > 1 && !phantom) {
+    if (workspace.empty()) {
+      owned_workspace.emplace(stream.device(), workspace_size);
+      sums = owned_workspace->data();
+    }
+    arrivals = std::make_unique<std::atomic<index_t>[]>(
+        static_cast<std::size_t>(geom.grid_x * base.batch));
+  }
+  // Each group's kernel arguments and partial sums, sliced once per
+  // launch rather than once per gridblock (the stream runs the blocks
+  // before launch returns, so the body may borrow them).
+  struct Slice {
+    SbgemvMultiArgs<T, X> args;
+    GemvPartials<T> partials;
+  };
+  std::vector<Slice> slices;
   slices.reserve(args.groups.size());
+  const index_t tile_stride = args.y_extent();
   index_t r0 = 0;
   for (const auto& g : args.groups) {
-    slices.push_back(args.group_slice(g.a, r0, g.nrhs));
+    T* group_sums = sums == nullptr ? nullptr : sums + r0 * args.rhs_stride_y;
+    slices.push_back({args.group_slice(g.a, r0, g.nrhs), {tiles, group_sums, tile_stride}});
     r0 += g.nrhs;
   }
-  // Gridblock (bx, bz) runs the kernel kind's multi-RHS body on each
-  // group in turn — so per-(group, RHS) arithmetic, summation order
-  // included, does not depend on how the RHS are grouped — then each
-  // batch entry's bx == 0 block computes the checksum dots.
+  // Gridblock (bx, by, bz) runs the kernel kind's multi-RHS body on
+  // each group in turn — so per-(group, RHS) arithmetic, summation
+  // order included, does not depend on how the RHS are grouped — then
+  // each batch entry's (0, 0) block computes the checksum dots, and
+  // the last split tile of each (bx, bz) folds every group's partials.
   const auto run = [&](auto multi_body) {
-    return stream.launch(geom, fp, [&](index_t bx, index_t, index_t bz) {
-      for (const auto& slice : slices) multi_body(slice, bx, bz);
-      if (verify.enabled && bx == 0) {
+    return stream.launch(geom, fp, [&](index_t bx, index_t by, index_t bz) {
+      for (const auto& slice : slices) multi_body(slice, bx, by, bz);
+      if (verify.enabled && bx == 0 && by == 0) {
         gemv_grouped_checksum_block(args, verify, bz);
+      }
+      if (tiles > 1) {
+        auto& arrived = arrivals[static_cast<std::size_t>(bz * geom.grid_x + bx)];
+        if (arrived.fetch_add(1, std::memory_order_acq_rel) == tiles - 1) {
+          for (const auto& slice : slices) {
+            gemv_n_fold_block(slice.args, slice.partials, bx, bz);
+          }
+        }
       }
     });
   };
   device::KernelTiming timing{};
   switch (kind) {
     case GemvKernelKind::kReferenceN:
-      timing = run([](const SbgemvMultiArgs<T, X>& a, index_t bx, index_t bz) {
-        gemv_n_reference_multi_block(a, bx, bz);
+    case GemvKernelKind::kSplitN:
+      timing = run([](const Slice& s, index_t bx, index_t by, index_t bz) {
+        gemv_n_multi_block(s.args, s.partials, bx, by, bz);
       });
       break;
     case GemvKernelKind::kReferenceT:
-      timing = run([](const SbgemvMultiArgs<T, X>& a, index_t bx, index_t bz) {
-        gemv_t_reference_multi_block(a, bx, bz);
+      timing = run([](const Slice& s, index_t bx, index_t, index_t bz) {
+        gemv_t_reference_multi_block(s.args, bx, bz);
       });
       break;
     case GemvKernelKind::kOptimizedT:
-      timing = run([](const SbgemvMultiArgs<T, X>& a, index_t bx, index_t bz) {
-        gemv_t_optimized_multi_block(a, bx, bz);
+      timing = run([](const Slice& s, index_t bx, index_t, index_t bz) {
+        gemv_t_optimized_multi_block(s.args, bx, bz);
       });
       break;
   }

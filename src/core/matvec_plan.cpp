@@ -115,6 +115,34 @@ std::vector<T*> sequence_starts(std::span<const std::span<T>> views, index_t ns,
   return starts;
 }
 
+/// One grouped-GEMV launch as the executor builds it: the kernel
+/// arguments, the kernel kind they resolve to, the ABFT request and
+/// the split kernel's partial-sum workspace.
+template <class T, class X>
+struct GemvLaunch {
+  blas::SbgemvGroupedArgs<T, X> args;
+  blas::GemvKernelKind kind = blas::GemvKernelKind::kReferenceN;
+  blas::SbgemvVerify<T> verify;
+  std::span<T> workspace;
+};
+
+/// Each group's modelled GEMV traffic in a launch of `kind`, from the
+/// footprint the launch is charged with: the group's own matrix read
+/// plus its RHS' vectors and split partial sums.  The groups' bytes
+/// sum to the launch's.
+template <class T, class X>
+std::vector<double> group_gemv_bytes(blas::GemvKernelKind kind,
+                                     const blas::SbgemvGroupedArgs<T, X>& args) {
+  std::vector<double> bytes;
+  bytes.reserve(args.groups.size());
+  for (const auto& g : args.groups) {
+    bytes.push_back(blas::gemv_grouped_footprint<T, X>(kind, args.base.m, args.base.n,
+                                                       args.base.batch, 1, g.nrhs)
+                        .total_bytes());
+  }
+  return bytes;
+}
+
 }  // namespace
 
 void FftMatvecPlan::forward(const BlockToeplitzOperator& op,
@@ -204,13 +232,13 @@ void FftMatvecPlan::apply_batch(std::span<const OperatorGroup> groups,
     }
   }
 
-  // The transpose kernel is picked from the GLOBAL shape, not this
-  // plan's slice, so a sharded rank plan runs the same kernel — and
-  // the same summation order — as the full operator would.
+  // The GEMV kernel kind (split-column or not forward, optimized
+  // transpose or not adjoint) is picked from the GLOBAL shape, not
+  // this plan's slice, so a sharded rank plan runs the same kernel —
+  // and the same summation order — as the full operator would.
+  const blas::Op gemv_op = adjoint ? blas::Op::C : blas::Op::N;
   const blas::GemvKernelPolicy gemv_policy =
-      blas::use_optimized_transpose(dims_.global.n_d, dims_.global.n_m)
-          ? blas::GemvKernelPolicy::kOptimized
-          : blas::GemvKernelPolicy::kReference;
+      blas::auto_policy(gemv_op, dims_.global.n_d, dims_.global.n_m);
 
   timings_ = PhaseTimings{};
   rhs_timings_.clear();
@@ -227,7 +255,10 @@ void FftMatvecPlan::apply_batch(std::span<const OperatorGroup> groups,
   //     reads;
   //   stage 2: the grouped multi-RHS SBGEMV into the frequency-outer
   //     output spectrum — the dominant phase at paper scale.  It reads
-  //     the p2 spectrum and casts it to p3 in registers;
+  //     the p2 spectrum and casts it to p3 in registers.  On a
+  //     short-and-wide forward it is the split-column kernel, whose
+  //     partial sums sit behind the output in `ospec_t_` and are
+  //     folded within the same launch;
   //   stage 3: ONE batched inverse FFT that reads the GEMV output where
   //     it lies and writes every RHS's caller output directly, rounding
   //     p4 -> p5 -> double in-kernel; it carries a verified apply's
@@ -366,14 +397,17 @@ void FftMatvecPlan::apply_batch(std::span<const OperatorGroup> groups,
   trace_phase("fft", t0);
   timings_.fft += s.now() - t0;
 
-  // The grouped-GEMV arguments in the phase-3 precision, reading the
+  // The grouped-GEMV launch in the phase-3 precision, reading the
   // spectrum `x`: one operator-spectrum base pointer per group —
   // nothing else in the pipeline is operator-specific, so this is the
   // only thing that distinguishes a grouped (cross-tenant) batch from
   // a flat one.  `gemv_groups` holds the groups the returned arguments
   // point at.  x is frequency-outer like the output y: frequency f,
-  // RHS r, entry j at f * b * ns + r * ns + j.
-  const auto gemv_args = [&](auto tag3, const auto* x, auto& gemv_groups) {
+  // RHS r, entry j at f * b * ns + r * ns + j.  `ospec_t_` holds y
+  // followed by the split kernel's workspace, K partial-sum tiles each
+  // shaped like y, so a plan that also runs adjoints (whose output is
+  // the wider one) allocates nothing for it.
+  const auto gemv_launch = [&](auto tag3, const auto* x, auto& gemv_groups) {
     using C3 = std::complex<decltype(tag3)>;
     using CX = std::remove_cvref_t<decltype(*x)>;
     gemv_groups.reserve(groups.size());
@@ -389,8 +423,9 @@ void FftMatvecPlan::apply_batch(std::span<const OperatorGroup> groups,
       }
       gemv_groups.push_back({spectrum, g.rhs_count, checksum});
     }
-    blas::SbgemvGroupedArgs<C3, CX> args;
-    args.base.op = adjoint ? blas::Op::C : blas::Op::N;
+    GemvLaunch<C3, CX> launch;
+    blas::SbgemvGroupedArgs<C3, CX>& args = launch.args;
+    args.base.op = gemv_op;
     args.base.m = dims_.n_d_local;
     args.base.n = dims_.n_m_local;
     args.base.alpha = C3(1);
@@ -399,20 +434,31 @@ void FftMatvecPlan::apply_batch(std::span<const OperatorGroup> groups,
     args.base.x = x;
     args.base.stride_x = b * ns_in;
     args.base.beta = C3(0);
-    args.base.y = ospec_t_.get<C3>(*dev_, nf * b * ns_out);
     args.base.stride_y = b * ns_out;
     args.base.batch = nf;
     args.rhs_stride_x = ns_in;
     args.rhs_stride_y = ns_out;
     args.groups = gemv_groups;
-    blas::SbgemvVerify<C3> vreq;
+    launch.kind = blas::select_kernel(args.base, gemv_policy);
+    const index_t out = nf * b * ns_out;
+    const index_t ws = blas::gemv_workspace_size(launch.kind, args);
+    C3* y = ospec_t_.get<C3>(*dev_, out + ws);
+    args.base.y = y;
+    if (y != nullptr) launch.workspace = std::span<C3>(y + out, ws);
     if (verify != VerifyMode::kOff) {
-      vreq.enabled = true;
-      vreq.checksum_out = chk_->data();
-      vreq.scale_out = chk_scale_->data();
-      vreq.tolerance = vtol.gemv;
+      launch.verify.enabled = true;
+      launch.verify.checksum_out = chk_->data();
+      launch.verify.scale_out = chk_scale_->data();
+      launch.verify.tolerance = vtol.gemv;
     }
-    return std::pair(args, vreq);
+    return launch;
+  };
+  // Run the launch and record each group's modelled share of its
+  // traffic for the per-RHS attribution below.
+  std::vector<double> gemv_bytes;
+  const auto run_gemv = [&](const auto& launch) {
+    gemv_bytes = group_gemv_bytes(launch.kind, launch.args);
+    blas::sbgemv_grouped(s, launch.args, gemv_policy, launch.verify, launch.workspace);
   };
 
   // ---- Stage 2: the grouped SBGEMV (between the Fourier reorder and
@@ -424,8 +470,7 @@ void FftMatvecPlan::apply_batch(std::span<const OperatorGroup> groups,
       using C3 = std::complex<decltype(tag3)>;
       std::vector<blas::SbgemvGroup<C3>> gemv_groups;
       const C2* x = spec_t_.get<C2>(*dev_, nf * b * ns_in);
-      const auto [args, vreq] = gemv_args(tag3, x, gemv_groups);
-      blas::sbgemv_grouped(s, args, gemv_policy, vreq);
+      run_gemv(gemv_launch(tag3, x, gemv_groups));
     });
     gemv_seconds = s.now() - t0;
   } else {
@@ -447,9 +492,11 @@ void FftMatvecPlan::apply_batch(std::span<const OperatorGroup> groups,
       using C4 = std::complex<decltype(tag4)>;
       std::vector<blas::SbgemvGroup<C3>> gemv_groups;
       const C3* x = spec_t_.get<C3>(*dev_, nf * b * ns_in);
-      const auto [args, vreq] = gemv_args(tag3, x, gemv_groups);
+      const auto launch = gemv_launch(tag3, x, gemv_groups);
+      const auto& args = launch.args;
+      const auto& vreq = launch.verify;
       const double gemv_t0 = s.now();
-      blas::sbgemv_grouped(s, args, gemv_policy, vreq);
+      run_gemv(launch);
       gemv_seconds += s.now() - gemv_t0;
       // The output reorder is the first kernel to read the GEMV output
       // after its write-back (the SDC site), so a verified apply's
@@ -509,8 +556,10 @@ void FftMatvecPlan::apply_batch(std::span<const OperatorGroup> groups,
         auto& plan = fft_plan(tag4, /*d_side=*/!adjoint);
         // The compare reads y alone, so x stays null.
         std::vector<blas::SbgemvGroup<C3>> gemv_groups;
-        const auto [args, vreq] =
-            gemv_args(tag3, static_cast<const C3*>(nullptr), gemv_groups);
+        const auto launch =
+            gemv_launch(tag3, static_cast<const C3*>(nullptr), gemv_groups);
+        const auto& args = launch.args;
+        const auto& vreq = launch.verify;
         const C3* y = args.base.y;
         const auto load = [=](index_t q, index_t f) {
           return precision::convert_scalar<C4>(y[f * nq + q]);
@@ -604,36 +653,29 @@ void FftMatvecPlan::apply_batch(std::span<const OperatorGroup> groups,
   // ---- Per-RHS attribution (last_batch_timings).  Phases 1/2/4/5,
   // the ablation's phase-3 reorders and the makespan do identical work
   // per RHS (one shape per batch) and split evenly; the GEMV launch
-  // splits across groups in proportion to each group's modelled
-  // traffic — one n_d x n_m matrix read per group plus the group's
-  // ns_in x elements and ns_out y elements per RHS, x at the width the
-  // GEMV reads it (p2 on the fused path), the nf factor cancelling —
-  // then evenly within a group.  A singleton group therefore carries
-  // its full matrix read while a b-wide group amortises its own over b
-  // requests; with one group this reduces to the even split.
+  // splits across groups in proportion to each group's share of the
+  // traffic the launch is charged with (gemv_bytes: one n_d x n_m
+  // matrix read per group plus the group's vectors and split partial
+  // sums, x at the width the GEMV reads it), then evenly within a
+  // group.  A singleton group therefore carries its full matrix read
+  // while a b-wide group amortises its own over b requests; with one
+  // group this reduces to the even split.
   const double db = static_cast<double>(b);
-  const auto width = [](Precision p) { return p == Precision::kDouble ? 2.0 : 1.0; };
-  const double mat_w = static_cast<double>(dims_.n_d_local) *
-                       static_cast<double>(dims_.n_m_local) * width(p3);
-  const double vec_w = static_cast<double>(ns_in) * width(fuse ? p2 : p3) +
-                       static_cast<double>(ns_out) * width(p3);
   double total_w = 0.0;
-  for (const auto& g : groups) {
-    total_w += mat_w + static_cast<double>(g.rhs_count) * vec_w;
-  }
+  for (const double w : gemv_bytes) total_w += w;
   PhaseTimings even = timings_;
   even.sbgemv = timings_.sbgemv - gemv_seconds;  // the ablation's reorders
   even *= 1.0 / db;
   rhs_timings_.assign(static_cast<std::size_t>(b), even);
   std::size_t r0 = 0;
-  for (const auto& g : groups) {
-    const double group_w = mat_w + static_cast<double>(g.rhs_count) * vec_w;
+  for (std::size_t gi = 0; gi < groups.size(); ++gi) {
+    const index_t count = groups[gi].rhs_count;
     const double gemv_share =
-        gemv_seconds * (group_w / total_w) / static_cast<double>(g.rhs_count);
-    for (index_t r = 0; r < g.rhs_count; ++r) {
+        gemv_seconds * (gemv_bytes[gi] / total_w) / static_cast<double>(count);
+    for (index_t r = 0; r < count; ++r) {
       rhs_timings_[r0 + static_cast<std::size_t>(r)].sbgemv += gemv_share;
     }
-    r0 += static_cast<std::size_t>(g.rhs_count);
+    r0 += static_cast<std::size_t>(count);
   }
 }
 

@@ -237,8 +237,9 @@ class FftMatvecPlan {
   /// Phases 1/2/4/5 split evenly — every RHS is the same shape — but
   /// the SBGEMV phase splits by modelled work: the GEMV launch's time
   /// is shared across groups in proportion to each group's share of
-  /// the modelled traffic (one matrix read per group + the group's
-  /// vector traffic), then evenly within a group, so an RHS riding a
+  /// the traffic the launch is charged with (blas::gemv_grouped_footprint:
+  /// one matrix read per group + the group's vectors and split-column
+  /// partial sums), then evenly within a group, so an RHS riding a
   /// large group is correctly attributed less matrix traffic than a
   /// singleton.  The shares always sum to last_timings().  With one
   /// group the split is exactly even.
@@ -283,7 +284,8 @@ class FftMatvecPlan {
   // vectors directly, so a fused apply holds only the two spectra the
   // GEMV reads and writes.
   DualComplex spec_t_; ///< spectrum, frequency-outer (n_f x ns)
-  DualComplex ospec_t_;///< GEMV output spectrum, frequency-outer
+  DualComplex ospec_t_;///< GEMV output spectrum, frequency-outer, then
+                       ///< the split kernel's partial sums
   // The fusion ablation's buffers, allocated only when used.
   DualReal padded_;    ///< SOTI zero-padded real input (x L)
   DualComplex spec_;   ///< spectrum, space-outer (ns x n_f)

@@ -6,6 +6,9 @@
 #include <gtest/gtest.h>
 
 #include <complex>
+#include <limits>
+#include <memory>
+#include <span>
 #include <tuple>
 
 #include "blas/gemv_kernels.hpp"
@@ -231,12 +234,21 @@ void check_multi_matches_independent(Op op, GemvKernelPolicy policy) {
   EXPECT_EQ(y_multi, y_indep) << "op=" << op_name(op);
 }
 
+/// The kernel kind kAuto runs for the N cases of the multi-RHS and
+/// grouped checks below (24 x 96): the split-column kernel, K = 3.
+void expect_auto_n_cases_split() {
+  const SbgemvArgs<double> n_case{.op = Op::N, .m = 24, .n = 96};
+  ASSERT_EQ(select_kernel(n_case, GemvKernelPolicy::kAuto), GemvKernelKind::kSplitN);
+  ASSERT_EQ(gemv_split_tiles(GemvKernelKind::kSplitN, n_case.n), 3);
+}
+
 TEST(GemvMulti, MatchesIndependentCallsAllKernels) {
   for (auto policy : {GemvKernelPolicy::kReference, GemvKernelPolicy::kOptimized}) {
     check_multi_matches_independent<double>(Op::T, policy);
     check_multi_matches_independent<cdouble>(Op::C, policy);
     check_multi_matches_independent<cfloat>(Op::C, policy);
   }
+  expect_auto_n_cases_split();
   check_multi_matches_independent<double>(Op::N, GemvKernelPolicy::kAuto);
   check_multi_matches_independent<cfloat>(Op::N, GemvKernelPolicy::kAuto);
 }
@@ -368,6 +380,7 @@ TEST(GemvGrouped, MatchesPerGroupMultiCallsAllKernels) {
     check_grouped_matches_per_group_multi<cdouble>(Op::C, policy);
     check_grouped_matches_per_group_multi<cfloat>(Op::C, policy);
   }
+  expect_auto_n_cases_split();
   check_grouped_matches_per_group_multi<double>(Op::N, GemvKernelPolicy::kAuto);
   check_grouped_matches_per_group_multi<cfloat>(Op::N, GemvKernelPolicy::kAuto);
 }
@@ -483,6 +496,248 @@ TEST(GemvGrouped, ValidationErrors) {
   EXPECT_NO_THROW(sbgemv_grouped(stream, ga));
 }
 
+// ------------------------------------------ split-column non-transpose
+TEST(GemvSplit, MatchesHostReferenceAllTypes) {
+  // n straddles one tile (31, 32, 33) and runs to 32 tiles; m covers
+  // one row, a partial row tile, a full one and two tiles.
+  for (const index_t n : {31, 32, 33, 96, 1000}) {
+    for (const index_t m : {1, 6, 16, 64, 65, 100}) {
+      const Shape shape{m, n, 3};
+      check_kernel_against_reference<float>(Op::N, GemvKernelPolicy::kOptimized, shape);
+      check_kernel_against_reference<double>(Op::N, GemvKernelPolicy::kOptimized, shape);
+      check_kernel_against_reference<cfloat>(Op::N, GemvKernelPolicy::kOptimized, shape);
+      check_kernel_against_reference<cdouble>(Op::N, GemvKernelPolicy::kOptimized, shape);
+    }
+  }
+}
+
+/// A one-group multi-RHS non-transpose launch of the given policy into
+/// a fresh y (alpha and beta random, so the fold's epilogue runs).
+template <class T>
+std::vector<T> launch_n(device::Device& dev, index_t m, index_t n, index_t batch,
+                        index_t nrhs, GemvKernelPolicy policy,
+                        device::KernelTiming* timing = nullptr) {
+  device::Stream stream(dev);
+  const auto a = random_vec<T>(m * n * batch, 301);
+  const auto x = random_vec<T>(batch * nrhs * n, 307);
+  auto y = random_vec<T>(batch * nrhs * m, 311);
+  SbgemvGroupedArgs<T> ga;
+  ga.base.op = Op::N;
+  ga.base.m = m;
+  ga.base.n = n;
+  ga.base.lda = m;
+  ga.base.stride_a = m * n;
+  ga.base.x = x.data();
+  ga.base.stride_x = nrhs * n;
+  ga.base.y = y.data();
+  ga.base.stride_y = nrhs * m;
+  ga.base.batch = batch;
+  util::Rng rng(313);
+  ga.base.alpha = random_scalar<T>(rng);
+  ga.base.beta = random_scalar<T>(rng);
+  ga.rhs_stride_x = n;
+  ga.rhs_stride_y = m;
+  const SbgemvGroup<T> one[] = {{a.data(), nrhs}};
+  ga.groups = one;
+  const auto t = sbgemv_grouped(stream, ga, policy);
+  if (timing != nullptr) *timing = t;
+  return y;
+}
+
+TEST(GemvSplit, OneTileIsTheReferenceKernelBitForBit) {
+  // K = 1 (n <= 32): same geometry, footprint, modelled time and bits,
+  // and no workspace.
+  device::Device dev(device::make_mi300x());
+  for (const index_t n : {1, 17, 32}) {
+    for (const index_t m : {6, 65}) {
+      device::KernelTiming t_ref, t_split;
+      const auto y_ref =
+          launch_n<cdouble>(dev, m, n, 3, 2, GemvKernelPolicy::kReference, &t_ref);
+      const auto y_split =
+          launch_n<cdouble>(dev, m, n, 3, 2, GemvKernelPolicy::kOptimized, &t_split);
+      EXPECT_EQ(y_ref, y_split) << m << "x" << n;
+      EXPECT_EQ(t_ref.seconds, t_split.seconds) << m << "x" << n;
+      ASSERT_EQ(gemv_split_tiles(GemvKernelKind::kSplitN, n), 1);
+      const auto g_ref = gemv_geometry(GemvKernelKind::kReferenceN, m, n, 3);
+      const auto g_split = gemv_geometry(GemvKernelKind::kSplitN, m, n, 3);
+      EXPECT_EQ(g_ref.grid_x, g_split.grid_x);
+      EXPECT_EQ(g_ref.grid_y, g_split.grid_y);
+      EXPECT_EQ(g_ref.grid_z, g_split.grid_z);
+      EXPECT_EQ(g_ref.block_threads, g_split.block_threads);
+      const auto f_ref =
+          gemv_multi_footprint<cdouble>(GemvKernelKind::kReferenceN, m, n, 3, 2);
+      const auto f_split =
+          gemv_multi_footprint<cdouble>(GemvKernelKind::kSplitN, m, n, 3, 2);
+      EXPECT_EQ(f_ref.bytes_read, f_split.bytes_read);
+      EXPECT_EQ(f_ref.bytes_written, f_split.bytes_written);
+      EXPECT_EQ(f_ref.flops, f_split.flops);
+      EXPECT_EQ(f_ref.vector_load_bytes, f_split.vector_load_bytes);
+      EXPECT_EQ(f_ref.coalescing_efficiency, f_split.coalescing_efficiency);
+      EXPECT_EQ(f_ref.residency_weight, f_split.residency_weight);
+    }
+  }
+  // With K > 1 the footprint adds exactly the partials' write and read.
+  const auto f_ref =
+      gemv_multi_footprint<cfloat>(GemvKernelKind::kReferenceN, 16, 1000, 129, 2);
+  const auto f_split =
+      gemv_multi_footprint<cfloat>(GemvKernelKind::kSplitN, 16, 1000, 129, 2);
+  const double partials = 32.0 * 16 * 129 * 2 * sizeof(cfloat);
+  EXPECT_EQ(f_split.bytes_read - f_ref.bytes_read, partials);
+  EXPECT_EQ(f_split.bytes_written - f_ref.bytes_written, partials);
+  EXPECT_EQ(f_split.flops, f_ref.flops);
+}
+
+TEST(GemvSplit, OutputsDoNotDependOnPoolWidth) {
+  // map_solve's forward shape, 32 column tiles x 129 batch entries:
+  // whichever block of an entry finishes last folds the partials in
+  // tile order, so the pool's width cannot change a bit.  One worker
+  // always finishes tile 31 last; wider pools finish the tiles in
+  // varying order (a fold that added the last block's own tile last
+  // differed here on every multi-worker launch), so each width runs
+  // three launches.
+  std::vector<cdouble> expect;
+  for (const unsigned width : {1u, 2u, 3u, 8u}) {
+    util::ThreadPool pool(width);
+    device::Device dev(device::make_mi300x(), &pool);
+    for (int launch = 0; launch < (width == 1 ? 1 : 3); ++launch) {
+      const auto y = launch_n<cdouble>(dev, 16, 1000, 129, 2, GemvKernelPolicy::kAuto);
+      if (width == 1) {
+        expect = y;
+      } else {
+        EXPECT_EQ(y, expect) << width << " workers, launch " << launch;
+      }
+    }
+  }
+}
+
+TEST(GemvSplit, ChecksumDotsRunOncePerBatchEntryAndCatchAFlip) {
+  // A verified split launch (6 x 100, K = 4) leaves its outputs
+  // bit-identical to an unverified one and writes every batch entry's
+  // checksum dots exactly as one serial pass computes them: only the
+  // entry's (0, 0) block runs them (K blocks per entry would race on
+  // the same outputs, which the ThreadSanitizer job reports).  An
+  // injected output flip then trips the compare.
+  device::Device dev(device::make_mi300x());
+  device::Stream stream(dev);
+  const index_t m = 6, n = 100, batch = 3, nrhs = 2;
+  const auto a = random_vec<cdouble>(batch * m * n, 401);
+  const auto x = random_vec<cdouble>(batch * nrhs * n, 403);
+  // Op N: each batch entry's column sums are its checksum row.
+  std::vector<cdouble> checksum(static_cast<std::size_t>(batch * n));
+  for (index_t bz = 0; bz < batch; ++bz) {
+    for (index_t j = 0; j < n; ++j) {
+      for (index_t i = 0; i < m; ++i) {
+        checksum[static_cast<std::size_t>(bz * n + j)] +=
+            a[static_cast<std::size_t>(bz * m * n + j * m + i)];
+      }
+    }
+  }
+  std::vector<cdouble> y(static_cast<std::size_t>(batch * nrhs * m));
+  auto y_plain = y;
+  SbgemvGroupedArgs<cdouble> args;
+  args.base.op = Op::N;
+  args.base.m = m;
+  args.base.n = n;
+  args.base.lda = m;
+  args.base.stride_a = m * n;
+  args.base.x = x.data();
+  args.base.stride_x = nrhs * n;
+  args.base.stride_y = nrhs * m;
+  args.base.batch = batch;
+  args.rhs_stride_x = n;
+  args.rhs_stride_y = m;
+  const SbgemvGroup<cdouble> group{a.data(), nrhs, checksum.data()};
+  args.groups = {&group, 1};
+  ASSERT_EQ(select_kernel(args.base, GemvKernelPolicy::kAuto), GemvKernelKind::kSplitN);
+  args.base.y = y_plain.data();
+  sbgemv_grouped(stream, args);
+
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  std::vector<cdouble> dots(static_cast<std::size_t>(batch * nrhs), {nan, nan});
+  std::vector<double> scales(dots.size(), nan);
+  SbgemvVerify<cdouble> verify;
+  verify.enabled = true;
+  verify.checksum_out = dots.data();
+  verify.scale_out = scales.data();
+  verify.tolerance = 1e-12;
+  args.base.y = y.data();
+  sbgemv_grouped(stream, args, GemvKernelPolicy::kAuto, verify);
+  EXPECT_EQ(y, y_plain);
+  for (index_t bz = 0; bz < batch; ++bz) {
+    for (index_t r = 0; r < nrhs; ++r) {
+      cdouble dot{};
+      double scale = 0.0;
+      for (index_t j = 0; j < n; ++j) {
+        const cdouble term = checksum[static_cast<std::size_t>(bz * n + j)] *
+                             x[static_cast<std::size_t>(bz * nrhs * n + r * n + j)];
+        dot += term;
+        scale += std::abs(term);
+      }
+      EXPECT_EQ(dots[static_cast<std::size_t>(bz + batch * r)], dot) << bz << "," << r;
+      EXPECT_EQ(scales[static_cast<std::size_t>(bz + batch * r)], scale) << bz << "," << r;
+    }
+  }
+  const auto compare = [&] {
+    GemvVerifyFailure fail;
+    for (index_t bz = 0; bz < batch; ++bz) gemv_grouped_verify_block(args, verify, &fail, bz);
+    return fail.count;
+  };
+  EXPECT_EQ(compare(), 0);
+
+  auto faults = std::make_shared<device::FaultPlan>();
+  faults->fail_buffer_writes(0, 1);
+  dev.set_fault_plan(faults);
+  sbgemv_grouped(stream, args, GemvKernelPolicy::kAuto, verify);
+  dev.set_fault_plan(nullptr);
+  EXPECT_EQ(faults->stats().buffer_faults, 1u);
+  EXPECT_EQ(compare(), 1);
+}
+
+TEST(GemvSplit, WorkspaceIsTheCallersOrOneAllocatedForTheCall) {
+  device::Device dev(device::make_mi300x());
+  device::Stream stream(dev);
+  const index_t m = 16, n = 100, batch = 4;
+  const auto a = random_vec<cfloat>(m * n * batch, 501);
+  const auto x = random_vec<cfloat>(n * batch, 503);
+  std::vector<cfloat> y_own(static_cast<std::size_t>(m * batch)), y_given(y_own.size());
+  SbgemvArgs<cfloat> args;
+  args.op = Op::N;
+  args.m = m;
+  args.n = n;
+  args.a = a.data();
+  args.lda = m;
+  args.stride_a = m * n;
+  args.x = x.data();
+  args.stride_x = n;
+  args.stride_y = m;
+  args.batch = batch;
+  const SbgemvGroup<cfloat> one[] = {{a.data(), 1}};
+  const SbgemvGroupedArgs<cfloat> ga{args, 0, 0, one};
+  const index_t need = gemv_workspace_size(GemvKernelKind::kSplitN, ga);
+  EXPECT_EQ(need, 4 * m * batch);  // K = 4 tiles shaped like y
+
+  // A zero-rate fault plan counts allocations and injects nothing.
+  auto faults = std::make_shared<device::FaultPlan>();
+  dev.set_fault_plan(faults);
+  const index_t used = dev.memory_used();
+  args.y = y_own.data();
+  sbgemv(stream, args);
+  EXPECT_EQ(faults->stats().allocs, 1u);
+  EXPECT_EQ(dev.memory_used(), used);  // freed when the call returns
+
+  std::vector<cfloat> workspace(static_cast<std::size_t>(need));
+  SbgemvGroupedArgs<cfloat> given = ga;
+  given.base.y = y_given.data();
+  sbgemv_grouped(stream, given, GemvKernelPolicy::kAuto, {}, std::span<cfloat>(workspace));
+  EXPECT_EQ(faults->stats().allocs, 1u);
+  EXPECT_EQ(y_own, y_given);
+  dev.set_fault_plan(nullptr);
+
+  EXPECT_THROW(sbgemv_grouped(stream, given, GemvKernelPolicy::kAuto, {},
+                              std::span<cfloat>(workspace).first(need - 1)),
+               std::invalid_argument);
+}
+
 TEST(GemvHalfMulti, MatchesIndependentHalfCalls) {
   device::Device dev(device::make_mi300x());
   device::Stream stream(dev);
@@ -560,15 +815,37 @@ TEST(Dispatcher, KeepsReferenceForTallSkinny) {
   EXPECT_FALSE(use_optimized_transpose(100000, 64));
 }
 
-TEST(Dispatcher, NonTransposeAlwaysReference) {
+TEST(Dispatcher, NonTransposeSplitsShortWideColumns) {
+  // Short (one 64-row block) and wide: map_solve's 16 x 1000 and the
+  // serve tenants' 6 x 96 forward GEMVs split; the paper's 100 x 5000,
+  // whose reference grid already fills the device, does not.
+  EXPECT_TRUE(use_split_columns(16, 1000));
+  EXPECT_TRUE(use_split_columns(6, 96));
+  EXPECT_TRUE(use_split_columns(64, 65));
+  EXPECT_FALSE(use_split_columns(65, 5000));
+  EXPECT_FALSE(use_split_columns(100, 5000));
+  EXPECT_FALSE(use_split_columns(64, 64));
+  EXPECT_FALSE(use_split_columns(5000, 100));
+
   SbgemvArgs<double> args;
   args.op = Op::N;
   args.m = 10;
   args.n = 5000;
-  EXPECT_EQ(select_kernel(args, GemvKernelPolicy::kAuto),
+  EXPECT_EQ(select_kernel(args, GemvKernelPolicy::kAuto), GemvKernelKind::kSplitN);
+  EXPECT_EQ(select_kernel(args, GemvKernelPolicy::kOptimized), GemvKernelKind::kSplitN);
+  EXPECT_EQ(select_kernel(args, GemvKernelPolicy::kReference),
             GemvKernelKind::kReferenceN);
-  EXPECT_EQ(select_kernel(args, GemvKernelPolicy::kOptimized),
-            GemvKernelKind::kReferenceN);
+  args.m = 5000;
+  args.n = 10;
+  EXPECT_EQ(select_kernel(args, GemvKernelPolicy::kAuto), GemvKernelKind::kReferenceN);
+  EXPECT_EQ(select_kernel(args, GemvKernelPolicy::kOptimized), GemvKernelKind::kSplitN);
+
+  // auto_policy applies each op's own rule.
+  EXPECT_EQ(auto_policy(Op::N, 16, 1000), GemvKernelPolicy::kOptimized);
+  EXPECT_EQ(auto_policy(Op::N, 1000, 16), GemvKernelPolicy::kReference);
+  EXPECT_EQ(auto_policy(Op::C, 16, 1000), GemvKernelPolicy::kOptimized);
+  EXPECT_EQ(auto_policy(Op::T, 8192, 256), GemvKernelPolicy::kReference);
+  EXPECT_EQ(auto_policy(Op::C, 1000, 16), GemvKernelPolicy::kOptimized);  // m <= 1024
 }
 
 // -------------------------------------------- cost-model performance
@@ -600,6 +877,31 @@ TEST(GemvBandwidth, KernelsTieOnLargeSquareShapes) {
       gemv_footprint<float>(GemvKernelKind::kOptimizedT, m, n, batch));
   EXPECT_LT(opt.achieved_bandwidth_gbps / ref.achieved_bandwidth_gbps, 1.5);
   EXPECT_GT(opt.achieved_bandwidth_gbps / ref.achieved_bandwidth_gbps, 0.9);
+}
+
+// The split-column kernel against the reference non-transpose kernel,
+// each at the GEMV's own bytes (the matrix and vectors) over its
+// modelled time, so the split's partial sums count as time: a big win
+// where the reference grid leaves the device idle (map_solve's
+// forward, 129 blocks on 304 CUs), a tie at the paper's scale, where
+// it already fills the device.
+TEST(GemvBandwidth, SplitColumnsWinOnShortWideAndTieAtPaperScale) {
+  const device::CostModel model(device::make_mi300x());
+  const auto ratio = [&](auto tag, index_t m, index_t n, index_t batch) {
+    using T = decltype(tag);
+    const double bytes =
+        gemv_footprint<T>(GemvKernelKind::kReferenceN, m, n, batch).total_bytes();
+    const auto gbs = [&](GemvKernelKind kind) {
+      return bytes / model.kernel_time(gemv_geometry(kind, m, n, batch),
+                                       gemv_footprint<T>(kind, m, n, batch))
+                         .seconds;
+    };
+    return gbs(GemvKernelKind::kSplitN) / gbs(GemvKernelKind::kReferenceN);
+  };
+  EXPECT_GE(ratio(cfloat{}, 16, 1000, 129), 1.5);
+  EXPECT_GE(ratio(cdouble{}, 16, 1000, 129), 1.5);
+  EXPECT_NEAR(ratio(cfloat{}, 100, 5000, 1001), 1.0, 0.03);
+  EXPECT_NEAR(ratio(cdouble{}, 100, 5000, 1001), 1.0, 0.03);
 }
 
 TEST(GemvBandwidth, ReferenceTransposeBandwidthRisesWithM) {

@@ -483,6 +483,26 @@ TEST(ShardedApplyDetail, WideAdjointSlicesKeepTheGlobalKernelKind) {
   }
 }
 
+TEST(ShardedApplyDetail, SplitColumnForwardSlicesBitIdentical) {
+  // 6 x 100 forward GEMVs run the split-column kernel: every forward
+  // slice (rows 3 + 3 or 2 + 2 + 2) sums all 100 columns in the same
+  // 4 tiles, so 2 and 3 ranks match one rank bit for bit.  At 48 x 40
+  // the full GEMV is not short-and-wide while a 24- or 16-row slice
+  // would be; the kind comes from the global dims, so the slices run
+  // the reference kernel too.
+  for (const auto& [n_m, n_d] : {std::pair<index_t, index_t>{100, 6}, {40, 48}}) {
+    const auto p = make_global(n_m, n_d, 8, 2260);
+    for (const char* cfg_str : {"ddddd", "dssdd", "sssss"}) {
+      const auto cfg = PrecisionConfig::parse(cfg_str);
+      const auto expect = run_sharded(p, 1, ApplyDirection::kForward, cfg, 2).outputs;
+      for (const index_t ranks : {2, 3}) {
+        EXPECT_EQ(expect, run_sharded(p, ranks, ApplyDirection::kForward, cfg, 2).outputs)
+            << n_d << "x" << n_m << " " << ranks << " ranks, " << cfg_str;
+      }
+    }
+  }
+}
+
 TEST(ShardedApplyDetail, OneRankShortCircuitChargesNoComm) {
   const auto p = make_global(16, 4, 8, 2300);
   const auto run =

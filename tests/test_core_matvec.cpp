@@ -8,6 +8,7 @@
 #include <cmath>
 #include <map>
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -906,6 +907,86 @@ TEST_F(MatvecFixture, GroupedApplyBatchCountsOneExecutionAndAttributesTimings) {
   // ...and charges the singleton more SBGEMV than a 5-wide member
   // (its matrix read amortises over one request, not five).
   EXPECT_GT(shares[0].sbgemv, shares[1].sbgemv);
+}
+
+// A short-and-wide forward GEMV (6 x 96) runs the split-column kernel
+// with K = 3 tiles.  It keeps every bit-identity contract of the
+// executor: batched equals independent applies and the fused pipeline
+// equals the fuse_casts = false ablation in all 32 configs, and
+// grouped equals per-tenant applies.
+TEST_F(MatvecFixture, SplitColumnForwardKeepsEveryBitIdentity) {
+  auto p = make_problem(96, 6, 16, 111);
+  ASSERT_EQ(blas::auto_policy(blas::Op::N, p.dims.n_d, p.dims.n_m),
+            blas::GemvKernelPolicy::kOptimized);
+  ASSERT_EQ(blas::gemv_split_tiles(blas::GemvKernelKind::kSplitN, p.dims.n_m), 3);
+  const auto local = LocalDims::single_rank(p.dims);
+  BlockToeplitzOperator op(dev_, stream_, local, p.first_col);
+  MatvecOptions unfused_opt;
+  unfused_opt.fuse_casts = false;
+  FftMatvecPlan unfused(dev_, stream_, local, unfused_opt);
+  for (const auto& cfg : PrecisionConfig::all_configs()) {
+    const auto c = run_batch_vs_independent(dev_, stream_, p, 3, false, cfg);
+    std::vector<std::vector<double>> ablation(
+        c.batched.size(), std::vector<double>(c.batched[0].size()));
+    std::vector<ConstVectorView> in_views(c.inputs.begin(), c.inputs.end());
+    std::vector<VectorView> out_views(ablation.begin(), ablation.end());
+    unfused.apply_batch(op, ApplyDirection::kForward, cfg, in_views, out_views);
+    for (std::size_t r = 0; r < c.batched.size(); ++r) {
+      EXPECT_EQ(c.batched[r], c.independent[r]) << cfg.to_string() << " rhs " << r;
+      EXPECT_EQ(c.batched[r], ablation[r]) << cfg.to_string() << " rhs " << r;
+    }
+  }
+  for (const char* cfg_str : {"ddddd", "dssdd", "sssss"}) {
+    const auto c = run_grouped_vs_per_tenant(dev_, stream_, p.dims, {2, 1}, false,
+                                             PrecisionConfig::parse(cfg_str));
+    for (std::size_t r = 0; r < c.grouped.size(); ++r) {
+      EXPECT_EQ(c.grouped[r], c.per_tenant[r]) << cfg_str << " rhs " << r;
+    }
+  }
+}
+
+// The per-RHS GEMV shares come from the footprint the launch is
+// charged with, split partial sums included: a singleton group next to
+// a 5-wide group splits the launch in the ratio of the two groups'
+// gemv_grouped_footprint bytes, the shares sum to the totals, and one
+// group splits evenly.
+TEST_F(MatvecFixture, SplitColumnGemvSharesFollowTheChargedFootprint) {
+  const auto dims = ProblemDims{96, 6, 20};
+  const auto local = LocalDims::single_rank(dims);
+  device::Stream stream(dev_);
+  BlockToeplitzOperator op_a(dev_, stream, local, make_first_block_col(local, 860));
+  BlockToeplitzOperator op_b(dev_, stream, local, make_first_block_col(local, 861));
+  std::vector<std::vector<double>> inputs, outputs(
+      6, std::vector<double>(static_cast<std::size_t>(dims.n_t * dims.n_d)));
+  for (std::uint64_t r = 0; r < 6; ++r) {
+    inputs.push_back(make_input_vector(dims.n_t * dims.n_m, 870 + r));
+  }
+  std::vector<ConstVectorView> in_views(inputs.begin(), inputs.end());
+  std::vector<VectorView> out_views(outputs.begin(), outputs.end());
+  FftMatvecPlan plan(dev_, stream, local);
+
+  const FftMatvecPlan::OperatorGroup groups[] = {{&op_a, 1}, {&op_b, 5}};
+  plan.apply_batch(groups, ApplyDirection::kForward, PrecisionConfig{}, in_views,
+                   out_views);
+  const auto& shares = plan.last_batch_timings();
+  ASSERT_EQ(shares.size(), 6u);
+  PhaseTimings sum;
+  for (const auto& s : shares) sum += s;
+  EXPECT_NEAR(sum.sbgemv, plan.last_timings().sbgemv, 1e-15);
+  EXPECT_NEAR(sum.compute_total(), plan.last_timings().compute_total(), 1e-15);
+  const auto bytes = [&](index_t nrhs) {
+    return blas::gemv_grouped_footprint<cdouble>(blas::GemvKernelKind::kSplitN, dims.n_d,
+                                                 dims.n_m, dims.num_frequencies(), 1, nrhs)
+        .total_bytes();
+  };
+  EXPECT_NEAR(shares[0].sbgemv / shares[1].sbgemv, bytes(1) / (bytes(5) / 5.0), 1e-12);
+
+  plan.apply_batch(op_a, ApplyDirection::kForward, PrecisionConfig{},
+                   std::span(in_views).first(4), std::span(out_views).first(4));
+  const auto& even = plan.last_batch_timings();
+  ASSERT_EQ(even.size(), 4u);
+  for (const auto& s : even) EXPECT_EQ(s.sbgemv, even[0].sbgemv);
+  EXPECT_NEAR(4.0 * even[0].sbgemv, plan.last_timings().sbgemv, 1e-15);
 }
 
 TEST_F(MatvecFixture, SerialAppliesRecordMakespanEqualToTotal) {
