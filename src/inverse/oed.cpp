@@ -1,5 +1,8 @@
 #include "inverse/oed.hpp"
 
+#include <algorithm>
+#include <cmath>
+#include <limits>
 #include <stdexcept>
 
 #include "inverse/dense.hpp"
@@ -85,9 +88,9 @@ GreedyPlacementResult greedy_sensor_placement(const std::vector<double>& gram,
   GreedyPlacementResult result;
   std::vector<bool> used(static_cast<std::size_t>(n_d), false);
 
+  std::vector<double> gain(static_cast<std::size_t>(n_d));
   for (index_t pick = 0; pick < budget; ++pick) {
-    double best_gain = -1.0;
-    index_t best_sensor = -1;
+    double best_gain = -std::numeric_limits<double>::infinity();
     for (index_t s = 0; s < n_d; ++s) {
       if (used[static_cast<std::size_t>(s)]) continue;
       auto candidate = result.chosen_sensors;
@@ -95,14 +98,19 @@ GreedyPlacementResult greedy_sensor_placement(const std::vector<double>& gram,
       const auto sub = identity_plus_submatrix(gram, n_d, n_t, candidate);
       const double eig =
           0.5 * DenseSpd::log_det(static_cast<index_t>(candidate.size()) * n_t, sub);
-      if (eig > best_gain) {
-        best_gain = eig;
-        best_sensor = s;
-      }
+      gain[static_cast<std::size_t>(s)] = eig;
+      best_gain = std::max(best_gain, eig);
     }
-    used[static_cast<std::size_t>(best_sensor)] = true;
-    result.chosen_sensors.push_back(best_sensor);
-    result.information_gain.push_back(best_gain);
+    // The lowest-indexed candidate tied with the best.
+    const double floor = best_gain - kGainTieRtol * std::abs(best_gain);
+    index_t chosen = 0;
+    while (used[static_cast<std::size_t>(chosen)] ||
+           !(gain[static_cast<std::size_t>(chosen)] >= floor)) {
+      ++chosen;
+    }
+    used[static_cast<std::size_t>(chosen)] = true;
+    result.chosen_sensors.push_back(chosen);
+    result.information_gain.push_back(gain[static_cast<std::size_t>(chosen)]);
   }
   return result;
 }

@@ -41,9 +41,20 @@ struct GreedyPlacementResult {
   index_t matvecs_used = 0;
 };
 
+/// Relative EIG difference within which greedy_sensor_placement counts
+/// candidates as tied: 8 eps_s.  A Gram assembled with single-precision
+/// phases perturbs each gain by ~1e-7 relative, so candidates closer
+/// than this (uniformly spaced sensors in a near-translation-invariant
+/// medium come within 1e-9) cannot be ranked by the assembly at all.
+inline constexpr double kGainTieRtol = 8.0 * kEpsSingle;
+
 /// Greedy maximisation of EIG over sensors, choosing `budget` of the
 /// operator's n_d sensors.  `gram` is the matrix from
-/// assemble_data_space_gram for the full sensor set.
+/// assemble_data_space_gram for the full sensor set.  Each pick takes
+/// the lowest-indexed sensor whose EIG is within kGainTieRtol of the
+/// best candidate's, so the design does not follow the assembly's
+/// rounding: a double and a mixed-precision Gram select the same
+/// sensors wherever their gains differ by more than that rounding.
 GreedyPlacementResult greedy_sensor_placement(const std::vector<double>& gram,
                                               index_t n_d, index_t n_t,
                                               index_t budget);

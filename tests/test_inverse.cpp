@@ -347,6 +347,49 @@ TEST(Oed, GreedyGainsMonotone) {
   EXPECT_EQ(unique.size(), result.chosen_sensors.size());
 }
 
+TEST(Oed, GreedyBreaksTiesTowardTheLowestSensor) {
+  // One time step and a diagonal Gram: sensor s adds log(1 + h_s) / 2.
+  const auto picks = [](const std::vector<double>& h) {
+    const index_t n = static_cast<index_t>(h.size());
+    std::vector<double> gram(static_cast<std::size_t>(n * n), 0.0);
+    for (index_t s = 0; s < n; ++s) {
+      gram[static_cast<std::size_t>(s * n + s)] = h[static_cast<std::size_t>(s)];
+    }
+    return greedy_sensor_placement(gram, n, 1, n).chosen_sensors;
+  };
+  // Sensor 3 leads sensor 1 by ~5e-10 relative, inside kGainTieRtol:
+  // they tie, and the lower index goes first.
+  EXPECT_EQ(picks({1.0, 3.0, 2.0, 3.0 * (1.0 + 1e-9)}),
+            (std::vector<index_t>{1, 3, 2, 0}));
+  // A lead of ~5e-5 relative is a real difference.
+  EXPECT_EQ(picks({3.0, 3.0 * (1.0 + 1e-4)}), (std::vector<index_t>{1, 0}));
+}
+
+TEST(Oed, MixedPrecisionGramSelectsTheDoubleDesign) {
+  // The sensor_placement example's problem: uniformly spaced sensors
+  // whose gains agree to ~1e-9 relative, far below the dssdd Gram's
+  // ~1e-7 rounding, so a strict argmax would pick by rounding.
+  const auto cfg = LtiConfig::with_uniform_sensors(64, 24, 8);
+  AdvectionDiffusion1D sys(cfg);
+  device::Device dev(device::make_mi300x());
+  device::Stream stream(dev);
+  const auto local =
+      core::LocalDims::single_rank(core::ProblemDims{cfg.n_m(), cfg.n_d(), cfg.n_t});
+  core::BlockToeplitzOperator op(dev, stream, local, sys.first_block_column());
+  core::FftMatvecPlan plan(dev, stream, local);
+  PriorModel prior;
+  prior.n_m = cfg.n_m();
+  prior.sigma = 1.0;
+  prior.alpha = 2.0;
+  NoiseModel noise;
+  noise.sigma = 1e-3;
+  const auto design = [&](const PrecisionConfig& config) {
+    const auto gram = assemble_data_space_gram(plan, op, prior, noise, config);
+    return greedy_sensor_placement(gram, cfg.n_d(), cfg.n_t, 4).chosen_sensors;
+  };
+  EXPECT_EQ(design(PrecisionConfig::parse("dssdd")), design(PrecisionConfig{}));
+}
+
 TEST(Oed, InvalidBudget) {
   std::vector<double> gram(16 * 16, 0.0);
   EXPECT_THROW(greedy_sensor_placement(gram, 4, 4, 0), std::invalid_argument);
