@@ -80,6 +80,13 @@ inline index_t gemv_split_tiles(GemvKernelKind kind, index_t n) {
   return kind == GemvKernelKind::kSplitN ? util::ceil_div(n, kOptTileCols) : 1;
 }
 
+/// Whether the split kernel can launch on n columns: its K tiles run
+/// along grid y, which CUDA/HIP cap at 65535 (K <= 65535 means
+/// n <= 2,097,120).
+inline bool gemv_split_fits(index_t n) {
+  return util::ceil_div(n, kOptTileCols) <= device::kMaxGridDimYZ;
+}
+
 /// Launch geometry for a kernel kind (per paper §3.1.1).
 inline device::LaunchGeometry gemv_geometry(GemvKernelKind kind, index_t m,
                                             index_t n, index_t batch) {
@@ -417,7 +424,7 @@ void gemv_n_multi_block(const SbgemvMultiArgs<T, X>& ma, const GemvPartials<T>& 
   const T* A = a.a + bz * a.stride_a + row_begin;
   const index_t col_begin = by * kOptTileCols;
   const index_t col_end = p.tiles == 1 ? a.n : std::min(a.n, col_begin + kOptTileCols);
-  T acc[kRefRowsPerBlock]{};
+  T acc[kRefRowsPerBlock];  // rows [0, rows) zeroed per RHS below
   for (index_t r = 0; r < ma.nrhs; ++r) {
     const X* x = a.x + bz * a.stride_x + r * ma.rhs_stride_x;
     std::fill(acc, acc + rows, T{});

@@ -26,7 +26,8 @@ bool use_split_columns(index_t m, index_t n) {
   // the reference kernel's last wave is partly empty — but loses 2%
   // (MI250X) and 4% (MI355X) there, whose wave counts come out
   // nearly whole (fig2_breakdown), so it keeps the reference kernel.
-  return m < n && m <= kRefRowsPerBlock;
+  // Beyond 65535 column tiles the split grid cannot launch.
+  return m < n && m <= kRefRowsPerBlock && gemv_split_fits(n);
 }
 
 namespace {

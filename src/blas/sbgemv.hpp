@@ -84,7 +84,8 @@ bool use_optimized_transpose(index_t m, index_t n);
 /// matrix traffic, so where the reference grid already fills the
 /// device (two or more row tiles, as in the paper's 100 x 5000
 /// blocks at batch 1001) it ties or loses, and the reference kernel
-/// stays.
+/// stays, as it does beyond the split grid's launch limit
+/// (gemv_split_fits).
 bool use_split_columns(index_t m, index_t n);
 
 /// kAuto resolved from an op and a matrix shape: kOptimized where that
@@ -98,13 +99,16 @@ inline GemvKernelPolicy auto_policy(Op op, index_t m, index_t n) {
   return short_wide ? GemvKernelPolicy::kOptimized : GemvKernelPolicy::kReference;
 }
 
-/// Select the kernel kind for the given arguments and policy.
+/// Select the kernel kind for the given arguments and policy.  A
+/// non-transpose too wide for the split grid (gemv_split_fits) runs
+/// the reference kernel under any policy.
 template <class T, class X>
 GemvKernelKind select_kernel(const SbgemvArgs<T, X>& args, GemvKernelPolicy policy) {
   if (policy == GemvKernelPolicy::kAuto) policy = auto_policy(args.op, args.m, args.n);
   const bool optimized = policy == GemvKernelPolicy::kOptimized;
   if (args.op == Op::N) {
-    return optimized ? GemvKernelKind::kSplitN : GemvKernelKind::kReferenceN;
+    return optimized && gemv_split_fits(args.n) ? GemvKernelKind::kSplitN
+                                                : GemvKernelKind::kReferenceN;
   }
   return optimized ? GemvKernelKind::kOptimizedT : GemvKernelKind::kReferenceT;
 }

@@ -405,8 +405,11 @@ void FftMatvecPlan::apply_batch(std::span<const OperatorGroup> groups,
   // point at.  x is frequency-outer like the output y: frequency f,
   // RHS r, entry j at f * b * ns + r * ns + j.  `ospec_t_` holds y
   // followed by the split kernel's workspace, K partial-sum tiles each
-  // shaped like y, so a plan that also runs adjoints (whose output is
-  // the wider one) allocates nothing for it.
+  // shaped like y: (K + 1) n_d elements per (frequency, RHS) against
+  // the adjoint output's n_m.  A plan that also runs adjoints at the
+  // same b therefore allocates nothing for it when (K + 1) n_d <= n_m
+  // (6 x 96: 24 <= 96; 16 x 1000: 528 <= 1000), and otherwise grows the
+  // buffer on its first such forward (48 x 100: 240 > 100).
   const auto gemv_launch = [&](auto tag3, const auto* x, auto& gemv_groups) {
     using C3 = std::complex<decltype(tag3)>;
     using CX = std::remove_cvref_t<decltype(*x)>;

@@ -19,6 +19,9 @@
 
 namespace fftmv::device {
 
+/// CUDA/HIP grid launch limit in y and z.
+inline constexpr index_t kMaxGridDimYZ = 65535;
+
 struct DeviceSpec {
   std::string name;
 
@@ -28,7 +31,7 @@ struct DeviceSpec {
   double fp64_tflops = 0.0;           ///< vector FP64 peak, TFLOP/s
   index_t num_cus = 0;                ///< compute units (gridblock slots)
   index_t memory_bytes = 0;           ///< device memory capacity
-  index_t max_grid_dim_yz = 65535;    ///< CUDA/HIP grid launch limit in y/z
+  index_t max_grid_dim_yz = kMaxGridDimYZ;  ///< grid launch limit in y/z
 
   // --- cost-model parameters ---
   /// Fixed host-side cost of every kernel launch, seconds.

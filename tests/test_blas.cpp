@@ -109,9 +109,13 @@ void check_kernel_against_reference(Op op, GemvKernelPolicy policy,
 
 using GemvCase = std::tuple<int /*op*/, int /*policy*/, int /*shape*/>;
 
+// The last five put the split non-transpose's edges under every op
+// and policy: n one column short of, at and past one 32-column tile
+// and at three, m at one full 64-row chunk and one row past it.
 const Shape kShapes[] = {
     {1, 1, 1}, {4, 7, 3}, {13, 64, 2}, {64, 13, 2}, {100, 100, 4},
-    {17, 512, 5}, {128, 96, 1}, {3, 1000, 2},
+    {17, 512, 5}, {128, 96, 1}, {3, 1000, 2}, {1, 31, 3}, {64, 32, 2},
+    {6, 33, 3}, {16, 96, 3}, {65, 1000, 2},
 };
 
 class GemvAllTypes : public ::testing::TestWithParam<GemvCase> {};
@@ -156,7 +160,7 @@ INSTANTIATE_TEST_SUITE_P(
     OpsPoliciesShapes, GemvAllTypes,
     ::testing::Combine(::testing::Values(0, 1, 2),   // N, T, C
                        ::testing::Values(0, 1, 2),   // Auto, Ref, Opt
-                       ::testing::Range(0, 8)),      // shapes
+                       ::testing::Range(0, 13)),     // shapes
     gemv_case_name);
 
 TEST(Gemv, RealTransposeEqualsConjTranspose) {
@@ -497,20 +501,6 @@ TEST(GemvGrouped, ValidationErrors) {
 }
 
 // ------------------------------------------ split-column non-transpose
-TEST(GemvSplit, MatchesHostReferenceAllTypes) {
-  // n straddles one tile (31, 32, 33) and runs to 32 tiles; m covers
-  // one row, a partial row tile, a full one and two tiles.
-  for (const index_t n : {31, 32, 33, 96, 1000}) {
-    for (const index_t m : {1, 6, 16, 64, 65, 100}) {
-      const Shape shape{m, n, 3};
-      check_kernel_against_reference<float>(Op::N, GemvKernelPolicy::kOptimized, shape);
-      check_kernel_against_reference<double>(Op::N, GemvKernelPolicy::kOptimized, shape);
-      check_kernel_against_reference<cfloat>(Op::N, GemvKernelPolicy::kOptimized, shape);
-      check_kernel_against_reference<cdouble>(Op::N, GemvKernelPolicy::kOptimized, shape);
-    }
-  }
-}
-
 /// A one-group multi-RHS non-transpose launch of the given policy into
 /// a fresh y (alpha and beta random, so the fold's epilogue runs).
 template <class T>
@@ -840,12 +830,46 @@ TEST(Dispatcher, NonTransposeSplitsShortWideColumns) {
   EXPECT_EQ(select_kernel(args, GemvKernelPolicy::kAuto), GemvKernelKind::kReferenceN);
   EXPECT_EQ(select_kernel(args, GemvKernelPolicy::kOptimized), GemvKernelKind::kSplitN);
 
+  // The split grid's K tiles run along grid y: one column beyond 65535
+  // tiles keeps the reference kernel under every policy.
+  const index_t widest = kOptTileCols * device::kMaxGridDimYZ;
+  EXPECT_TRUE(use_split_columns(16, widest));
+  EXPECT_FALSE(use_split_columns(16, widest + 1));
+  args.m = 16;
+  args.n = widest + 1;
+  EXPECT_EQ(select_kernel(args, GemvKernelPolicy::kOptimized),
+            GemvKernelKind::kReferenceN);
+
   // auto_policy applies each op's own rule.
   EXPECT_EQ(auto_policy(Op::N, 16, 1000), GemvKernelPolicy::kOptimized);
   EXPECT_EQ(auto_policy(Op::N, 1000, 16), GemvKernelPolicy::kReference);
   EXPECT_EQ(auto_policy(Op::C, 16, 1000), GemvKernelPolicy::kOptimized);
   EXPECT_EQ(auto_policy(Op::T, 8192, 256), GemvKernelPolicy::kReference);
   EXPECT_EQ(auto_policy(Op::C, 1000, 16), GemvKernelPolicy::kOptimized);  // m <= 1024
+}
+
+TEST(Dispatcher, NonTransposeLaunchesBeyondTheSplitGridLimit) {
+  // 1 x 2,097,121 is short and wide but needs 65536 column tiles; every
+  // policy launches (on a dry-run device: the shape's numerics are not
+  // the point), the widest splittable shape included.
+  device::Device dev(device::make_mi300x(), &util::ThreadPool::global(),
+                     /*phantom=*/true);
+  device::Stream stream(dev);
+  for (const index_t n : {kOptTileCols * device::kMaxGridDimYZ,
+                          kOptTileCols * device::kMaxGridDimYZ + 1}) {
+    SbgemvArgs<double> args;
+    args.op = Op::N;
+    args.m = 1;
+    args.n = n;
+    args.lda = 1;
+    args.stride_a = n;
+    args.stride_x = n;
+    args.stride_y = 1;
+    for (const auto policy : {GemvKernelPolicy::kAuto, GemvKernelPolicy::kOptimized,
+                              GemvKernelPolicy::kReference}) {
+      EXPECT_NO_THROW(sbgemv(stream, args, policy)) << "n=" << n;
+    }
+  }
 }
 
 // -------------------------------------------- cost-model performance
