@@ -43,9 +43,9 @@ struct GreedyPlacementResult {
 
 /// Relative EIG difference within which greedy_sensor_placement counts
 /// candidates as tied: 8 eps_s.  A Gram assembled with single-precision
-/// phases perturbs each gain by ~1e-7 relative, so candidates closer
-/// than this (uniformly spaced sensors in a near-translation-invariant
-/// medium come within 1e-9) cannot be ranked by the assembly at all.
+/// phases perturbs each gain by ~1e-7 relative, so it cannot rank
+/// candidates closer than that, and uniformly spaced sensors in the
+/// advection-diffusion examples have gains within 1e-8 of each other.
 inline constexpr double kGainTieRtol = 8.0 * kEpsSingle;
 
 /// Greedy maximisation of EIG over sensors, choosing `budget` of the

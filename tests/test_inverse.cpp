@@ -367,8 +367,8 @@ TEST(Oed, GreedyBreaksTiesTowardTheLowestSensor) {
 
 TEST(Oed, MixedPrecisionGramSelectsTheDoubleDesign) {
   // The sensor_placement example's problem: uniformly spaced sensors
-  // whose gains agree to ~1e-9 relative, far below the dssdd Gram's
-  // ~1e-7 rounding, so a strict argmax would pick by rounding.
+  // whose gains agree to 1e-8 relative or closer, below the dssdd
+  // Gram's ~1e-7 rounding, so a strict argmax would pick by rounding.
   const auto cfg = LtiConfig::with_uniform_sensors(64, 24, 8);
   AdvectionDiffusion1D sys(cfg);
   device::Device dev(device::make_mi300x());
