@@ -223,10 +223,10 @@ int main(int argc, char** argv) {
   paper.print(std::cout);
   artifact.add("paper scale phantom dssdd", paper);
 
-  // The crossover decision the scheduler makes at registration time:
-  // the skinny paper shape is wire-dominated (broadcasting the full
-  // input outweighs the output-dim split's savings) so auto placement
-  // refuses to shard it; the GEMV-heavy wide shape shards profitably.
+  // The comm cost model's crossover decision: the skinny paper shape
+  // is wire-dominated (broadcasting the full input outweighs the
+  // output-dim split's savings) so adaptive_rank_group refuses to
+  // shard it; the GEMV-heavy wide shape shards profitably.
   const int paper_r = serve::adaptive_rank_group(spec, bench::paper_dims(), 8);
   const int wide_r =
       serve::adaptive_rank_group(spec, {5000, 512, 1000}, 8);

@@ -7,9 +7,9 @@
 // dimensions".  This kernel reproduces that design: 32x32 tiles
 // staged through LDS (modelled), with both the y (row-tile) and z
 // (batch) grid dimensions clamped to the device limit and covered by
-// in-kernel loops.  It is used in the operator setup phase (layout
-// change of the first block column before the batched FFT) and for
-// the SOTI<->TOSI vector reorders.
+// in-kernel loops.  Operator setup is its one caller: it gathers a
+// rank's block of the first block column into time-contiguous
+// sequences before the batched FFT.
 #pragma once
 
 #include <algorithm>
@@ -22,7 +22,7 @@ namespace fftmv::blas {
 
 inline constexpr index_t kTransposeTile = 32;
 
-/// Geometry/footprint builders shared with the analytic cost sweeps.
+/// Geometry and footprint of one transpose_batched launch.
 inline device::LaunchGeometry transpose_geometry(const device::DeviceSpec& spec,
                                                  index_t batch, index_t rows,
                                                  index_t cols) {
@@ -51,10 +51,15 @@ device::KernelFootprint transpose_footprint(index_t batch, index_t rows,
   return fp;
 }
 
-/// dst[b*rows*cols + c*rows + r] = src[b*rows*cols + r*cols + c]:
-/// per batch entry, transpose a row-major rows x cols matrix.
+/// dst[b*rows*cols + c*rows + r] = src[b*src_stride + r*src_ld + c]:
+/// per batch entry, transpose a row-major rows x cols matrix whose rows
+/// start src_ld elements apart into a dense column-major one.  A dense
+/// source has src_ld = cols and src_stride = rows*cols; larger strides
+/// gather a sub-block of a bigger array, batch entries interleaved or
+/// not.
 template <class T>
 device::KernelTiming transpose_batched(device::Stream& stream, const T* src,
+                                       index_t src_ld, index_t src_stride,
                                        T* dst, index_t batch, index_t rows,
                                        index_t cols) {
   const auto& spec = stream.device().spec();
@@ -66,7 +71,7 @@ device::KernelTiming transpose_batched(device::Stream& stream, const T* src,
     // Grid-limit-safe loops over the clamped y (row tiles) and z
     // (batch) dimensions.
     for (index_t b = bz; b < batch; b += geom.grid_z) {
-      const T* s = src + b * rows * cols;
+      const T* s = src + b * src_stride;
       T* d = dst + b * rows * cols;
       for (index_t ty = by; ty < tiles_r; ty += geom.grid_y) {
         const index_t r0 = ty * kTransposeTile;
@@ -75,7 +80,7 @@ device::KernelTiming transpose_batched(device::Stream& stream, const T* src,
         const index_t c1 = std::min(cols, c0 + kTransposeTile);
         for (index_t r = r0; r < r1; ++r) {
           for (index_t c = c0; c < c1; ++c) {
-            d[c * rows + r] = s[r * cols + c];
+            d[c * rows + r] = s[r * src_ld + c];
           }
         }
       }

@@ -5,47 +5,10 @@
 #include "blas/permute.hpp"
 #include "fft/plan.hpp"
 #include "precision/convert.hpp"
-#include "util/math.hpp"
 
 namespace fftmv::core {
 
 namespace {
-
-/// Setup permutation: spectra stored sequence-major
-/// ((i*n_m + j) * n_f + f) -> frequency-block column-major
-/// (f * n_d * n_m + j * n_d + i).  This is the second use of the
-/// custom permutation kernel that replaced the cuTENSOR (v2)
-/// dependency (paper §3.1); grid-limit-safe like blas::transpose_batched.
-device::KernelTiming spectrum_to_blocks(device::Stream& stream, const cdouble* src,
-                                        cdouble* dst, index_t n_d, index_t n_m,
-                                        index_t n_f) {
-  const auto& spec = stream.device().spec();
-  const device::LaunchGeometry geom{
-      .grid_x = util::ceil_div(n_f, index_t{16}),
-      .grid_y = std::min(n_d, spec.max_grid_dim_yz),
-      .grid_z = 1,
-      .block_threads = 256};
-  device::KernelFootprint fp;
-  const double bytes = static_cast<double>(n_d) * static_cast<double>(n_m) *
-                       static_cast<double>(n_f) * sizeof(cdouble);
-  fp.bytes_read = bytes;
-  fp.bytes_written = bytes;
-  fp.fp64_path = true;
-  fp.vector_load_bytes = 16;
-  fp.coalescing_efficiency = 0.8;
-  return stream.launch(geom, fp, [=](index_t bx, index_t by, index_t) {
-    const index_t f0 = bx * 16;
-    const index_t f1 = std::min(n_f, f0 + 16);
-    for (index_t i = by; i < n_d; i += geom.grid_y) {
-      for (index_t j = 0; j < n_m; ++j) {
-        const cdouble* seq = src + (i * n_m + j) * n_f;
-        for (index_t f = f0; f < f1; ++f) {
-          dst[f * n_d * n_m + j * n_d + i] = seq[f];
-        }
-      }
-    }
-  });
-}
 
 /// Compute the per-frequency-block checksum rows: column sums
 /// (forward) or row sums (adjoint), accumulated in double and
@@ -94,40 +57,51 @@ BlockToeplitzOperator::BlockToeplitzOperator(device::Device& dev,
                                              const LocalDims& dims,
                                              std::span<const double> first_block_col)
     : dev_(&dev), dims_(dims), spectrum_d_(dev, spectrum_elems()) {
-  const index_t n_seq = block_elems();        // n_d * n_m time sequences
+  const ProblemDims& g = dims_.global;
+  const index_t n_d = dims_.n_d_local;
+  const index_t n_m = dims_.n_m_local;
   const index_t n_t = dims_.n_t();
-  const index_t L = dims_.padded_length();
-  const index_t n_f = dims_.num_frequencies();
+  const index_t n_seq = block_elems();  // n_d * n_m time sequences
 
   if (!dev.phantom() &&
-      static_cast<index_t>(first_block_col.size()) != n_seq * n_t) {
+      static_cast<index_t>(first_block_col.size()) != g.n_t * g.n_d * g.n_m) {
     throw std::invalid_argument(
         "BlockToeplitzOperator: first_block_col has wrong extent");
   }
 
   const double t0 = stream.now();
 
-  // Scratch buffers live only during setup.
-  device::device_vector<double> seq_major(dev, n_seq * n_t);
-  device::device_vector<double> padded(dev, n_seq * L);
-  device::device_vector<cdouble> spectra(dev, n_seq * n_f);
+  // 1. The cuTENSOR-replacement kernel gathers the block from the
+  //    global column: batch entry i (sensor d_offset + i) is an n_t x
+  //    n_m matrix whose rows lie N_d * N_m apart.  Entry (i, j)'s
+  //    samples land contiguously at (i * n_m + j) * n_t in a buffer
+  //    that lives only during setup.  A phantom launch reads nothing.
+  device::device_vector<double> seq(dev, n_seq * n_t);
+  const double* block =
+      dev.phantom() ? nullptr
+                    : first_block_col.data() + dims_.d_offset * g.n_m + dims_.m_offset;
+  blas::transpose_batched(stream, block, /*src_ld=*/g.n_d * g.n_m,
+                          /*src_stride=*/g.n_m, seq.data(), /*batch=*/n_d,
+                          /*rows=*/n_t, /*cols=*/n_m);
 
-  // 1. Permute time-outer (n_t, n_d*n_m) -> sequence-major
-  //    (n_d*n_m, n_t): the cuTENSOR-replacement kernel.
-  blas::transpose_batched(stream, first_block_col.data(), seq_major.data(),
-                          /*batch=*/1, /*rows=*/n_t, /*cols=*/n_seq);
-
-  // 2. Zero-pad every sequence to the circulant length L = 2 N_t.
-  precision::pad_rows_cast<double>(stream, seq_major.data(), padded.data(), n_t,
-                                   n_seq, L);
-
-  // 3. Batched real FFT of all n_d*n_m sequences (always double).
-  fft::BatchedRealFft<double> plan(L, n_seq);
-  plan.forward_on(stream, padded.data(), L, spectra.data(), n_f);
-
-  // 4. Permute spectra into per-frequency column-major blocks.
-  spectrum_to_blocks(stream, spectra.data(), spectrum_d_.data(), dims_.n_d_local,
-                     dims_.n_m_local, n_f);
+  // 2. ONE fused batched real FFT, always in double.  Sequence
+  //    q = j * n_d + i loads entry (i, j)'s sample t < n_t and +0.0 up
+  //    to L = 2 N_t (the circulant embedding), and stores bin f at
+  //    f * n_d * n_m + q: frequency block f, column-major, where the
+  //    GEMV reads it.
+  const double* x = seq.data();
+  cdouble* spec = spectrum_d_.data();
+  const fft::BatchedRealFft<double> plan(dims_.padded_length(), n_seq);
+  const auto load = [=](index_t q, index_t t) {
+    return t < n_t ? x[((q % n_d) * n_m + q / n_d) * n_t + t] : 0.0;
+  };
+  const auto store = [=](index_t q, index_t f, const cdouble& v) {
+    spec[f * n_seq + q] = v;
+  };
+  const auto fp = plan.fused_footprint(
+      1, static_cast<double>(n_t * sizeof(double)),
+      static_cast<double>(dims_.num_frequencies() * sizeof(cdouble)));
+  plan.forward_fused_on(stream, 1, fp, load, store);
 
   setup_seconds_ = stream.now() - t0;
 }

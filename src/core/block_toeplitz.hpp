@@ -6,10 +6,14 @@
 // L = 2 N_t and precomputes the batched real FFT of every (sensor,
 // parameter) time sequence, yielding N_t + 1 frequency blocks
 // F_hat_f of shape n_d x n_m (column-major, ready for the Phase-3
-// SBGEMV).  Setup always runs in double precision (§3.2: "a one-time
-// operation that is not performance critical"); a single-precision
-// copy of the spectrum is materialised lazily for configurations
-// whose SBGEMV phase computes in single.
+// SBGEMV).  Setup is two launches: the permutation kernel
+// (blas::transpose_batched) gathers the operator's block of the
+// caller's global column into time-contiguous sequences, and one
+// fused batched FFT zero-pads them through its loads and stores each
+// bin in its frequency block.  Setup always runs in double precision
+// (§3.2: "a one-time operation that is not performance critical"); a
+// single-precision copy of the spectrum is materialised lazily for
+// configurations whose SBGEMV phase computes in single.
 #pragma once
 
 #include <optional>
@@ -24,9 +28,15 @@ namespace fftmv::core {
 
 class BlockToeplitzOperator {
  public:
-  /// `first_block_col` is time-outer: element (t, i, j) — block t,
-  /// sensor i, parameter j — lives at t*(n_d*n_m) + i*n_m + j.
-  /// Empty span is allowed only on a phantom device (dry-run shape).
+  /// `first_block_col` is the GLOBAL time-outer column, whatever slice
+  /// `dims` describes: element (t, i, j) — block t, sensor i,
+  /// parameter j — lives at t*(N_d*N_m) + i*N_m + j, for the global
+  /// N_d = dims.global.n_d and N_m = dims.global.n_m.  The operator
+  /// reads the entries with i in [d_offset, d_offset + n_d_local) and
+  /// j in [m_offset, m_offset + n_m_local).  Throws
+  /// std::invalid_argument unless the span holds n_t*N_d*N_m values;
+  /// on a phantom device (dry-run shape) any span, empty included, is
+  /// accepted and nothing is read.
   BlockToeplitzOperator(device::Device& dev, device::Stream& stream,
                         const LocalDims& dims,
                         std::span<const double> first_block_col);

@@ -66,20 +66,10 @@ ShardedOperator::ShardedOperator(device::Device& dev, device::Stream& stream,
                                  const comm::ProcessGrid& adj_grid,
                                  std::span<const double> first_block_col)
     : dims_(dims), fwd_grid_(fwd_grid), adj_grid_(adj_grid) {
-  // A slice that is the whole operator is built straight from the
-  // caller's column, and so is every slice when the column lacks the
-  // global extent: empty for phantom runs, otherwise malformed, which
-  // the operator rejects instead of slicing past its end.
-  const auto global_elems =
-      static_cast<std::size_t>(dims.n_t * dims.n_d * dims.n_m);
+  // Every slice gathers its block from the caller's global column.
   const auto build = [&](const LocalDims& local) {
-    if (first_block_col.size() != global_elems ||
-        local == LocalDims::single_rank(dims)) {
-      return std::make_shared<BlockToeplitzOperator>(dev, stream, local,
-                                                     first_block_col);
-    }
-    return std::make_shared<BlockToeplitzOperator>(
-        dev, stream, local, slice_first_block_col(dims, local, first_block_col));
+    return std::make_shared<BlockToeplitzOperator>(dev, stream, local,
+                                                   first_block_col);
   };
   const bool shared = fwd_grid == adj_grid;
   for (index_t r = 0; r < fwd_grid.size(); ++r) {

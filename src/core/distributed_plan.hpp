@@ -28,12 +28,14 @@
 //     direction.
 //
 // Bit-identity also needs the phase-3 GEMV kernel KIND to agree
-// between a slice and the full operator, since the reference and
-// optimized transpose kernels accumulate in different orders:
-// FftMatvecPlan picks the transpose kernel from the GLOBAL dims
-// (LocalDims::global), never from its slice.  (Forward always
-// dispatches the reference N kernel; for the adjoint a slice-local
-// choice would flip once n_d > 1024 — tested at n_d = 1025.)
+// between a slice and the full operator, since the kernels of either
+// direction accumulate in different orders: FftMatvecPlan picks them
+// from the GLOBAL dims (LocalDims::global), never from its slice.  A
+// slice-local choice would flip the forward between the split-column
+// and reference N kernels wherever a slice is short and wide (at most
+// 64 rows, fewer rows than columns) but the operator is not — tested
+// at 48 x 40 — and the adjoint's transpose kernel once n_d > 1024 —
+// tested at n_d = 1025.
 //
 // Two ways to run a batch:
 //
@@ -76,12 +78,12 @@ namespace fftmv::core {
 enum class CommMode : unsigned char { kBatched, kPerRequest };
 
 /// One operator sliced over a process grid per direction (see the
-/// header comment).  Slicing happens in the time domain
-/// (slice_first_block_col) before the setup FFT, and the FFT of each
-/// block entry's time series is independent of its neighbours, so a
-/// slice's spectrum entries are bit-identical to the corresponding
-/// entries of the full operator's spectrum.  When both directions use
-/// one grid they share one operator per rank.
+/// header comment).  Every rank's BlockToeplitzOperator gathers its
+/// block from the caller's global column before its setup FFT, and the
+/// FFT of each block entry's time series is independent of its
+/// neighbours, so a slice's spectrum entries are bit-identical to the
+/// corresponding entries of the full operator's spectrum.  When both
+/// directions use one grid they share one operator per rank.
 class ShardedOperator {
  public:
   /// The paper's grid: both directions on `grid`.

@@ -46,27 +46,6 @@ inline std::vector<double> make_input_vector(index_t n, std::uint64_t seed) {
   return v;
 }
 
-/// Extract rank (row, col)'s slice of a global first block column.
-/// Global layout time-outer (n_t, N_d, N_m); local likewise with the
-/// rank's sensor/parameter ranges.
-inline std::vector<double> slice_first_block_col(
-    const ProblemDims& global, const LocalDims& local,
-    std::span<const double> global_col) {
-  const index_t nt = global.n_t;
-  std::vector<double> out(
-      static_cast<std::size_t>(nt * local.n_d_local * local.n_m_local));
-  for (index_t t = 0; t < nt; ++t) {
-    for (index_t i = 0; i < local.n_d_local; ++i) {
-      const double* src = global_col.data() + t * global.n_d * global.n_m +
-                          (local.d_offset + i) * global.n_m + local.m_offset;
-      double* dst =
-          out.data() + t * local.n_d_local * local.n_m_local + i * local.n_m_local;
-      for (index_t j = 0; j < local.n_m_local; ++j) dst[j] = src[j];
-    }
-  }
-  return out;
-}
-
 /// Extract the TOSI column slice [offset, offset+count) of a global
 /// TOSI vector with `width` space points per time step.
 inline std::vector<double> slice_tosi(std::span<const double> global,

@@ -54,11 +54,11 @@ class Stream {
 
   /// Execute `block_fn(bx, by, bz)` for every gridblock and advance
   /// the simulated clock.  Returns the timing breakdown for the
-  /// launch.  Set `execute = false` to advance the clock without
-  /// running numerics (used by analytic paper-scale sweeps).
+  /// launch.  On a phantom device the numerics are skipped and only
+  /// the clock advances (analytic paper-scale sweeps).
   template <class BlockFn>
   KernelTiming launch(const LaunchGeometry& geom, const KernelFootprint& fp,
-                      BlockFn&& block_fn, bool execute = true) {
+                      BlockFn&& block_fn) {
     dev_->validate_launch(geom);
     if (FaultPlan* faults = dev_->fault_plan();
         faults && faults->on_kernel_launch()) {
@@ -71,7 +71,7 @@ class Stream {
       busy_ += t.seconds;
       throw StreamFault(dev_->fault_plan()->stats().kernel_launches - 1);
     }
-    if (execute && !dev_->phantom()) {
+    if (!dev_->phantom()) {
       const index_t gx = geom.grid_x, gy = geom.grid_y;
       const index_t total = geom.total_blocks();
       dev_->pool().parallel_for_chunks(total, [&](index_t begin, index_t end) {

@@ -99,14 +99,6 @@ class BatchedRealFft {
     }
   }
 
-  void inverse(const C* in, index_t in_stride, Real* out, index_t out_stride,
-               index_t batch_multiplier = 1) const {
-    FftScratch<Real>& s = FftScratch<Real>::local();
-    for (index_t b = 0; b < effective_batch(batch_multiplier); ++b) {
-      engine_.inverse(in + b * in_stride, out + b * out_stride, s);
-    }
-  }
-
   /// Device execution: one gridblock per sequence, parallel over the
   /// pool, simulated time charged to `stream`.
   device::KernelTiming forward_on(device::Stream& stream, const Real* in,
@@ -290,7 +282,8 @@ class BatchedRealFft {
   /// layout cuFFT/rocFFT plans accept: element stride = batch,
   /// distance = 1), so a wavefront's neighbouring sequences coalesce
   /// and the launch is charged at the plan's own coalescing
-  /// efficiency.
+  /// efficiency.  Accesses contiguous within a sequence (the plan's
+  /// own layout: element stride = 1, distance = length) coalesce too.
   device::KernelFootprint fused_footprint(index_t batch_multiplier,
                                           double load_bytes,
                                           double store_bytes) const {
@@ -319,8 +312,6 @@ class BatchedRealFft {
     fp.coalescing_efficiency = 0.9;
     return fp;
   }
-
-  const RealFftEngine<Real>& engine() const { return engine_; }
 
  private:
   index_t effective_batch(index_t multiplier) const {

@@ -137,32 +137,6 @@ device::KernelTiming transpose_pad_cast(device::Stream& stream, const S* src,
                                ns, L);
 }
 
-/// Row-wise zero-pad + cast without transpose: src (ns x nt) ->
-/// dst (ns x L).  Used in operator setup after the permutation
-/// kernel has already made the time sequences contiguous.
-template <class D, class S>
-device::KernelTiming pad_rows_cast(device::Stream& stream, const S* src, D* dst,
-                                   index_t nt, index_t ns, index_t L) {
-  const index_t rows_per_block = 8;
-  const device::LaunchGeometry geom{.grid_x = util::ceil_div(ns, rows_per_block),
-                                    .grid_y = 1,
-                                    .grid_z = 1,
-                                    .block_threads = 256};
-  auto fp = detail::streaming_footprint<S, D>(
-      static_cast<double>(nt) * static_cast<double>(ns),
-      static_cast<double>(L) * static_cast<double>(ns));
-  return stream.launch(geom, fp, [=](index_t bx, index_t, index_t) {
-    const index_t s0 = bx * rows_per_block;
-    const index_t s1 = std::min(ns, s0 + rows_per_block);
-    for (index_t s = s0; s < s1; ++s) {
-      const S* in_row = src + s * nt;
-      D* row = dst + s * L;
-      for (index_t t = 0; t < nt; ++t) row[t] = convert_scalar<D>(in_row[t]);
-      for (index_t t = nt; t < L; ++t) row[t] = D{};
-    }
-  });
-}
-
 /// Phase-5 fused kernel over a batch of right-hand sides: unpad +
 /// SOTI -> TOSI transpose + cast, one launch, gridblocks over (row
 /// block, RHS).

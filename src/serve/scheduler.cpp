@@ -226,9 +226,9 @@ TenantId AsyncScheduler::add_tenant(const core::ProblemDims& dims,
                                     std::span<const double> first_block_col,
                                     int rank_group) {
   dims.validate();
-  if (rank_group < 0) {
+  if (rank_group < 1) {
     throw std::invalid_argument(
-        "AsyncScheduler::add_tenant: rank_group must be >= 0, got " +
+        "AsyncScheduler::add_tenant: rank_group must be >= 1, got " +
         std::to_string(rank_group));
   }
   const comm::NetworkSpec network = comm::NetworkSpec::frontier();
@@ -242,12 +242,6 @@ TenantId AsyncScheduler::add_tenant(const core::ProblemDims& dims,
         "AsyncScheduler::add_tenant: rank_group " + std::to_string(rank_group) +
         " exceeds an output dimension (n_d=" + std::to_string(dims.n_d) +
         ", n_m=" + std::to_string(dims.n_m) + ")");
-  }
-  if (rank_group == 0) {
-    // Auto placement: the cost model's compute/comm crossover decides
-    // whether sharding this shape pays at all, and how wide.
-    rank_group = adaptive_rank_group(dev_.spec(), dims,
-                                     static_cast<int>(network.node_size), network);
   }
   // The expensive setup (batched FFT of the block column, fp32
   // spectrum warm — the latter so the lazily-cast copy is never raced

@@ -170,7 +170,7 @@ inline constexpr int kDefaultMaxBatch = 16;
 /// curve on (and serve_scaling its backed sweep).
 inline constexpr core::ProblemDims kBatchCurveShape{192, 12, 96};
 
-/// The rank-group size add_tenant(rank_group == 0) resolves for a
+/// The rank-group size the comm cost model's crossover picks for a
 /// tenant of this shape: phantom dry runs of the rank-0 forward slice
 /// over doubling group sizes (the per-rank compute) plus the cost
 /// model's rank_group_collectives bill (the comm), accepting a wider
@@ -202,17 +202,16 @@ class AsyncScheduler {
   /// per lane — broadcast and gather fused across the whole RHS
   /// batch — with outputs bit-identical to the single-rank apply in
   /// every precision config.  1 (the default) is the unsharded
-  /// single-rank placement; 0 resolves adaptively from the comm cost
-  /// model's crossover (adaptive_rank_group).  A group never spans
-  /// more than one node (NetworkSpec::frontier().node_size, 8 ranks),
-  /// so placements stay on the intra-node fabric.  Throws
-  /// std::invalid_argument when the explicit value is negative,
-  /// exceeds the node size or exceeds an output dimension of `dims`.
+  /// single-rank placement.  A group never spans more than one node
+  /// (NetworkSpec::frontier().node_size, 8 ranks), so placements stay
+  /// on the intra-node fabric.  Throws std::invalid_argument when the
+  /// value is below 1, exceeds the node size or exceeds an output
+  /// dimension of `dims`.
   TenantId add_tenant(const core::ProblemDims& dims,
                       std::span<const double> first_block_col,
                       int rank_group = 1);
 
-  /// The placement add_tenant resolved for `tenant` (1 = unsharded).
+  /// The rank-group size add_tenant placed `tenant` on (1 = unsharded).
   /// Throws std::invalid_argument for an unknown tenant.
   int tenant_rank_group(TenantId tenant) const;
 

@@ -43,15 +43,15 @@ std::vector<T> random_vec(index_t n, std::uint64_t seed) {
 }
 
 /// Host-side transpose: the correctness reference for
-/// transpose_batched.
+/// transpose_batched, with the same source strides.
 template <class T>
-void transpose_batched_host(const T* src, T* dst, index_t batch, index_t rows,
-                            index_t cols) {
+void transpose_batched_host(const T* src, index_t src_ld, index_t src_stride,
+                            T* dst, index_t batch, index_t rows, index_t cols) {
   for (index_t b = 0; b < batch; ++b) {
-    const T* s = src + b * rows * cols;
+    const T* s = src + b * src_stride;
     T* d = dst + b * rows * cols;
     for (index_t r = 0; r < rows; ++r) {
-      for (index_t c = 0; c < cols; ++c) d[c * rows + r] = s[r * cols + c];
+      for (index_t c = 0; c < cols; ++c) d[c * rows + r] = s[r * src_ld + c];
     }
   }
 }
@@ -950,11 +950,28 @@ TEST_P(TransposeShapes, MatchesHostReference) {
   const auto [batch, rows, cols] = GetParam();
   device::Device dev(device::make_mi300x());
   device::Stream stream(dev);
-  const auto src = random_vec<double>(batch * rows * cols, 31);
-  std::vector<double> dst(src.size()), expect(src.size());
-  transpose_batched(stream, src.data(), dst.data(), batch, rows, cols);
-  transpose_batched_host(src.data(), expect.data(), batch, rows, cols);
-  EXPECT_EQ(dst, expect);
+  // A dense source, then two sub-block gathers from a bigger array
+  // (src_ld > cols, src_stride != rows * src_ld): batch entries
+  // interleaved within each row, as operator setup gathers a rank's
+  // sensors from the global column, and batch entries one after
+  // another with a gap between them.
+  struct Layout {
+    index_t offset, src_ld, src_stride;
+  };
+  const index_t wide = batch * (cols + 2) + 3;
+  for (const Layout& l : {Layout{0, cols, rows * cols}, Layout{1, wide, cols + 2},
+                          Layout{2, cols + 3, rows * (cols + 3) + 5}}) {
+    const index_t extent = l.offset + (batch - 1) * l.src_stride + rows * l.src_ld;
+    const auto src = random_vec<double>(extent, 31);
+    std::vector<double> dst(static_cast<std::size_t>(batch * rows * cols));
+    std::vector<double> expect(dst.size());
+    transpose_batched(stream, src.data() + l.offset, l.src_ld, l.src_stride,
+                      dst.data(), batch, rows, cols);
+    transpose_batched_host(src.data() + l.offset, l.src_ld, l.src_stride,
+                           expect.data(), batch, rows, cols);
+    EXPECT_EQ(dst, expect) << "src_ld " << l.src_ld << ", src_stride "
+                           << l.src_stride;
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -971,8 +988,10 @@ TEST(Transpose, DoubleTransposeIsIdentity) {
   const index_t batch = 2, rows = 37, cols = 53;
   const auto src = random_vec<cdouble>(batch * rows * cols, 41);
   std::vector<cdouble> once(src.size()), twice(src.size());
-  transpose_batched(stream, src.data(), once.data(), batch, rows, cols);
-  transpose_batched(stream, once.data(), twice.data(), batch, cols, rows);
+  transpose_batched(stream, src.data(), cols, rows * cols, once.data(), batch,
+                    rows, cols);
+  transpose_batched(stream, once.data(), rows, rows * cols, twice.data(), batch,
+                    cols, rows);
   EXPECT_EQ(twice, src);
 }
 
@@ -984,9 +1003,10 @@ TEST(Transpose, GridLimitSafeForHugeBatch) {
   const index_t batch = 70000, rows = 2, cols = 3;
   const auto src = random_vec<float>(batch * rows * cols, 51);
   std::vector<float> dst(src.size()), expect(src.size());
-  EXPECT_NO_THROW(
-      transpose_batched(stream, src.data(), dst.data(), batch, rows, cols));
-  transpose_batched_host(src.data(), expect.data(), batch, rows, cols);
+  EXPECT_NO_THROW(transpose_batched(stream, src.data(), cols, rows * cols,
+                                    dst.data(), batch, rows, cols));
+  transpose_batched_host(src.data(), cols, rows * cols, expect.data(), batch,
+                         rows, cols);
   EXPECT_EQ(dst, expect);
 }
 

@@ -5,6 +5,7 @@
 // with grid rows via n_m = N_m / p_c).
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -120,8 +121,7 @@ std::vector<double> threaded_apply(const GlobalProblem& p, index_t p_rows,
     device::Device dev(device::make_mi300x(), &inline_pool);
     device::Stream stream(dev);
     const auto local = LocalDims::for_rank(p.dims, grid, comms.world_rank);
-    const auto col_slice = slice_first_block_col(p.dims, local, p.first_col);
-    BlockToeplitzOperator op(dev, stream, local, col_slice);
+    BlockToeplitzOperator op(dev, stream, local, p.first_col);
     FftMatvecPlan plan(dev, stream, local);
 
     comm::GroupComm& bcast = adjoint ? comms.grid_row : comms.grid_col;
@@ -604,6 +604,47 @@ TEST(ShardedApplyDetail, ChecksumCatchesACorruptGemvOnEveryRank) {
   dev.set_fault_plan(nullptr);
 }
 
+// Every rank slice's spectrum entries equal the full operator's bit
+// for bit, in both precisions: a ragged 3-rank output split (sensors
+// 2,2,1 forward, parameters 4,4,3 adjoint) and a 2x2 grid (3,2 x 6,5).
+TEST(ShardedApplyDetail, SliceSpectraMatchTheFullOperatorBitForBit) {
+  const auto p = make_global(11, 5, 9, 2620);
+  device::Device dev(device::make_mi300x());
+  device::Stream stream(dev);
+  const ShardedOperator full(dev, stream, p.dims, 1, p.first_col);
+  const auto& whole = full.rank_op(ApplyDirection::kForward, 0);
+  const index_t N_d = p.dims.n_d, N_m = p.dims.n_m;
+  const ShardedOperator split(dev, stream, p.dims, 3, p.first_col);
+  const ShardedOperator grid(dev, stream, p.dims, comm::ProcessGrid(2, 2), p.first_col);
+  for (const ShardedOperator* placement : {&split, &grid}) {
+    for (const auto dir : {ApplyDirection::kForward, ApplyDirection::kAdjoint}) {
+      for (index_t r = 0; r < placement->ranks(); ++r) {
+        const auto& local = placement->rank_dims(dir, r);
+        const auto& slice = placement->rank_op(dir, r);
+        const index_t n_d = local.n_d_local, n_m = local.n_m_local;
+        index_t mismatches = 0;
+        for (index_t f = 0; f < local.num_frequencies(); ++f) {
+          for (index_t j = 0; j < n_m; ++j) {
+            for (index_t i = 0; i < n_d; ++i) {
+              const index_t mine = f * n_d * n_m + j * n_d + i;
+              const index_t theirs =
+                  f * N_d * N_m + (local.m_offset + j) * N_d + local.d_offset + i;
+              mismatches +=
+                  std::memcmp(slice.spectrum_d() + mine, whole.spectrum_d() + theirs,
+                              sizeof(cdouble)) != 0;
+              mismatches += std::memcmp(slice.spectrum_f(stream) + mine,
+                                        whole.spectrum_f(stream) + theirs,
+                                        sizeof(cfloat)) != 0;
+            }
+          }
+        }
+        EXPECT_EQ(mismatches, 0) << placement->grid(dir).rows() << "x"
+                                 << placement->grid(dir).cols() << " rank " << r;
+      }
+    }
+  }
+}
+
 TEST(ShardedApplyDetail, ValidatesRanksAndLaneShapes) {
   const auto p = make_global(8, 3, 8, 2600);
   device::Device dev(device::make_mi300x());
@@ -631,8 +672,9 @@ TEST(ShardedApplyDetail, ValidatesRanksAndLaneShapes) {
 }
 
 TEST(ShardedApplyDetail, RejectsAShortOperatorColumn) {
-  // Each rank of a split slices the caller's global column; a column
-  // one element short is refused, not read past its end.
+  // Each rank of a split gathers its block from the caller's global
+  // column; a column one element short is refused, not read past its
+  // end.
   const auto p = make_global(8, 4, 8, 2640);
   device::Device dev(device::make_mi300x());
   device::Stream stream(dev);

@@ -383,6 +383,22 @@ TEST_F(MatvecFixture, SerialBatchLaunchesDoNotGrowWithB) {
   EXPECT_EQ(faults->stats().kernel_faults, 0u);
 }
 
+// Operator setup is two launches, the permutation kernel's gather and
+// one fused FFT, for the whole operator and for a rank slice alike.
+TEST_F(MatvecFixture, OperatorSetupIsTwoLaunches) {
+  const auto p = make_problem(20, 6, 12, 58);
+  auto faults = std::make_shared<device::FaultPlan>();
+  dev_.set_fault_plan(faults);
+  for (const auto& local : {LocalDims::single_rank(p.dims),
+                            LocalDims::for_rank(p.dims, comm::ProcessGrid(2, 2), 3)}) {
+    const auto before = faults->stats().kernel_launches;
+    BlockToeplitzOperator op(dev_, stream_, local, p.first_col);
+    EXPECT_EQ(faults->stats().kernel_launches - before, 2u)
+        << local.n_d_local << " x " << local.n_m_local;
+  }
+  EXPECT_EQ(faults->stats().kernel_faults, 0u);
+}
+
 // The host pool only schedules gridblocks: each block computes its
 // outputs from the same inputs in the same order whichever worker runs
 // it, so no output may depend on how the blocks are chunked.  One

@@ -182,20 +182,6 @@ TEST_F(ConvertFixture, BatchedPadUnpadRoundThroughCastPrecision) {
   }
 }
 
-TEST_F(ConvertFixture, PadRowsCastKeepsRowOrder) {
-  const index_t nt = 3, ns = 2, L = 8;
-  std::vector<double> src{1, 2, 3, 4, 5, 6};  // (ns x nt) row-major
-  std::vector<double> dst(static_cast<std::size_t>(ns * L), -1.0);
-  pad_rows_cast<double>(stream_, src.data(), dst.data(), nt, ns, L);
-  EXPECT_EQ(dst[0], 1.0);
-  EXPECT_EQ(dst[1], 2.0);
-  EXPECT_EQ(dst[2], 3.0);
-  EXPECT_EQ(dst[3], 0.0);
-  EXPECT_EQ(dst[static_cast<std::size_t>(L)], 4.0);
-  EXPECT_EQ(dst[static_cast<std::size_t>(L + 2)], 6.0);
-  EXPECT_EQ(dst[static_cast<std::size_t>(L + 3)], 0.0);
-}
-
 TEST_F(ConvertFixture, TransposeCastComplexBothDirections) {
   const index_t rows = 6, cols = 9;
   util::Rng rng(4);

@@ -1677,14 +1677,11 @@ TEST(AsyncScheduler, AddTenantValidatesRankGroup) {
   const auto col =
       core::make_first_block_col(core::LocalDims::single_rank(dims), 91);
   EXPECT_THROW(sched.add_tenant(dims, col, -1), std::invalid_argument);
+  EXPECT_THROW(sched.add_tenant(dims, col, 0), std::invalid_argument);
   EXPECT_THROW(sched.add_tenant(dims, col, 9), std::invalid_argument);
   // Within the node but wider than the forward output dim.
   EXPECT_THROW(sched.add_tenant(dims, col, 5), std::invalid_argument);
   EXPECT_THROW(sched.tenant_rank_group(999), std::invalid_argument);
-  // rank_group = 0 resolves through the cost model to a usable group.
-  const TenantId t = sched.add_tenant(dims, col, 0);
-  EXPECT_GE(sched.tenant_rank_group(t), 1);
-  EXPECT_LE(sched.tenant_rank_group(t), 4);
 }
 
 TEST(AsyncScheduler, AdaptiveRankGroupScalesWithProblemSize) {
