@@ -4,10 +4,10 @@
 //
 // The paper measures this with rocblas-bench on real hardware; here
 // the two kernels' launch geometries and footprints run through the
-// simulated device's cost model (DESIGN.md §1).  Bars are reported as
-// achieved GB/s with the % of the 5.3 TB/s peak annotated, exactly
-// the quantities of Figure 1.  A numerics cross-check confirms both
-// kernels produce the same results on a backed device.
+// simulated device's cost model (device/cost_model.hpp).  Bars are
+// reported as achieved GB/s with the % of the 5.3 TB/s peak annotated,
+// exactly the quantities of Figure 1.  A numerics cross-check confirms
+// both kernels produce the same results on a backed device.
 #include <complex>
 #include <iostream>
 

@@ -4,7 +4,7 @@
 // N_t = 1,000, all phases in double precision.
 //
 // Times come from paper-scale dry runs through the real pipeline on
-// phantom devices (DESIGN.md §1); a reduced-size backed run on the
+// phantom devices (device/device.hpp); a reduced-size backed run on the
 // same pipeline verifies numerics alongside.  The fused pipeline
 // folds phase 1 (transpose + pad + cast) into the forward FFT's sample
 // loads and phase 5 (unpad + cast) into the inverse FFT's sample

@@ -4,7 +4,7 @@
 // the optimal mixed-precision configuration over the double baseline
 // and its relative error.
 //
-// Composition (DESIGN.md §1):
+// Composition (device/cost_model.hpp, comm/cost_model.hpp):
 //  * per-rank compute: phantom paper-scale dry runs of the real
 //    pipeline on the MI250X spec, with the rank-local shape implied
 //    by the grid (n_m = 5,000 p_r after communication-aware rows);

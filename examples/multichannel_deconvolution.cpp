@@ -92,10 +92,12 @@ int main(int argc, char** argv) {
   plan.adjoint(op, recordings, rhs, mixed);
 
   index_t matvecs = 0;
-  std::vector<double> tmp_d(recordings.size()), tmp_m(rhs.size());
+  std::vector<double> tmp_m(rhs.size());
   auto normal_op = [&](std::span<const double> in, std::span<double> out) {
-    plan.forward(op, in, tmp_d, mixed);
-    plan.adjoint(op, tmp_d, tmp_m, mixed);
+    // F* F in as one chained apply (weight 1), an F and an F* action.
+    const core::ConstVectorView ins[] = {in};
+    const core::VectorView outs[] = {tmp_m};
+    plan.apply_normal(op, mixed, ins, 1.0, outs);
     matvecs += 2;
     for (index_t i = 0; i < n; ++i) {
       out[static_cast<std::size_t>(i)] =

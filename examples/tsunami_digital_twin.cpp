@@ -15,6 +15,9 @@
 //     the twin must reach the same answer faster (simulated device
 //     time), quantifying what mixed precision buys a real-time
 //     inversion pipeline.
+// Self-checking: exits 1 unless both MAP solves converge and the dssdd
+// predicted observations lie within 1e-3 (relative L2) of the double
+// ones.
 #include <cmath>
 #include <iostream>
 
@@ -99,6 +102,8 @@ int main(int argc, char** argv) {
   util::Table table({"config", "CG iters", "matvecs", "sim. matvec time ms",
                      "data misfit", "pred. rel diff vs double"});
   std::vector<double> m_map_double;  // holds the double-MAP predictions
+  bool converged = true;
+  double pred_diff = 0.0;
   for (const char* cfg_str : {"ddddd", "dssdd"}) {
     const auto pcfg = precision::PrecisionConfig::parse(cfg_str);
     inverse::HessianOperator hessian(plan, op, prior, noise, pcfg);
@@ -111,6 +116,7 @@ int main(int argc, char** argv) {
     // "iterative methods ... taking more iterations" trade-off).
     const auto cg = inverse::solve_map(hessian, d_obs, m_map, 1e-5, 400);
     const double sim_time = stream.now() - t0;
+    converged = converged && cg.converged;
 
     std::vector<double> d_fit(d_obs.size());
     system.apply_p2o(m_map, d_fit);
@@ -121,9 +127,9 @@ int main(int argc, char** argv) {
     if (std::string(cfg_str) == "ddddd") {
       m_map_double = d_fit;  // predicted observations of the double MAP
     } else {
-      rel = util::Table::fmt_sci(blas::relative_l2_error(
-          static_cast<index_t>(d_fit.size()), d_fit.data(),
-          m_map_double.data()));
+      pred_diff = blas::relative_l2_error(static_cast<index_t>(d_fit.size()),
+                                          d_fit.data(), m_map_double.data());
+      rel = util::Table::fmt_sci(pred_diff);
     }
     table.add_row({cfg_str, std::to_string(cg.iterations),
                    std::to_string(hessian.matvec_count()),
@@ -136,5 +142,12 @@ int main(int argc, char** argv) {
                "MAP point while each Hessian action (one F + one F*) runs\n"
                "substantially faster — the margin that matters when the\n"
                "inversion gates an early-warning decision.\n";
+  if (!converged || !(pred_diff <= 1e-3)) {
+    std::cerr << "self-check failed: MAP solves "
+              << (converged ? "converged" : "did not converge")
+              << ", dssdd predictions differ from double by " << pred_diff
+              << " (limit 1e-3)\n";
+    return 1;
+  }
   return 0;
 }

@@ -1,6 +1,6 @@
 // Alpha-beta collective cost model for the simulated interconnect.
 //
-// Substitute for RCCL on Frontier's Slingshot fabric (DESIGN.md §1).
+// Substitute for RCCL on Frontier's Slingshot fabric.
 // Collectives are modelled as log2(q)-stage trees with
 //
 //   T = alpha_call + stages * (alpha_stage(q) + small-message wire time)

@@ -51,7 +51,10 @@
 // right-hand sides; forward()/adjoint() are its one-RHS calls.  It
 // runs the phases in sequence on the plan's own stream, as the
 // paper's FFTMatvec does; a batch widens each launch instead of
-// adding launches.
+// adding launches.  apply_normal chains the same stages into the
+// data-misfit half of a Hessian action, F* (w F x), in five launches:
+// F's forward FFT and GEMV, ONE launch for F's inverse FFT, the weight
+// and F*'s forward FFT, then F*'s GEMV and inverse FFT.
 #pragma once
 
 #include <cstdint>
@@ -95,7 +98,9 @@ struct PhaseTimings {
   /// before it and the output reorder after it).
   double sbgemv = 0.0;
   /// Phase-4 batched IFFT; on the fused path it also writes the
-  /// outputs, so it carries phase 5.
+  /// outputs, so it carries phase 5.  An apply_normal also charges its
+  /// round trip here (F's inverse FFT and F*'s forward FFT in one
+  /// launch), so its fft field holds F's forward FFT alone.
   double ifft = 0.0;
   /// Unpad/transpose + final cast: the fusion ablation only, 0 on the
   /// fused path.
@@ -227,6 +232,25 @@ class FftMatvecPlan {
                    std::span<const VectorView> outputs,
                    VerifyMode verify = VerifyMode::kOff);
 
+  /// outputs[r] = F* (weight · F inputs[r]) for b >= 1 parameter-space
+  /// vectors (N_t x n_m each, in and out): the data-misfit half of a
+  /// Bayesian Hessian action with noise precision `weight`.  Five
+  /// launches whatever b is: F's forward FFT and GEMV, one round-trip
+  /// launch — F's inverse FFT, each kept sample rounded p4 -> p5 ->
+  /// double, multiplied by `weight` in double and rounded double -> p1
+  /// -> p2, then F*'s forward FFT — and F*'s GEMV and inverse FFT.
+  /// Every element takes the exact path of forward(), scaling the
+  /// double vector by `weight`, then adjoint(), so the outputs are
+  /// bit-identical to that composition.  It needs fused casts and an
+  /// unsliced plan (a rank's F output needs its collective before F*
+  /// runs), and throws std::invalid_argument otherwise.  Counts one
+  /// execution; last_timings() holds the whole chain, the round trip
+  /// under ifft.  Nothing verifies it: no caller arms ABFT here.
+  void apply_normal(const BlockToeplitzOperator& op,
+                    const precision::PrecisionConfig& config,
+                    std::span<const ConstVectorView> inputs, double weight,
+                    std::span<const VectorView> outputs);
+
   /// Timings of the most recent apply (an apply_batch reports the
   /// whole batch's totals).
   const PhaseTimings& last_timings() const { return timings_; }
@@ -254,6 +278,38 @@ class FftMatvecPlan {
   std::int64_t executions() const { return executions_; }
 
  private:
+  // One apply's validated arguments with its GEMV charge, and one
+  // grouped-GEMV launch as the stages build it (matvec_plan.cpp).
+  struct Batch;
+  template <class T, class X>
+  struct GemvLaunch;
+
+  Batch batch_for(std::span<const OperatorGroup> groups, ApplyDirection direction,
+                  const precision::PrecisionConfig& config, index_t b,
+                  VerifyMode verify) const;
+  /// Resets the timings, counts the execution and sizes the checksum
+  /// workspaces of a verified apply.
+  void start_apply(const Batch& a);
+
+  // The fused stages, one launch each, in launch order.
+  void forward_fft(const Batch& a, std::span<const ConstVectorView> inputs);
+  void gemv(Batch& a);
+  void round_trip(const Batch& forward, double weight);  // apply_normal's
+  void inverse_fft(const Batch& a, std::span<const VectorView> outputs);
+  /// The fusion ablation's 7-launch pipeline.
+  void apply_unfused(Batch& a, std::span<const ConstVectorView> inputs,
+                     std::span<const VectorView> outputs);
+  /// Fills last_batch_timings() from the apply's totals.
+  void attribute(const Batch& a);
+
+  template <class Real>
+  fft::BatchedRealFft<Real>& fft_plan(bool d_side);
+  template <class T, class X>
+  GemvLaunch<T, X> gemv_launch(const Batch& a, const X* x,
+                               std::vector<blas::SbgemvGroup<T>>& gemv_groups);
+  template <class T, class X>
+  void run_gemv(Batch& a, const GemvLaunch<T, X>& launch);
+
   struct DualReal {
     std::optional<device::device_vector<double>> d;
     std::optional<device::device_vector<float>> f;

@@ -2,8 +2,9 @@
 // execution context.
 //
 // Numerics run for real on the host thread pool; time is simulated by
-// the CostModel.  This is the substitution for the CUDA/HIP runtime
-// described in DESIGN.md §1.
+// the CostModel (device/cost_model.hpp) from the DeviceSpec
+// (device/device_spec.hpp).  This is the substitution for the CUDA/HIP
+// runtime.
 #pragma once
 
 #include <atomic>
@@ -39,7 +40,8 @@ class Device {
   /// capacity-tracked but not backed by host memory and kernel
   /// launches skip numerics, so paper-scale problem shapes can be
   /// *timed* through the exact pipeline code path on a machine that
-  /// could never hold them (DESIGN.md §1, cost-model extrapolation).
+  /// could never hold them (cost-model extrapolation,
+  /// device/cost_model.hpp).
   explicit Device(DeviceSpec spec,
                   util::ThreadPool* pool = &util::ThreadPool::global(),
                   bool phantom = false);

@@ -16,7 +16,10 @@
 // the launch reads its inputs and writes its outputs through caller
 // callbacks, cuFFT/rocFFT load and store callbacks in shape, so the
 // memory operations on either side of the transform (a pad, a cast, a
-// reorder) ride it instead of costing launches of their own.
+// reorder) ride it instead of costing launches of their own.  A fused
+// round trip (round_trip_fused_on) chains one plan's inverse transform,
+// a pointwise map and another plan's forward transform of each sequence
+// in one launch, the samples between them never leaving the gridblock.
 #pragma once
 
 #include <cmath>
@@ -208,6 +211,53 @@ class BatchedRealFft {
     });
   }
 
+  /// Fused round trip: this plan's inverse transform, a pointwise map
+  /// and `forward`'s transform of each sequence in one launch, one
+  /// gridblock per sequence; both plans must have one length and batch.
+  /// Gridblock q reads bin k as load(q, k), hands each of the first
+  /// `keep` samples v (keep <= length()) to map(v), which returns a
+  /// sample of `forward`'s precision kept in a per-worker buffer (the
+  /// gridblock's LDS), drops the rest, then transforms those samples
+  /// followed by zeros and hands bin k to store(q, k, v) in increasing
+  /// k.  Each transform runs exactly the arithmetic of its fused
+  /// launch, so the launch is bit-identical to inverse_fused_on
+  /// storing map's argument, then forward_fused_on loading map's
+  /// result.  `load_bytes` and `store_bytes` are what load and store
+  /// move per sequence; the launch is charged both transforms' traffic
+  /// and flops (see fused_footprint).
+  template <class Out, class Load, class Map, class Store>
+  device::KernelTiming round_trip_fused_on(device::Stream& stream,
+                                           const BatchedRealFft<Out>& forward,
+                                           index_t batch_multiplier, double load_bytes,
+                                           double store_bytes, index_t keep, Load load,
+                                           Map map, Store store) const {
+    if (forward.length() != length() || forward.batch() != batch()) {
+      throw std::invalid_argument("BatchedRealFft: a round trip needs plans of one shape");
+    }
+    device::KernelFootprint fp = fused_footprint(batch_multiplier, load_bytes, 0.0);
+    const device::KernelFootprint out_fp =
+        forward.fused_footprint(batch_multiplier, 0.0, store_bytes);
+    fp.bytes_read += out_fp.bytes_read;
+    fp.bytes_written += out_fp.bytes_written;
+    fp.flops += out_fp.flops;
+    fp.fp64_path = fp.fp64_path || out_fp.fp64_path;
+    const RealFftEngine<Out>* out_engine = &forward.engine_;
+    return stream.launch(geometry(batch_multiplier), fp,
+                         [=, this](index_t q, index_t, index_t) {
+      FftScratch<Out>& out_scratch = FftScratch<Out>::local();
+      out_scratch.ensure_samples(keep);
+      Out* samples = out_scratch.samples.data();
+      engine_.inverse([&](index_t k) { return load(q, k); },
+                      [&](index_t j, Real v) {
+                        if (j < keep) samples[j] = map(v);
+                      },
+                      FftScratch<Real>::local());
+      out_engine->forward([&](index_t t) { return t < keep ? samples[t] : Out(0); },
+                          [&](index_t k, const std::complex<Out>& v) { store(q, k, v); },
+                          out_scratch);
+    });
+  }
+
   /// ABFT energy check over a time/spectrum pair (Parseval's theorem
   /// for the unnormalised forward transform): for each sequence b,
   ///   sum_n time[n]^2  ==  (1/L) * (|X_0|^2 + |X_{L/2}|^2
@@ -284,6 +334,10 @@ class BatchedRealFft {
   /// and the launch is charged at the plan's own coalescing
   /// efficiency.  Accesses contiguous within a sequence (the plan's
   /// own layout: element stride = 1, distance = length) coalesce too.
+  /// A round trip (round_trip_fused_on) is charged the inverse plan's
+  /// fused_footprint with no store plus the forward plan's with no
+  /// load: the samples between the two transforms stay on chip, and
+  /// the launch takes the fp64 path when either transform is double.
   device::KernelFootprint fused_footprint(index_t batch_multiplier,
                                           double load_bytes,
                                           double store_bytes) const {
@@ -314,6 +368,9 @@ class BatchedRealFft {
   }
 
  private:
+  template <class>
+  friend class BatchedRealFft;  // a round trip runs the other plan's engine
+
   index_t effective_batch(index_t multiplier) const {
     if (multiplier <= 0) {
       throw std::invalid_argument("BatchedRealFft: batch multiplier must be >= 1");

@@ -24,6 +24,11 @@ struct FftScratch {
   std::vector<C> pong;    ///< Stockham working buffer B
   std::vector<C> chirp;   ///< Bluestein length-M modulated sequence
   std::vector<C> packed;  ///< R2C packed half-length sequence
+  /// A fused round trip's samples between its two transforms (the
+  /// gridblock's LDS).  Not `packed`: when both transforms share this
+  /// scratch, the inverse still reads `packed` while it hands samples
+  /// out.
+  std::vector<Real> samples;
 
   void ensure_c2c(index_t n) {
     if (static_cast<index_t>(ping.size()) < n) {
@@ -42,6 +47,12 @@ struct FftScratch {
   void ensure_packed(index_t n) {
     if (static_cast<index_t>(packed.size()) < n) {
       packed.resize(static_cast<std::size_t>(n));
+    }
+  }
+
+  void ensure_samples(index_t n) {
+    if (static_cast<index_t>(samples.size()) < n) {
+      samples.resize(static_cast<std::size_t>(n));
     }
   }
 

@@ -72,15 +72,11 @@ void HessianOperator::apply(std::span<const double> x, std::span<double> y) cons
       static_cast<index_t>(y.size()) != parameter_size()) {
     throw std::invalid_argument("HessianOperator::apply: extent mismatch");
   }
-  // F x
-  plan_->forward(*op_, x, scratch_d_, config_);
-  ++matvec_count_;
-  // G_n^{-1} (F x)
-  const double w = noise_.inv_variance();
-  for (auto& v : scratch_d_) v *= w;
-  // F* (...)
-  plan_->adjoint(*op_, scratch_d_, scratch_m_, config_);
-  ++matvec_count_;
+  // F* G_n^{-1} F x, one F and one F* action chained in one apply.
+  const core::ConstVectorView in[] = {x};
+  const core::VectorView out[] = {scratch_m_};
+  plan_->apply_normal(*op_, config_, in, noise_.inv_variance(), out);
+  matvec_count_ += 2;
   // + G_pr^{-1} x
   prior_.apply_inverse_covariance(op_->dims().n_t(), x, y);
   for (index_t i = 0; i < parameter_size(); ++i) y[i] += scratch_m_[static_cast<std::size_t>(i)];

@@ -52,7 +52,8 @@ class HessianOperator {
   index_t parameter_size() const;
   index_t data_size() const;
 
-  /// y = H x.
+  /// y = H x.  The data-misfit term is one FftMatvecPlan::apply_normal
+  /// (five launches), bit-identical to F, scaling by G_n^{-1}, then F*.
   void apply(std::span<const double> x, std::span<double> y) const;
 
   /// rhs = F* G_n^{-1} d_obs (+ G_pr^{-1} m_pr when provided).
@@ -72,7 +73,7 @@ class HessianOperator {
   NoiseModel noise_;
   precision::PrecisionConfig config_;
   mutable index_t matvec_count_ = 0;
-  mutable std::vector<double> scratch_d_;  // data-space temp
+  mutable std::vector<double> scratch_d_;  // data-space temp (map_rhs)
   mutable std::vector<double> scratch_m_;  // parameter-space temp
 };
 

@@ -1,6 +1,6 @@
 // In-process thread-backed communicator (test support).
 //
-// Substitute for NCCL/RCCL + MPI (DESIGN.md §1): each logical rank
+// Substitute for NCCL/RCCL + MPI: each logical rank
 // runs on its own thread and the collectives move real data through
 // shared memory, so distributed-algorithm *numerics* (reduction
 // order, partition-dependent rounding) are exercised for real.  Its

@@ -324,9 +324,9 @@ TEST_F(MatvecFixture, UnfusedCastsGiveSameNumbersSlower) {
 // GEMV and the fused inverse FFT — whatever its RHS count, and
 // verification adds none (the checksum compare rides the fused inverse
 // FFT, and the Parseval checks ride both FFTs).  The unfused ablation
-// keeps the pad, the reorders and the unpad: 7.  Launches are counted
-// by a zero-rate FaultPlan, which sees every launch and injects
-// nothing.
+// keeps the pad, the reorders and the unpad: 7.  An apply_normal is 5
+// whatever its RHS count.  Launches are counted by a zero-rate
+// FaultPlan, which sees every launch and injects nothing.
 TEST_F(MatvecFixture, SerialBatchLaunchesDoNotGrowWithB) {
   auto p = make_problem(32, 4, 16, 57);
   const auto local = LocalDims::single_rank(p.dims);
@@ -380,6 +380,24 @@ TEST_F(MatvecFixture, SerialBatchLaunchesDoNotGrowWithB) {
           << "unfused ddddd" << dir << " b=" << b;
     }
   }
+  // An apply_normal is five: F's forward FFT and GEMV, the round trip,
+  // F*'s GEMV and inverse FFT.
+  const index_t len = p.dims.n_t * p.dims.n_m;
+  for (const char* cfg_str : {"ddddd", "dssdd", "sdsds"}) {
+    for (const index_t b : {1, 5, 16}) {
+      std::vector<std::vector<double>> ins, outs;
+      for (index_t r = 0; r < b; ++r) {
+        ins.push_back(make_input_vector(len, 580 + static_cast<std::uint64_t>(r)));
+        outs.emplace_back(static_cast<std::size_t>(len));
+      }
+      const std::vector<ConstVectorView> in_views(ins.begin(), ins.end());
+      const std::vector<VectorView> out_views(outs.begin(), outs.end());
+      const auto before = faults->stats().kernel_launches;
+      plan.apply_normal(op, PrecisionConfig::parse(cfg_str), in_views, 0.25, out_views);
+      EXPECT_EQ(faults->stats().kernel_launches - before, 5u)
+          << "apply_normal " << cfg_str << " b=" << b;
+    }
+  }
   EXPECT_EQ(faults->stats().kernel_faults, 0u);
 }
 
@@ -402,8 +420,10 @@ TEST_F(MatvecFixture, OperatorSetupIsTwoLaunches) {
 // The host pool only schedules gridblocks: each block computes its
 // outputs from the same inputs in the same order whichever worker runs
 // it, so no output may depend on how the blocks are chunked.  One
-// apply_batch per config, F and F*, b = 3, on pools of 1, 2, 3 and 8
-// workers (N_t = 20, so both fused FFTs run the Bluestein path).
+// apply_batch per config, F and F*, and one apply_normal (whose round
+// trip keeps its samples in each worker's scratch), b = 3, on pools of
+// 1, 2, 3 and 8 workers (N_t = 20, so every fused FFT runs the
+// Bluestein path).
 TEST(PoolWidth, ApplyBatchOutputsDoNotDependOnWorkerCount) {
   auto p = make_problem(24, 5, 20, 91);
   const auto local = LocalDims::single_rank(p.dims);
@@ -439,6 +459,21 @@ TEST(PoolWidth, ApplyBatchOutputsDoNotDependOnWorkerCount) {
         } else {
           EXPECT_EQ(outs, reference[key]) << key << " on " << width << " workers";
         }
+      }
+      const index_t len = p.dims.n_t * p.dims.n_m;
+      std::vector<std::vector<double>> ins, outs;
+      for (index_t r = 0; r < b; ++r) {
+        ins.push_back(make_input_vector(len, 920 + static_cast<std::uint64_t>(r)));
+        outs.emplace_back(static_cast<std::size_t>(len));
+      }
+      const std::vector<ConstVectorView> in_views(ins.begin(), ins.end());
+      const std::vector<VectorView> out_views(outs.begin(), outs.end());
+      plan.apply_normal(op, cfg, in_views, 1.0 / 3.0, out_views);
+      const std::string key = cfg.to_string() + " F*F";
+      if (width == 1) {
+        reference[key] = outs;
+      } else {
+        EXPECT_EQ(outs, reference[key]) << key << " on " << width << " workers";
       }
     }
   }
@@ -1083,6 +1118,144 @@ TEST_F(MatvecFixture, ApplyBatchValidatesSpans) {
   EXPECT_THROW(plan.apply_batch(op, ApplyDirection::kForward, PrecisionConfig{},
                                 in_views, bad_out),
                std::invalid_argument);
+}
+
+// ------------------------------------------------ chained F* w F
+// apply_normal runs F's forward FFT and GEMV, one round-trip launch and
+// F*'s GEMV and inverse FFT, and every element takes the composition's
+// exact path: forward(), the double vector scaled by the weight, then
+// adjoint().  So its outputs are bit-identical to that composition on
+// the same plan, in all 32 configs, for b = 1 and 3 and weights 1,
+// 1/400 (map_solve's noise precision) and 1/3 (inexact in binary).
+// The shapes run the split-column forward GEMV (6 x 96, K = 3), the
+// Bluestein FFT (N_t = 20) and two GEMV row tiles with n_d > n_m
+// (70 x 24), where the round trip grows the spectrum buffer that F's
+// forward FFT sized.
+TEST_F(MatvecFixture, ApplyNormalBitIdenticalToForwardScaleAdjoint) {
+  ASSERT_EQ(blas::gemv_split_tiles(blas::GemvKernelKind::kSplitN, 96), 3);
+  for (const ProblemDims dims :
+       {ProblemDims{96, 6, 16}, ProblemDims{40, 5, 20}, ProblemDims{24, 70, 8}}) {
+    const auto local = LocalDims::single_rank(dims);
+    BlockToeplitzOperator op(dev_, stream_, local, make_first_block_col(local, 120));
+    FftMatvecPlan plan(dev_, stream_, local);
+    const index_t len = dims.n_t * dims.n_m;
+    std::vector<double> d(static_cast<std::size_t>(dims.n_t * dims.n_d));
+    for (const index_t b : {1, 3}) {
+      const auto nb = static_cast<std::size_t>(b);
+      std::vector<std::vector<double>> ins;
+      std::vector<std::vector<double>> outs(nb, std::vector<double>(len));
+      std::vector<std::vector<double>> composed = outs;
+      for (index_t r = 0; r < b; ++r) {
+        ins.push_back(make_input_vector(len, 130 + static_cast<std::uint64_t>(r)));
+      }
+      const std::vector<ConstVectorView> in_views(ins.begin(), ins.end());
+      const std::vector<VectorView> out_views(outs.begin(), outs.end());
+      for (const double weight : {1.0, 1.0 / 400.0, 1.0 / 3.0}) {
+        for (const auto& cfg : PrecisionConfig::all_configs()) {
+          for (std::size_t r = 0; r < nb; ++r) {
+            plan.forward(op, ins[r], d, cfg);
+            for (auto& v : d) v *= weight;
+            plan.adjoint(op, d, composed[r], cfg);
+          }
+          const auto runs = plan.executions();
+          plan.apply_normal(op, cfg, in_views, weight, out_views);
+          EXPECT_EQ(plan.executions(), runs + 1);
+          EXPECT_EQ(outs, composed) << dims.n_m << "x" << dims.n_d << "x" << dims.n_t
+                                    << " " << cfg.to_string() << " b=" << b
+                                    << " w=" << weight;
+        }
+      }
+    }
+  }
+}
+
+TEST_F(MatvecFixture, ApplyNormalRefusesUnfusedAndSlicedPlans) {
+  const ProblemDims dims{16, 4, 8};
+  const auto full = LocalDims::single_rank(dims);
+  const auto col = make_first_block_col(full, 140);
+  const auto run = [&](const LocalDims& local, const MatvecOptions& options) {
+    BlockToeplitzOperator op(dev_, stream_, local, col);
+    FftMatvecPlan plan(dev_, stream_, local, options);
+    std::vector<double> in(static_cast<std::size_t>(dims.n_t * local.n_m_local));
+    std::vector<double> out(in.size());
+    const ConstVectorView in_views[] = {in};
+    const VectorView out_views[] = {out};
+    EXPECT_THROW(plan.apply_normal(op, PrecisionConfig{}, in_views, 1.0, out_views),
+                 std::invalid_argument);
+    EXPECT_EQ(plan.executions(), 0);
+  };
+  MatvecOptions unfused;
+  unfused.fuse_casts = false;
+  run(full, unfused);
+  run(LocalDims::for_rank(dims, comm::ProcessGrid(2, 2), 3), MatvecOptions{});
+}
+
+// The cost model charges launches, not data: a phantom apply_normal
+// advances the clock exactly as a backed one does, phase by phase.
+TEST(ApplyNormalCharges, PhantomChargesLikeBacked) {
+  const ProblemDims dims{40, 6, 24};
+  const auto local = LocalDims::single_rank(dims);
+  const auto cfg = PrecisionConfig::parse("dssdd");
+  B1Rig backed(false, local, make_first_block_col(local, 150), MatvecOptions{});
+  B1Rig phantom(true, local, {}, MatvecOptions{});
+  const index_t len = dims.n_t * dims.n_m;
+  const auto in = make_input_vector(len, 151);
+  std::vector<double> out_a(static_cast<std::size_t>(len)), out_b(out_a.size());
+  const ConstVectorView backed_in[] = {in, in};
+  const VectorView backed_out[] = {out_a, out_b};
+  const ConstVectorView phantom_in[] = {{}, {}};
+  const VectorView phantom_out[] = {{}, {}};
+  backed.plan.apply_normal(backed.op, cfg, backed_in, 1.0 / 400.0, backed_out);
+  phantom.plan.apply_normal(phantom.op, cfg, phantom_in, 1.0 / 400.0, phantom_out);
+  EXPECT_EQ(backed.stream.now(), phantom.stream.now());
+  const PhaseTimings& tb = backed.plan.last_timings();
+  const PhaseTimings& tp = phantom.plan.last_timings();
+  EXPECT_EQ(tb.fft, tp.fft);
+  EXPECT_EQ(tb.sbgemv, tp.sbgemv);
+  EXPECT_EQ(tb.ifft, tp.ifft);
+  EXPECT_EQ(tb.makespan, tp.makespan);
+  EXPECT_EQ(tb.pad + tb.unpad + tb.comm, 0.0);
+  EXPECT_NEAR(tb.makespan, tb.compute_total(), 1e-15);
+  ASSERT_EQ(backed.plan.last_batch_timings().size(), 2u);
+  EXPECT_NEAR(2.0 * backed.plan.last_batch_timings()[0].compute_total(),
+              tb.compute_total(), 1e-15);
+}
+
+// The round trip replaces F's inverse FFT and F*'s forward FFT and is
+// charged less than those two launches on each paper device, at
+// map_solve's 1000 x 16 x 128 and the paper's 5000 x 100 x 1000, in
+// every config; the FFT and GEMV launches around it are F's and F*'s.
+TEST(ApplyNormalCharges, RoundTripBeatsTheTwoLaunchesItReplaces) {
+  for (const ProblemDims dims : {ProblemDims{1000, 16, 128}, ProblemDims{5000, 100, 1000}}) {
+    const auto local = LocalDims::single_rank(dims);
+    for (const auto& spec :
+         {device::make_mi250x_gcd(), device::make_mi300x(), device::make_mi355x()}) {
+      device::Device dev(spec, &util::ThreadPool::global(), /*phantom=*/true);
+      device::Stream stream(dev);
+      BlockToeplitzOperator op(dev, stream, local, {});
+      op.spectrum_f(stream);  // warm the lazy cast outside the timings
+      FftMatvecPlan plan(dev, stream, local);
+      std::vector<double> empty;
+      const ConstVectorView in[] = {empty};
+      const VectorView out[] = {empty};
+      for (const auto& cfg : PrecisionConfig::all_configs()) {
+        const std::string what = spec.name + " " + std::to_string(dims.n_m) + " " +
+                                 cfg.to_string();
+        plan.forward(op, {}, empty, cfg);
+        const PhaseTimings f = plan.last_timings();
+        plan.adjoint(op, {}, empty, cfg);
+        const PhaseTimings f_star = plan.last_timings();
+        plan.apply_normal(op, cfg, in, 1.0 / 400.0, out);
+        const PhaseTimings& n = plan.last_timings();
+        // Phase times are clock differences, so equal work agrees to
+        // the clock's rounding.
+        EXPECT_NEAR(n.fft, f.fft, 1e-9 * f.fft) << what;
+        EXPECT_NEAR(n.sbgemv, f.sbgemv + f_star.sbgemv, 1e-9 * n.sbgemv) << what;
+        EXPECT_LT(n.ifft - f_star.ifft, f.ifft + f_star.fft) << what;
+        EXPECT_LT(n.total(), f.total() + f_star.total()) << what;
+      }
+    }
+  }
 }
 
 }  // namespace

@@ -138,9 +138,15 @@ INSTANTIATE_TEST_SUITE_P(
                       std::make_tuple<index_t, index_t, index_t>(128, 4, 32),
                       std::make_tuple<index_t, index_t, index_t>(48, 16, 20)),
     [](const auto& info) {
-      return "m" + std::to_string(std::get<0>(info.param)) + "d" +
-             std::to_string(std::get<1>(info.param)) + "t" +
-             std::to_string(std::get<2>(info.param));
+      // Appended piece by piece: GCC 12 flags the inlined
+      // "m" + std::to_string(...) chain with a false -Wrestrict.
+      std::string name = "m";
+      name += std::to_string(std::get<0>(info.param));
+      name += "d";
+      name += std::to_string(std::get<1>(info.param));
+      name += "t";
+      name += std::to_string(std::get<2>(info.param));
+      return name;
     });
 
 TEST(ErrorModel, BoundIsNotVacuous) {

@@ -10,6 +10,7 @@
 #include "core/dense_reference.hpp"
 #include "core/matvec_plan.hpp"
 #include "device/device_spec.hpp"
+#include "device/fault_plan.hpp"
 #include "inverse/bayes.hpp"
 #include "inverse/dense.hpp"
 #include "inverse/lti_system.hpp"
@@ -307,6 +308,57 @@ TEST(Map, MixedPrecisionHessianCloseToDouble) {
   hm.apply(x, ym);
   EXPECT_LT(blas::relative_l2_error(hd.parameter_size(), ym.data(), yd.data()),
             1e-4);
+}
+
+// A Hessian action is one FftMatvecPlan::apply_normal plus the prior
+// term.  It must be bit-identical to the composition perfbench's traced
+// solve rebuilds — F, the double vector scaled by G_n^{-1}, F*, then
+// G_pr^{-1} x added — and count one F and one F* action.
+TEST(Map, HessianActionBitIdenticalToForwardScaleAdjoint) {
+  MapSetup s(26);
+  const index_t n_t = s.cfg.n_t;
+  for (const char* cfg_str : {"ddddd", "dssdd", "sdsds"}) {
+    const auto cfg = PrecisionConfig::parse(cfg_str);
+    HessianOperator h(*s.plan, *s.op, s.prior, s.noise, cfg);
+    util::Rng rng(27);
+    std::vector<double> x(static_cast<std::size_t>(h.parameter_size()));
+    for (auto& v : x) v = rng.uniform(-1, 1);
+    std::vector<double> y(x.size());
+    const index_t count = h.matvec_count();
+    h.apply(x, y);
+    EXPECT_EQ(h.matvec_count(), count + 2) << cfg_str;
+
+    std::vector<double> d(static_cast<std::size_t>(h.data_size()));
+    std::vector<double> ftd(x.size()), composed(x.size());
+    s.plan->forward(*s.op, x, d, cfg);
+    for (auto& v : d) v *= s.noise.inv_variance();
+    s.plan->adjoint(*s.op, d, ftd, cfg);
+    s.prior.apply_inverse_covariance(n_t, x, composed);
+    for (std::size_t i = 0; i < composed.size(); ++i) composed[i] += ftd[i];
+    EXPECT_EQ(y, composed) << cfg_str;
+  }
+}
+
+// After a warm-up solve (the operator's lazy single-precision spectrum
+// launches once), a MAP solve issues one 3-launch adjoint for its
+// right-hand side and one 5-launch Hessian action per CG iteration.
+// A zero-rate FaultPlan counts the launches.
+TEST(Map, SolveIssuesFiveLaunchesPerIteration) {
+  MapSetup s(28);
+  HessianOperator h(*s.plan, *s.op, s.prior, s.noise, PrecisionConfig::parse("dssdd"));
+  std::vector<double> m_map(static_cast<std::size_t>(h.parameter_size()));
+  ASSERT_TRUE(solve_map(h, s.d_obs, m_map, 1e-6, 400).converged);
+  auto faults = std::make_shared<device::FaultPlan>();
+  s.dev->set_fault_plan(faults);
+  const index_t count = h.matvec_count();
+  const auto cg = solve_map(h, s.d_obs, m_map, 1e-6, 400);
+  ASSERT_TRUE(cg.converged);
+  EXPECT_GT(cg.iterations, 1);
+  EXPECT_EQ(faults->stats().kernel_launches,
+            3u + 5u * static_cast<std::uint64_t>(cg.iterations));
+  EXPECT_EQ(h.matvec_count(), count + 1 + 2 * cg.iterations);
+  EXPECT_EQ(faults->stats().kernel_faults, 0u);
+  s.dev->set_fault_plan(nullptr);
 }
 
 // -------------------------------------------------------------- OED
